@@ -22,13 +22,12 @@ from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError,
                        RadialProfile, Sign, envelope_bound, neck_limit,
                        ode_residual, profile_value, profile_value_substituted,
                        sample_profile, uniform_interior_bound)
-from .config import (catenoid_spec_from_config, catenoid_spec_to_config,
-                     density_from_config, density_to_config,
-                     solver_options_from_config)
+from .config import density_from_config, density_to_config
 from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
-                      ValidationReport, classify_growth, dG, hessian_G,
-                      invert_gprime, make_area_density, make_custom_density,
-                      make_mu_density, normalize, validate)
+                      ValidationReport, classify_growth, dG, flux_tangent,
+                      hessian_G, invert_gprime, make_area_density,
+                      make_custom_density, make_mu_density, normalize,
+                      validate)
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
@@ -46,14 +45,14 @@ __all__ = [
     "NodeTag", "NonConvergenceError", "PolarMesh", "QuadratureAccuracyError",
     "RadialProfile", "RemovabilityConfig", "Sign", "SolverOptions",
     "TailEstimate", "UndeterminedLimitError", "ValidationReport",
-    "build_polar_mesh", "catenoid_spec_from_config",
-    "catenoid_spec_to_config", "check_comparison", "classify_growth", "dG",
+    "build_polar_mesh", "check_comparison", "classify_growth", "dG",
     "density_from_config", "density_to_config", "energy", "envelope_bound",
-    "hessian_G", "invert_gprime", "make_area_density", "make_custom_density",
-    "make_mu_density", "neck_limit", "normalize", "ode_residual",
+    "flux_tangent", "hessian_G", "invert_gprime", "make_area_density",
+    "make_custom_density", "make_mu_density", "neck_limit", "normalize",
+    "ode_residual",
     "profile_value", "profile_value_substituted", "radial_values",
     "read_report", "residual_EL", "rotate_columns", "run_catenoid_reproduction",
     "run_comparison_suite", "run_removability", "same_mesh", "sample_profile",
-    "solve_dirichlet", "solver_options_from_config", "uniform_interior_bound",
+    "solve_dirichlet", "uniform_interior_bound",
     "validate", "write_report",
 ]

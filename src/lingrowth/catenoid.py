@@ -283,7 +283,8 @@ def profile_value(d: Density, spec: CatenoidSpec, rho: float) -> float:
     """Profile value at radius rho by direct radial quadrature.
 
     Evaluates  a + sign * integral((g')^{-1}(alpha/r^{n-1}), anchor..rho)
-    with adaptive Gauss-Kronrod panels at absolute tolerance 1e-10.  When
+    with adaptive Gauss-Kronrod panels at absolute tolerance
+    :data:`QUAD_ABS_TOL` (1e-9).  When
     rho sits within 10% of the neck the integrand is too steep for the
     radial variable and the evaluation is delegated to the slope
     parametrization (:func:`profile_value_substituted`).

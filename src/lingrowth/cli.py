@@ -28,14 +28,14 @@ import numpy as np
 from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError, Sign,
                        neck_limit, ode_residual, sample_profile)
-from .config import density_from_config, solver_options_from_config
+from .config import density_from_config
 from .density import (Growth, UndeterminedLimitError, classify_growth,
                       normalize, validate)
-from .experiments import (RemovabilityConfig, outer_data_values,
+from .experiments import (RemovabilityConfig, circle_data_values,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
-from .mesh import build_polar_mesh
-from .solver import NonConvergenceError, solve_dirichlet
+from .mesh import NodeTag, build_polar_mesh
+from .solver import NonConvergenceError, SolverOptions, solve_dirichlet
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -178,39 +178,23 @@ def cmd_catenoid(args) -> int:
 # solve
 
 
-def _boundary_from_config(mesh, bcfg, d):
-    data = {}
-    outer_kind = bcfg.get("outer", {"kind": "affine", "q": [0.5, 0.3], "c": 0.0})
-    vals = outer_data_values(mesh, outer_kind, d)
-    for node, val in zip(mesh.outer_nodes(), vals):
-        data[int(node)] = float(val)
+def _boundary_from_config(mesh, bcfg, d) -> np.ndarray:
+    """Nodal boundary vector from the config's ``outer``/``inner`` entries."""
+    data = np.full(mesh.num_nodes, np.nan)
+    outer_cfg = bcfg.get("outer", {"kind": "affine", "q": [0.5, 0.3], "c": 0.0})
+    data[mesh.outer_nodes()] = circle_data_values(mesh, NodeTag.OUTER,
+                                                  outer_cfg, d)
     inner_nodes = mesh.inner_nodes()
     if len(inner_nodes):
         inner_cfg = bcfg.get("inner")
         if inner_cfg is None:
             raise ValueError("annulus solve needs boundary.inner in config")
         if inner_cfg.get("kind") == "constant":
-            for node in inner_nodes:
-                data[int(node)] = float(inner_cfg["value"])
+            data[inner_nodes] = float(inner_cfg["value"])
         else:
-            inner_vals = outer_data_values(
-                _InnerView(mesh), inner_cfg, d)
-            for node, val in zip(inner_nodes, inner_vals):
-                data[int(node)] = float(val)
+            data[inner_nodes] = circle_data_values(mesh, NodeTag.INNER,
+                                                   inner_cfg, d)
     return data
-
-
-class _InnerView:
-    """Adapter presenting the inner circle through the outer-data API."""
-
-    def __init__(self, mesh):
-        self._mesh = mesh
-        self.n_theta = mesh.n_theta
-        self.r_out = mesh.r_in
-        self.nodes = mesh.nodes
-
-    def outer_nodes(self):
-        return self._mesh.inner_nodes()
 
 
 def cmd_solve(args) -> int:
@@ -228,7 +212,7 @@ def cmd_solve(args) -> int:
 
     bcfg = cfg.get("boundary", {})
     data = _boundary_from_config(mesh, bcfg, d)
-    opts = solver_options_from_config(cfg.get("solver", {}))
+    opts = SolverOptions.from_config(cfg.get("solver", {}))
 
     out = _out_dir(args)
     effective = {"command": "solve", "density": dcfg,

@@ -1,15 +1,15 @@
-"""JSON config schema: densities, barrier specs, solver options.
+"""JSON config schema of densities.
 
 Densities round-trip through  {"kind": "area"}  or
 {"kind": "mu", "mu": 3.0};  custom densities are code-only and have no
-config form.
+config form.  Barrier specs and solver options carry their own config
+forms: :meth:`CatenoidSpec.from_config` / ``to_config`` and
+:meth:`SolverOptions.from_config`.
 """
 
 from __future__ import annotations
 
-from .catenoid import CatenoidSpec
 from .density import Density, make_area_density, make_mu_density
-from .solver import SolverOptions
 
 
 def density_from_config(cfg: dict) -> Density:
@@ -32,14 +32,3 @@ def density_to_config(d: Density) -> dict:
         return {"kind": "mu", "mu": d.mu}
     raise ValueError(f"density kind {d.kind!r} has no config form")
 
-
-def catenoid_spec_from_config(cfg: dict) -> CatenoidSpec:
-    return CatenoidSpec.from_config(cfg)
-
-
-def catenoid_spec_to_config(spec: CatenoidSpec) -> dict:
-    return spec.to_config()
-
-
-def solver_options_from_config(cfg: dict) -> SolverOptions:
-    return SolverOptions.from_config(cfg)

@@ -442,30 +442,55 @@ def classify_growth(d: Density) -> Growth:
 # vector calculus helpers for the field energy G(p) = g(|p|)
 
 
-def dG(d: Density, p) -> np.ndarray:
-    """Gradient of p -> g(|p|): equals g'(|p|) * p / |p|, and 0 at p = 0."""
+def flux_tangent(d: Density, p):
+    """Flux and tangent of G(p) = g(|p|) for a stack p of shape (..., k).
+
+    With t = |p| and P = p p^T / t^2 these are
+
+        flux     = (g'(t)/t) p,
+        tangent  = g''(t) P + (g'(t)/t) (I - P),
+
+    extended by 0 and g''(0) I at p = 0.  Returns arrays of shapes
+    (..., k) and (..., k, k).  This is the only place the formulas live:
+    :func:`dG`, :func:`hessian_G` and the finite-element assembly all read
+    them from here.  Each off-diagonal entry is rounded once and mirrored,
+    so the tangent is exactly symmetric.
+    """
     p = np.asarray(p, dtype=float)
-    norm = float(np.linalg.norm(p))
-    if norm == 0.0:
-        return np.zeros_like(p)
-    return float(d.gprime(norm)) / norm * p
+    k = p.shape[-1]
+    t = np.hypot.reduce(p, axis=-1, initial=0.0)
+    gp = np.asarray(d.gprime(t), dtype=float)
+    c2 = np.asarray(d.gsecond(t), dtype=float)
+    pos = t > 0.0
+    safe = np.where(pos, t, 1.0)
+    c1 = np.where(pos, gp / safe, c2)           # g'(t)/t, and g''(0) at t = 0
+    flux = c1[..., None] * p
+
+    ph = p / safe[..., None]
+    coef = np.where(pos, c2 - c1, 0.0)
+    tangent = (coef[..., None, None] * ph[..., :, None]) * ph[..., None, :]
+    upper, lower = np.triu_indices(k, 1)
+    tangent[..., lower, upper] = tangent[..., upper, lower]
+    diag = np.arange(k)
+    tangent[..., diag, diag] += c1[..., None]
+    return flux, tangent
+
+
+def dG(d: Density, p) -> np.ndarray:
+    """Gradient of p -> g(|p|): equals g'(|p|) * p / |p|, and 0 at p = 0.
+
+    ``p`` may be one vector or a stack of them (see :func:`flux_tangent`).
+    """
+    return flux_tangent(d, p)[0]
 
 
 def hessian_G(d: Density, p) -> np.ndarray:
-    """Hessian of p -> g(|p|).
+    """Hessian of p -> g(|p|), for one vector or a stack of them.
 
     For p != 0 this is
         g''(|p|) * P + (g'(|p|)/|p|) * (I - P),  P = p p^T / |p|^2,
-    and g''(0) * I at the origin.  Strict convexity plus monotone slope
-    make it symmetric positive definite everywhere.
+    and g''(0) * I at the origin (see :func:`flux_tangent`).  Strict
+    convexity plus monotone slope make it symmetric positive definite
+    everywhere.
     """
-    p = np.asarray(p, dtype=float)
-    k = p.shape[0]
-    norm = float(np.linalg.norm(p))
-    if norm == 0.0:
-        return float(d.gsecond(0.0)) * np.eye(k)
-    u = p / norm
-    proj = np.outer(u, u)
-    gp = float(d.gprime(norm))
-    gpp = float(d.gsecond(norm))
-    return gpp * proj + (gp / norm) * (np.eye(k) - proj)
+    return flux_tangent(d, p)[1]

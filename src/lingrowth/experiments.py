@@ -40,7 +40,7 @@ from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound, neck_limit,
                        profile_value)
 from .density import Density, Growth, invert_gprime, normalize
-from .mesh import PolarMesh, build_polar_mesh, radial_values
+from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values
 from .solver import (DiscreteSolution, NonConvergenceError, SolverOptions,
                      check_comparison, solve_dirichlet)
 
@@ -124,35 +124,37 @@ def _draw_fourier(rng, degree: int) -> dict:
     }
 
 
-def outer_data_values(mesh: PolarMesh, outer_cfg: dict, d: Density) -> np.ndarray:
-    """Values on the outer circle for the configured data choice."""
-    idx = mesh.outer_nodes()
-    kind = outer_cfg.get("kind")
+def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
+                       d: Density) -> np.ndarray:
+    """Values on one boundary circle (``NodeTag.INNER`` or
+    ``NodeTag.OUTER``) for the configured data choice."""
+    radius = {NodeTag.INNER: mesh.r_in, NodeTag.OUTER: mesh.r_out}[circle]
+    idx = mesh.nodes_with_tag(circle)
+    name = circle.name.lower()
+    kind = cfg.get("kind")
     if kind == "affine":
-        return affine_values(mesh, idx, outer_cfg["q"], outer_cfg["c"])
+        return affine_values(mesh, idx, cfg["q"], cfg["c"])
     if kind == "radial":
-        spec = CatenoidSpec.from_config(outer_cfg["spec"])
-        return np.full(len(idx), profile_value(d, spec, mesh.r_out))
+        spec = CatenoidSpec.from_config(cfg["spec"])
+        return np.full(len(idx), profile_value(d, spec, radius))
     if kind == "samples":
-        vals = np.asarray(outer_cfg["values"], dtype=float)
+        vals = np.asarray(cfg["values"], dtype=float)
         if vals.shape != (mesh.n_theta,):
             raise ValueError(
-                f"outer samples must have length n_theta={mesh.n_theta}")
+                f"{name} samples must have length n_theta={mesh.n_theta}")
         return vals.copy()
-    raise ValueError(f"unknown outer data kind {kind!r}")
+    raise ValueError(f"unknown {name} data kind {kind!r}")
 
 
-def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> dict:
-    data = {}
+def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
+    """Nodal boundary vector: ``inner`` and ``outer`` (arrays or scalars)
+    on their circles, NaN on every other node."""
+    u = np.full(mesh.num_nodes, np.nan)
     if inner is not None:
-        for node, val in zip(mesh.inner_nodes(), np.broadcast_to(
-                inner, (len(mesh.inner_nodes()),))):
-            data[int(node)] = float(val)
+        u[mesh.inner_nodes()] = inner
     if outer is not None:
-        for node, val in zip(mesh.outer_nodes(), np.broadcast_to(
-                outer, (len(mesh.outer_nodes()),))):
-            data[int(node)] = float(val)
-    return data
+        u[mesh.outer_nodes()] = outer
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,7 @@ class RemovabilityConfig:
 
     ``epsilons`` must decrease strictly and stay below ``probe_radius``,
     which in turn lies inside the outer radius.  ``outer_data`` follows
-    the config schema of :func:`outer_data_values`.  One radial/angular
+    the config schema of :func:`circle_data_values`.  One radial/angular
     resolution is shared by the reference disk and every annulus so their
     angular columns align.
 
@@ -267,7 +269,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     opts = SolverOptions.from_config(cfg.solver)
 
     disk = build_polar_mesh(0.0, R, cfg.n_r, cfg.n_theta)
-    outer_vals = outer_data_values(disk, cfg.outer_data, d)
+    outer_vals = circle_data_values(disk, NodeTag.OUTER, cfg.outer_data, d)
     reference = solve_dirichlet(d, disk, _dirichlet(disk, outer=outer_vals),
                                 opts)
     max_outer = float(np.max(outer_vals))

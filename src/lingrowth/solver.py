@@ -8,25 +8,31 @@ values on the boundary circles, minimize
 Strict convexity of g makes E strictly convex in the interior unknowns, so
 the minimizer is unique and is found by a damped Newton iteration with an
 Armijo backtracking line search.  Per-triangle flux and tangent blocks come
-straight from the density: with p the triangle gradient and t = |p|,
+from :func:`lingrowth.density.flux_tangent`, the one home of the formulas:
+with p the triangle gradient and t = |p|,
 
-    flux     = g'(t) p / t                      (g''(0) * p at p = 0)
+    flux     = g'(t) p / t                      (0 at p = 0)
     tangent  = g''(t) P + (g'(t)/t) (I - P),    P = p p^T / t^2,
 
-both symmetric positive definite thanks to g'' > 0 and g' increasing.
+the tangent being symmetric positive definite thanks to g'' > 0 and g'
+increasing.  Each Newton step evaluates the density once and scatters the
+flux into the nodal gradient and the tangent into the stiffness matrix.
+
+Boundary data is a full nodal vector throughout; a dict from boundary node
+to value is accepted only at the public edge, :func:`solve_dirichlet`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .density import Density
+from .density import Density, flux_tangent
 from .mesh import PolarMesh, same_mesh
 
 
@@ -40,11 +46,11 @@ class SolverOptions:
 
     @staticmethod
     def from_config(cfg: dict) -> "SolverOptions":
-        known = {"max_iter", "grad_tol", "armijo_c", "armijo_factor"}
+        known = {f.name for f in fields(SolverOptions)}
         unknown = set(cfg) - known
         if unknown:
             raise ValueError(f"unknown solver options: {sorted(unknown)}")
-        return SolverOptions(**{k: cfg[k] for k in known if k in cfg})
+        return SolverOptions(**cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,46 +137,16 @@ def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
     return float(np.dot(mesh.areas, d.g(t)))
 
 
-def _flux_coefficients(d: Density, t: np.ndarray):
-    """c1 = g'(t)/t extended by g''(0) at t = 0, and c2 = g''(t)."""
-    gp = np.asarray(d.gprime(t), dtype=float)
-    c2 = np.asarray(d.gsecond(t), dtype=float)
-    c1 = np.empty_like(c2)
-    pos = t > 0.0
-    c1[pos] = gp[pos] / t[pos]
-    c1[~pos] = float(d.gsecond(0.0))
-    return c1, c2
-
-
-def assemble_gradient(d: Density, mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
-    """Nodal gradient of the energy (all nodes, boundary rows included)."""
-    p = _triangle_gradients(mesh, u)
-    t = np.hypot(p[:, 0], p[:, 1])
-    c1, _ = _flux_coefficients(d, t)
-    flux = c1[:, None] * p                       # (M, 2)
+def _nodal_gradient(mesh: PolarMesh, flux: np.ndarray) -> np.ndarray:
+    """Scatter per-triangle fluxes into the nodal energy gradient."""
     contrib = np.einsum("m,mik,mi->mk", mesh.areas, mesh.grads, flux)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
-    return out
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_nodes)
 
 
-def assemble_hessian(d: Density, mesh: PolarMesh, u: np.ndarray) -> sp.csr_matrix:
-    """Sparse energy Hessian at u (full node set)."""
-    p = _triangle_gradients(mesh, u)
-    t = np.hypot(p[:, 0], p[:, 1])
-    c1, c2 = _flux_coefficients(d, t)
-
-    m = mesh.num_triangles
-    H = np.zeros((m, 2, 2))
-    H[:, 0, 0] = H[:, 1, 1] = c1
-    safe = np.where(t > 0.0, t, 1.0)
-    ph = p / safe[:, None]
-    coef = np.where(t > 0.0, c2 - c1, 0.0)
-    H[:, 0, 0] += coef * ph[:, 0] * ph[:, 0]
-    H[:, 0, 1] = H[:, 1, 0] = coef * ph[:, 0] * ph[:, 1]
-    H[:, 1, 1] += coef * ph[:, 1] * ph[:, 1]
-
-    blocks = np.einsum("m,mki,mkl,mlj->mij", mesh.areas, mesh.grads, H,
+def _stiffness(mesh: PolarMesh, tangent: np.ndarray) -> sp.csr_matrix:
+    """Scatter per-triangle tangents into the sparse energy Hessian."""
+    blocks = np.einsum("m,mki,mkl,mlj->mij", mesh.areas, mesh.grads, tangent,
                        mesh.grads)               # (M, 3, 3)
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
@@ -178,6 +154,18 @@ def assemble_hessian(d: Density, mesh: PolarMesh, u: np.ndarray) -> sp.csr_matri
     A = sp.coo_matrix((blocks.ravel(), (rows, cols)),
                       shape=(mesh.num_nodes, mesh.num_nodes))
     return A.tocsr()
+
+
+def assemble_gradient(d: Density, mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
+    """Nodal gradient of the energy (all nodes, boundary rows included)."""
+    flux, _ = flux_tangent(d, _triangle_gradients(mesh, u))
+    return _nodal_gradient(mesh, flux)
+
+
+def assemble_hessian(d: Density, mesh: PolarMesh, u: np.ndarray) -> sp.csr_matrix:
+    """Sparse energy Hessian at u (full node set)."""
+    _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
+    return _stiffness(mesh, tangent)
 
 
 def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
@@ -192,38 +180,38 @@ def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
 
 
 def _boundary_vector(mesh: PolarMesh, boundary_data) -> np.ndarray:
-    """Full nodal vector with boundary entries filled from the data map."""
+    """Full nodal vector: boundary entries from the data, zero elsewhere."""
     bnodes = mesh.boundary_nodes()
-    u = np.zeros(mesh.num_nodes)
     if isinstance(boundary_data, dict):
         missing = [int(i) for i in bnodes if int(i) not in boundary_data]
         if missing:
             raise ValueError(
                 f"boundary data missing for {len(missing)} node(s), "
                 f"first few: {missing[:5]}")
-        for i in bnodes:
-            u[i] = float(boundary_data[int(i)])
+        values = np.array([float(boundary_data[int(i)]) for i in bnodes])
     else:
         arr = np.asarray(boundary_data, dtype=float)
         if arr.shape != (mesh.num_nodes,):
             raise ValueError(
                 "boundary data must be a dict over boundary nodes or a "
                 f"full nodal vector of length {mesh.num_nodes}")
-        u[bnodes] = arr[bnodes]
-    if not np.all(np.isfinite(u[bnodes])):
+        values = arr[bnodes]
+    if not np.all(np.isfinite(values)):
         raise ValueError("boundary data contains non-finite values")
+    u = np.zeros(mesh.num_nodes)
+    u[bnodes] = values
     return u
 
 
 def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
                         interior: np.ndarray) -> np.ndarray:
-    """Initial guess: discrete harmonic extension weighted by the flat
-    tangent g''(0) * Id (one sparse linear solve)."""
+    """Initial guess from boundary data u (zero on the interior): discrete
+    harmonic extension weighted by the flat tangent g''(0) * Id (one
+    sparse linear solve)."""
     K = assemble_hessian(d, mesh, np.zeros(mesh.num_nodes))
-    K_ii = K[interior][:, interior]
-    rhs = -(K[interior] @ u - K_ii @ u[interior])
     out = u.copy()
-    out[interior] = spsolve(K_ii.tocsc(), rhs)
+    out[interior] = spsolve(K[interior][:, interior].tocsc(),
+                            -(K[interior] @ u))
     return out
 
 
@@ -235,21 +223,24 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     ----------
     d : normalized Density.
     mesh : PolarMesh.
-    boundary_data : dict node_index -> value covering every boundary node,
-        or a full nodal vector whose boundary entries are used.
+    boundary_data : full nodal vector whose boundary entries are used, or
+        a dict node_index -> value covering every boundary node.  This is
+        the only place a dict is accepted; it becomes a vector at once.
     opts : SolverOptions, optional.
 
     Returns
     -------
     DiscreteSolution with converged=True; convergence means the interior
-    gradient norm fell below grad_tol * (1 + |energy|) or the energy
-    decrement stalled below the relative floor.
+    gradient norm fell below grad_tol * (1 + |energy|).  Within the
+    iteration cap that is tested before every step; a last step whose
+    energy decrement stalled below the relative floor is tested once more
+    after the cap.
 
     Raises
     ------
     NonConvergenceError
-        If the iteration cap is exceeded; the partial solution rides along
-        on the exception.
+        If the iteration cap is exceeded or the line search stalls; the
+        partial solution rides along on the exception.
     ValueError
         For incomplete boundary data, a non-normalized density, or
         non-finite initial energy.
@@ -268,18 +259,24 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
 
     history = [E]
     grad_norm = math.inf
-    for it in range(opts.max_iter):
-        grad = assemble_gradient(d, mesh, u)
-        g_i = grad[interior]
+    stalled = False
+    for it in range(opts.max_iter + 1):
+        # the pass after the cap only tests the gradient, and only when the
+        # last step's energy decrement stalled
+        if it == opts.max_iter and not stalled:
+            break
+        flux, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
+        g_i = _nodal_gradient(mesh, flux)[interior]
         grad_norm = float(np.linalg.norm(g_i))
         if grad_norm <= opts.grad_tol * (1.0 + abs(E)):
             return DiscreteSolution(mesh=mesh, values=u, energy=E,
                                     grad_norm=grad_norm, iterations=it,
                                     converged=True,
                                     energy_history=tuple(history))
+        if it == opts.max_iter:
+            break
 
-        K = assemble_hessian(d, mesh, u)
-        K_ii = K[interior][:, interior].tocsc()
+        K_ii = _stiffness(mesh, tangent)[interior][:, interior].tocsc()
         step = spsolve(K_ii, -g_i)
         if float(np.dot(step, g_i)) >= 0.0:
             step = -g_i  # Newton direction unusable; fall back downhill
@@ -288,30 +285,9 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         if not ok:
             # Newton direction exhausted the line search; one gradient try
             u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E, opts)
-        if ok:
-            u, E_prev, E = u_new, E, E_new
-            history.append(E)
-            if abs(E_prev - E) < opts.energy_stall_rtol * (1.0 + abs(E_prev)):
-                grad = assemble_gradient(d, mesh, u)
-                grad_norm = float(np.linalg.norm(grad[interior]))
-                # a stalled energy only counts as convergence once the
-                # gradient meets the advertised tolerance; otherwise give
-                # the iteration another chance to push it down
-                if grad_norm <= opts.grad_tol * (1.0 + abs(E)):
-                    return DiscreteSolution(mesh=mesh, values=u, energy=E,
-                                            grad_norm=grad_norm,
-                                            iterations=it + 1,
-                                            converged=True,
-                                            energy_history=tuple(history))
-        else:
-            # neither direction made progress: we are numerically stationary
-            grad = assemble_gradient(d, mesh, u)
-            grad_norm = float(np.linalg.norm(grad[interior]))
-            if grad_norm <= opts.grad_tol * (1.0 + abs(E)):
-                return DiscreteSolution(mesh=mesh, values=u, energy=E,
-                                        grad_norm=grad_norm, iterations=it + 1,
-                                        converged=True,
-                                        energy_history=tuple(history))
+        if not ok:
+            # neither direction made progress at a gradient that missed the
+            # tolerance: we are numerically stationary
             partial = DiscreteSolution(mesh=mesh, values=u, energy=E,
                                        grad_norm=grad_norm, iterations=it + 1,
                                        converged=False,
@@ -319,6 +295,9 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
             raise NonConvergenceError(
                 f"line search stalled at gradient norm {grad_norm:.3e} "
                 f"above tolerance", partial)
+        u, E_prev, E = u_new, E, E_new
+        history.append(E)
+        stalled = abs(E_prev - E) < opts.energy_stall_rtol * (1.0 + abs(E_prev))
 
     partial = DiscreteSolution(mesh=mesh, values=u, energy=E,
                                grad_norm=grad_norm, iterations=opts.max_iter,

@@ -8,6 +8,7 @@ import pytest
 from lingrowth.density import (
     Growth,
     dG,
+    flux_tangent,
     hessian_G,
     classify_growth,
     invert_gprime,
@@ -256,6 +257,22 @@ def test_hessian_positive_definite_random(area, mu2, rng):
             eigs = np.linalg.eigvalsh(H)
             assert np.all(eigs > 0.0)
             np.testing.assert_allclose(H, H.T, atol=1e-15)
+
+
+def test_flux_tangent_stack_matches_rows(area, mu3, rng):
+    p = rng.normal(size=(40, 2)) * rng.choice([1e-8, 0.1, 1.0, 30.0],
+                                               size=(40, 1))
+    p[::7] = 0.0
+    for d in (area, mu3):
+        flux, tangent = flux_tangent(d, p)
+        assert np.array_equal(dG(d, p), flux)
+        assert np.array_equal(hessian_G(d, p), tangent)
+        assert np.array_equal(flux, np.array([dG(d, row) for row in p]))
+        assert np.array_equal(tangent, np.array([hessian_G(d, row)
+                                                 for row in p]))
+        assert np.array_equal(tangent, tangent.swapaxes(-1, -2))
+        assert np.array_equal(tangent[::7], np.broadcast_to(
+            d.gsecond(0.0) * np.eye(2), (6, 2, 2)))
 
 
 def test_hessian_continuous_at_origin(area):

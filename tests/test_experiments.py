@@ -11,15 +11,15 @@ from lingrowth.density import make_area_density, make_mu_density
 from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
+    circle_data_values,
     fourier_values,
-    outer_data_values,
     read_report,
     run_catenoid_reproduction,
     run_comparison_suite,
     run_removability,
     write_report,
 )
-from lingrowth.mesh import build_polar_mesh
+from lingrowth.mesh import NodeTag, build_polar_mesh
 
 FAST = dict(epsilons=(0.3, 0.15), n_r=16, n_theta=24, inner_layers=4)
 
@@ -54,8 +54,9 @@ def test_config_round_trip():
 
 def test_outer_data_affine(area):
     mesh = build_polar_mesh(0.0, 1.0, 4, 8)
-    vals = outer_data_values(mesh, {"kind": "affine", "q": (1.0, 0.0),
-                                    "c": 0.5}, area)
+    vals = circle_data_values(mesh, NodeTag.OUTER,
+                              {"kind": "affine", "q": (1.0, 0.0), "c": 0.5},
+                              area)
     want = 0.5 + mesh.nodes[mesh.outer_nodes(), 0]
     np.testing.assert_allclose(vals, want, atol=1e-15)
 
@@ -63,7 +64,7 @@ def test_outer_data_affine(area):
 def test_outer_data_unknown_kind(area):
     mesh = build_polar_mesh(0.0, 1.0, 4, 8)
     with pytest.raises(ValueError):
-        outer_data_values(mesh, {"kind": "mystery"}, area)
+        circle_data_values(mesh, NodeTag.OUTER, {"kind": "mystery"}, area)
 
 
 def test_fourier_values_shape():

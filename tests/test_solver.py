@@ -1,5 +1,6 @@
 """FEM energy minimizer: exactness, descent, symmetry, comparison checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from lingrowth.solver import (
     MeshMismatchError,
     NonConvergenceError,
     SolverOptions,
+    _triangle_gradients,
+    assemble_gradient,
+    assemble_hessian,
     check_comparison,
     energy,
     residual_EL,
@@ -53,6 +57,41 @@ def test_energy_unit_gradient_mu3(mu3, annulus):
     u = annulus.nodes[:, 1].copy()
     assert energy(mu3, annulus, u) == pytest.approx(
         mu3.g(1.0) * annulus.area_total, rel=1e-14)
+
+
+@pytest.mark.parametrize("density", ["area", "mu3"])
+def test_assembly_matches_energy_differences(density, request):
+    # gradient and Hessian come from flux_tangent, the energy from g itself:
+    # central differences of the energy tie the two together
+    d = request.getfixturevalue(density)
+    mesh = build_polar_mesh(0.5, 1.0, 4, 8)
+    u = (0.8 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] ** 2
+         + 0.3 * np.sin(2.0 * mesh.node_angles()))
+    u[mesh.node_radii() < 0.7] = 0.2     # constant patch: p = 0 exactly
+    p = _triangle_gradients(mesh, u)
+    assert np.count_nonzero(np.all(p == 0.0, axis=1)) >= 8
+
+    ii = mesh.interior_nodes()
+    h = 1e-5
+
+    def E(*shifts):
+        v = u.copy()
+        for i, s in shifts:
+            v[i] += s
+        return energy(d, mesh, v)
+
+    grad = assemble_gradient(d, mesh, u)[ii]
+    grad_fd = np.array([(E((i, h)) - E((i, -h))) / (2.0 * h) for i in ii])
+    np.testing.assert_allclose(grad, grad_fd, rtol=0.0, atol=1e-7)
+
+    hess = assemble_hessian(d, mesh, u)[ii][:, ii].toarray()
+    hess_fd = np.array([[(E((i, h), (j, h)) - E((i, h), (j, -h))
+                          - E((i, -h), (j, h)) + E((i, -h), (j, -h)))
+                         / (4.0 * h * h) for j in ii] for i in ii])
+    # g(|p|) for mu=3 carries a |p|^3 term at p = 0, so second differences
+    # across the constant patch are off by O(h) there (about 1e-4 relative)
+    np.testing.assert_allclose(hess, hess_fd, rtol=0.0,
+                               atol=1e-3 * np.max(np.abs(hess)))
 
 
 # -- exact reproduction -------------------------------------------------------
@@ -172,6 +211,31 @@ def test_iteration_cap_raises_with_partial(area, annulus):
 def test_solver_options_reject_unknown_keys():
     with pytest.raises(ValueError):
         SolverOptions.from_config({"max_iter": 10, "typo": 1})
+
+
+def test_solver_options_accept_every_field():
+    cfg = {f.name: f.default for f in dataclasses.fields(SolverOptions)}
+    cfg["energy_stall_rtol"] = 1e-12
+    assert SolverOptions.from_config(cfg) == SolverOptions(**cfg)
+    with pytest.raises(ValueError, match="energy_stal_rtol"):
+        SolverOptions.from_config({"energy_stal_rtol": 1e-12})
+
+
+def test_stalled_step_is_tested_at_the_iteration_cap(area, annulus):
+    vals = np.cos(4.0 * annulus.node_angles())
+    data = boundary_dict(annulus, vals)
+    free = solve_dirichlet(area, annulus, data)
+    cap = free.iterations
+    # every step counts as stalled: the last one is tested past the cap
+    capped = solve_dirichlet(
+        area, annulus, data, SolverOptions(max_iter=cap, energy_stall_rtol=1.0))
+    assert capped.converged
+    assert capped.iterations == cap
+    assert np.array_equal(capped.values, free.values)
+    # no step counts as stalled: the cap ends the iteration untested
+    with pytest.raises(NonConvergenceError):
+        solve_dirichlet(area, annulus, data,
+                        SolverOptions(max_iter=cap, energy_stall_rtol=0.0))
 
 
 def test_diagnostics_fields(area, annulus):
