@@ -315,13 +315,25 @@ _LIMIT_PROBES = (1.0e3, 1.0e4, 1.0e5)
 _LIMIT_AGREEMENT = 1e-6
 
 
+def _aitken(p0: float, p1: float, p2: float) -> float:
+    """Aitken delta-squared limit of three successive estimates; the last
+    estimate when the differences do not shrink."""
+    d1, d2 = p1 - p0, p2 - p1
+    if abs(d2) >= abs(d1):
+        return p2
+    return p2 - d2 * d2 / (d2 - d1)
+
+
 def normalize(d: Density) -> Density:
     """Rescale a density so that its asymptotic slope equals 1.
 
     Densities that already carry gprime_inf == 1 are returned unchanged.
     When the limit is not declared it is estimated by evaluating g' at
     t = 1e3, 1e4, 1e5; successive estimates must agree to 1e-6 or an
-    :class:`UndeterminedLimitError` is raised.
+    :class:`UndeterminedLimitError` is raised.  The estimate is the Aitken
+    delta-squared extrapolation of the three probes, not the last probe:
+    g' increases, so the last probe undershoots the limit, and dividing by
+    it would push the normalized slope above 1 further out.
     """
     if d.gprime_inf == 1.0:
         return d
@@ -335,7 +347,7 @@ def normalize(d: Density) -> Density:
             raise UndeterminedLimitError(
                 "slope limit estimates at t=1e3,1e4,1e5 disagree: "
                 f"{probes} (gaps {gaps}, tolerance {_LIMIT_AGREEMENT})")
-        c = probes[-1]
+        c = _aitken(*probes)
 
     if not (c > 0.0 and math.isfinite(c)):
         raise UndeterminedLimitError(f"invalid slope limit {c}")

@@ -7,12 +7,16 @@ Three studies are provided:
   and its data corrupted by a spike.  The deviation at a probe radius is
   compared against the barrier envelope E(eps), demonstrating that the
   influence of the corrupted circle dies out with its radius -- the
-  discrete shadow of removable-singularity behaviour.
+  discrete shadow of removable-singularity behaviour.  Each annulus solve
+  starts from the reference plus the barrier envelope of the spike, the
+  closed-form shape of its answer.
 
 * **Catenoid reproduction** (:func:`run_catenoid_reproduction`): impose
   exact radial barrier values on both circles of an annulus and measure
   the nodal error of the solve under mesh refinement, estimating the
-  empirical convergence order.
+  empirical convergence order.  The levels nest, so each solve after the
+  first starts from the previous level's solution prolongated onto the
+  finer mesh (nested iteration).
 
 * **Comparison suite** (:func:`run_comparison_suite`): random ordered
   boundary-data pairs must produce ordered solutions (discrete comparison
@@ -252,6 +256,23 @@ def _interp_on_annulus(disk: PolarMesh, disk_values: np.ndarray,
     return out
 
 
+def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
+                  spike: float) -> np.ndarray:
+    """Excess over the reference with which an annulus solve starts.
+
+    The barrier of neck eps that vanishes on the outer circle bounds the
+    spike's influence at every radius (:func:`envelope_bound`).  Capped by
+    the spike it is the closed-form shape of the answer, so the seed is
+    the spike on the inner circle, min(|spike|, envelope) with the spike's
+    sign on each ring between, and 0 on the outer circle."""
+    excess = [spike]
+    for r in annulus.ring_radii[1:-1]:
+        env = envelope_bound(d, eps, float(r), R, 0.0, 2)
+        excess.append(math.copysign(min(abs(spike), env), spike))
+    excess.append(0.0)
+    return np.repeat(excess, annulus.n_theta)
+
+
 def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     """Excised-disk sweep: corrupted inner data versus barrier envelope.
 
@@ -260,6 +281,12 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     spike.  Recorded per epsilon: the max deviation from the reference at
     radii >= probe, the envelope value from the barrier module, and the
     bound checks with discretization allowance 10 h^2.
+
+    The reference disk solve starts from the harmonic extension of its
+    data.  Each annulus solve starts from the reference plus the barrier
+    envelope of the spike (see :func:`_barrier_seed`); that seed depends
+    only on the reference and epsilon, so the solves stay independent and
+    the thread count cannot change the results.
     """
     from .config import density_from_config  # local import; no cycle at runtime
 
@@ -278,10 +305,12 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     def solve_one(eps: float):
         annulus = build_polar_mesh(eps, R, cfg.n_r, cfg.n_theta,
                                    inner_layers=cfg.inner_layers)
-        inner_vals = radial_values(disk, reference.values, eps) + cfg.spike
+        ref_on_annulus = _interp_on_annulus(disk, reference.values, annulus)
+        inner_vals = annulus.ring_values(ref_on_annulus, 0) + cfg.spike
         data = _dirichlet(annulus, inner=inner_vals, outer=outer_vals)
-        sol = solve_dirichlet(d, annulus, data, opts)
-        return annulus, sol
+        seed = ref_on_annulus + _barrier_seed(d, annulus, eps, R, cfg.spike)
+        sol = solve_dirichlet(d, annulus, data, opts, x0=seed)
+        return annulus, ref_on_annulus, sol
 
     workers = min(ioutil.thread_budget(), len(cfg.epsilons))
     if workers > 1:
@@ -293,7 +322,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     records = []
     complete = True
     half_slope = invert_gprime(d, 0.5)
-    for eps, (annulus, sol) in zip(cfg.epsilons, solved):
+    for eps, (annulus, ref_on_annulus, sol) in zip(cfg.epsilons, solved):
         h = annulus.h_radial
         allow = 10.0 * h * h
         env = envelope_bound(d, eps, cfg.probe_radius, R, 0.0, 2)
@@ -311,7 +340,6 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
             records.append(rec)
             continue
 
-        ref_on_annulus = _interp_on_annulus(disk, reference.values, annulus)
         radii = annulus.node_radii()
         probe = radii >= cfg.probe_radius - 1e-12
         deviation = float(np.max(np.abs(sol.values[probe]
@@ -378,6 +406,28 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
 # catenoid reproduction
 
 
+def _prolongate(coarse: PolarMesh, values: np.ndarray,
+                fine: PolarMesh) -> np.ndarray:
+    """Coarse annulus field carried onto the annulus with twice as many
+    rings of cells and sectors.
+
+    A fine node at a coarse node copies its value; every other fine node
+    bisects one coarse edge (along a ring, along a ray, or the diagonal
+    the cell is split along) and takes the mean of its two ends."""
+    rings = len(coarse.ring_radii)
+    if (coarse.is_disk or fine.is_disk or fine.n_theta != 2 * coarse.n_theta
+            or len(fine.ring_radii) != 2 * rings - 1):
+        raise ValueError("fine mesh does not nest the coarse annulus")
+    c = np.asarray(values, dtype=float).reshape(rings, coarse.n_theta)
+    c_next = np.roll(c, -1, axis=1)             # column j + 1, wrapping
+    f = np.empty((2 * rings - 1, fine.n_theta))
+    f[0::2, 0::2] = c
+    f[0::2, 1::2] = 0.5 * (c + c_next)
+    f[1::2, 0::2] = 0.5 * (c[:-1] + c[1:])
+    f[1::2, 1::2] = 0.5 * (c[:-1] + c_next[1:])
+    return f.ravel()
+
+
 def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
                               refinements: int, *,
                               r_in: float = 1.5, r_out: float = 3.0,
@@ -392,6 +442,11 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     recorded, and consecutive levels yield empirical convergence orders
     log2(e_k / e_{k+1}).  A single level produces one record and no order
     estimate.
+
+    The coarsest solve starts from the harmonic extension of its data.
+    Every finer level nests the previous one, so its solve starts from the
+    previous solution prolongated by :func:`_prolongate` (nested
+    iteration, as in full multigrid).
     """
     d = normalize(d)
     if not (spec.neck_radius < r_in < r_out):
@@ -404,6 +459,7 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
 
     records = []
     errors = []
+    sol = None
     for level in range(refinements):
         n_r = n_r0 * 2 ** level
         n_theta = n_theta0 * 2 ** level
@@ -411,7 +467,8 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
         ring_exact = {r: profile_value(d, spec, r) for r in mesh.ring_radii}
         data = _dirichlet(mesh, inner=ring_exact[mesh.ring_radii[0]],
                           outer=ring_exact[mesh.ring_radii[-1]])
-        sol = solve_dirichlet(d, mesh, data, solver)
+        x0 = None if sol is None else _prolongate(sol.mesh, sol.values, mesh)
+        sol = solve_dirichlet(d, mesh, data, solver, x0=x0)
         exact = np.empty(mesh.num_nodes)
         for ring, r in enumerate(mesh.ring_radii):
             base = mesh.node_index(ring, 0)

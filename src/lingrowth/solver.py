@@ -215,8 +215,22 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
     return out
 
 
+def _start_interior(mesh: PolarMesh, x0, interior: np.ndarray) -> np.ndarray:
+    """Interior entries of a caller-supplied start vector, validated."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (mesh.num_nodes,):
+        raise ValueError(
+            f"x0 must be a full nodal vector of length {mesh.num_nodes}, "
+            f"got shape {x0.shape}")
+    start = x0[interior]
+    if not np.all(np.isfinite(start)):
+        raise ValueError("x0 contains non-finite interior values")
+    return start
+
+
 def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
-                    opts: Optional[SolverOptions] = None) -> DiscreteSolution:
+                    opts: Optional[SolverOptions] = None, *,
+                    x0=None) -> DiscreteSolution:
     """Minimize the discrete energy subject to Dirichlet boundary values.
 
     Parameters
@@ -227,6 +241,11 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         a dict node_index -> value covering every boundary node.  This is
         the only place a dict is accepted; it becomes a vector at once.
     opts : SolverOptions, optional.
+    x0 : full nodal vector, optional.  Its interior entries are the Newton
+        start in place of the harmonic extension of the boundary data; its
+        boundary entries are ignored (the data always wins).  The minimizer
+        is unique, so the start changes only the iteration count and
+        rounding within the stopping tolerance.
 
     Returns
     -------
@@ -242,7 +261,8 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         If the iteration cap is exceeded or the line search stalls; the
         partial solution rides along on the exception.
     ValueError
-        For incomplete boundary data, a non-normalized density, or
+        For incomplete boundary data, a non-normalized density, an ``x0``
+        of the wrong shape or with non-finite interior entries, or
         non-finite initial energy.
     """
     if d.gprime_inf != 1.0:
@@ -251,7 +271,10 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
 
     interior = mesh.interior_nodes()
     u = _boundary_vector(mesh, boundary_data)
-    u = _harmonic_extension(d, mesh, u, interior)
+    if x0 is None:
+        u = _harmonic_extension(d, mesh, u, interior)
+    else:
+        u[interior] = _start_interior(mesh, x0, interior)
 
     E = energy(d, mesh, u)
     if not math.isfinite(E):

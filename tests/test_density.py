@@ -7,6 +7,7 @@ import pytest
 
 from lingrowth.density import (
     Growth,
+    TailEstimate,
     dG,
     flux_tangent,
     hessian_G,
@@ -159,6 +160,28 @@ def test_normalize_rescales_doubled_area():
 def test_normalize_mu_family_already_unit():
     d = make_mu_density(2.5)
     assert normalize(d) is d
+
+
+def test_normalize_estimated_limit_keeps_slope_below_one():
+    """mu=3 written out without a declared slope limit: the estimated limit
+    must not undershoot, or the normalized slope exceeds 1 far out.  The
+    certified tail bound of mu=3 is declared so that profile quadrature
+    near the neck truncates with a proven remainder."""
+    from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
+
+    custom = normalize(make_custom_density(
+        g=lambda t: t + 1.0 / (1.0 + t) - 1.0,
+        gprime=lambda t: 1.0 - (1.0 + t) ** -2.0,
+        gsecond=lambda t: 2.0 * (1.0 + t) ** -3.0,
+        tail=TailEstimate(exponent=3.0, coeff=2.0)))
+    assert np.all(custom.gprime(np.geomspace(1e5, 1e9, 41)) <= 1.0)
+
+    builtin = make_mu_density(3.0)
+    for sign in (Sign.MINUS, Sign.PLUS):
+        spec = CatenoidSpec(sign, 1.0, 0.0, 2, Anchor.NECK)
+        for r in (1.0 + 1e-6, 1.001, 1.1, 2.0, 5.0):
+            assert profile_value(custom, spec, r) == pytest.approx(
+                profile_value(builtin, spec, r), rel=0, abs=1e-8)
 
 
 # -- slope inversion --------------------------------------------------------

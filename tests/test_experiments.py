@@ -6,11 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from lingrowth import experiments
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, envelope_bound
 from lingrowth.density import make_area_density, make_mu_density
 from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
+    _prolongate,
     circle_data_values,
     fourier_values,
     read_report,
@@ -20,6 +22,7 @@ from lingrowth.experiments import (
     write_report,
 )
 from lingrowth.mesh import NodeTag, build_polar_mesh
+from lingrowth.solver import solve_dirichlet
 
 FAST = dict(epsilons=(0.3, 0.15), n_r=16, n_theta=24, inner_layers=4)
 
@@ -170,6 +173,94 @@ def test_catenoid_reproduction_neck_must_be_outside(area):
     spec = CatenoidSpec(Sign.PLUS, 4.0, 0.0, 2, Anchor.NECK)  # neck at 4
     with pytest.raises(ValueError):
         run_catenoid_reproduction(area, spec, refinements=1)
+
+
+# -- warm starts ----------------------------------------------------------------
+
+
+def _record_solves(monkeypatch):
+    """Capture every solve a study makes: its arguments and its solution."""
+    calls = []
+
+    def recording(d, mesh, data, opts=None, *, x0=None):
+        sol = solve_dirichlet(d, mesh, data, opts, x0=x0)
+        calls.append((d, mesh, data, opts, x0, sol))
+        return sol
+    monkeypatch.setattr(experiments, "solve_dirichlet", recording)
+    return calls
+
+
+def _assert_warm_matches_cold(calls, n_warm):
+    assert sum(x0 is not None for *_, x0, _ in calls) == n_warm
+    warm_iters = cold_iters = 0
+    for d, mesh, data, opts, x0, warm in calls:
+        cold = solve_dirichlet(d, mesh, data, opts)
+        np.testing.assert_allclose(warm.values, cold.values, rtol=0,
+                                   atol=1e-8)
+        warm_iters += warm.iterations
+        cold_iters += cold.iterations
+    assert warm_iters <= cold_iters
+
+
+@pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])
+def test_removability_warm_starts_match_cold(monkeypatch, dcfg):
+    calls = _record_solves(monkeypatch)
+    cfg = RemovabilityConfig(density=dcfg, epsilons=(0.2, 0.1), n_r=12,
+                             n_theta=16, inner_layers=2)
+    assert run_removability(cfg).all_checks_pass()
+    assert len(calls) == 3  # reference disk, then one annulus per epsilon
+    _assert_warm_matches_cold(calls, n_warm=2)
+
+
+def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):
+    calls = _record_solves(monkeypatch)
+    spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
+    rep = run_catenoid_reproduction(mu3, spec, refinements=2, n_r0=8,
+                                    n_theta0=16)
+    assert rep.all_checks_pass()
+    assert len(calls) == 2
+    _assert_warm_matches_cold(calls, n_warm=1)
+
+
+def test_prolongate_reproduces_constants_and_linear_radial_fields():
+    coarse = build_polar_mesh(1.5, 3.0, 4, 8)
+    fine = build_polar_mesh(1.5, 3.0, 8, 16)
+    const = _prolongate(coarse, np.full(coarse.num_nodes, 2.5), fine)
+    assert np.array_equal(const, np.full(fine.num_nodes, 2.5))
+
+    ring_linear = np.repeat(3.0 * coarse.ring_radii - 1.0, coarse.n_theta)
+    linear = _prolongate(coarse, ring_linear, fine)
+    for ring, r in enumerate(fine.ring_radii):
+        np.testing.assert_allclose(fine.ring_values(linear, ring),
+                                   3.0 * r - 1.0, rtol=1e-15, atol=0)
+
+
+def test_prolongate_bisects_every_coarse_edge(rng):
+    """Coarse node (i, j) is fine node (2i, 2j), and the fine node bisecting
+    a coarse triangle edge carries the mean of the edge's two ends."""
+    coarse = build_polar_mesh(1.5, 3.0, 3, 6)
+    fine = build_polar_mesh(1.5, 3.0, 6, 12)
+    vals = rng.normal(size=coarse.num_nodes)
+    out = _prolongate(coarse, vals, fine)
+    nt = coarse.n_theta
+    for a in range(coarse.num_nodes):
+        i, j = divmod(a, nt)
+        assert out[fine.node_index(2 * i, 2 * j)] == vals[a]
+    for tri in coarse.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            (ia, ja), (ib, jb) = divmod(int(a), nt), divmod(int(b), nt)
+            if abs(ja - jb) > 1:  # the edge crosses the angular seam
+                ja, jb = (ja + nt, jb) if ja < jb else (ja, jb + nt)
+            mid = fine.node_index(ia + ib, ja + jb)
+            assert out[mid] == pytest.approx(0.5 * (vals[a] + vals[b]),
+                                             rel=1e-15, abs=1e-15)
+
+
+def test_prolongate_rejects_meshes_that_do_not_nest():
+    coarse = build_polar_mesh(1.5, 3.0, 4, 8)
+    with pytest.raises(ValueError, match="nest"):
+        _prolongate(coarse, np.zeros(coarse.num_nodes),
+                    build_polar_mesh(1.5, 3.0, 8, 8))
 
 
 # -- comparison suite -----------------------------------------------------------

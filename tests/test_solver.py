@@ -277,17 +277,56 @@ def test_translation_invariance(mu3, annulus):
 
 
 def test_uniqueness_across_initial_guesses(area, annulus):
-    """Two different warm starts must land on the same minimizer."""
+    """Two different starts must land on the same minimizer."""
     vals = np.cos(3.0 * annulus.node_angles()) * 0.4
     data = boundary_dict(annulus, vals)
     sol_a = solve_dirichlet(area, annulus, data)
-
-    # zero interior start: seed via the full-vector form with zeros inside
-    u0 = np.zeros(annulus.num_nodes)
-    for i, v in data.items():
-        u0[i] = v
-    sol_b = solve_dirichlet(area, annulus, u0)
+    sol_b = solve_dirichlet(area, annulus, data,
+                            x0=np.zeros(annulus.num_nodes))
     np.testing.assert_allclose(sol_a.values, sol_b.values, atol=1e-8)
+
+
+# -- start vector x0 ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 10), ()])
+def test_x0_wrong_shape_rejected(area, annulus, shape):
+    data = affine(annulus, 0.3, 0.1, 0.0)
+    with pytest.raises(ValueError, match="x0"):
+        solve_dirichlet(area, annulus, data, x0=np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_x0_nonfinite_interior_rejected(area, annulus, bad):
+    data = affine(annulus, 0.3, 0.1, 0.0)
+    x0 = np.zeros(annulus.num_nodes)
+    x0[annulus.interior_nodes()[7]] = bad
+    with pytest.raises(ValueError, match="x0"):
+        solve_dirichlet(area, annulus, data, x0=x0)
+
+
+def test_x0_boundary_entries_ignored(area, annulus):
+    data = affine(annulus, 0.3, -0.2, 0.1)
+    cold = solve_dirichlet(area, annulus, data)
+    bnodes = annulus.boundary_nodes()
+    for junk in (np.nan, 1e3):
+        x0 = cold.values.copy()
+        x0[bnodes] = junk
+        warm = solve_dirichlet(area, annulus, data, x0=x0)
+        assert np.array_equal(warm.values[bnodes], data[bnodes])
+        assert warm.iterations == 0
+        assert np.array_equal(warm.values, cold.values)
+
+
+def test_converged_values_as_x0_take_no_step(mu3, annulus):
+    data = 0.4 * np.cos(2.0 * annulus.node_angles())
+    cold = solve_dirichlet(mu3, annulus, data)
+    assert cold.iterations > 0
+    warm = solve_dirichlet(mu3, annulus, data, x0=cold.values)
+    assert warm.converged
+    assert warm.iterations == 0
+    assert np.array_equal(warm.values, cold.values)
+    assert warm.energy == cold.energy
 
 
 def test_unnormalized_density_rejected(annulus):
