@@ -179,26 +179,21 @@ def build_polar_mesh(r_in: float, r_out: float, n_r: int,
 
     n_cells = len(radii) - 1
 
-    def idx(ring, col):
-        col = col % n_theta
-        if is_disk:
-            return 0 if ring == 0 else 1 + (ring - 1) * n_theta + col
-        return ring * n_theta + col
-
-    tris = []
+    # ring-major numbering: circle k starts at node first + k * n_theta,
+    # after a disk's center node; each cell between circles k and k + 1
+    # splits along its (k, j) -- (k + 1, j + 1) diagonal
+    first = 1 if is_disk else 0
+    cols = np.arange(n_theta, dtype=np.int64)
+    nxt = (cols + 1) % n_theta
+    starts = first + n_theta * np.arange(len(circle_radii) - 1,
+                                         dtype=np.int64)[:, None]
+    n00, n01 = starts + cols, starts + nxt
+    n10, n11 = n00 + n_theta, n01 + n_theta
+    triangles = np.stack([n00, n10, n11, n00, n11, n01], axis=-1).reshape(-1, 3)
     if is_disk:
-        for j in range(n_theta):
-            tris.append((idx(0, 0), idx(1, j), idx(1, j + 1)))
-        first_quad_ring = 1
-    else:
-        first_quad_ring = 0
-    for i in range(first_quad_ring, n_cells):
-        for j in range(n_theta):
-            n00, n10 = idx(i, j), idx(i + 1, j)
-            n11, n01 = idx(i + 1, j + 1), idx(i, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    triangles = np.asarray(tris, dtype=np.int64)
+        fan = np.column_stack([np.zeros(n_theta, dtype=np.int64),
+                               first + cols, first + nxt])
+        triangles = np.vstack([fan, triangles])
 
     tags = np.full(len(nodes), NodeTag.INTERIOR, dtype=np.int8)
     if not is_disk:

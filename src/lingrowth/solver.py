@@ -15,8 +15,21 @@ with p the triangle gradient and t = |p|,
     tangent  = g''(t) P + (g'(t)/t) (I - P),    P = p p^T / t^2,
 
 the tangent being symmetric positive definite thanks to g'' > 0 and g'
-increasing.  Each Newton step evaluates the density once and scatters the
-flux into the nodal gradient and the tangent into the stiffness matrix.
+increasing.  Each Newton step evaluates the density once, scatters the
+flux into the nodal gradient and the triangle blocks areas * G^T T G (G
+the hat gradients, T the tangent) straight into a banded interior matrix.
+
+Ring-major node numbering keeps every interior coupling within n_theta + 1
+of the diagonal (n_theta at a disk's center), so the interior Hessian is
+stored in LAPACK's lower band layout and each Newton step is one banded
+Cholesky solve (``dpbsv``).  A matrix that is not numerically positive
+definite, or a non-finite step, falls back to the gradient direction.
+
+Near the minimizer the energy decrease of a Newton step, about half the
+Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
+energy sum, and the Armijo test can no longer see it.  In that rounding
+regime the full Newton step is taken without the energy test; whether the
+result counts as converged is still decided by the gradient test alone.
 
 Boundary data is a full nodal vector throughout; a dict from boundary node
 to value is accepted only at the public edge, :func:`solve_dirichlet`.
@@ -30,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .density import Density, flux_tangent
 from .mesh import PolarMesh, same_mesh
@@ -59,7 +72,8 @@ class DiscreteSolution:
 
     ``values`` covers every node; boundary entries carry the prescribed
     data exactly.  ``energy_history`` records the energy after each
-    accepted step (monotonically non-increasing).
+    accepted step (non-increasing up to rounding: a step taken in the
+    rounding regime may raise the computed energy by a few ulps).
     """
 
     mesh: PolarMesh
@@ -144,16 +158,11 @@ def _nodal_gradient(mesh: PolarMesh, flux: np.ndarray) -> np.ndarray:
                        minlength=mesh.num_nodes)
 
 
-def _stiffness(mesh: PolarMesh, tangent: np.ndarray) -> sp.csr_matrix:
-    """Scatter per-triangle tangents into the sparse energy Hessian."""
-    blocks = np.einsum("m,mki,mkl,mlj->mij", mesh.areas, mesh.grads, tangent,
-                       mesh.grads)               # (M, 3, 3)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    A = sp.coo_matrix((blocks.ravel(), (rows, cols)),
-                      shape=(mesh.num_nodes, mesh.num_nodes))
-    return A.tocsr()
+def _blocks(mesh: PolarMesh, tangent: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) triangle stiffness blocks areas * G^T T G."""
+    blocks = np.swapaxes(mesh.grads, 1, 2) @ (tangent @ mesh.grads)
+    blocks *= mesh.areas[:, None, None]
+    return blocks
 
 
 def assemble_gradient(d: Density, mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
@@ -165,7 +174,12 @@ def assemble_gradient(d: Density, mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
 def assemble_hessian(d: Density, mesh: PolarMesh, u: np.ndarray) -> sp.csr_matrix:
     """Sparse energy Hessian at u (full node set)."""
     _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
-    return _stiffness(mesh, tangent)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    A = sp.coo_matrix((_blocks(mesh, tangent).ravel(), (rows, cols)),
+                      shape=(mesh.num_nodes, mesh.num_nodes))
+    return A.tocsr()
 
 
 def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
@@ -203,16 +217,87 @@ def _boundary_vector(mesh: PolarMesh, boundary_data) -> np.ndarray:
     return u
 
 
+@dataclass(frozen=True)
+class _Band:
+    """Scatter map from triangle blocks into the lower band of the interior
+    Hessian, stored as LAPACK's ``ab[i - j, j] = K[i, j]`` in column-major
+    order so that ``solveh_banded`` factors it in place."""
+
+    entries: np.ndarray     # flat indices into blocks.ravel()
+    positions: np.ndarray   # matching flat indices into the column-major ab
+    shape: tuple            # (half-bandwidth + 1, number of interior nodes)
+
+    def matrix(self, blocks: np.ndarray) -> np.ndarray:
+        """Banded interior Hessian assembled from (M, 3, 3) blocks."""
+        depth, n = self.shape
+        ab = np.bincount(self.positions, weights=blocks.ravel()[self.entries],
+                         minlength=depth * n)
+        return ab.reshape(n, depth).T
+
+    def solve(self, blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve K x = rhs by banded Cholesky.  The band is factored in
+        place and dropped on return, so no second copy of it is alive.
+        Raises LinAlgError when K is not numerically positive definite."""
+        return solveh_banded(self.matrix(blocks), rhs, lower=True,
+                             overwrite_ab=True, check_finite=False)
+
+
+def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
+    """Band map for one mesh: every block entry whose row and column are
+    both interior, with row >= column in interior numbering.  The
+    half-bandwidth is the largest such gap (n_theta + 1 on ring-major
+    meshes, n_theta at a disk's center)."""
+    local = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    local[interior] = np.arange(len(interior))
+    lt = local[mesh.triangles]
+    shape = (len(lt), 3, 3)
+    rows = np.broadcast_to(lt[:, :, None], shape).ravel()
+    cols = np.broadcast_to(lt[:, None, :], shape).ravel()
+    entries = np.flatnonzero((cols >= 0) & (rows >= cols))
+    offsets = rows[entries] - cols[entries]
+    depth = int(offsets.max()) + 1
+    return _Band(entries=entries,
+                 positions=cols[entries] * depth + offsets,
+                 shape=(depth, len(interior)))
+
+
 def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
-                        interior: np.ndarray) -> np.ndarray:
+                        interior: np.ndarray, band: _Band) -> np.ndarray:
     """Initial guess from boundary data u (zero on the interior): discrete
     harmonic extension weighted by the flat tangent g''(0) * Id (one
-    sparse linear solve)."""
-    K = assemble_hessian(d, mesh, np.zeros(mesh.num_nodes))
+    banded linear solve)."""
+    _, tangent = flux_tangent(d, np.zeros((mesh.num_triangles, 2)))
+    blocks = _blocks(mesh, tangent)
+    tri = mesh.triangles
+    Ku = np.bincount(tri.ravel(), weights=(blocks @ u[tri][:, :, None]).ravel(),
+                     minlength=mesh.num_nodes)
     out = u.copy()
-    out[interior] = spsolve(K[interior][:, interior].tocsc(),
-                            -(K[interior] @ u))
+    out[interior] = band.solve(blocks, -Ku[interior])
     return out
+
+
+def _newton_step(band: _Band, blocks: np.ndarray,
+                 g_i: np.ndarray) -> Optional[np.ndarray]:
+    """Newton step -K^-1 g, or None when K is not numerically positive
+    definite or the step is not a finite descent direction."""
+    try:
+        step = band.solve(blocks, -g_i)
+    except LinAlgError:
+        return None
+    if not np.all(np.isfinite(step)) or float(np.dot(step, g_i)) >= 0.0:
+        return None
+    return step
+
+
+# Newton decrement lambda^2 = -step . grad below which a step is taken in
+# full without the Armijo test.  The energy is a sum of M ~ 1e3..1e5
+# triangle terms; its rounding error is about sqrt(M) * 2.2e-16 * |E|, i.e.
+# 1e-14 |E| for a few thousand triangles.  A step whose predicted decrease
+# lambda^2 / 2 is below that cannot be told from rounding by comparing two
+# computed energies, while the quadratic model behind it is accurate to
+# O(lambda): the full step is the right one (Boyd & Vandenberghe, Convex
+# Optimization, 9.5.3), and the gradient test still decides convergence.
+_ROUNDING_DECREMENT = 1e-14
 
 
 def _start_interior(mesh: PolarMesh, x0, interior: np.ndarray) -> np.ndarray:
@@ -253,7 +338,9 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     gradient norm fell below grad_tol * (1 + |energy|).  Within the
     iteration cap that is tested before every step; a last step whose
     energy decrement stalled below the relative floor is tested once more
-    after the cap.
+    after the cap.  A Newton step whose decrement lies below the rounding
+    of the energy is taken in full without the line search; the gradient
+    test after it still decides convergence.
 
     Raises
     ------
@@ -270,9 +357,10 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     opts = opts or SolverOptions()
 
     interior = mesh.interior_nodes()
+    band = _band(mesh, interior)
     u = _boundary_vector(mesh, boundary_data)
     if x0 is None:
-        u = _harmonic_extension(d, mesh, u, interior)
+        u = _harmonic_extension(d, mesh, u, interior, band)
     else:
         u[interior] = _start_interior(mesh, x0, interior)
 
@@ -299,15 +387,21 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         if it == opts.max_iter:
             break
 
-        K_ii = _stiffness(mesh, tangent)[interior][:, interior].tocsc()
-        step = spsolve(K_ii, -g_i)
-        if float(np.dot(step, g_i)) >= 0.0:
-            step = -g_i  # Newton direction unusable; fall back downhill
-
-        u_new, E_new, ok = _armijo(d, mesh, u, interior, step, g_i, E, opts)
-        if not ok:
-            # Newton direction exhausted the line search; one gradient try
+        step = _newton_step(band, _blocks(mesh, tangent), g_i)
+        if step is None:
+            # Newton direction unusable; fall back downhill
             u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E, opts)
+        elif -float(np.dot(step, g_i)) <= _ROUNDING_DECREMENT * (1.0 + abs(E)):
+            # rounding regime: the energy test cannot see the decrease
+            u_new = u.copy()
+            u_new[interior] = u[interior] + step
+            E_new, ok = energy(d, mesh, u_new), True
+        else:
+            u_new, E_new, ok = _armijo(d, mesh, u, interior, step, g_i, E, opts)
+            if not ok:
+                # Newton direction exhausted the line search; one gradient try
+                u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E,
+                                           opts)
         if not ok:
             # neither direction made progress at a gradient that missed the
             # tolerance: we are numerically stationary

@@ -63,6 +63,33 @@ def test_total_area_converges_to_disk():
     assert abs(m.area_total - exact) / exact < 1e-3
 
 
+def _loop_triangles(mesh):
+    """Reference triangulation, one cell at a time: a disk's center fan,
+    then each cell (ring i, column j) split along its (i, j) -- (i+1, j+1)
+    diagonal."""
+    idx = mesh.node_index
+    tris = []
+    if mesh.is_disk:
+        tris += [(idx(0, 0), idx(1, j), idx(1, j + 1))
+                 for j in range(mesh.n_theta)]
+    for i in range(1 if mesh.is_disk else 0, mesh.n_r):
+        for j in range(mesh.n_theta):
+            tris.append((idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)))
+            tris.append((idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)))
+    return np.asarray(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("args, kw", [
+    ((0.0, 1.0, 5, 7), {}),
+    ((0.5, 1.0, 4, 8), {}),
+    ((0.2, 1.0, 6, 12), {"inner_layers": 3}),
+])
+def test_triangles_match_cell_by_cell_construction(args, kw):
+    m = build_polar_mesh(*args, **kw)
+    np.testing.assert_array_equal(m.triangles, _loop_triangles(m))
+    assert m.triangles.dtype == np.int64
+
+
 @pytest.mark.parametrize("bad", [
     (-0.1, 1.0, 4, 8),
     (1.0, 1.0, 4, 8),
