@@ -31,13 +31,32 @@ energy sum, and the Armijo test can no longer see it.  In that rounding
 regime the full Newton step is taken without the energy test; whether the
 result counts as converged is still decided by the gradient test alone.
 
+Each solve runs BLAS on one thread: on entry every OpenBLAS thread pool
+loaded in the process is set to one thread, and on exit the counts found
+are put back.  LAPACK works through the band in 32-column blocks, so one
+factorization of N unknowns is about N/32 small BLAS-3 calls, and waking a
+second thread for each costs more than it saves.  Inside a catenoid
+refinement study on two cores (medians), a 32,512-unknown factorization
+took 219 ms on two threads and 105 ms on one, an 8,064-unknown one 32 ms
+and 13 ms; in isolation one thread was never slower, up to 130,560
+unknowns.  Solves running at the same time (the experiments'
+``LINGROWTH_THREADS`` pool) share one save and restore.  Where no OpenBLAS
+library is found the counts are left alone.  Reports are byte-identical
+at one and two BLAS threads, so the scope changes speed only.
+
 Boundary data is a full nodal vector throughout; a dict from boundary node
 to value is accepted only at the public edge, :func:`solve_dirichlet`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -190,6 +209,69 @@ def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# BLAS thread scope
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS library mapped
+    into this process, looked up once.  Empty where none is found (another
+    BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            # the last field is the mapped file's path (or the inode)
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return ()
+    pools = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_", ""), ("", "64_")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the enclosed solve with every OpenBLAS pool at one thread.
+
+    Overlapping scopes (the experiments' solve pool) share one save and
+    restore: the first scope in records the counts and sets them to 1, the
+    last one out puts the recorded counts back.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        pools = _openblas_pools()
+        if _blas_depth == 0:
+            _blas_saved = tuple(get() for get, _ in pools)
+            for _, put in pools:
+                put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, put), count in zip(pools, _blas_saved):
+                    put(count)
+
+
+# ---------------------------------------------------------------------------
 # Dirichlet solve
 
 
@@ -313,6 +395,7 @@ def _start_interior(mesh: PolarMesh, x0, interior: np.ndarray) -> np.ndarray:
     return start
 
 
+@_one_blas_thread()
 def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
                     opts: Optional[SolverOptions] = None, *,
                     x0=None) -> DiscreteSolution:

@@ -8,6 +8,7 @@ import pytest
 from lingrowth.catenoid import (
     Anchor,
     CatenoidSpec,
+    QuadratureAccuracyError,
     RadialProfile,
     Sign,
     envelope_bound,
@@ -18,7 +19,7 @@ from lingrowth.catenoid import (
     sample_profile,
     uniform_interior_bound,
 )
-from lingrowth.density import make_mu_density, normalize
+from lingrowth.density import make_custom_density, make_mu_density, normalize
 
 
 def spec2(sign=Sign.PLUS, alpha=1.0, a=0.0, n=2, anchor=Anchor.NECK):
@@ -151,6 +152,27 @@ def test_substituted_route_near_neck_mu3(mu3):
     assert v == pytest.approx(2e-3, rel=1e-2)
 
 
+def test_substituted_route_without_tail_bound_raises(mu3):
+    """mu=3 written out by hand with no TailEstimate: the neck integral
+    cannot be truncated with a certified remainder, so near the neck the
+    call raises instead of dropping about 2e-4; farther out the radial
+    route needs no truncation and stays exact."""
+    custom = normalize(make_custom_density(
+        g=lambda t: t + 1.0 / (1.0 + t) - 1.0,
+        gprime=lambda t: 1.0 - (1.0 + t) ** -2.0,
+        gsecond=lambda t: 2.0 * (1.0 + t) ** -3.0,
+        gprime_inf=1.0))
+    assert custom.tail is None
+    for sign in (Sign.MINUS, Sign.PLUS):
+        s = spec2(sign=sign)
+        for r in (1.0 + 1e-6, 1.001):
+            with pytest.raises(QuadratureAccuracyError, match="tail bound"):
+                profile_value(custom, s, r)
+        for r in (1.1, 2.0, 5.0):
+            assert profile_value(custom, s, r) == pytest.approx(
+                profile_value(mu3, s, r), rel=0, abs=1e-9)
+
+
 def test_plus_minus_mirror(area, mu3, rng):
     for d in (area, mu3):
         a = 0.83
@@ -190,6 +212,18 @@ def test_sample_profile_dimension_sweep(area):
         s = spec2(n=n, alpha=0.7)
         prof = sample_profile(area, s, s.neck_radius * 1.05, 4.0, 40)
         assert ode_residual(area, prof) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sample_profile_matches_per_radius_values(area, mu3, n):
+    """The accumulated panels stay within the 1e-9 contract of profile_value
+    at every radius, including the near-neck ones it hands to the
+    substituted route."""
+    for d in (area, mu3):
+        s = spec2(sign=Sign.MINUS, n=n, a=0.5)
+        prof = sample_profile(d, s, 1.0 + 1e-4, 4.0, 25)
+        want = [profile_value(d, s, r) for r in prof.rho]
+        np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-9)
 
 
 def test_perturbed_slopes_break_flux_identity(area):

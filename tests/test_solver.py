@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from scipy.sparse.linalg import spsolve
 from lingrowth import solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux_tangent
-from lingrowth.experiments import run_comparison_suite
+from lingrowth.experiments import (RemovabilityConfig, run_comparison_suite,
+                                   run_removability)
 from lingrowth.mesh import build_polar_mesh, rotate_columns
 from lingrowth.solver import (
     ComparisonResult,
@@ -410,6 +413,111 @@ def test_uniqueness_across_initial_guesses(area, annulus):
     sol_b = solve_dirichlet(area, annulus, data,
                             x0=np.zeros(annulus.num_nodes))
     np.testing.assert_allclose(sol_a.values, sol_b.values, atol=1e-8)
+
+
+# -- BLAS thread scope --------------------------------------------------------
+
+
+@pytest.fixture
+def blas_pools():
+    """The OpenBLAS pools the solver finds, each set to 2 threads for the
+    test (so that a restored count differs from the solve's 1) and put
+    back afterwards."""
+    pools = solver._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS pool found in this process")
+    before = [get() for get, _ in pools]
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), count in zip(pools, before):
+        put(count)
+
+
+def _thread_counts(pools):
+    return [get() for get, _ in pools]
+
+
+def _record_counts_in_band_solves(monkeypatch, pools):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(_thread_counts(pools))
+        return solveh_banded(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solveh_banded", spy)
+    return seen
+
+
+def test_solve_runs_blas_on_one_thread(area, annulus, blas_pools, monkeypatch):
+    seen = _record_counts_in_band_solves(monkeypatch, blas_pools)
+    sol = solve_dirichlet(area, annulus, np.cos(2.0 * annulus.node_angles()))
+    assert sol.converged
+    assert len(seen) == sol.iterations + 1      # the start, then each step
+    assert all(counts == [1] * len(blas_pools) for counts in seen)
+    assert _thread_counts(blas_pools) == [2] * len(blas_pools)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (dict(x0=np.zeros(7)), ValueError),
+    (dict(opts=SolverOptions(max_iter=1)), NonConvergenceError),
+], ids=["x0-shape", "iteration-cap"])
+def test_failed_solve_restores_blas_threads(area, annulus, blas_pools,
+                                            monkeypatch, bad, error):
+    seen = _record_counts_in_band_solves(monkeypatch, blas_pools)
+    with pytest.raises(error):
+        solve_dirichlet(area, annulus, np.cos(4.0 * annulus.node_angles()),
+                        **bad)
+    assert all(counts == [1] * len(blas_pools) for counts in seen)
+    assert _thread_counts(blas_pools) == [2] * len(blas_pools)
+
+
+def test_concurrent_solves_restore_blas_threads(blas_pools, monkeypatch):
+    seen = _record_counts_in_band_solves(monkeypatch, blas_pools)
+    monkeypatch.setenv("LINGROWTH_THREADS", "4")
+    cfg = RemovabilityConfig(density={"kind": "area"},
+                             epsilons=(0.3, 0.2, 0.15, 0.1), n_r=16,
+                             n_theta=24, inner_layers=4)
+    assert run_removability(cfg).all_checks_pass()
+    assert len(seen) >= 5
+    assert all(counts == [1] * len(blas_pools) for counts in seen)
+    assert _thread_counts(blas_pools) == [2] * len(blas_pools)
+
+
+def test_overlapping_scopes_share_one_save_and_restore(blas_pools):
+    """More threads than cores enter and leave the scope with a short
+    switch interval; a lost update of the shared depth would leave a pool
+    at 1 thread afterwards, or at its old count inside a scope."""
+    inside = []
+
+    def worker():
+        for _ in range(2000):
+            with solver._one_blas_thread():
+                inside.append(_thread_counts(blas_pools))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(inside) == 6 * 2000
+    assert all(counts == [1] * len(blas_pools) for counts in inside)
+    assert _thread_counts(blas_pools) == [2] * len(blas_pools)
+
+
+def test_solve_without_openblas_pools_is_unchanged(mu3, annulus, monkeypatch):
+    data = 0.4 * np.cos(2.0 * annulus.node_angles())
+    ordinary = solve_dirichlet(mu3, annulus, data)
+    monkeypatch.setattr(solver, "_openblas_pools", lambda: ())
+    bare = solve_dirichlet(mu3, annulus, data)
+    assert np.array_equal(bare.values, ordinary.values)
+    assert bare.iterations == ordinary.iterations
 
 
 # -- start vector x0 ----------------------------------------------------------
