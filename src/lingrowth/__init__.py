@@ -22,12 +22,11 @@ from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError,
                        RadialProfile, Sign, envelope_bound, neck_limit,
                        ode_residual, profile_value, profile_value_substituted,
                        sample_profile, uniform_interior_bound)
-from .config import density_from_config, density_to_config
+from .config import density_from_config
 from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
-                      ValidationReport, classify_growth, dG, flux_tangent,
-                      hessian_G, invert_gprime, make_area_density,
-                      make_custom_density, make_mu_density, normalize,
-                      validate)
+                      ValidationReport, classify_growth, flux_tangent,
+                      invert_gprime, make_area_density, make_custom_density,
+                      make_mu_density, normalize, validate)
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
@@ -45,9 +44,9 @@ __all__ = [
     "NodeTag", "NonConvergenceError", "PolarMesh", "QuadratureAccuracyError",
     "RadialProfile", "RemovabilityConfig", "Sign", "SolverOptions",
     "TailEstimate", "UndeterminedLimitError", "ValidationReport",
-    "build_polar_mesh", "check_comparison", "classify_growth", "dG",
-    "density_from_config", "density_to_config", "energy", "envelope_bound",
-    "flux_tangent", "hessian_G", "invert_gprime", "make_area_density",
+    "build_polar_mesh", "check_comparison", "classify_growth",
+    "density_from_config", "energy", "envelope_bound",
+    "flux_tangent", "invert_gprime", "make_area_density",
     "make_custom_density", "make_mu_density", "neck_limit", "normalize",
     "ode_residual",
     "profile_value", "profile_value_substituted", "radial_values",

@@ -11,9 +11,11 @@ Exit codes: 0 success, 1 configuration error, 2 hypothesis violation
 (domain errors such as a profile range crossing the neck), 3 solver
 non-convergence.
 
-A JSON config file supplies defaults; explicit flags win.  The effective
-configuration is echoed into the output directory so a run can be
-reproduced from its artifacts alone.
+A JSON config file supplies defaults; explicit flags win.  Its sections
+are checked against tables of accepted keys, so a misspelled key is a
+configuration error, not a silent default.  The effective configuration
+is echoed into the output directory so a run can be reproduced from its
+artifacts alone.
 """
 
 from __future__ import annotations
@@ -79,6 +81,51 @@ def _density_config(args, cfg: dict) -> dict:
     raise ValueError("no density specified (use --kind or a config file)")
 
 
+# Accepted keys of each config section: key -> (default, cast).  A key
+# whose default is None is left out unless given, so its consumer's own
+# default applies.  The study keywords have no cast: the study checks
+# them, and the echoed config repeats them as given.
+_AS_GIVEN = (None, None)
+_CATENOID_KEYS = {
+    "sign": ("plus", Sign), "alpha": (1.0, float), "a": (0.0, float),
+    "n": (2, int), "convention": ("neck", Anchor),
+    "rho_min": (None, float),       # default 1.01 * neck radius
+    "rho_max": (5.0, float), "samples": (100, int),
+}
+_MESH_KEYS = {"r_in": (0.5, float), "r_out": (1.0, float),
+              "n_r": (16, int), "n_theta": (32, int)}
+_EXPERIMENT_KEYS = {
+    "catenoid": {
+        "spec": ({"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
+                  "convention": "neck"}, CatenoidSpec.from_config),
+        "refinements": (3, int), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "n_r0": _AS_GIVEN, "n_theta0": _AS_GIVEN,
+    },
+    "comparison": {
+        "trials": (20, int), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "n_r": _AS_GIVEN, "n_theta": _AS_GIVEN, "fourier_degree": _AS_GIVEN,
+    },
+}
+
+
+def _merge(name: str, section, table: dict, flags=None) -> dict:
+    """Effective values of one config section: the flag of a key's name
+    (when given) wins over the section, the section over the default."""
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object")
+    unknown = sorted(set(section) - set(table))
+    if unknown:
+        raise ValueError(f"unknown {name} config key(s): {unknown}")
+    merged = {}
+    for key, (default, cast) in table.items():
+        flag = getattr(flags, key, None)
+        value = flag if flag is not None else section.get(key, default)
+        if value is None and key not in section:
+            continue
+        merged[key] = value if cast is None else cast(value)
+    return merged
+
+
 def _echo_config(args, out: Path, effective: dict):
     ioutil.write_json(out / "config.json", effective)
     _say(args, f"effective config written to {out / 'config.json'}")
@@ -123,21 +170,12 @@ def cmd_catenoid(args) -> int:
     dcfg = _density_config(args, cfg)
     d = normalize(density_from_config(dcfg))
 
-    spec_cfg = cfg.get("catenoid", {})
-    spec = CatenoidSpec(
-        sign=Sign(args.sign or spec_cfg.get("sign", "plus")),
-        alpha=args.alpha if args.alpha is not None else float(
-            spec_cfg.get("alpha", 1.0)),
-        offset_a=args.a if args.a is not None else float(spec_cfg.get("a", 0.0)),
-        dim_n=args.n if args.n is not None else int(spec_cfg.get("n", 2)),
-        anchor=Anchor(args.convention or spec_cfg.get("convention", "neck")),
-    )
-    rho_min = args.rho_min if args.rho_min is not None else float(
-        spec_cfg.get("rho_min", 1.01 * spec.neck_radius))
-    rho_max = args.rho_max if args.rho_max is not None else float(
-        spec_cfg.get("rho_max", 5.0))
-    num = args.samples if args.samples is not None else int(
-        spec_cfg.get("samples", 100))
+    ccfg = _merge("catenoid", cfg.get("catenoid", {}), _CATENOID_KEYS, args)
+    spec = CatenoidSpec(sign=ccfg["sign"], alpha=ccfg["alpha"],
+                        offset_a=ccfg["a"], dim_n=ccfg["n"],
+                        anchor=ccfg["convention"])
+    rho_min = ccfg.get("rho_min", 1.01 * spec.neck_radius)
+    rho_max, num = ccfg["rho_max"], ccfg["samples"]
 
     if rho_min <= spec.neck_radius:
         _say(args, f"requested range starts at {rho_min}, at or below the "
@@ -202,22 +240,16 @@ def cmd_solve(args) -> int:
     dcfg = _density_config(args, cfg)
     d = normalize(density_from_config(dcfg))
 
-    mesh_cfg = cfg.get("mesh", {})
-    r_in = args.r_in if args.r_in is not None else float(mesh_cfg.get("r_in", 0.5))
-    r_out = args.r_out if args.r_out is not None else float(mesh_cfg.get("r_out", 1.0))
-    n_r = args.n_r if args.n_r is not None else int(mesh_cfg.get("n_r", 16))
-    n_theta = args.n_theta if args.n_theta is not None else int(
-        mesh_cfg.get("n_theta", 32))
-    mesh = build_polar_mesh(r_in, r_out, n_r, n_theta)
+    mcfg = _merge("mesh", cfg.get("mesh", {}), _MESH_KEYS, args)
+    mesh = build_polar_mesh(mcfg["r_in"], mcfg["r_out"], mcfg["n_r"],
+                            mcfg["n_theta"])
 
     bcfg = cfg.get("boundary", {})
     data = _boundary_from_config(mesh, bcfg, d)
     opts = SolverOptions.from_config(cfg.get("solver", {}))
 
     out = _out_dir(args)
-    effective = {"command": "solve", "density": dcfg,
-                 "mesh": {"r_in": r_in, "r_out": r_out,
-                          "n_r": n_r, "n_theta": n_theta},
+    effective = {"command": "solve", "density": dcfg, "mesh": mcfg,
                  "boundary": bcfg, "solver": cfg.get("solver", {}),
                  "seed": args.seed}
     _echo_config(args, out, effective)
@@ -258,26 +290,18 @@ def cmd_experiment(args) -> int:
         report = run_removability(rcfg)
         effective_exp = {"kind": kind, **rcfg.to_dict()}
         effective_exp.pop("density")
-    elif kind == "catenoid":
-        d = normalize(density_from_config(dcfg))
-        spec = CatenoidSpec.from_config(ecfg.get("spec", {
-            "sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
-            "convention": "neck"}))
-        kwargs = {k: ecfg[k] for k in
-                  ("r_in", "r_out", "n_r0", "n_theta0") if k in ecfg}
-        report = run_catenoid_reproduction(
-            d, spec, int(ecfg.get("refinements", 3)), **kwargs)
-        effective_exp = {"kind": kind, "spec": spec.to_config(),
-                         "refinements": int(ecfg.get("refinements", 3)),
-                         **kwargs}
     else:
         d = normalize(density_from_config(dcfg))
-        kwargs = {k: ecfg[k] for k in
-                  ("r_in", "r_out", "n_r", "n_theta", "fourier_degree")
-                  if k in ecfg}
-        trials = int(ecfg.get("trials", 20))
-        report = run_comparison_suite(d, trials, args.seed, **kwargs)
-        effective_exp = {"kind": kind, "trials": trials, **kwargs}
+        kwargs = _merge("experiment", ecfg, _EXPERIMENT_KEYS[kind])
+        if kind == "catenoid":
+            spec, refinements = kwargs.pop("spec"), kwargs.pop("refinements")
+            report = run_catenoid_reproduction(d, spec, refinements, **kwargs)
+            effective_exp = {"kind": kind, "spec": spec.to_config(),
+                             "refinements": refinements, **kwargs}
+        else:
+            trials = kwargs.pop("trials")
+            report = run_comparison_suite(d, trials, args.seed, **kwargs)
+            effective_exp = {"kind": kind, "trials": trials, **kwargs}
 
     write_report(report, out / "report.json")
     _echo_config(args, out, {"command": "experiment", "density": dcfg,

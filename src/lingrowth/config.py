@@ -1,10 +1,10 @@
 """JSON config schema of densities.
 
-Densities round-trip through  {"kind": "area"}  or
-{"kind": "mu", "mu": 3.0};  custom densities are code-only and have no
-config form.  Barrier specs and solver options carry their own config
-forms: :meth:`CatenoidSpec.from_config` / ``to_config`` and
-:meth:`SolverOptions.from_config`.
+A density is configured as {"kind": "area"} or {"kind": "mu", "mu": 3.0};
+custom densities are code-only and have no config form.  Barrier specs
+and solver options have their own (:meth:`CatenoidSpec.from_config`,
+:meth:`SolverOptions.from_config`); the CLI checks its other sections
+against tables of accepted keys.
 """
 
 from __future__ import annotations
@@ -23,12 +23,3 @@ def density_from_config(cfg: dict) -> Density:
             raise ValueError("mu density config needs a 'mu' field")
         return make_mu_density(float(cfg["mu"]))
     raise ValueError(f"unknown density kind {kind!r}")
-
-
-def density_to_config(d: Density) -> dict:
-    if d.kind == "area":
-        return {"kind": "area"}
-    if d.kind == "mu":
-        return {"kind": "mu", "mu": d.mu}
-    raise ValueError(f"density kind {d.kind!r} has no config form")
-

@@ -463,10 +463,12 @@ def flux_tangent(d: Density, p):
         tangent  = g''(t) P + (g'(t)/t) (I - P),
 
     extended by 0 and g''(0) I at p = 0.  Returns arrays of shapes
-    (..., k) and (..., k, k).  This is the only place the formulas live:
-    :func:`dG`, :func:`hessian_G` and the finite-element assembly all read
-    them from here.  Each off-diagonal entry is rounded once and mirrored,
-    so the tangent is exactly symmetric.
+    (..., k) and (..., k, k); one vector p gives one flux vector and one
+    k x k tangent.  This is the only place the formulas live: the
+    finite-element gradient and Hessian in :mod:`lingrowth.solver` read
+    them from here.  Strict convexity plus a monotone slope make the
+    tangent positive definite, and each off-diagonal entry is rounded once
+    and mirrored, so it is exactly symmetric.
     """
     p = np.asarray(p, dtype=float)
     k = p.shape[-1]
@@ -486,23 +488,3 @@ def flux_tangent(d: Density, p):
     diag = np.arange(k)
     tangent[..., diag, diag] += c1[..., None]
     return flux, tangent
-
-
-def dG(d: Density, p) -> np.ndarray:
-    """Gradient of p -> g(|p|): equals g'(|p|) * p / |p|, and 0 at p = 0.
-
-    ``p`` may be one vector or a stack of them (see :func:`flux_tangent`).
-    """
-    return flux_tangent(d, p)[0]
-
-
-def hessian_G(d: Density, p) -> np.ndarray:
-    """Hessian of p -> g(|p|), for one vector or a stack of them.
-
-    For p != 0 this is
-        g''(|p|) * P + (g'(|p|)/|p|) * (I - P),  P = p p^T / |p|^2,
-    and g''(0) * I at the origin (see :func:`flux_tangent`).  Strict
-    convexity plus monotone slope make it symmetric positive definite
-    everywhere.
-    """
-    return flux_tangent(d, p)[1]

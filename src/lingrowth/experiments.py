@@ -231,16 +231,6 @@ class RemovabilityConfig:
             "solver": self.solver,
         }
 
-    @staticmethod
-    def from_dict(cfg: dict) -> "RemovabilityConfig":
-        cfg = dict(cfg)
-        if "epsilons" in cfg:
-            cfg["epsilons"] = tuple(cfg["epsilons"])
-        if "outer_data" in cfg and "q" in cfg["outer_data"]:
-            cfg["outer_data"] = dict(cfg["outer_data"])
-            cfg["outer_data"]["q"] = tuple(cfg["outer_data"]["q"])
-        return RemovabilityConfig(**cfg)
-
 
 def _interp_on_annulus(disk: PolarMesh, disk_values: np.ndarray,
                        annulus: PolarMesh) -> np.ndarray:
@@ -249,11 +239,8 @@ def _interp_on_annulus(disk: PolarMesh, disk_values: np.ndarray,
     Both meshes share n_theta, so each annulus circle maps onto a disk
     radius where the P1 reference restricts to a piecewise-linear radial
     function (exact interpolation, see :func:`radial_values`)."""
-    out = np.empty(annulus.num_nodes)
-    for ring, r in enumerate(annulus.ring_radii):
-        base = annulus.node_index(ring, 0)
-        out[base:base + annulus.n_theta] = radial_values(disk, disk_values, r)
-    return out
+    return np.concatenate([radial_values(disk, disk_values, r)
+                           for r in annulus.ring_radii])
 
 
 def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
@@ -464,15 +451,11 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
         n_r = n_r0 * 2 ** level
         n_theta = n_theta0 * 2 ** level
         mesh = build_polar_mesh(r_in, r_out, n_r, n_theta)
-        ring_exact = {r: profile_value(d, spec, r) for r in mesh.ring_radii}
-        data = _dirichlet(mesh, inner=ring_exact[mesh.ring_radii[0]],
-                          outer=ring_exact[mesh.ring_radii[-1]])
+        ring_exact = [profile_value(d, spec, r) for r in mesh.ring_radii]
+        data = _dirichlet(mesh, inner=ring_exact[0], outer=ring_exact[-1])
         x0 = None if sol is None else _prolongate(sol.mesh, sol.values, mesh)
         sol = solve_dirichlet(d, mesh, data, solver, x0=x0)
-        exact = np.empty(mesh.num_nodes)
-        for ring, r in enumerate(mesh.ring_radii):
-            base = mesh.node_index(ring, 0)
-            exact[base:base + n_theta] = ring_exact[r]
+        exact = np.repeat(ring_exact, n_theta)
         err = float(np.max(np.abs(sol.values - exact)))
         errors.append(err)
         records.append({
@@ -617,16 +600,10 @@ def _barrier_scenario(d: Density, mesh: PolarMesh, outer_value: float,
     sol = solve_dirichlet(d, mesh,
                           _dirichlet(mesh, inner_value, outer_value), solver)
 
-    barrier_vals = np.empty(mesh.num_nodes)
-    for ring, r in enumerate(mesh.ring_radii):
-        base = mesh.node_index(ring, 0)
-        if ring == 0:
-            val = neck_limit(d, barrier)  # inner circle sits at the neck
-        else:
-            val = profile_value(d, barrier, r)
-        barrier_vals[base:base + mesh.n_theta] = val
-
-    gap = sol.values - barrier_vals
+    # the inner circle sits at the neck
+    per_ring = [neck_limit(d, barrier)] + [profile_value(d, barrier, r)
+                                           for r in mesh.ring_radii[1:]]
+    gap = sol.values - np.repeat(per_ring, mesh.n_theta)
     max_violation = float(np.max(gap))
     return {
         "alpha": alpha,

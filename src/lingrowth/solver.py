@@ -61,7 +61,6 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solveh_banded
 
 from .density import Density, flux_tangent
@@ -184,27 +183,11 @@ def _blocks(mesh: PolarMesh, tangent: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def assemble_gradient(d: Density, mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
-    """Nodal gradient of the energy (all nodes, boundary rows included)."""
-    flux, _ = flux_tangent(d, _triangle_gradients(mesh, u))
-    return _nodal_gradient(mesh, flux)
-
-
-def assemble_hessian(d: Density, mesh: PolarMesh, u: np.ndarray) -> sp.csr_matrix:
-    """Sparse energy Hessian at u (full node set)."""
-    _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    A = sp.coo_matrix((_blocks(mesh, tangent).ravel(), (rows, cols)),
-                      shape=(mesh.num_nodes, mesh.num_nodes))
-    return A.tocsr()
-
-
 def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
     """Euclidean norm of the interior-restricted energy gradient: the
     discrete Euler-Lagrange residual of a nodal field."""
-    grad = assemble_gradient(d, mesh, np.asarray(values, dtype=float))
+    p = _triangle_gradients(mesh, np.asarray(values, dtype=float))
+    grad = _nodal_gradient(mesh, flux_tangent(d, p)[0])
     return float(np.linalg.norm(grad[mesh.interior_nodes()]))
 
 

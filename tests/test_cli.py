@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from lingrowth import cli
+from lingrowth.catenoid import CatenoidSpec
 from lingrowth.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS,
                            EXIT_NONCONVERGENCE, EXIT_OK, main)
+from lingrowth.experiments import ExperimentReport
 
 
 def run(tmp_path, *argv, config=None, name="run"):
@@ -227,6 +230,112 @@ def test_missing_subcommand_is_config_error(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "density" in capsys.readouterr().out
+
+
+# -- config tables ------------------------------------------------------------
+
+CATENOID_FLAGS = {"sign": "plus", "alpha": 0.25, "a": 0.5, "n": 2,
+                  "convention": "neck", "rho_min": 0.5, "rho_max": 1.5,
+                  "samples": 9}
+MESH_FLAGS = {"r_in": 0.3, "r_out": 1.1, "n_r": 4, "n_theta": 8}
+
+
+def as_flags(values):
+    return [item for key, value in values.items()
+            for item in (f"--{key.replace('_', '-')}", str(value))]
+
+
+@pytest.mark.parametrize("command, section, defaults, given, flags", [
+    ("catenoid", "catenoid",
+     {"sign": "plus", "alpha": 1.0, "a": 0.0, "n": 2, "convention": "neck",
+      "rho_min": 1.01, "rho_max": 5.0, "samples": 100},
+     {"sign": "minus", "alpha": 0.5, "a": 1.0, "n": 3, "convention": "unit",
+      "rho_min": 1.0, "rho_max": 2.0, "samples": 20},
+     CATENOID_FLAGS),
+    ("solve", "mesh",
+     {"r_in": 0.5, "r_out": 1.0, "n_r": 16, "n_theta": 32},
+     {"r_in": 0.4, "r_out": 1.2, "n_r": 6, "n_theta": 12},
+     MESH_FLAGS),
+], ids=["catenoid", "mesh"])
+def test_flag_wins_over_config_over_default(tmp_path, command, section,
+                                            defaults, given, flags):
+    base = solve_config() if command == "solve" else {
+        "density": {"kind": "area"}}
+    base.pop(section, None)
+    for name, config, argv, want in [
+            ("default", base, [], defaults),
+            ("config", {**base, section: given}, [], given),
+            ("flag", {**base, section: given}, as_flags(flags), flags)]:
+        code, out = run(tmp_path, command, *argv, config=config, name=name)
+        assert code == EXIT_OK
+        echoed = json.loads((out / "config.json").read_text())[section]
+        assert echoed == want, name
+
+
+class FakeStudy:
+    """Stands in for a study function; records the arguments it gets."""
+
+    def __init__(self):
+        self.args = self.kwargs = None
+
+    def __call__(self, *args, **kwargs):
+        self.args, self.kwargs = args, kwargs
+        return ExperimentReport(kind="fake", records=[], reference=None,
+                                orders=[], checks={}, metadata={})
+
+
+SPEC = {"sign": "minus", "alpha": 1.0, "a": 0.5, "n": 2,
+        "convention": "neck"}
+
+
+@pytest.mark.parametrize("kind, study, defaults, given", [
+    ("catenoid", "run_catenoid_reproduction",
+     {"spec": {"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
+               "convention": "neck"}, "refinements": 3},
+     {"spec": SPEC, "refinements": 2, "r_in": 2.0, "r_out": 3.5,
+      "n_r0": 8, "n_theta0": 16}),
+    ("comparison", "run_comparison_suite",
+     {"trials": 20},
+     {"trials": 3, "r_in": 0.4, "r_out": 1.5, "n_r": 8, "n_theta": 24,
+      "fourier_degree": 3}),
+], ids=["catenoid", "comparison"])
+def test_experiment_config_wins_over_default(tmp_path, monkeypatch, kind,
+                                             study, defaults, given):
+    for name, section, want in [("default", {}, defaults),
+                                ("config", given, given)]:
+        fake = FakeStudy()
+        monkeypatch.setattr(cli, study, fake)
+        code, out = run(tmp_path, "experiment", name=name, config={
+            "density": {"kind": "area"},
+            "experiment": {"kind": kind, **section}})
+        assert code == EXIT_OK
+        echoed = json.loads((out / "config.json").read_text())["experiment"]
+        assert echoed == {"kind": kind, **want}, name
+        # keys the config leaves out fall to the study's own defaults
+        passed = {key: value for key, value in want.items()
+                  if key not in ("spec", "refinements", "trials")}
+        assert fake.kwargs == passed
+        if kind == "catenoid":
+            assert fake.args[1:] == (CatenoidSpec.from_config(want["spec"]),
+                                     want["refinements"])
+        else:
+            assert fake.args[1:] == (want["trials"], 0)
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("catenoid", {"density": {"kind": "area"}, "catenoid": {"alpah": 0.5}},
+     "alpah"),
+    ("solve", solve_config(mesh={"n_r": 8, "n_theat": 24}), "n_theat"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trails": 2}}, "trails"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinement": 1}}, "refinement"),
+], ids=["catenoid", "mesh", "comparison", "catenoid-study"])
+def test_misspelled_config_key_is_config_error(tmp_path, capsys, command,
+                                               config, key):
+    code, _ = run(tmp_path, command, config=config)
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 # -- determinism --------------------------------------------------------------
