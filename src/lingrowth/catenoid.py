@@ -125,6 +125,9 @@ class CatenoidSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "CatenoidSpec":
+        unknown = sorted(set(cfg) - {"sign", "alpha", "a", "n", "convention"})
+        if unknown:
+            raise ValueError(f"unknown catenoid spec key(s): {unknown}")
         try:
             return CatenoidSpec(
                 sign=Sign(cfg["sign"]),

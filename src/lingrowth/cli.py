@@ -11,11 +11,11 @@ Exit codes: 0 success, 1 configuration error, 2 hypothesis violation
 (domain errors such as a profile range crossing the neck), 3 solver
 non-convergence.
 
-A JSON config file supplies defaults; explicit flags win.  Its sections
-are checked against tables of accepted keys, so a misspelled key is a
-configuration error, not a silent default.  The effective configuration
-is echoed into the output directory so a run can be reproduced from its
-artifacts alone.
+A JSON config file supplies defaults; explicit flags win.  Its top-level
+keys and its sections are checked against tables of accepted keys, so a
+misspelled key is a configuration error, not a silent default.  The
+effective configuration is echoed into the output directory so a run can
+be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ def _say(args, *parts):
         print(*parts)
 
 
+# Accepted top-level keys.  "command" and "seed" are accepted (and unused)
+# so that an echoed config.json can be fed back through --config.
+_SECTIONS = {"command", "seed", "density", "catenoid", "mesh", "boundary",
+             "solver", "experiment"}
+
+
 def _load_config(args) -> dict:
     if args.config is None:
         return {}
@@ -60,6 +66,9 @@ def _load_config(args) -> dict:
         raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - _SECTIONS)
+    if unknown:
+        raise ValueError(f"unknown config section(s): {unknown}")
     return cfg
 
 
@@ -94,6 +103,10 @@ _CATENOID_KEYS = {
 }
 _MESH_KEYS = {"r_in": (0.5, float), "r_out": (1.0, float),
               "n_r": (16, int), "n_theta": (32, int)}
+_BOUNDARY_KEYS = {                  # circle data: see circle_data_values
+    "outer": ({"kind": "affine", "q": [0.5, 0.3], "c": 0.0}, None),
+    "inner": _AS_GIVEN,             # required on an annulus
+}
 _EXPERIMENT_KEYS = {
     "catenoid": {
         "spec": ({"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
@@ -140,8 +153,7 @@ def cmd_density(args) -> int:
     dcfg = _density_config(args, cfg)
     d = normalize(density_from_config(dcfg))
 
-    t_max = cfg.get("samples_max", 100.0)
-    samples = np.concatenate([[0.0], np.geomspace(1e-3, t_max, 200)])
+    samples = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 200)])
     report = validate(d, samples)
     growth = classify_growth(d)
 
@@ -218,20 +230,16 @@ def cmd_catenoid(args) -> int:
 
 def _boundary_from_config(mesh, bcfg, d) -> np.ndarray:
     """Nodal boundary vector from the config's ``outer``/``inner`` entries."""
+    bcfg = _merge("boundary", bcfg, _BOUNDARY_KEYS)
     data = np.full(mesh.num_nodes, np.nan)
-    outer_cfg = bcfg.get("outer", {"kind": "affine", "q": [0.5, 0.3], "c": 0.0})
     data[mesh.outer_nodes()] = circle_data_values(mesh, NodeTag.OUTER,
-                                                  outer_cfg, d)
+                                                  bcfg["outer"], d)
     inner_nodes = mesh.inner_nodes()
     if len(inner_nodes):
-        inner_cfg = bcfg.get("inner")
-        if inner_cfg is None:
+        if "inner" not in bcfg:
             raise ValueError("annulus solve needs boundary.inner in config")
-        if inner_cfg.get("kind") == "constant":
-            data[inner_nodes] = float(inner_cfg["value"])
-        else:
-            data[inner_nodes] = circle_data_values(mesh, NodeTag.INNER,
-                                                   inner_cfg, d)
+        data[inner_nodes] = circle_data_values(mesh, NodeTag.INNER,
+                                               bcfg["inner"], d)
     return data
 
 

@@ -24,16 +24,13 @@ Three studies are provided:
   under a catenoid barrier anchored at the inner circle.
 
 Reports serialize deterministically (sorted keys, 12 significant digits)
-with CSV companions.  Independent solves within a sweep may run in
-threads, capped by LINGROWTH_THREADS; inputs are immutable so sharing is
-safe, and records are assembled in sweep order regardless of completion
-order.
+with CSV companions.  Every study solves its problems one after another
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -128,26 +125,42 @@ def _draw_fourier(rng, degree: int) -> dict:
     }
 
 
+# accepted keys of each boundary data kind, besides "kind"
+_CIRCLE_KEYS = {"affine": {"q", "c"}, "constant": {"value"},
+                "radial": {"spec"}, "samples": {"values"}}
+
+
 def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
                        d: Density) -> np.ndarray:
     """Values on one boundary circle (``NodeTag.INNER`` or
-    ``NodeTag.OUTER``) for the configured data choice."""
+    ``NodeTag.OUTER``) for the configured data choice: ``affine`` (q . x
+    + c), ``constant`` (value), ``radial`` (the barrier profile of a
+    :class:`CatenoidSpec` config at the circle's radius) or ``samples``
+    (one value per angle).  A key the kind does not take is an error."""
     radius = {NodeTag.INNER: mesh.r_in, NodeTag.OUTER: mesh.r_out}[circle]
     idx = mesh.nodes_with_tag(circle)
     name = circle.name.lower()
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{name} data must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
+    if kind not in _CIRCLE_KEYS:
+        raise ValueError(f"unknown {name} data kind {kind!r}")
+    unknown = sorted(set(cfg) - _CIRCLE_KEYS[kind] - {"kind"})
+    if unknown:
+        raise ValueError(
+            f"unknown {name} data key(s) for kind {kind!r}: {unknown}")
     if kind == "affine":
         return affine_values(mesh, idx, cfg["q"], cfg["c"])
+    if kind == "constant":
+        return np.full(len(idx), float(cfg["value"]))
     if kind == "radial":
         spec = CatenoidSpec.from_config(cfg["spec"])
         return np.full(len(idx), profile_value(d, spec, radius))
-    if kind == "samples":
-        vals = np.asarray(cfg["values"], dtype=float)
-        if vals.shape != (mesh.n_theta,):
-            raise ValueError(
-                f"{name} samples must have length n_theta={mesh.n_theta}")
-        return vals.copy()
-    raise ValueError(f"unknown {name} data kind {kind!r}")
+    vals = np.asarray(cfg["values"], dtype=float)
+    if vals.shape != (mesh.n_theta,):
+        raise ValueError(
+            f"{name} samples must have length n_theta={mesh.n_theta}")
+    return vals.copy()
 
 
 def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
@@ -272,8 +285,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     The reference disk solve starts from the harmonic extension of its
     data.  Each annulus solve starts from the reference plus the barrier
     envelope of the spike (see :func:`_barrier_seed`); that seed depends
-    only on the reference and epsilon, so the solves stay independent and
-    the thread count cannot change the results.
+    only on the reference and epsilon, so the solves are independent.
     """
     from .config import density_from_config  # local import; no cycle at runtime
 
@@ -289,7 +301,10 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     max_outer = float(np.max(outer_vals))
     min_outer = float(np.min(outer_vals))
 
-    def solve_one(eps: float):
+    records = []
+    complete = True
+    half_slope = invert_gprime(d, 0.5)
+    for eps in cfg.epsilons:
         annulus = build_polar_mesh(eps, R, cfg.n_r, cfg.n_theta,
                                    inner_layers=cfg.inner_layers)
         ref_on_annulus = _interp_on_annulus(disk, reference.values, annulus)
@@ -297,19 +312,6 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
         data = _dirichlet(annulus, inner=inner_vals, outer=outer_vals)
         seed = ref_on_annulus + _barrier_seed(d, annulus, eps, R, cfg.spike)
         sol = solve_dirichlet(d, annulus, data, opts, x0=seed)
-        return annulus, ref_on_annulus, sol
-
-    workers = min(ioutil.thread_budget(), len(cfg.epsilons))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_one, cfg.epsilons))
-    else:
-        solved = [solve_one(eps) for eps in cfg.epsilons]
-
-    records = []
-    complete = True
-    half_slope = invert_gprime(d, 0.5)
-    for eps, (annulus, ref_on_annulus, sol) in zip(cfg.epsilons, solved):
         h = annulus.h_radial
         allow = 10.0 * h * h
         env = envelope_bound(d, eps, cfg.probe_radius, R, 0.0, 2)

@@ -76,7 +76,8 @@ def deterministic_timestamp() -> Optional[int]:
 
 
 def thread_budget() -> int:
-    """Worker cap for experiment sweeps, from LINGROWTH_THREADS (>= 1)."""
+    """LINGROWTH_THREADS as an integer >= 1 (default 1).  Nothing in the
+    package reads it; only the benchmark's environment record does."""
     raw = os.environ.get("LINGROWTH_THREADS", "1")
     try:
         n = int(raw)

@@ -39,10 +39,10 @@ second thread for each costs more than it saves.  Inside a catenoid
 refinement study on two cores (medians), a 32,512-unknown factorization
 took 219 ms on two threads and 105 ms on one, an 8,064-unknown one 32 ms
 and 13 ms; in isolation one thread was never slower, up to 130,560
-unknowns.  Solves running at the same time (the experiments'
-``LINGROWTH_THREADS`` pool) share one save and restore.  Where no OpenBLAS
-library is found the counts are left alone.  Reports are byte-identical
-at one and two BLAS threads, so the scope changes speed only.
+unknowns.  Callers that run solves from several threads of their own
+share one save and restore.  Where no OpenBLAS library is found the
+counts are left alone.  Reports are byte-identical at one and two BLAS
+threads, so the scope changes speed only.
 
 Boundary data is a full nodal vector throughout; a dict from boundary node
 to value is accepted only at the public edge, :func:`solve_dirichlet`.
@@ -71,8 +71,6 @@ from .mesh import PolarMesh, same_mesh
 class SolverOptions:
     max_iter: int = 200
     grad_tol: float = 1e-10
-    armijo_c: float = 1e-4
-    armijo_factor: float = 0.5
     energy_stall_rtol: float = 1e-14
 
     @staticmethod
@@ -232,9 +230,11 @@ _blas_saved = ()
 def _one_blas_thread():
     """Run the enclosed solve with every OpenBLAS pool at one thread.
 
-    Overlapping scopes (the experiments' solve pool) share one save and
-    restore: the first scope in records the counts and sets them to 1, the
-    last one out puts the recorded counts back.
+    :func:`solve_dirichlet` is public, so a caller may run solves from
+    several threads of its own; the OpenBLAS counts are process-wide, so
+    overlapping scopes share one save and restore: the first scope in
+    records the counts and sets them to 1, the last one out puts the
+    recorded counts back.
     """
     global _blas_depth, _blas_saved
     with _blas_lock:
@@ -364,6 +364,10 @@ def _newton_step(band: _Band, blocks: np.ndarray,
 # Optimization, 9.5.3), and the gradient test still decides convergence.
 _ROUNDING_DECREMENT = 1e-14
 
+# Armijo line search: sufficient-decrease constant and backtracking factor.
+_ARMIJO_C = 1e-4
+_ARMIJO_FACTOR = 0.5
+
 
 def _start_interior(mesh: PolarMesh, x0, interior: np.ndarray) -> np.ndarray:
     """Interior entries of a caller-supplied start vector, validated."""
@@ -456,18 +460,17 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         step = _newton_step(band, _blocks(mesh, tangent), g_i)
         if step is None:
             # Newton direction unusable; fall back downhill
-            u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E, opts)
+            u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E)
         elif -float(np.dot(step, g_i)) <= _ROUNDING_DECREMENT * (1.0 + abs(E)):
             # rounding regime: the energy test cannot see the decrease
             u_new = u.copy()
             u_new[interior] = u[interior] + step
             E_new, ok = energy(d, mesh, u_new), True
         else:
-            u_new, E_new, ok = _armijo(d, mesh, u, interior, step, g_i, E, opts)
+            u_new, E_new, ok = _armijo(d, mesh, u, interior, step, g_i, E)
             if not ok:
                 # Newton direction exhausted the line search; one gradient try
-                u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E,
-                                           opts)
+                u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E)
         if not ok:
             # neither direction made progress at a gradient that missed the
             # tolerance: we are numerically stationary
@@ -490,7 +493,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         f"(grad_norm={grad_norm:.3e}, energy={E:.12g})", partial)
 
 
-def _armijo(d, mesh, u, interior, direction, g_i, E, opts):
+def _armijo(d, mesh, u, interior, direction, g_i, E):
     """Backtracking line search; returns (u_new, E_new, accepted)."""
     slope = float(np.dot(direction, g_i))
     step = 1.0
@@ -498,9 +501,9 @@ def _armijo(d, mesh, u, interior, direction, g_i, E, opts):
     while step >= 1e-14:
         trial[interior] = u[interior] + step * direction
         E_trial = energy(d, mesh, trial)
-        if E_trial <= E + opts.armijo_c * step * slope:
+        if E_trial <= E + _ARMIJO_C * step * slope:
             return trial, E_trial, True
-        step *= opts.armijo_factor
+        step *= _ARMIJO_FACTOR
     return u, E, False
 
 

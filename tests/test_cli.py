@@ -330,12 +330,36 @@ def test_experiment_config_wins_over_default(tmp_path, monkeypatch, kind,
         "kind": "comparison", "trails": 2}}, "trails"),
     ("experiment", {"density": {"kind": "area"}, "experiment": {
         "kind": "catenoid", "refinement": 1}}, "refinement"),
-], ids=["catenoid", "mesh", "comparison", "catenoid-study"])
+    ("solve", {**solve_config(), "meshh": {"n_r": 4}}, "meshh"),
+    ("density", {"density": {"kind": "mu", "mu": 3, "muu": 9}}, "muu"),
+    ("density", {"density": {"kind": "area"}, "samples_max": 5},
+     "samples_max"),
+    ("solve", solve_config(boundary={
+        "outter": {"kind": "affine", "q": [1, 0], "c": 5},
+        "inner": {"kind": "constant", "value": 0.0}}), "outter"),
+    ("solve", solve_config(boundary={
+        "outer": {"kind": "constant", "valeu": 1.0},
+        "inner": {"kind": "constant", "value": 0.0}}), "valeu"),
+    ("solve", solve_config(solver={"armijo_c": 0.1}), "armijo_c"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "spec": {**SPEC, "alhpa": 2.0}}}, "alhpa"),
+], ids=["catenoid", "mesh", "comparison", "catenoid-study", "section",
+        "density", "samples_max", "boundary", "circle", "solver",
+        "catenoid-spec"])
 def test_misspelled_config_key_is_config_error(tmp_path, capsys, command,
                                                config, key):
     code, _ = run(tmp_path, command, config=config)
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_constant_data_on_either_circle(tmp_path):
+    cfg = solve_config(boundary={"outer": {"kind": "constant", "value": 0.3},
+                                 "inner": {"kind": "constant", "value": 0.3}})
+    code, out = run(tmp_path, "solve", config=cfg)
+    assert code == EXIT_OK
+    rows = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(rows[:, 3] - 0.3)) <= 1e-12
 
 
 # -- determinism --------------------------------------------------------------
@@ -348,3 +372,30 @@ def test_same_config_and_seed_reproduce_bytes(tmp_path, monkeypatch):
     _, second = run(tmp_path, "--quiet", "experiment", config=cfg, name="b")
     for artifact in ("report.json", "report.csv", "config.json"):
         assert (first / artifact).read_bytes() == (second / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["density", "--kind", "mu", "--mu", "3"], None),
+    (["catenoid", "--kind", "area", "--alpha", "1", "--rho-max", "3",
+      "--samples", "20"], None),
+    (["solve"], solve_config()),
+    (["experiment"], {"density": {"kind": "area"}, "experiment": FAST_SWEEP}),
+    (["experiment"], {"density": {"kind": "mu", "mu": 3}, "experiment": {
+        "kind": "catenoid", "refinements": 2, "n_r0": 4, "n_theta0": 8}}),
+    (["experiment"], {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 2, "n_r": 8, "n_theta": 24}}),
+], ids=["density", "catenoid", "solve", "removability", "catenoid-study",
+        "comparison"])
+def test_echoed_config_reproduces_every_output(tmp_path, monkeypatch, argv,
+                                               config):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    code, first = run(tmp_path, "--seed", "3", *argv, config=config,
+                      name="first")
+    assert code == EXIT_OK
+    second = tmp_path / "second"
+    assert main(["--seed", "3", "--config", str(first / "config.json"),
+                 "--out", str(second), argv[0]]) == EXIT_OK
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -350,13 +351,17 @@ def test_reports_byte_identical_across_runs(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-def test_thread_budget_does_not_change_results(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    cfg = RemovabilityConfig(density={"kind": "area"}, **FAST)
-    out = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("LINGROWTH_THREADS", threads)
-        rep = run_removability(cfg)
-        p = write_report(rep, tmp_path / f"t{threads}.json")
-        out[threads] = p.read_bytes()
-    assert out["1"] == out["4"]
+def test_removability_solves_on_the_calling_thread(monkeypatch):
+    # LINGROWTH_THREADS once sized a solve pool; the sweep now ignores it
+    monkeypatch.setenv("LINGROWTH_THREADS", "4")
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return solve_dirichlet(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_dirichlet", spy)
+    cfg = RemovabilityConfig(density={"kind": "area"},
+                             **{**FAST, "epsilons": (0.3, 0.2, 0.15, 0.1)})
+    assert run_removability(cfg).all_checks_pass()
+    assert threads == [threading.get_ident()] * 5
