@@ -22,11 +22,11 @@ from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError,
                        RadialProfile, Sign, envelope_bound, neck_limit,
                        ode_residual, profile_value, profile_value_substituted,
                        sample_profile, uniform_interior_bound)
-from .config import density_from_config
 from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
-                      ValidationReport, classify_growth, flux_tangent,
-                      invert_gprime, make_area_density, make_custom_density,
-                      make_mu_density, normalize, validate)
+                      ValidationReport, classify_growth, density_from_config,
+                      flux_tangent, invert_gprime, make_area_density,
+                      make_custom_density, make_mu_density, normalize,
+                      validate)
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -263,15 +262,6 @@ def _substituted_integral(d: Density, n: int, s_lo: float,
     return total
 
 
-def _signed_span(d, spec, rho, integrate):
-    """integral from the anchor radius to rho, computed by ``integrate``
-    over an ordered interval and signed by orientation."""
-    anchor_r = spec.neck_radius if spec.anchor is Anchor.NECK else 1.0
-    if rho >= anchor_r:
-        return integrate(anchor_r, rho)
-    return -integrate(rho, anchor_r)
-
-
 def _known_growth(d: Density) -> Growth:
     return d.growth if d.growth is not Growth.UNDETERMINED else classify_growth(d)
 
@@ -312,9 +302,12 @@ def profile_value(d: Density, spec: CatenoidSpec, rho: float) -> float:
     if rho - neck < _NEAR_NECK_FRACTION * neck:
         return profile_value_substituted(d, spec, rho)
 
-    span = _signed_span(
-        d, spec, rho,
-        lambda lo, hi: _radial_integral(d, spec.alpha, spec.dim_n, lo, hi))
+    # integral from the anchor radius to rho, signed by orientation
+    anchor_r = neck if spec.anchor is Anchor.NECK else 1.0
+    if rho >= anchor_r:
+        span = _radial_integral(d, spec.alpha, spec.dim_n, anchor_r, rho)
+    else:
+        span = -_radial_integral(d, spec.alpha, spec.dim_n, rho, anchor_r)
     return spec.offset_a + spec.sign.factor * span
 
 

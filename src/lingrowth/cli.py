@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 configuration error, 2 hypothesis violation
 non-convergence.
 
 A JSON config file supplies defaults; explicit flags win.  Its top-level
-keys and its sections are checked against tables of accepted keys, so a
-misspelled key is a configuration error, not a silent default.  The
-effective configuration is echoed into the output directory so a run can
-be reproduced from its artifacts alone.
+keys are checked against the sections the command reads, and each section
+against a table of accepted keys, so a misspelled or misplaced key is a
+configuration error, not a silent default.  The effective configuration,
+seed included, is echoed into the output directory so a run can be
+reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import numpy as np
 from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError, Sign,
                        neck_limit, ode_residual, sample_profile)
-from .config import density_from_config
-from .density import (Growth, UndeterminedLimitError, classify_growth,
-                      normalize, validate)
+from .density import (UndeterminedLimitError, classify_growth,
+                      density_from_config, normalize, validate)
 from .experiments import (RemovabilityConfig, circle_data_values,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
@@ -50,25 +50,41 @@ def _say(args, *parts):
         print(*parts)
 
 
-# Accepted top-level keys.  "command" and "seed" are accepted (and unused)
-# so that an echoed config.json can be fed back through --config.
-_SECTIONS = {"command", "seed", "density", "catenoid", "mesh", "boundary",
-             "solver", "experiment"}
+# The config sections each command reads.  Besides them a config may hold
+# "command" (unused) and "seed", which every echoed config.json carries.
+_SECTIONS = {
+    "density": {"density"},
+    "catenoid": {"density", "catenoid"},
+    "solve": {"density", "mesh", "boundary", "solver"},
+    "experiment": {"density", "experiment"},
+}
 
 
 def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - _SECTIONS)
+    """The config file's sections, checked against the command's, and the
+    effective ``seed``: the flag, else the config's seed, else 0."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(
+                f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+    sections = _SECTIONS[args.command]
+    unknown = sorted(set(cfg) - sections - {"command", "seed"})
     if unknown:
-        raise ValueError(f"unknown config section(s): {unknown}")
+        raise ValueError(
+            f"unknown config section(s) for {args.command}: {unknown}")
+    for name in sorted(sections & set(cfg)):
+        if not isinstance(cfg[name], dict):
+            raise ValueError(f"config section {name!r} must be a JSON object")
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    cfg["seed"] = seed
     return cfg
 
 
@@ -121,11 +137,9 @@ _EXPERIMENT_KEYS = {
 }
 
 
-def _merge(name: str, section, table: dict, flags=None) -> dict:
+def _merge(name: str, section: dict, table: dict, flags=None) -> dict:
     """Effective values of one config section: the flag of a key's name
     (when given) wins over the section, the section over the default."""
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be a JSON object")
     unknown = sorted(set(section) - set(table))
     if unknown:
         raise ValueError(f"unknown {name} config key(s): {unknown}")
@@ -162,7 +176,7 @@ def cmd_density(args) -> int:
     payload["growth"] = growth.value
     ioutil.write_json(out / "density_report.json", payload)
     _echo_config(args, out, {"command": "density", "density": dcfg,
-                             "seed": args.seed})
+                             "seed": cfg["seed"]})
 
     _say(args, f"density {d.label}: growth={growth.value}")
     for key, val in payload.items():
@@ -210,7 +224,7 @@ def cmd_catenoid(args) -> int:
         "command": "catenoid", "density": dcfg,
         "catenoid": {**spec.to_config(), "rho_min": rho_min,
                      "rho_max": rho_max, "samples": num},
-        "seed": args.seed,
+        "seed": cfg["seed"],
     })
 
     _say(args, f"profile written to {out / 'profile.csv'} ({num} rows)")
@@ -259,20 +273,18 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     effective = {"command": "solve", "density": dcfg, "mesh": mcfg,
                  "boundary": bcfg, "solver": cfg.get("solver", {}),
-                 "seed": args.seed}
+                 "seed": cfg["seed"]}
     _echo_config(args, out, effective)
 
     try:
         sol = solve_dirichlet(d, mesh, data, opts)
     except NonConvergenceError as exc:
-        sol = exc.solution
-        sol.write_csv(out / "solution.csv")
-        ioutil.write_json(out / "diagnostics.json", sol.diagnostics())
         _say(args, f"solver did not converge: {exc}")
-        return EXIT_NONCONVERGENCE
-
+        sol = exc.solution
     sol.write_csv(out / "solution.csv")
     ioutil.write_json(out / "diagnostics.json", sol.diagnostics())
+    if not sol.converged:
+        return EXIT_NONCONVERGENCE
     _say(args, f"solved: energy={ioutil.fmt12(sol.energy)} "
                f"grad_norm={sol.grad_norm:.3e} iterations={sol.iterations}")
     return EXIT_OK
@@ -284,12 +296,12 @@ def cmd_solve(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args)
-    kind = args.experiment_kind or cfg.get("experiment", {}).get("kind")
+    ecfg = dict(cfg.get("experiment", {}))
+    kind = args.experiment_kind or ecfg.get("kind")
     if kind not in ("removability", "catenoid", "comparison"):
         raise ValueError(f"unknown experiment kind {kind!r}")
 
     dcfg = _density_config(args, cfg)
-    ecfg = dict(cfg.get("experiment", {}))
     ecfg.pop("kind", None)
     out = _out_dir(args)
 
@@ -308,12 +320,13 @@ def cmd_experiment(args) -> int:
                              "refinements": refinements, **kwargs}
         else:
             trials = kwargs.pop("trials")
-            report = run_comparison_suite(d, trials, args.seed, **kwargs)
+            report = run_comparison_suite(d, trials, cfg["seed"], **kwargs)
             effective_exp = {"kind": kind, "trials": trials, **kwargs}
 
     write_report(report, out / "report.json")
     _echo_config(args, out, {"command": "experiment", "density": dcfg,
-                             "experiment": effective_exp, "seed": args.seed})
+                             "experiment": effective_exp,
+                             "seed": cfg["seed"]})
 
     ok = report.all_checks_pass()
     for name, passed in report.checks.items():
@@ -333,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and removability experiments")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="RNG seed (default: the config's seed, else 0)")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -385,10 +399,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except QuadratureAccuracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except UndeterminedLimitError as exc:
+    except (QuadratureAccuracyError, UndeterminedLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (ValueError, KeyError, TypeError) as exc:

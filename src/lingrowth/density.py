@@ -247,6 +247,30 @@ def make_custom_density(g, gprime, gsecond, *, gprime_inf=None,
     )
 
 
+# accepted config keys of each built-in density kind
+_CONFIG_KEYS = {"area": {"kind"}, "mu": {"kind", "mu"}}
+
+
+def density_from_config(cfg: dict) -> Density:
+    """Built-in density from its JSON config, ``{"kind": "area"}`` or
+    ``{"kind": "mu", "mu": 3.0}``; any other key is an error.  Custom
+    densities are code-only and have no config form."""
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ValueError(f"density config needs a 'kind' field, got {cfg!r}")
+    kind = cfg["kind"]
+    if kind not in _CONFIG_KEYS:
+        raise ValueError(f"unknown density kind {kind!r}")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS[kind])
+    if unknown:
+        raise ValueError(f"unknown density config key(s) for kind {kind!r}: "
+                         f"{unknown}")
+    if kind == "area":
+        return make_area_density()
+    if "mu" not in cfg:
+        raise ValueError("mu density config needs a 'mu' field")
+    return make_mu_density(float(cfg["mu"]))
+
+
 # ---------------------------------------------------------------------------
 # hypothesis checking
 

@@ -31,7 +31,7 @@ on the calling thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -40,10 +40,11 @@ import numpy as np
 from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound, neck_limit,
                        profile_value)
-from .density import Density, Growth, invert_gprime, normalize
+from .density import (Density, Growth, density_from_config, invert_gprime,
+                      normalize)
 from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values
-from .solver import (DiscreteSolution, NonConvergenceError, SolverOptions,
-                     check_comparison, solve_dirichlet)
+from .solver import (NonConvergenceError, SolverOptions, check_comparison,
+                     solve_dirichlet)
 
 
 @dataclass(eq=False)
@@ -231,18 +232,7 @@ class RemovabilityConfig:
         object.__setattr__(self, "epsilons", eps)
 
     def to_dict(self) -> dict:
-        return {
-            "density": self.density,
-            "epsilons": list(self.epsilons),
-            "outer_radius": self.outer_radius,
-            "probe_radius": self.probe_radius,
-            "spike": self.spike,
-            "outer_data": self.outer_data,
-            "n_r": self.n_r,
-            "n_theta": self.n_theta,
-            "inner_layers": self.inner_layers,
-            "solver": self.solver,
-        }
+        return asdict(self)
 
 
 def _interp_on_annulus(disk: PolarMesh, disk_values: np.ndarray,
@@ -287,8 +277,6 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     envelope of the spike (see :func:`_barrier_seed`); that seed depends
     only on the reference and epsilon, so the solves are independent.
     """
-    from .config import density_from_config  # local import; no cycle at runtime
-
     d = normalize(density_from_config(cfg.density))
     growth = d.growth
     R = cfg.outer_radius
@@ -302,7 +290,6 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     min_outer = float(np.min(outer_vals))
 
     records = []
-    complete = True
     half_slope = invert_gprime(d, 0.5)
     for eps in cfg.epsilons:
         annulus = build_polar_mesh(eps, R, cfg.n_r, cfg.n_theta,
@@ -315,34 +302,23 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
         h = annulus.h_radial
         allow = 10.0 * h * h
         env = envelope_bound(d, eps, cfg.probe_radius, R, 0.0, 2)
+        radii = annulus.node_radii()
+        probe = radii >= cfg.probe_radius - 1e-12
+        u_probe = sol.values[probe]
+        deviation = float(np.max(np.abs(u_probe - ref_on_annulus[probe])))
+        two_sided = bool(
+            np.all(u_probe <= max_outer + env + allow)
+            and np.all(u_probe >= min_outer - env - allow))
         rec = {
             "epsilon": eps,
             "h": h,
             "envelope_integral": env,
             "envelope_value": max_outer + env,
-        }
-        if not sol.converged:
-            complete = False
-            rec.update({"converged": False, "deviation_at_probe": None,
-                        "envelope_satisfied": False,
-                        "two_sided_bound_satisfied": False})
-            records.append(rec)
-            continue
-
-        radii = annulus.node_radii()
-        probe = radii >= cfg.probe_radius - 1e-12
-        deviation = float(np.max(np.abs(sol.values[probe]
-                                        - ref_on_annulus[probe])))
-        u_probe = sol.values[probe]
-        two_sided = bool(
-            np.all(u_probe <= max_outer + env + allow)
-            and np.all(u_probe >= min_outer - env - allow))
-        rec.update({
-            "converged": True,
+            "converged": sol.converged,
             "deviation_at_probe": deviation,
             "envelope_satisfied": bool(deviation <= env + allow),
             "two_sided_bound_satisfied": two_sided,
-        })
+        }
         if growth is Growth.INFINITE_INTEGRAL:
             r_probe = radii[probe]
             cap_hi = max_outer + (R - r_probe) * half_slope + allow
@@ -351,12 +327,9 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
                 np.all(u_probe <= cap_hi) and np.all(u_probe >= cap_lo))
         records.append(rec)
 
-    deviations = [r["deviation_at_probe"] for r in records
-                  if r.get("deviation_at_probe") is not None]
-    monotone = all(b <= a + 1e-6 for a, b in zip(deviations, deviations[1:]))
-
+    deviations = [r["deviation_at_probe"] for r in records]
     orders = []
-    if len(deviations) == len(cfg.epsilons) and len(deviations) >= 2:
+    if len(deviations) >= 2:
         dev = np.array(deviations)
         eps_arr = np.array(cfg.epsilons)
         if np.all(dev > 0):
@@ -364,15 +337,15 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
             orders.append(float(slope))
 
     checks = {
-        "complete": complete,
-        "deviations_monotone": bool(monotone and complete),
-        "envelope_all": all(r.get("envelope_satisfied", False) for r in records),
-        "two_sided_all": all(r.get("two_sided_bound_satisfied", False)
-                             for r in records),
+        "complete": all(r["converged"] for r in records),
+        "deviations_monotone": all(
+            b <= a + 1e-6 for a, b in zip(deviations, deviations[1:])),
+        "envelope_all": all(r["envelope_satisfied"] for r in records),
+        "two_sided_all": all(r["two_sided_bound_satisfied"] for r in records),
     }
     if growth is Growth.INFINITE_INTEGRAL:
         checks["uniform_bound_all"] = all(
-            r.get("uniform_bound_satisfied", False) for r in records)
+            r["uniform_bound_satisfied"] for r in records)
 
     return ExperimentReport(
         kind="removability",
@@ -496,8 +469,6 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
                          r_in: float = 0.5, r_out: float = 1.0,
                          n_r: int = 16, n_theta: int = 48,
                          fourier_degree: int = 4,
-                         scenario_outer: float = 0.0,
-                         scenario_margin_fraction: float = 0.1,
                          solver: Optional[SolverOptions] = None
                          ) -> ExperimentReport:
     """Randomized discrete comparison-principle checks on an annulus.
@@ -551,8 +522,7 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
 
     scenario = None
     if d.growth is Growth.FINITE_INTEGRAL:
-        scenario = _barrier_scenario(d, mesh, scenario_outer,
-                                     scenario_margin_fraction, tol, solver)
+        scenario = _barrier_scenario(d, mesh, tol, solver)
 
     checks = {
         "complete": complete,
@@ -578,25 +548,31 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
     )
 
 
-def _barrier_scenario(d: Density, mesh: PolarMesh, outer_value: float,
-                      margin_fraction: float, tol: float,
+# constant outer data of the barrier scenario, and its inner margin as a
+# fraction of the barrier's climb from the inner to the outer circle
+_SCENARIO_OUTER = 0.0
+_SCENARIO_MARGIN_FRACTION = 0.1
+
+
+def _barrier_scenario(d: Density, mesh: PolarMesh, tol: float,
                       solver: SolverOptions) -> dict:
     """Pin a solve under a catenoid barrier anchored at the inner circle.
 
     The barrier's neck coincides with the inner circle (alpha = r_in^{n-1})
-    and its offset makes it match ``outer_value`` on the outer circle.  The
-    solved field shares the outer data and takes inner data one margin
+    and its offset makes it match ``_SCENARIO_OUTER`` on the outer circle.
+    The solved field shares the outer data and takes inner data one margin
     below the barrier's neck value -- the strongest inner data for which
     the ordering can survive discretization.  Checked nodewise on every
     circle against quadrature barrier values.
     """
+    outer_value = _SCENARIO_OUTER
     n = 2
     alpha = mesh.r_in ** (n - 1)
     climb = profile_value(
         d, CatenoidSpec(Sign.PLUS, alpha, 0.0, n, Anchor.NECK), mesh.r_out)
     offset = outer_value + climb
     barrier = CatenoidSpec(Sign.MINUS, alpha, offset, n, Anchor.NECK)
-    margin = margin_fraction * climb
+    margin = _SCENARIO_MARGIN_FRACTION * climb
 
     inner_value = offset - margin
     sol = solve_dirichlet(d, mesh,

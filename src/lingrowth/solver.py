@@ -29,7 +29,8 @@ Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
 energy sum, and the Armijo test can no longer see it.  In that rounding
 regime the full Newton step is taken without the energy test; whether the
-result counts as converged is still decided by the gradient test alone.
+result counts as converged is decided by the gradient test alone, which is
+made at the start and after every step.
 
 Each solve runs BLAS on one thread: on entry every OpenBLAS thread pool
 loaded in the process is set to one thread, and on exit the counts found
@@ -69,9 +70,15 @@ from .mesh import PolarMesh, same_mesh
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """``max_iter`` Newton steps are allowed, and the gradient test is made
+    before each and after the last (0 tests the start only)."""
+
     max_iter: int = 200
     grad_tol: float = 1e-10
-    energy_stall_rtol: float = 1e-14
+
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
     @staticmethod
     def from_config(cfg: dict) -> "SolverOptions":
@@ -405,18 +412,18 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     Returns
     -------
     DiscreteSolution with converged=True; convergence means the interior
-    gradient norm fell below grad_tol * (1 + |energy|).  Within the
-    iteration cap that is tested before every step; a last step whose
-    energy decrement stalled below the relative floor is tested once more
-    after the cap.  A Newton step whose decrement lies below the rounding
-    of the energy is taken in full without the line search; the gradient
-    test after it still decides convergence.
+    gradient norm fell below grad_tol * (1 + |energy|).  That test is the
+    only way a solve ends well: it is made at the start and after every
+    step, the last allowed one included.  A Newton step whose decrement
+    lies below the rounding of the energy is taken in full without the
+    line search; the gradient test after it still decides convergence.
 
     Raises
     ------
     NonConvergenceError
-        If the iteration cap is exceeded or the line search stalls; the
-        partial solution rides along on the exception.
+        If the gradient test still fails after ``max_iter`` steps, or the
+        line search stalls; the partial solution rides along on the
+        exception.
     ValueError
         For incomplete boundary data, a non-normalized density, an ``x0``
         of the wrong shape or with non-finite interior entries, or
@@ -439,13 +446,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         raise ValueError(f"non-finite initial energy {E}")
 
     history = [E]
-    grad_norm = math.inf
-    stalled = False
     for it in range(opts.max_iter + 1):
-        # the pass after the cap only tests the gradient, and only when the
-        # last step's energy decrement stalled
-        if it == opts.max_iter and not stalled:
-            break
         flux, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
         g_i = _nodal_gradient(mesh, flux)[interior]
         grad_norm = float(np.linalg.norm(g_i))
@@ -481,9 +482,8 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
             raise NonConvergenceError(
                 f"line search stalled at gradient norm {grad_norm:.3e} "
                 f"above tolerance", partial)
-        u, E_prev, E = u_new, E, E_new
+        u, E = u_new, E_new
         history.append(E)
-        stalled = abs(E_prev - E) < opts.energy_stall_rtol * (1.0 + abs(E_prev))
 
     partial = DiscreteSolution(mesh=mesh, values=u, energy=E,
                                grad_norm=grad_norm, iterations=opts.max_iter,

@@ -143,6 +143,19 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert diag["iterations"] == 1
 
 
+def test_solve_with_no_step_allowed_tests_the_start(tmp_path):
+    # affine data on a disk is solved by the harmonic extension itself
+    cfg = {"density": {"kind": "mu", "mu": 3}, "mesh": {"r_in": 0.0},
+           "boundary": {"outer": {"kind": "affine", "q": [0.5, 0.3],
+                                  "c": 0.1}},
+           "solver": {"max_iter": 0}}
+    code, out = run(tmp_path, "solve", config=cfg)
+    assert code == EXIT_OK
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["converged"] is True
+    assert diag["iterations"] == 0
+
+
 # -- experiment ---------------------------------------------------------------
 
 FAST_SWEEP = {"kind": "removability", "epsilons": [0.3, 0.15],
@@ -341,16 +354,49 @@ def test_experiment_config_wins_over_default(tmp_path, monkeypatch, kind,
         "outer": {"kind": "constant", "valeu": 1.0},
         "inner": {"kind": "constant", "value": 0.0}}), "valeu"),
     ("solve", solve_config(solver={"armijo_c": 0.1}), "armijo_c"),
+    ("solve", solve_config(solver={"energy_stall_rtol": 1e-14}),
+     "energy_stall_rtol"),
     ("experiment", {"density": {"kind": "area"}, "experiment": {
         "kind": "catenoid", "spec": {**SPEC, "alhpa": 2.0}}}, "alhpa"),
 ], ids=["catenoid", "mesh", "comparison", "catenoid-study", "section",
         "density", "samples_max", "boundary", "circle", "solver",
-        "catenoid-spec"])
+        "solver-stall", "catenoid-spec"])
 def test_misspelled_config_key_is_config_error(tmp_path, capsys, command,
                                                config, key):
     code, _ = run(tmp_path, command, config=config)
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, section", [
+    ("experiment", {"density": {"kind": "area"}, "experiment": FAST_SWEEP,
+                    "solver": {"max_iter": 1}}, "solver"),
+    ("density", {"density": {"kind": "area"}, "mesh": {"n_r": 4}}, "mesh"),
+    ("catenoid", {"density": {"kind": "area"}, "experiment": {}},
+     "experiment"),
+    ("solve", {**solve_config(), "catenoid": {"alpha": 1.0}}, "catenoid"),
+], ids=["experiment", "density", "catenoid", "solve"])
+def test_section_the_command_does_not_read_is_config_error(
+        tmp_path, capsys, command, config, section):
+    code, out = run(tmp_path, command, config=config)
+    assert code == EXIT_CONFIG
+    assert section in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, word", [
+    ("experiment", {"density": {"kind": "area"}, "experiment": [1]},
+     "experiment"),
+    ("solve", solve_config(solver=5), "solver"),
+    ("catenoid", {"density": {"kind": "area"}, "catenoid": []}, "catenoid"),
+    ("density", {"density": {"kind": "area"}, "seed": "1"}, "seed"),
+    ("density", {"density": {"kind": "area"}, "seed": 1.5}, "seed"),
+], ids=["experiment", "solver", "catenoid", "seed-string", "seed-float"])
+def test_malformed_config_value_is_config_error(tmp_path, capsys, command,
+                                                config, word):
+    code, _ = run(tmp_path, command, config=config)
+    assert code == EXIT_CONFIG
+    assert word in capsys.readouterr().err
 
 
 def test_constant_data_on_either_circle(tmp_path):
@@ -372,6 +418,27 @@ def test_same_config_and_seed_reproduce_bytes(tmp_path, monkeypatch):
     _, second = run(tmp_path, "--quiet", "experiment", config=cfg, name="b")
     for artifact in ("report.json", "report.csv", "config.json"):
         assert (first / artifact).read_bytes() == (second / artifact).read_bytes()
+
+
+def test_echoed_seed_reproduces_without_the_flag(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    cfg = {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 2, "n_r": 8, "n_theta": 24}}
+    code, first = run(tmp_path, "--seed", "1", "experiment", config=cfg,
+                      name="first")
+    assert code == EXIT_OK
+    echoed = str(first / "config.json")
+    second, third = tmp_path / "second", tmp_path / "third"
+    assert main(["--config", echoed, "--out", str(second),
+                 "experiment"]) == EXIT_OK
+    for name in ("report.json", "report.csv", "config.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    # the flag still wins over the config's seed
+    assert main(["--seed", "2", "--config", echoed, "--out", str(third),
+                 "experiment"]) == EXIT_OK
+    assert json.loads((third / "config.json").read_text())["seed"] == 2
+    report = json.loads((third / "report.json").read_text())
+    assert report["metadata"]["seed"] == 2
 
 
 @pytest.mark.parametrize("argv, config", [

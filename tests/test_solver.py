@@ -349,35 +349,49 @@ def test_iteration_cap_raises_with_partial(area, annulus):
 
 
 def test_solver_options_reject_unknown_keys():
-    # the Armijo constants are fixed in the module, not options
-    for key in ("typo", "armijo_c", "armijo_factor"):
+    # the Armijo constants are fixed in the module, not options, and the
+    # gradient test is the only stopping rule
+    for key in ("typo", "armijo_c", "armijo_factor", "energy_stall_rtol"):
         with pytest.raises(ValueError, match=key):
             SolverOptions.from_config({"max_iter": 10, key: 1})
 
 
 def test_solver_options_accept_every_field():
     cfg = {f.name: f.default for f in dataclasses.fields(SolverOptions)}
-    cfg["energy_stall_rtol"] = 1e-12
+    assert set(cfg) == {"max_iter", "grad_tol"}
+    cfg["grad_tol"] = 1e-12
     assert SolverOptions.from_config(cfg) == SolverOptions(**cfg)
-    with pytest.raises(ValueError, match="energy_stal_rtol"):
-        SolverOptions.from_config({"energy_stal_rtol": 1e-12})
+    with pytest.raises(ValueError, match="grad_tl"):
+        SolverOptions.from_config({"grad_tl": 1e-12})
 
 
-def test_stalled_step_is_tested_at_the_iteration_cap(area, annulus):
-    vals = np.cos(4.0 * annulus.node_angles())
-    data = boundary_dict(annulus, vals)
+def test_negative_iteration_cap_is_rejected():
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverOptions(max_iter=-1)
+
+
+def test_last_step_is_tested_at_the_iteration_cap(area, mu3, annulus):
+    data = np.cos(2.0 * annulus.node_angles()) + 0.2 * annulus.node_radii()
     free = solve_dirichlet(area, annulus, data)
     cap = free.iterations
-    # every step counts as stalled: the last one is tested past the cap
-    capped = solve_dirichlet(
-        area, annulus, data, SolverOptions(max_iter=cap, energy_stall_rtol=1.0))
+    # the last step lowers the energy by about 1e-13 relative, yet it is
+    # the one that meets the gradient test
+    hist = free.energy_history
+    assert cap == 5 and 0.0 < (hist[-2] - hist[-1]) / hist[-2] < 1e-12
+    capped = solve_dirichlet(area, annulus, data, SolverOptions(max_iter=cap))
     assert capped.converged
     assert capped.iterations == cap
     assert np.array_equal(capped.values, free.values)
-    # no step counts as stalled: the cap ends the iteration untested
-    with pytest.raises(NonConvergenceError):
-        solve_dirichlet(area, annulus, data,
-                        SolverOptions(max_iter=cap, energy_stall_rtol=0.0))
+    with pytest.raises(NonConvergenceError) as err:
+        solve_dirichlet(area, annulus, data, SolverOptions(max_iter=cap - 1))
+    assert err.value.solution.iterations == cap - 1
+    # no step allowed: the start itself is tested, and affine data is
+    # solved by its harmonic extension
+    disk = build_polar_mesh(0.0, 1.0, 16, 32)
+    start = solve_dirichlet(mu3, disk, affine(disk, 0.5, 0.3, 0.1),
+                            SolverOptions(max_iter=0))
+    assert start.converged
+    assert start.iterations == 0
 
 
 def test_diagnostics_fields(area, annulus):
