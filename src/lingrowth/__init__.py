@@ -19,8 +19,9 @@ convex, linearly growing g:
 """
 
 from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError,
-                       RadialProfile, Sign, envelope_bound, neck_limit,
-                       ode_residual, profile_value, profile_value_substituted,
+                       RadialProfile, Sign, envelope_bound, envelope_bounds,
+                       neck_limit, ode_residual, profile_value,
+                       profile_value_substituted, profile_values,
                        sample_profile, uniform_interior_bound)
 from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
                       ValidationReport, classify_growth, density_from_config,
@@ -45,11 +46,12 @@ __all__ = [
     "RadialProfile", "RemovabilityConfig", "Sign", "SolverOptions",
     "TailEstimate", "UndeterminedLimitError", "ValidationReport",
     "build_polar_mesh", "check_comparison", "classify_growth",
-    "density_from_config", "energy", "envelope_bound",
+    "density_from_config", "energy", "envelope_bound", "envelope_bounds",
     "flux_tangent", "invert_gprime", "make_area_density",
     "make_custom_density", "make_mu_density", "neck_limit", "normalize",
     "ode_residual",
-    "profile_value", "profile_value_substituted", "radial_values",
+    "profile_value", "profile_value_substituted", "profile_values",
+    "radial_values",
     "read_report", "residual_EL", "rotate_columns", "run_catenoid_reproduction",
     "run_comparison_suite", "run_removability", "same_mesh", "sample_profile",
     "solve_dirichlet", "uniform_interior_bound",

@@ -183,18 +183,35 @@ def _radial_integrand(d: Density, alpha: float, n: int):
     return f
 
 
-def _radial_integral(d: Density, alpha: float, n: int,
-                     r_lo: float, r_hi: float) -> float:
-    """integral( (g')^{-1}(alpha / r^{n-1}), r = r_lo..r_hi ), r_lo <= r_hi.
+def _radial_integrals(d: Density, alpha: float, n: int,
+                      radii) -> np.ndarray:
+    """integral( (g')^{-1}(alpha / r^{n-1}), r = radii[0]..radii[i] ) for
+    every i, accumulated over the gaps between consecutive radii.
 
-    The integrand may be (integrably) singular at r_lo when r_lo equals the
-    neck radius; Gauss-Kronrod panels never evaluate the endpoints, and the
-    QUADPACK extrapolation handles the algebraic blow-up.
+    Each gap is one quadrature panel certified to
+    QUAD_ABS_TOL / (len(radii) - 1), so every cumulative value stays within
+    QUAD_ABS_TOL.  The radii must not descend.  The integrand may be
+    (integrably) singular at radii[0] when it equals the neck radius;
+    Gauss-Kronrod panels never evaluate the endpoints, and the QUADPACK
+    extrapolation handles the algebraic blow-up.
     """
-    if r_lo == r_hi:
-        return 0.0
-    return _checked_quad(_radial_integrand(d, alpha, n), r_lo, r_hi,
-                         what="radial profile integral")
+    f = _radial_integrand(d, alpha, n)
+    gaps = [_checked_quad(f, lo, hi, abs_tol=QUAD_ABS_TOL / (len(radii) - 1),
+                          what="radial profile integral")
+            for lo, hi in zip(radii[:-1], radii[1:])]
+    return np.cumsum([0.0] + gaps)
+
+
+def _check_radii(radii, neck: float) -> np.ndarray:
+    """``radii`` as a float array, checked to be nonempty, one-dimensional
+    and strictly ascending from above the neck radius."""
+    radii = np.asarray(radii, dtype=float)
+    if not (radii.ndim == 1 and radii.size and radii[0] > neck
+            and np.all(np.diff(radii) > 0.0)):
+        raise ValueError(
+            "radii must form a nonempty, strictly ascending array above the "
+            f"neck radius {neck:.12g}; the profile is undefined elsewhere")
+    return radii
 
 
 def _slope_parameter(d: Density, alpha: float, n: int, rho: float) -> float:
@@ -304,11 +321,25 @@ def profile_value(d: Density, spec: CatenoidSpec, rho: float) -> float:
 
     # integral from the anchor radius to rho, signed by orientation
     anchor_r = neck if spec.anchor is Anchor.NECK else 1.0
-    if rho >= anchor_r:
-        span = _radial_integral(d, spec.alpha, spec.dim_n, anchor_r, rho)
-    else:
-        span = -_radial_integral(d, spec.alpha, spec.dim_n, rho, anchor_r)
+    ends = sorted((anchor_r, rho))
+    span = math.copysign(
+        _radial_integrals(d, spec.alpha, spec.dim_n, ends)[1], rho - anchor_r)
     return spec.offset_a + spec.sign.factor * span
+
+
+def profile_values(d: Density, spec: CatenoidSpec, radii) -> np.ndarray:
+    """Profile values at every radius of a strictly ascending array.
+
+    The first value is :func:`profile_value` at ``radii[0]``; each later
+    one adds the signed radial integral over the gap to its predecessor
+    (:func:`_radial_integrals`), so the gaps add at most QUAD_ABS_TOL of
+    certified error to the first value's.  Raises ``ValueError`` unless
+    the radii ascend strictly from above the neck.
+    """
+    _require_normalized(d)
+    radii = _check_radii(radii, spec.neck_radius)
+    return profile_value(d, spec, radii[0]) + spec.sign.factor * (
+        _radial_integrals(d, spec.alpha, spec.dim_n, radii))
 
 
 def profile_value_substituted(d: Density, spec: CatenoidSpec,
@@ -409,10 +440,9 @@ def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
 
     The offsets rho - neck are geometrically spaced between the requested
     endpoints, which resolves the steep region without wasting points on
-    the flat wings.  The first value comes from :func:`profile_value`;
-    each later one adds a single radial quadrature panel over the gap to
-    its predecessor, certified to QUAD_ABS_TOL / (num - 1), so the gaps
-    together stay within QUAD_ABS_TOL of the per-radius values.
+    the flat wings.  The values come from :func:`profile_values`: one
+    :func:`profile_value` at ``rho_min`` plus one radial panel per gap,
+    certified to QUAD_ABS_TOL / (num - 1).
     """
     _require_normalized(d)
     neck = spec.neck_radius
@@ -424,12 +454,7 @@ def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
         raise ValueError("need at least two samples")
     offsets = np.geomspace(rho_min - neck, rho_max - neck, num)
     rho = neck + offsets
-    f = _radial_integrand(d, spec.alpha, spec.dim_n)
-    gaps = [_checked_quad(f, lo, hi, abs_tol=QUAD_ABS_TOL / (num - 1),
-                          what="radial profile integral")
-            for lo, hi in zip(rho[:-1], rho[1:])]
-    values = profile_value(d, spec, rho[0]) + spec.sign.factor * np.cumsum(
-        [0.0] + gaps)
+    values = profile_values(d, spec, rho)
     slopes = spec.sign.factor * np.array(
         [invert_gprime(d, spec.alpha / r ** (spec.dim_n - 1)) for r in rho])
     return RadialProfile(
@@ -470,8 +495,27 @@ def envelope_bound(d: Density, r: float, rho: float, R: float,
     _require_normalized(d)
     if not (0.0 < r < rho < R):
         raise ValueError(f"need 0 < r < rho < R, got r={r}, rho={rho}, R={R}")
-    alpha = r ** (n - 1)
-    return outer_value + _radial_integral(d, alpha, n, rho, R)
+    return outer_value + float(
+        _radial_integrals(d, r ** (n - 1), n, (rho, R))[1])
+
+
+def envelope_bounds(d: Density, r: float, radii, R: float,
+                    outer_value: float, n: int) -> np.ndarray:
+    """:func:`envelope_bound` at every radius of a strictly ascending
+    array, with r < radii[0] and radii[-1] < R.
+
+    The integrals are accumulated over the gaps between consecutive radii
+    with R as the last one, so each value is
+    outer_value + (I(R) - I(radii[i])) for the cumulative integral I of
+    :func:`_radial_integrals`, certified to QUAD_ABS_TOL like a single
+    :func:`envelope_bound`.
+    """
+    _require_normalized(d)
+    if not r > 0.0:
+        raise ValueError(f"need r > 0, got r={r}")
+    ends = _check_radii(np.append(radii, R), r)
+    cumulative = _radial_integrals(d, r ** (n - 1), n, ends)
+    return outer_value + (cumulative[-1] - cumulative[:-1])
 
 
 def uniform_interior_bound(d: Density, a: float, x_norm: float) -> float:

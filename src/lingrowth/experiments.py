@@ -30,7 +30,6 @@ on the calling thread.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -38,8 +37,8 @@ from typing import Optional
 import numpy as np
 
 from . import ioutil
-from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound, neck_limit,
-                       profile_value)
+from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
+                       envelope_bounds, profile_value, profile_values)
 from .density import (Density, Growth, density_from_config, invert_gprime,
                       normalize)
 from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values
@@ -251,15 +250,14 @@ def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
     """Excess over the reference with which an annulus solve starts.
 
     The barrier of neck eps that vanishes on the outer circle bounds the
-    spike's influence at every radius (:func:`envelope_bound`).  Capped by
-    the spike it is the closed-form shape of the answer, so the seed is
-    the spike on the inner circle, min(|spike|, envelope) with the spike's
-    sign on each ring between, and 0 on the outer circle."""
-    excess = [spike]
-    for r in annulus.ring_radii[1:-1]:
-        env = envelope_bound(d, eps, float(r), R, 0.0, 2)
-        excess.append(math.copysign(min(abs(spike), env), spike))
-    excess.append(0.0)
+    spike's influence at every radius.  Capped by the spike it is the
+    closed-form shape of the answer, so the seed is the spike on the inner
+    circle, min(|spike|, envelope) with the spike's sign on each ring
+    between, and 0 on the outer circle.  The envelopes of all rings
+    between come from one cumulative pass (:func:`envelope_bounds`)."""
+    env = envelope_bounds(d, eps, annulus.ring_radii[1:-1], R, 0.0, 2)
+    excess = np.concatenate(
+        ([spike], np.copysign(np.minimum(abs(spike), env), spike), [0.0]))
     return np.repeat(excess, annulus.n_theta)
 
 
@@ -405,6 +403,11 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     log2(e_k / e_{k+1}).  A single level produces one record and no order
     estimate.
 
+    The exact ring values come from one cumulative pass over the ring
+    radii (:func:`profile_values`).  The data on the two circles come from
+    separate :func:`profile_value` calls, so the per-radius and the
+    cumulative routes cross-check each other there.
+
     The coarsest solve starts from the harmonic extension of its data.
     Every finer level nests the previous one, so its solve starts from the
     previous solution prolongated by :func:`_prolongate` (nested
@@ -426,8 +429,9 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
         n_r = n_r0 * 2 ** level
         n_theta = n_theta0 * 2 ** level
         mesh = build_polar_mesh(r_in, r_out, n_r, n_theta)
-        ring_exact = [profile_value(d, spec, r) for r in mesh.ring_radii]
-        data = _dirichlet(mesh, inner=ring_exact[0], outer=ring_exact[-1])
+        ring_exact = profile_values(d, spec, mesh.ring_radii)
+        data = _dirichlet(mesh, inner=profile_value(d, spec, r_in),
+                          outer=profile_value(d, spec, r_out))
         x0 = None if sol is None else _prolongate(sol.mesh, sol.values, mesh)
         sol = solve_dirichlet(d, mesh, data, solver, x0=x0)
         exact = np.repeat(ring_exact, n_theta)
@@ -563,24 +567,27 @@ def _barrier_scenario(d: Density, mesh: PolarMesh, tol: float,
     The solved field shares the outer data and takes inner data one margin
     below the barrier's neck value -- the strongest inner data for which
     the ordering can survive discretization.  Checked nodewise on every
-    circle against quadrature barrier values.
+    circle against quadrature barrier values: the offset minus the rise of
+    the PLUS profile, taken for every ring in one :func:`profile_values`
+    pass.  The climb is the rise at the outer circle, so the barrier meets
+    the outer data exactly.
     """
     outer_value = _SCENARIO_OUTER
     n = 2
     alpha = mesh.r_in ** (n - 1)
-    climb = profile_value(
-        d, CatenoidSpec(Sign.PLUS, alpha, 0.0, n, Anchor.NECK), mesh.r_out)
+    rise = profile_values(
+        d, CatenoidSpec(Sign.PLUS, alpha, 0.0, n, Anchor.NECK),
+        mesh.ring_radii[1:])
+    climb = float(rise[-1])
     offset = outer_value + climb
-    barrier = CatenoidSpec(Sign.MINUS, alpha, offset, n, Anchor.NECK)
     margin = _SCENARIO_MARGIN_FRACTION * climb
 
     inner_value = offset - margin
     sol = solve_dirichlet(d, mesh,
                           _dirichlet(mesh, inner_value, outer_value), solver)
 
-    # the inner circle sits at the neck
-    per_ring = [neck_limit(d, barrier)] + [profile_value(d, barrier, r)
-                                           for r in mesh.ring_radii[1:]]
+    # the inner circle sits at the neck, where the rise is 0
+    per_ring = offset - np.concatenate(([0.0], rise))
     gap = sol.values - np.repeat(per_ring, mesh.n_theta)
     max_violation = float(np.max(gap))
     return {

@@ -7,18 +7,22 @@ import pytest
 
 from lingrowth.catenoid import (
     Anchor,
+    QUAD_ABS_TOL,
     CatenoidSpec,
     QuadratureAccuracyError,
     RadialProfile,
     Sign,
     envelope_bound,
+    envelope_bounds,
     neck_limit,
     ode_residual,
     profile_value,
     profile_value_substituted,
+    profile_values,
     sample_profile,
     uniform_interior_bound,
 )
+from lingrowth import catenoid
 from lingrowth.density import make_custom_density, make_mu_density, normalize
 
 
@@ -224,6 +228,83 @@ def test_sample_profile_matches_per_radius_values(area, mu3, n):
         prof = sample_profile(d, s, 1.0 + 1e-4, 4.0, 25)
         want = [profile_value(d, s, r) for r in prof.rho]
         np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-9)
+
+
+# neck at 0.5; the first set starts within 10% of the neck, where
+# profile_value takes the substituted route, and both sets straddle the
+# unit anchor
+_NEAR_NECK_RADII = [0.52, 0.6, 0.75, 1.0, 1.3, 2.0, 4.0]
+_FAR_RADII = [0.6, 0.9, 1.1, 1.7, 3.0]
+
+
+@pytest.mark.parametrize("radii", [_NEAR_NECK_RADII, _FAR_RADII])
+@pytest.mark.parametrize("which,anchor", [
+    ("area", Anchor.NECK), ("area", Anchor.UNIT), ("mu3", Anchor.NECK),
+    ("mu3", Anchor.UNIT), ("mu2", Anchor.UNIT)])
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+def test_profile_values_match_per_radius_values(request, which, anchor,
+                                                sign, radii):
+    d = request.getfixturevalue(which)
+    s = spec2(sign=sign, alpha=0.5, a=0.25, anchor=anchor)
+    got = profile_values(d, s, radii)
+    want = [profile_value(d, s, r) for r in radii]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_profile_values_divergent_neck_anchor_is_inf(mu2):
+    for sign in Sign:
+        got = profile_values(mu2, spec2(sign=sign, alpha=0.5), _FAR_RADII)
+        assert np.all(got == sign.factor * math.inf)
+
+
+def test_envelope_bounds_match_scalar_and_closed_form(area, mu3):
+    eps, R = 0.1, 1.0
+    radii = np.linspace(0.15, 0.95, 9)
+    got = envelope_bounds(area, eps, radii, R, 0.0, 2)
+    closed = [eps * math.log((R + math.sqrt(R * R - eps * eps))
+                             / (rho + math.sqrt(rho * rho - eps * eps)))
+              for rho in radii]
+    np.testing.assert_allclose(got, closed, rtol=1e-9, atol=0)
+    for d in (area, mu3):
+        got = envelope_bounds(d, eps, radii, R, 2.5, 2)
+        want = [envelope_bound(d, eps, rho, R, 2.5, 2) for rho in radii]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_envelope_bounds_gap_budgets_sum_to_the_contract(area, monkeypatch):
+    """One panel per gap, the last one ending at R, each certified to an
+    equal share of QUAD_ABS_TOL."""
+    budgets = []
+    checked = catenoid._checked_quad
+
+    def recording(f, lo, hi, *, abs_tol=QUAD_ABS_TOL, what="integral"):
+        budgets.append((hi, abs_tol))
+        return checked(f, lo, hi, abs_tol=abs_tol, what=what)
+    monkeypatch.setattr(catenoid, "_checked_quad", recording)
+    envelope_bounds(area, 0.1, np.linspace(0.15, 0.95, 9), 1.0, 0.0, 2)
+    assert len(budgets) == 9 and budgets[-1][0] == 1.0
+    assert sum(tol for _, tol in budgets) <= QUAD_ABS_TOL * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("radii", [
+    [1.2, 1.1, 1.5],      # unsorted
+    [1.1, 1.1, 1.5],      # duplicate
+    [1.0, 1.5],           # at the neck
+    [0.9, 1.2, 1.5],      # below the neck
+])
+def test_vector_forms_reject_bad_radii(area, radii):
+    with pytest.raises(ValueError):
+        profile_values(area, spec2(), radii)
+    with pytest.raises(ValueError):
+        envelope_bounds(area, 1.0, radii, 2.0, 0.0, 2)
+
+
+def test_vector_form_radii_bounds(area):
+    with pytest.raises(ValueError):
+        profile_values(area, spec2(), [])
+    with pytest.raises(ValueError):
+        envelope_bounds(area, 0.1, [0.5, 1.0], 1.0, 0.0, 2)  # not below R
+    assert envelope_bounds(area, 0.1, [], 1.0, 0.0, 2).shape == (0,)
 
 
 def test_perturbed_slopes_break_flux_identity(area):

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from lingrowth import experiments
-from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, envelope_bound
+from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
+                                profile_value)
 from lingrowth.density import make_area_density, make_mu_density
 from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
+    _barrier_seed,
     _prolongate,
     circle_data_values,
     fourier_values,
@@ -179,6 +181,19 @@ def test_catenoid_reproduction_neck_must_be_outside(area):
         run_catenoid_reproduction(area, spec, refinements=1)
 
 
+def test_refinement_catches_wrong_boundary_profile(monkeypatch, mu3):
+    """The circles' data come from per-radius profile_value calls and the
+    exact ring values from the cumulative pass, so a fault in the former
+    shows up as error against the latter."""
+    monkeypatch.setattr(experiments, "profile_value",
+                        lambda *a: 1.001 * profile_value(*a))
+    spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
+    rep = run_catenoid_reproduction(mu3, spec, refinements=2, n_r0=8,
+                                    n_theta0=16)
+    assert (not rep.all_checks_pass()
+            or rep.records[-1]["max_error"] > 5e-4)
+
+
 # -- warm starts ----------------------------------------------------------------
 
 
@@ -224,6 +239,18 @@ def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):
     assert rep.all_checks_pass()
     assert len(calls) == 2
     _assert_warm_matches_cold(calls, n_warm=1)
+
+
+def test_barrier_seed_matches_per_ring_envelopes(mu2):
+    annulus = build_polar_mesh(0.1, 1.0, 12, 8, inner_layers=3)
+    seed = _barrier_seed(mu2, annulus, 0.1, 1.0, -0.2)
+    want = [-0.2] + [-min(0.2, envelope_bound(mu2, 0.1, r, 1.0, 0.0, 2))
+                     for r in annulus.ring_radii[1:-1]] + [0.0]
+    rings = seed.reshape(-1, 8)
+    np.testing.assert_allclose(rings, np.tile(want, (8, 1)).T, rtol=0,
+                               atol=1e-9)
+    # the spike caps the rings next to the inner circle, not the far ones
+    assert rings[1, 0] == -0.2 and -0.2 < rings[-2, 0] < 0.0
 
 
 def test_prolongate_reproduces_constants_and_linear_radial_fields():
@@ -303,6 +330,9 @@ def test_barrier_scenario_fields(area):
     # inner data sits strictly below the barrier's neck value
     assert sc["inner_value"] < sc["offset"]
     assert sc["margin"] > 0.0
+    # the barrier's climb and its ring values share one cumulative pass, so
+    # it meets the outer data exactly, and the area solve stays below it
+    assert sc["max_violation"] == 0.0
 
 
 def test_no_barrier_scenario_for_divergent_neck(mu2):
