@@ -279,10 +279,6 @@ def _substituted_integral(d: Density, n: int, s_lo: float,
     return total
 
 
-def _known_growth(d: Density) -> Growth:
-    return d.growth if d.growth is not Growth.UNDETERMINED else classify_growth(d)
-
-
 def _check_radius(spec: CatenoidSpec, rho: float):
     if not (rho > spec.neck_radius):
         raise ValueError(
@@ -313,7 +309,7 @@ def profile_value(d: Density, spec: CatenoidSpec, rho: float) -> float:
     _check_radius(spec, rho)
     neck = spec.neck_radius
 
-    if spec.anchor is Anchor.NECK and _known_growth(d) is Growth.INFINITE_INTEGRAL:
+    if spec.anchor is Anchor.NECK and classify_growth(d) is Growth.INFINITE_INTEGRAL:
         return spec.offset_a + spec.sign.factor * math.inf
 
     if rho - neck < _NEAR_NECK_FRACTION * neck:
@@ -364,7 +360,7 @@ def profile_value_substituted(d: Density, spec: CatenoidSpec,
     s_rho = _slope_parameter(d, spec.alpha, n, rho)
 
     if spec.anchor is Anchor.NECK:
-        if _known_growth(d) is Growth.INFINITE_INTEGRAL:
+        if classify_growth(d) is Growth.INFINITE_INTEGRAL:
             return spec.offset_a + spec.sign.factor * math.inf
         span = prefactor * _substituted_integral(d, n, s_rho, math.inf)
     else:
@@ -385,7 +381,7 @@ def neck_limit(d: Density, spec: CatenoidSpec) -> float:
     divergent case the limit is the signed inf sentinel.
     """
     _require_normalized(d)
-    growth = _known_growth(d)
+    growth = classify_growth(d)
     if growth is Growth.UNDETERMINED:
         raise ValueError(
             "cannot form the neck limit: growth class is undetermined")
@@ -461,7 +457,7 @@ def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
         alpha=spec.alpha, dim_n=spec.dim_n,
         rho=rho, values=values, slopes=slopes,
         neck_radius=neck,
-        neck_finite=_known_growth(d) is Growth.FINITE_INTEGRAL,
+        neck_finite=classify_growth(d) is Growth.FINITE_INTEGRAL,
     )
 
 
@@ -529,7 +525,7 @@ def uniform_interior_bound(d: Density, a: float, x_norm: float) -> float:
     _require_normalized(d)
     if not (0.0 < x_norm < 1.0):
         raise ValueError(f"x_norm must lie in (0, 1), got {x_norm}")
-    if _known_growth(d) is not Growth.INFINITE_INTEGRAL:
+    if classify_growth(d) is not Growth.INFINITE_INTEGRAL:
         raise ValueError(
             "the uniform interior bound applies to densities with "
             "divergent neck integral (infinite growth class)")

@@ -31,8 +31,8 @@ import numpy as np
 from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError, Sign,
                        neck_limit, ode_residual, sample_profile)
-from .density import (UndeterminedLimitError, classify_growth,
-                      density_from_config, normalize, validate)
+from .density import (UndeterminedLimitError, density_from_config,
+                      normalize, validate)
 from .experiments import (RemovabilityConfig, circle_data_values,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
@@ -169,7 +169,7 @@ def cmd_density(args) -> int:
 
     samples = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 200)])
     report = validate(d, samples)
-    growth = classify_growth(d)
+    growth = d.growth
 
     out = _out_dir(args)
     payload = report.to_dict()

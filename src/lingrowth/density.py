@@ -349,19 +349,28 @@ def _aitken(p0: float, p1: float, p2: float) -> float:
 
 
 def normalize(d: Density) -> Density:
-    """Rescale a density so that its asymptotic slope equals 1.
+    """Rescale a density so that its asymptotic slope equals 1, and pin
+    its growth class.
 
-    Densities that already carry gprime_inf == 1 are returned unchanged.
-    When the limit is not declared it is estimated by evaluating g' at
+    Densities that already carry gprime_inf == 1 keep their scale.  When
+    the limit is not declared it is estimated by evaluating g' at
     t = 1e3, 1e4, 1e5; successive estimates must agree to 1e-6 or an
     :class:`UndeterminedLimitError` is raised.  The estimate is the Aitken
     delta-squared extrapolation of the three probes, not the last probe:
     g' increases, so the last probe undershoots the limit, and dividing by
     it would push the normalized slope above 1 further out.
-    """
-    if d.gprime_inf == 1.0:
-        return d
 
+    The result's ``growth`` is its :func:`classify_growth`, so readers of
+    ``d.growth`` see the classified class and no probe runs again.
+    """
+    if d.gprime_inf != 1.0:
+        d = _rescaled(d)
+    growth = classify_growth(d)
+    return d if growth is d.growth else replace(d, growth=growth)
+
+
+def _rescaled(d: Density) -> Density:
+    """``d`` divided by its declared or estimated slope limit."""
     if d.gprime_inf is not None:
         c = float(d.gprime_inf)
     else:
@@ -441,17 +450,16 @@ _INCREMENT_FLOOR = 1e-3
 def classify_growth(d: Density) -> Growth:
     """Decide whether integral(t * g''(t), t=0..inf) converges.
 
-    Built-in families answer analytically.  Custom densities are probed
-    numerically: the integral is accumulated decade by decade up to 1e5
-    and the pattern of increments decides.  Shrinking increments
+    A declared class (every built-in declares one, and :func:`normalize`
+    stores the classified one) is the answer.  An undeclared one is
+    probed numerically: the integral is accumulated decade by decade up
+    to 1e5 and the pattern of increments decides.  Shrinking increments
     (successive ratio < 0.5) indicate convergence; steady or growing
     increments of appreciable size indicate divergence; anything in
     between is honestly Undetermined.
     """
-    if d.kind == "area":
-        return Growth.FINITE_INTEGRAL
-    if d.kind == "mu":
-        return Growth.FINITE_INTEGRAL if d.mu > 2.0 else Growth.INFINITE_INTEGRAL
+    if d.growth is not Growth.UNDETERMINED:
+        return d.growth
 
     increments = []
     for a, b in zip(_CLASSIFY_EDGES[:-1], _CLASSIFY_EDGES[1:]):

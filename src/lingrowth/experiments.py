@@ -234,17 +234,6 @@ class RemovabilityConfig:
         return asdict(self)
 
 
-def _interp_on_annulus(disk: PolarMesh, disk_values: np.ndarray,
-                       annulus: PolarMesh) -> np.ndarray:
-    """Reference field evaluated at every annulus node.
-
-    Both meshes share n_theta, so each annulus circle maps onto a disk
-    radius where the P1 reference restricts to a piecewise-linear radial
-    function (exact interpolation, see :func:`radial_values`)."""
-    return np.concatenate([radial_values(disk, disk_values, r)
-                           for r in annulus.ring_radii])
-
-
 def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
                   spike: float) -> np.ndarray:
     """Excess over the reference with which an annulus solve starts.
@@ -258,7 +247,7 @@ def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
     env = envelope_bounds(d, eps, annulus.ring_radii[1:-1], R, 0.0, 2)
     excess = np.concatenate(
         ([spike], np.copysign(np.minimum(abs(spike), env), spike), [0.0]))
-    return np.repeat(excess, annulus.n_theta)
+    return annulus.from_rings(excess[:, None])
 
 
 def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
@@ -292,8 +281,11 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     for eps in cfg.epsilons:
         annulus = build_polar_mesh(eps, R, cfg.n_r, cfg.n_theta,
                                    inner_layers=cfg.inner_layers)
-        ref_on_annulus = _interp_on_annulus(disk, reference.values, annulus)
-        inner_vals = annulus.ring_values(ref_on_annulus, 0) + cfg.spike
+        # both meshes share n_theta, so every annulus circle is a disk
+        # radius where the P1 reference interpolates exactly
+        ref_on_annulus = annulus.from_rings(
+            radial_values(disk, reference.values, annulus.ring_radii))
+        inner_vals = annulus.rings(ref_on_annulus)[0] + cfg.spike
         data = _dirichlet(annulus, inner=inner_vals, outer=outer_vals)
         seed = ref_on_annulus + _barrier_seed(d, annulus, eps, R, cfg.spike)
         sol = solve_dirichlet(d, annulus, data, opts, x0=seed)
@@ -374,18 +366,17 @@ def _prolongate(coarse: PolarMesh, values: np.ndarray,
     A fine node at a coarse node copies its value; every other fine node
     bisects one coarse edge (along a ring, along a ray, or the diagonal
     the cell is split along) and takes the mean of its two ends."""
-    rings = len(coarse.ring_radii)
     if (coarse.is_disk or fine.is_disk or fine.n_theta != 2 * coarse.n_theta
-            or len(fine.ring_radii) != 2 * rings - 1):
+            or len(fine.ring_radii) != 2 * len(coarse.ring_radii) - 1):
         raise ValueError("fine mesh does not nest the coarse annulus")
-    c = np.asarray(values, dtype=float).reshape(rings, coarse.n_theta)
+    c = coarse.rings(values)
     c_next = np.roll(c, -1, axis=1)             # column j + 1, wrapping
-    f = np.empty((2 * rings - 1, fine.n_theta))
+    f = np.empty((len(fine.ring_radii), fine.n_theta))
     f[0::2, 0::2] = c
     f[0::2, 1::2] = 0.5 * (c + c_next)
     f[1::2, 0::2] = 0.5 * (c[:-1] + c[1:])
     f[1::2, 1::2] = 0.5 * (c[:-1] + c_next[1:])
-    return f.ravel()
+    return fine.from_rings(f)
 
 
 def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
@@ -434,7 +425,7 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
                           outer=profile_value(d, spec, r_out))
         x0 = None if sol is None else _prolongate(sol.mesh, sol.values, mesh)
         sol = solve_dirichlet(d, mesh, data, solver, x0=x0)
-        exact = np.repeat(ring_exact, n_theta)
+        exact = mesh.from_rings(ring_exact[:, None])
         err = float(np.max(np.abs(sol.values - exact)))
         errors.append(err)
         records.append({
@@ -588,7 +579,7 @@ def _barrier_scenario(d: Density, mesh: PolarMesh, tol: float,
 
     # the inner circle sits at the neck, where the rise is 0
     per_ring = offset - np.concatenate(([0.0], rise))
-    gap = sol.values - np.repeat(per_ring, mesh.n_theta)
+    gap = mesh.rings(sol.values) - per_ring[:, None]
     max_violation = float(np.max(gap))
     return {
         "alpha": alpha,

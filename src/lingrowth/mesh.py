@@ -10,7 +10,9 @@ tests lean on.
 
 Node ordering is ring-major: index = ring * n_theta + column for annuli;
 a disk additionally owns node 0 at the center, followed by the rings of
-positive radius.
+positive radius.  Other modules never spell this layout out: they move a
+field between nodal vectors and (ring, column) grids through
+:meth:`PolarMesh.rings` and :meth:`PolarMesh.from_rings`.
 """
 
 from __future__ import annotations
@@ -118,14 +120,26 @@ class PolarMesh:
             return 1 + (ring - 1) * self.n_theta + col
         return ring * self.n_theta + col
 
-    def ring_values(self, values: np.ndarray, ring: int) -> np.ndarray:
-        """Nodal values along one circle, as an (n_theta,) array.  The
-        center node of a disk is broadcast across all columns."""
+    def rings(self, values) -> np.ndarray:
+        """Nodal values as a (rings, n_theta) grid: row k is circle k
+        (ascending radius), column j the angle 2 pi j / n_theta.  A disk's
+        center value fills row 0.  On an annulus the grid is a view."""
         values = np.asarray(values)
-        if self.is_disk and ring == 0:
-            return np.full(self.n_theta, values[0])
-        base = self.node_index(ring, 0)
-        return values[base:base + self.n_theta]
+        if self.is_disk:
+            values = np.concatenate(
+                [np.repeat(values[:1], self.n_theta), values[1:]])
+        return values.reshape(len(self.ring_radii), self.n_theta)
+
+    def from_rings(self, grid) -> np.ndarray:
+        """Nodal vector of a grid laid out as by :meth:`rings`.  Anything
+        that broadcasts to (rings, n_theta) is accepted, e.g. one value
+        per ring as a column ``c[:, None]``.  A disk's center takes
+        ``grid[0, 0]``."""
+        flat = np.broadcast_to(
+            grid, (len(self.ring_radii), self.n_theta)).flatten()
+        if self.is_disk:
+            return np.concatenate([flat[:1], flat[self.n_theta:]])
+        return flat
 
 
 def build_polar_mesh(r_in: float, r_out: float, n_r: int,
@@ -245,24 +259,12 @@ def same_mesh(m1: PolarMesh, m2: PolarMesh) -> bool:
 def rotate_columns(mesh: PolarMesh, values: np.ndarray, k: int) -> np.ndarray:
     """Values of the function rotated by k angular steps: the value at
     column j of the result is the input value at column j - k."""
-    values = np.asarray(values)
-    out = np.empty_like(values)
-    n_t = mesh.n_theta
-    rings = len(mesh.ring_radii)
-    if mesh.is_disk:
-        out[0] = values[0]
-        start_ring = 1
-    else:
-        start_ring = 0
-    for ring in range(start_ring, rings):
-        base = mesh.node_index(ring, 0)
-        block = values[base:base + n_t]
-        out[base:base + n_t] = np.roll(block, k)
-    return out
+    return mesh.from_rings(np.roll(mesh.rings(values), k, axis=1))
 
 
-def radial_values(mesh: PolarMesh, values: np.ndarray, r: float) -> np.ndarray:
-    """Evaluate a nodal field at radius r for every angular column.
+def radial_values(mesh: PolarMesh, values: np.ndarray, r) -> np.ndarray:
+    """Evaluate a nodal field at radius r for every angular column: an
+    (n_theta,) row for a scalar r, one such row per radius for an array.
 
     Along each ray of constant angle the mesh edges are radial segments,
     so the piecewise-affine field restricted to a ray is piecewise linear
@@ -270,16 +272,12 @@ def radial_values(mesh: PolarMesh, values: np.ndarray, r: float) -> np.ndarray:
     therefore exact for P1 fields.
     """
     radii = mesh.ring_radii
-    if not (radii[0] - 1e-12 <= r <= radii[-1] + 1e-12):
+    r = np.asarray(r, dtype=float)
+    if not np.all((radii[0] - 1e-12 <= r) & (r <= radii[-1] + 1e-12)):
         raise ValueError(f"radius {r} outside mesh range [{radii[0]}, {radii[-1]}]")
-    r = min(max(r, radii[0]), radii[-1])
-    hi = int(np.searchsorted(radii, r))
-    if hi == 0:
-        return mesh.ring_values(np.asarray(values), 0).copy()
+    r = np.clip(r, radii[0], radii[-1])
+    hi = np.clip(np.searchsorted(radii, r), 1, len(radii) - 1)
     lo = hi - 1
-    if hi == len(radii):
-        return mesh.ring_values(np.asarray(values), len(radii) - 1).copy()
-    w = (r - radii[lo]) / (radii[hi] - radii[lo])
-    v_lo = mesh.ring_values(np.asarray(values), lo)
-    v_hi = mesh.ring_values(np.asarray(values), hi)
-    return (1.0 - w) * v_lo + w * v_hi
+    w = ((r - radii[lo]) / (radii[hi] - radii[lo]))[..., None]
+    grid = mesh.rings(values)
+    return (1.0 - w) * grid[lo] + w * grid[hi]

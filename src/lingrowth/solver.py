@@ -45,8 +45,8 @@ share one save and restore.  Where no OpenBLAS library is found the
 counts are left alone.  Reports are byte-identical at one and two BLAS
 threads, so the scope changes speed only.
 
-Boundary data is a full nodal vector throughout; a dict from boundary node
-to value is accepted only at the public edge, :func:`solve_dirichlet`.
+Boundary data has one form, from :func:`solve_dirichlet` inward: a full
+nodal vector whose boundary entries are the data.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class SolverOptions:
     before each and after the last (0 tests the start only)."""
 
     max_iter: int = 200
-    grad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_iter < 0:
@@ -267,21 +266,16 @@ def _one_blas_thread():
 
 def _boundary_vector(mesh: PolarMesh, boundary_data) -> np.ndarray:
     """Full nodal vector: boundary entries from the data, zero elsewhere."""
-    bnodes = mesh.boundary_nodes()
+    expected = f"a full nodal vector of length {mesh.num_nodes}"
+    # np.asarray would raise a TypeError on a dict; name the expected form
     if isinstance(boundary_data, dict):
-        missing = [int(i) for i in bnodes if int(i) not in boundary_data]
-        if missing:
-            raise ValueError(
-                f"boundary data missing for {len(missing)} node(s), "
-                f"first few: {missing[:5]}")
-        values = np.array([float(boundary_data[int(i)]) for i in bnodes])
-    else:
-        arr = np.asarray(boundary_data, dtype=float)
-        if arr.shape != (mesh.num_nodes,):
-            raise ValueError(
-                "boundary data must be a dict over boundary nodes or a "
-                f"full nodal vector of length {mesh.num_nodes}")
-        values = arr[bnodes]
+        raise ValueError(f"boundary data must be {expected}, not a dict")
+    arr = np.asarray(boundary_data, dtype=float)
+    if arr.shape != (mesh.num_nodes,):
+        raise ValueError(
+            f"boundary data must be {expected}, got shape {arr.shape}")
+    bnodes = mesh.boundary_nodes()
+    values = arr[bnodes]
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary data contains non-finite values")
     u = np.zeros(mesh.num_nodes)
@@ -371,6 +365,10 @@ def _newton_step(band: _Band, blocks: np.ndarray,
 # Optimization, 9.5.3), and the gradient test still decides convergence.
 _ROUNDING_DECREMENT = 1e-14
 
+# A solve has converged once the interior gradient norm is at most
+# _GRAD_TOL * (1 + |E|).
+_GRAD_TOL = 1e-10
+
 # Armijo line search: sufficient-decrease constant and backtracking factor.
 _ARMIJO_C = 1e-4
 _ARMIJO_FACTOR = 0.5
@@ -399,9 +397,8 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     ----------
     d : normalized Density.
     mesh : PolarMesh.
-    boundary_data : full nodal vector whose boundary entries are used, or
-        a dict node_index -> value covering every boundary node.  This is
-        the only place a dict is accepted; it becomes a vector at once.
+    boundary_data : full nodal vector of length ``mesh.num_nodes``; only
+        its boundary entries are read, and they must be finite.
     opts : SolverOptions, optional.
     x0 : full nodal vector, optional.  Its interior entries are the Newton
         start in place of the harmonic extension of the boundary data; its
@@ -412,7 +409,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     Returns
     -------
     DiscreteSolution with converged=True; convergence means the interior
-    gradient norm fell below grad_tol * (1 + |energy|).  That test is the
+    gradient norm fell below 1e-10 * (1 + |energy|).  That test is the
     only way a solve ends well: it is made at the start and after every
     step, the last allowed one included.  A Newton step whose decrement
     lies below the rounding of the energy is taken in full without the
@@ -425,9 +422,10 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         line search stalls; the partial solution rides along on the
         exception.
     ValueError
-        For incomplete boundary data, a non-normalized density, an ``x0``
-        of the wrong shape or with non-finite interior entries, or
-        non-finite initial energy.
+        For boundary data that is not a full nodal vector (a dict
+        included) or has non-finite boundary entries, a non-normalized
+        density, an ``x0`` of the wrong shape or with non-finite interior
+        entries, or non-finite initial energy.
     """
     if d.gprime_inf != 1.0:
         raise ValueError("solver requires a normalized density")
@@ -450,7 +448,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         flux, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
         g_i = _nodal_gradient(mesh, flux)[interior]
         grad_norm = float(np.linalg.norm(g_i))
-        if grad_norm <= opts.grad_tol * (1.0 + abs(E)):
+        if grad_norm <= _GRAD_TOL * (1.0 + abs(E)):
             return DiscreteSolution(mesh=mesh, values=u, energy=E,
                                     grad_norm=grad_norm, iterations=it,
                                     converged=True,

@@ -95,8 +95,7 @@ def test_solver_exactness_and_convergence_order(area):
         mesh = build_polar_mesh(0.5, 1.0, 16, 32)
         q, c = (0.5, 0.3), 0.1
         want = mesh.nodes @ np.array(q) + c
-        data = {int(i): float(want[i]) for i in mesh.boundary_nodes()}
-        sol = solve_dirichlet(area, mesh, data)
+        sol = solve_dirichlet(area, mesh, want)
         assert np.max(np.abs(sol.values - want)) <= 1e-9
 
         # second-order convergence toward a barrier profile

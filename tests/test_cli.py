@@ -356,11 +356,12 @@ def test_experiment_config_wins_over_default(tmp_path, monkeypatch, kind,
     ("solve", solve_config(solver={"armijo_c": 0.1}), "armijo_c"),
     ("solve", solve_config(solver={"energy_stall_rtol": 1e-14}),
      "energy_stall_rtol"),
+    ("solve", solve_config(solver={"grad_tol": 1e-12}), "grad_tol"),
     ("experiment", {"density": {"kind": "area"}, "experiment": {
         "kind": "catenoid", "spec": {**SPEC, "alhpa": 2.0}}}, "alhpa"),
 ], ids=["catenoid", "mesh", "comparison", "catenoid-study", "section",
         "density", "samples_max", "boundary", "circle", "solver",
-        "solver-stall", "catenoid-spec"])
+        "solver-stall", "solver-grad-tol", "catenoid-spec"])
 def test_misspelled_config_key_is_config_error(tmp_path, capsys, command,
                                                config, key):
     code, _ = run(tmp_path, command, config=config)

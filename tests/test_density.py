@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lingrowth import density
 from lingrowth.density import (
     Growth,
     TailEstimate,
@@ -149,6 +150,7 @@ def test_normalize_rescales_doubled_area():
     )
     n = normalize(doubled)
     assert n.gprime_inf == pytest.approx(1.0, abs=1e-9)
+    assert n.growth is Growth.FINITE_INTEGRAL
     ref = make_area_density()
     for t in (0.0, 0.7, 3.0, 50.0):
         assert n.g(t) == pytest.approx(ref.g(t), rel=1e-9)
@@ -180,6 +182,42 @@ def test_normalize_estimated_limit_keeps_slope_below_one():
         for r in (1.0 + 1e-6, 1.001, 1.1, 2.0, 5.0):
             assert profile_value(custom, spec, r) == pytest.approx(
                 profile_value(builtin, spec, r), rel=0, abs=1e-8)
+
+
+def test_normalize_pins_the_classified_growth(monkeypatch):
+    """mu=3 written out by hand with a declared slope limit and no
+    declared growth class."""
+    from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
+
+    raw = make_custom_density(
+        g=lambda t: t + 1.0 / (1.0 + t) - 1.0,
+        gprime=lambda t: 1.0 - (1.0 + t) ** -2.0,
+        gsecond=lambda t: 2.0 * (1.0 + t) ** -3.0,
+        gprime_inf=1.0, tail=TailEstimate(exponent=3.0, coeff=2.0))
+    assert raw.growth is Growth.UNDETERMINED
+    d = normalize(raw)
+    assert d.growth is Growth.FINITE_INTEGRAL
+    assert normalize(d) is d
+
+    # once pinned, neither classification nor profiles probe again
+    def no_probe(*args, **kwargs):
+        raise AssertionError("growth probe ran after normalize")
+
+    monkeypatch.setattr(density, "quad", no_probe)
+    assert classify_growth(d) is Growth.FINITE_INTEGRAL
+    spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
+    for r in np.linspace(1.1, 3.0, 20):
+        assert math.isfinite(profile_value(d, spec, float(r)))
+
+
+def test_declared_growth_is_the_answer(monkeypatch):
+    monkeypatch.setattr(density, "quad", None)      # any probe would fail
+    base = make_area_density()
+    declared = make_custom_density(base.g, base.gprime, base.gsecond,
+                                   gprime_inf=1.0,
+                                   growth=Growth.INFINITE_INTEGRAL)
+    assert classify_growth(declared) is Growth.INFINITE_INTEGRAL
+    assert normalize(declared) is declared
 
 
 # -- slope inversion --------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from lingrowth import experiments
 from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                                 profile_value)
-from lingrowth.density import make_area_density, make_mu_density
+from lingrowth.density import (TailEstimate, make_area_density,
+                               make_custom_density, make_mu_density)
 from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
@@ -262,7 +263,7 @@ def test_prolongate_reproduces_constants_and_linear_radial_fields():
     ring_linear = np.repeat(3.0 * coarse.ring_radii - 1.0, coarse.n_theta)
     linear = _prolongate(coarse, ring_linear, fine)
     for ring, r in enumerate(fine.ring_radii):
-        np.testing.assert_allclose(fine.ring_values(linear, ring),
+        np.testing.assert_allclose(fine.rings(linear)[ring],
                                    3.0 * r - 1.0, rtol=1e-15, atol=0)
 
 
@@ -333,6 +334,21 @@ def test_barrier_scenario_fields(area):
     # the barrier's climb and its ring values share one cumulative pass, so
     # it meets the outer data exactly, and the area solve stays below it
     assert sc["max_violation"] == 0.0
+
+
+def test_barrier_scenario_runs_for_classified_custom_density(mu3):
+    """mu=3 written out by hand declares no growth class; classified as
+    finite, it gets the barrier scenario just like the built-in."""
+    custom = make_custom_density(
+        lambda t: t + 1.0 / (1.0 + t) - 1.0,
+        lambda t: 1.0 - (1.0 + t) ** -2.0,
+        lambda t: 2.0 * (1.0 + t) ** -3.0,
+        gprime_inf=1.0, tail=TailEstimate(exponent=3.0, coeff=2.0))
+    rep = run_comparison_suite(custom, 1, 0, n_r=8, n_theta=16)
+    assert rep.checks["barrier_scenario_holds"] is True
+    builtin = run_comparison_suite(mu3, 1, 0, n_r=8, n_theta=16)
+    assert rep.reference["offset"] == pytest.approx(
+        builtin.reference["offset"], rel=1e-9)
 
 
 def test_no_barrier_scenario_for_divergent_neck(mu2):

@@ -79,11 +79,12 @@ def _loop_triangles(mesh):
     return np.asarray(tris, dtype=np.int64)
 
 
-@pytest.mark.parametrize("args, kw", [
-    ((0.0, 1.0, 5, 7), {}),
-    ((0.5, 1.0, 4, 8), {}),
-    ((0.2, 1.0, 6, 12), {"inner_layers": 3}),
-])
+# a disk, a plain annulus and a graded annulus
+RING_MESHES = [((0.0, 1.0, 5, 7), {}), ((0.5, 1.0, 4, 8), {}),
+               ((0.2, 1.0, 6, 12), {"inner_layers": 3})]
+
+
+@pytest.mark.parametrize("args, kw", RING_MESHES)
 def test_triangles_match_cell_by_cell_construction(args, kw):
     m = build_polar_mesh(*args, **kw)
     np.testing.assert_array_equal(m.triangles, _loop_triangles(m))
@@ -122,8 +123,56 @@ def test_disk_center_indexing():
 def test_ring_values_broadcasts_center():
     m = build_polar_mesh(0.0, 1.0, 4, 8)
     vals = np.arange(m.num_nodes, dtype=float)
-    assert np.all(m.ring_values(vals, 0) == 0.0)
-    np.testing.assert_array_equal(m.ring_values(vals, 2), vals[9:17])
+    assert np.all(m.rings(vals)[0] == 0.0)
+    np.testing.assert_array_equal(m.rings(vals)[2], vals[9:17])
+
+
+@pytest.mark.parametrize("args, kw", RING_MESHES)
+def test_rings_follow_node_index(args, kw):
+    m = build_polar_mesh(*args, **kw)
+    grid = m.rings(np.arange(m.num_nodes))
+    assert grid.shape == (len(m.ring_radii), m.n_theta)
+    for k in range(len(m.ring_radii)):
+        for j in range(m.n_theta):
+            assert grid[k, j] == m.node_index(k, j)
+
+
+@pytest.mark.parametrize("args, kw", RING_MESHES)
+def test_from_rings_inverts_rings(args, kw, rng):
+    m = build_polar_mesh(*args, **kw)
+    vals = rng.normal(size=m.num_nodes)
+    back = m.from_rings(m.rings(vals))
+    assert back.shape == vals.shape
+    assert np.array_equal(back, vals)
+
+
+def test_from_rings_broadcasts_one_value_per_ring():
+    m = build_polar_mesh(0.2, 1.0, 6, 12, inner_layers=3)
+    c = np.linspace(-1.0, 2.0, len(m.ring_radii))
+    np.testing.assert_array_equal(m.from_rings(c[:, None]),
+                                  np.repeat(c, m.n_theta))
+    disk = build_polar_mesh(0.0, 1.0, 5, 7)
+    c = np.linspace(-1.0, 2.0, len(disk.ring_radii))
+    np.testing.assert_array_equal(
+        disk.from_rings(c[:, None]),
+        np.concatenate(([c[0]], np.repeat(c[1:], disk.n_theta))))
+
+
+def test_from_rings_center_takes_first_entry():
+    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    grid = np.arange(len(m.ring_radii) * m.n_theta, dtype=float)
+    vals = m.from_rings(grid.reshape(-1, m.n_theta))
+    assert vals[0] == 0.0
+    np.testing.assert_array_equal(vals[1:], grid[m.n_theta:])
+
+
+def test_rotate_columns_by_full_turn_is_identity_on_disk(rng):
+    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    vals = rng.normal(size=m.num_nodes)
+    assert np.array_equal(rotate_columns(m, vals, m.n_theta), vals)
+    rot = rotate_columns(m, vals, 3)
+    assert rot[0] == vals[0]
+    assert np.array_equal(rotate_columns(m, rot, -3), vals)
 
 
 def test_rotate_columns_moves_nodes_one_step():
@@ -142,7 +191,7 @@ def test_radial_values_exact_on_rings():
     vals = np.arange(m.num_nodes, dtype=float)
     for ring, r in enumerate(m.ring_radii):
         np.testing.assert_array_equal(radial_values(m, vals, float(r)),
-                                      m.ring_values(vals, ring))
+                                      m.rings(vals)[ring])
 
 
 def test_radial_values_linear_between_rings():
@@ -167,6 +216,27 @@ def test_radial_values_out_of_range():
         radial_values(m, vals, 0.4)
     with pytest.raises(ValueError):
         radial_values(m, vals, 1.1)
+    with pytest.raises(ValueError):
+        radial_values(m, vals, float("nan"))
+    for bad in ([0.6, 0.4], [0.6, 1.1], [0.6, float("nan")]):
+        with pytest.raises(ValueError):
+            radial_values(m, vals, np.array(bad))
+
+
+@pytest.mark.parametrize("args, kw", RING_MESHES)
+def test_radial_values_array_matches_scalar_calls(args, kw, rng):
+    m = build_polar_mesh(*args, **kw)
+    vals = rng.normal(size=m.num_nodes)
+    radii = m.ring_radii
+    # every ring (both end rings and a disk's center included), the
+    # midpoints between them, and points a hair inside either end
+    r = np.concatenate([radii, 0.5 * (radii[:-1] + radii[1:]),
+                        [radii[0] + 1e-13, radii[-1] - 1e-13]])
+    rows = radial_values(m, vals, r)
+    assert rows.shape == (len(r), m.n_theta)
+    want = np.stack([radial_values(m, vals, float(x)) for x in r])
+    assert np.array_equal(rows, want)
+    np.testing.assert_array_equal(rows[:len(radii)], m.rings(vals))
 
 
 def test_same_mesh_detects_differences():
