@@ -15,8 +15,9 @@ Three studies are provided:
   exact radial barrier values on both circles of an annulus and measure
   the nodal error of the solve under mesh refinement, estimating the
   empirical convergence order.  The levels nest, so each solve after the
-  first starts from the previous level's solution prolongated onto the
-  finer mesh (nested iteration).
+  first starts from the previous level's solution carried onto the finer
+  mesh by cubic interpolation (nested iteration with the cubic
+  interpolation of full multigrid).
 
 * **Comparison suite** (:func:`run_comparison_suite`): random ordered
   boundary-data pairs must produce ordered solutions (discrete comparison
@@ -30,6 +31,7 @@ on the calling thread.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -361,21 +363,47 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
 def _prolongate(coarse: PolarMesh, values: np.ndarray,
                 fine: PolarMesh) -> np.ndarray:
     """Coarse annulus field carried onto the annulus with twice as many
-    rings of cells and sectors.
+    rings of cells and sectors, by cubic interpolation (the higher-order
+    interpolation of full multigrid, Trottenberg, Oosterlee & Schueller,
+    Multigrid, 2001, 2.6).
 
-    A fine node at a coarse node copies its value; every other fine node
-    bisects one coarse edge (along a ring, along a ray, or the diagonal
-    the cell is split along) and takes the mean of its two ends."""
+    A fine node at a coarse node copies its value.  A fine node halfway
+    along a ring takes the periodic 4-point weights (-1, 9, 9, -1)/16 of
+    its ring; one on a ray between two coarse rings takes the cubic
+    Lagrange weights of the four nearest coarse ring radii (one-sided in
+    the two end cells); a cell centre takes the tensor product of the
+    two.  The fine rings must be the coarse ones with one ring inserted in
+    every cell."""
+    radii = coarse.ring_radii
     if (coarse.is_disk or fine.is_disk or fine.n_theta != 2 * coarse.n_theta
-            or len(fine.ring_radii) != 2 * len(coarse.ring_radii) - 1):
+            or len(fine.ring_radii) != 2 * len(radii) - 1
+            or not np.array_equal(fine.ring_radii[0::2], radii)):
         raise ValueError("fine mesh does not nest the coarse annulus")
     c = coarse.rings(values)
-    c_next = np.roll(c, -1, axis=1)             # column j + 1, wrapping
+    # along rings: the mean of the two ends plus the cubic correction
+    ends = c + np.roll(c, -1, axis=1)                   # columns j and j + 1
+    on_rings = 0.5 * ends + (2.0 * ends - np.roll(ends, 1, axis=1)
+                             - np.roll(ends, -1, axis=1)) / 16.0
+    # along rays: the cubic Lagrange weights, at the ring inserted in each
+    # cell, of the four coarse rings nearest to it
+    cells = len(radii) - 1
+    first = np.clip(np.arange(cells) - 1, 0, cells - 3)
+    stencil = first[:, None] + np.arange(4)                    # (cells, 4)
+    nodes, x = radii[stencil], fine.ring_radii[1::2]
+    weights = np.ones((cells, 4))
+    for m, k in itertools.permutations(range(4), 2):
+        weights[:, m] *= (x - nodes[:, k]) / (nodes[:, m] - nodes[:, k])
+
+    def on_rays(grid):
+        # written against the inner end of each cell, so constants are exact
+        return grid[:-1] + np.einsum("km,kmj->kj", weights,
+                                     grid[stencil] - grid[:-1, None])
+
     f = np.empty((len(fine.ring_radii), fine.n_theta))
     f[0::2, 0::2] = c
-    f[0::2, 1::2] = 0.5 * (c + c_next)
-    f[1::2, 0::2] = 0.5 * (c[:-1] + c[1:])
-    f[1::2, 1::2] = 0.5 * (c[:-1] + c_next[1:])
+    f[0::2, 1::2] = on_rings
+    f[1::2, 0::2] = on_rays(c)
+    f[1::2, 1::2] = on_rays(on_rings)
     return fine.from_rings(f)
 
 
@@ -401,8 +429,11 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
 
     The coarsest solve starts from the harmonic extension of its data.
     Every finer level nests the previous one, so its solve starts from the
-    previous solution prolongated by :func:`_prolongate` (nested
-    iteration, as in full multigrid).
+    previous solution carried over by the cubic interpolation of
+    :func:`_prolongate` (nested iteration, as in full multigrid).  The
+    cubic start leaves each finer level about two Newton steps, the last
+    of them in the rounding regime, where the solver reuses the factor of
+    the step before.
     """
     d = normalize(d)
     if not (spec.neck_radius < r_in < r_out):

@@ -22,8 +22,9 @@ the hat gradients, T the tangent) straight into a banded interior matrix.
 Ring-major node numbering keeps every interior coupling within n_theta + 1
 of the diagonal (n_theta at a disk's center), so the interior Hessian is
 stored in LAPACK's lower band layout and each Newton step is one banded
-Cholesky solve (``dpbsv``).  A matrix that is not numerically positive
-definite, or a non-finite step, falls back to the gradient direction.
+Cholesky factorization (``dpbtrf``) and one pair of triangular solves
+(``dpbtrs``).  A matrix that is not numerically positive definite, or a
+non-finite step, falls back to the gradient direction.
 
 Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
@@ -31,6 +32,17 @@ energy sum, and the Armijo test can no longer see it.  In that rounding
 regime the full Newton step is taken without the energy test; whether the
 result counts as converged is decided by the gradient test alone, which is
 made at the start and after every step.
+
+The factor of the last Newton step is kept for one iteration.  The next
+iteration may solve with it first: a chord step (Kelley, Solving Nonlinear
+Equations with Newton's Method, SIAM 2003, ch. 5).  It does so when the
+chord step's decrement g . K^-1 g, predicted from the new gradient norm
+and the last step's decrement per squared gradient norm, lies in the
+rounding regime.  If the computed decrement lies there too, the chord step
+is taken in full, as a Newton step there would be, and the new Hessian is
+not factored.  Otherwise the kept factor is dropped before the new band is
+assembled.  So at most one band or factor is alive at a time, and a factor
+serves at most one step beyond its own.
 
 Each solve runs BLAS on one thread: on entry every OpenBLAS thread pool
 loaded in the process is set to one thread, and on exit the counts found
@@ -62,7 +74,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .density import Density, flux_tangent
 from .mesh import PolarMesh, same_mesh
@@ -287,7 +299,7 @@ def _boundary_vector(mesh: PolarMesh, boundary_data) -> np.ndarray:
 class _Band:
     """Scatter map from triangle blocks into the lower band of the interior
     Hessian, stored as LAPACK's ``ab[i - j, j] = K[i, j]`` in column-major
-    order so that ``solveh_banded`` factors it in place."""
+    order so that ``cholesky_banded`` factors it in place."""
 
     entries: np.ndarray     # flat indices into blocks.ravel()
     positions: np.ndarray   # matching flat indices into the column-major ab
@@ -300,12 +312,18 @@ class _Band:
                          minlength=depth * n)
         return ab.reshape(n, depth).T
 
-    def solve(self, blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve K x = rhs by banded Cholesky.  The band is factored in
-        place and dropped on return, so no second copy of it is alive.
-        Raises LinAlgError when K is not numerically positive definite."""
-        return solveh_banded(self.matrix(blocks), rhs, lower=True,
-                             overwrite_ab=True, check_finite=False)
+    def factor(self, blocks: np.ndarray) -> np.ndarray:
+        """Banded Cholesky factor of K, assembled from (M, 3, 3) blocks and
+        factored in place, so the band and its factor share one array; a
+        solve keeps it for at most one reuse.  Raises LinAlgError when K
+        is not numerically positive definite."""
+        return cholesky_banded(self.matrix(blocks), overwrite_ab=True,
+                               lower=True, check_finite=False)
+
+
+def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve K x = rhs with the banded Cholesky factor of K."""
+    return cho_solve_banded((factor, True), rhs, check_finite=False)
 
 
 def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
@@ -338,21 +356,29 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
     Ku = np.bincount(tri.ravel(), weights=(blocks @ u[tri][:, :, None]).ravel(),
                      minlength=mesh.num_nodes)
     out = u.copy()
-    out[interior] = band.solve(blocks, -Ku[interior])
+    out[interior] = _solve_factored(band.factor(blocks), -Ku[interior])
     return out
 
 
-def _newton_step(band: _Band, blocks: np.ndarray,
-                 g_i: np.ndarray) -> Optional[np.ndarray]:
-    """Newton step -K^-1 g, or None when K is not numerically positive
-    definite or the step is not a finite descent direction."""
-    try:
-        step = band.solve(blocks, -g_i)
-    except LinAlgError:
-        return None
+def _descent(factor: np.ndarray, g_i: np.ndarray) -> Optional[np.ndarray]:
+    """Step -K^-1 g with the factor of K, or None when it is not a finite
+    descent direction."""
+    step = _solve_factored(factor, -g_i)
     if not np.all(np.isfinite(step)) or float(np.dot(step, g_i)) >= 0.0:
         return None
     return step
+
+
+def _newton_step(band: _Band, blocks: np.ndarray, g_i: np.ndarray):
+    """(factor, step): the Newton step -K^-1 g and the factor of K, or
+    (None, None) when K is not numerically positive definite or the step
+    is not a finite descent direction."""
+    try:
+        factor = band.factor(blocks)
+    except LinAlgError:
+        return None, None
+    step = _descent(factor, g_i)
+    return (None, None) if step is None else (factor, step)
 
 
 # Newton decrement lambda^2 = -step . grad below which a step is taken in
@@ -413,7 +439,9 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     only way a solve ends well: it is made at the start and after every
     step, the last allowed one included.  A Newton step whose decrement
     lies below the rounding of the energy is taken in full without the
-    line search; the gradient test after it still decides convergence.
+    line search, and so is a chord step with the last step's factor whose
+    decrement lies there; the gradient test after it still decides
+    convergence.
 
     Raises
     ------
@@ -444,6 +472,9 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         raise ValueError(f"non-finite initial energy {E}")
 
     history = [E]
+    # factor of the last Newton step, kept for one reuse, and that step's
+    # decrement over its squared gradient norm (a Rayleigh quotient of K^-1)
+    kept, quotient = None, 0.0
     for it in range(opts.max_iter + 1):
         flux, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
         g_i = _nodal_gradient(mesh, flux)[interior]
@@ -456,11 +487,25 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         if it == opts.max_iter:
             break
 
-        step = _newton_step(band, _blocks(mesh, tangent), g_i)
+        rounding = _ROUNDING_DECREMENT * (1.0 + abs(E))
+        step = None
+        # the chord step's decrement g . K^-1 g, predicted with the quotient
+        # of the step before, decides whether the kept factor is tried
+        if kept is not None and quotient * grad_norm ** 2 <= rounding:
+            step = _descent(kept, g_i)
+            if step is not None and -float(np.dot(step, g_i)) > rounding:
+                step = None
+        # a kept factor serves one step at most; either way it is dropped
+        # before a new band is assembled
+        kept = None
+        if step is None:
+            kept, step = _newton_step(band, _blocks(mesh, tangent), g_i)
+            if step is not None:
+                quotient = -float(np.dot(step, g_i)) / grad_norm ** 2
         if step is None:
             # Newton direction unusable; fall back downhill
             u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E)
-        elif -float(np.dot(step, g_i)) <= _ROUNDING_DECREMENT * (1.0 + abs(E)):
+        elif -float(np.dot(step, g_i)) <= rounding:
             # rounding regime: the energy test cannot see the decrease
             u_new = u.copy()
             u_new[interior] = u[interior] + step

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import spsolve
 
 from lingrowth import solver
@@ -156,7 +156,7 @@ def test_band_step_matches_sparse_solve(area, rng):
     ab, K, ii = _band_and_sparse(area, mesh, rng)
     rhs = rng.normal(size=len(ii))
     want = spsolve(K.tocsc(), rhs)
-    got = solveh_banded(ab, rhs, lower=True, overwrite_ab=True)
+    got = solver._solve_factored(cholesky_banded(ab, lower=True), rhs)
     np.testing.assert_allclose(got, want, rtol=0.0,
                                atol=1e-10 * np.max(np.abs(want)))
 
@@ -165,13 +165,17 @@ def _not_positive_definite(*args, **kwargs):
     raise LinAlgError("1th leading minor not positive definite")
 
 
-def _nan_step(ab, rhs, **kwargs):
+def _nan_step(factor, rhs, **kwargs):
     return np.full_like(rhs, np.nan)
 
 
-@pytest.mark.parametrize("broken", [_not_positive_definite, _nan_step])
+@pytest.mark.parametrize("call, broken", [
+    ("cholesky_banded", _not_positive_definite),
+    ("cho_solve_banded", _nan_step),
+], ids=["_not_positive_definite", "_nan_step"])
 def test_unusable_newton_step_falls_back_to_gradient(area, annulus,
-                                                     monkeypatch, broken):
+                                                     monkeypatch, call,
+                                                     broken):
     directions = []
     armijo = solver._armijo
 
@@ -180,7 +184,7 @@ def test_unusable_newton_step_falls_back_to_gradient(area, annulus,
         return armijo(d, mesh, u, interior, direction, g_i, E)
 
     monkeypatch.setattr(solver, "_armijo", spy)
-    monkeypatch.setattr(solver, "solveh_banded", broken)
+    monkeypatch.setattr(solver, call, broken)
     data = np.cos(2.0 * annulus.node_angles())
     with pytest.raises(NonConvergenceError) as err:
         solve_dirichlet(area, annulus, data, SolverOptions(max_iter=3),
@@ -219,6 +223,90 @@ def test_rounding_regime_takes_full_newton_steps(mu3, annulus, monkeypatch):
     x0 = sol.values + 1e-7 * np.sin(5.0 * annulus.node_angles())
     assert solve_dirichlet(mu3, annulus, data, x0=x0).converged
     assert len(calls) >= 1
+
+
+def _band_call_log(monkeypatch, scale_reused=None):
+    """Record "factor" and "solve" for each banded LAPACK call of the
+    solver.  With ``scale_reused``, a solve with a factor that has already
+    served one solve returns its step multiplied by ``scale_reused``."""
+    log, last = [], {"factor": None, "uses": 0}
+
+    def factor(*args, **kwargs):
+        log.append("factor")
+        last["factor"] = cholesky_banded(*args, **kwargs)
+        last["uses"] = 0
+        return last["factor"]
+
+    def solve(cb_and_lower, rhs, **kwargs):
+        log.append("solve")
+        assert cb_and_lower[0] is last["factor"]
+        last["uses"] += 1
+        step = cho_solve_banded(cb_and_lower, rhs, **kwargs)
+        if scale_reused is not None and last["uses"] > 1:
+            step = scale_reused * step
+        return step
+
+    monkeypatch.setattr(solver, "cholesky_banded", factor)
+    monkeypatch.setattr(solver, "cho_solve_banded", solve)
+    return log
+
+
+def _one_factor_per_step(d, mesh, data, x0):
+    """(values, steps) of the solve with every step on a fresh factor:
+    single-step solves chained through x0, so no factor outlives its
+    step."""
+    for steps in range(50):
+        try:
+            sol = solve_dirichlet(d, mesh, data, SolverOptions(max_iter=1),
+                                  x0=x0)
+        except NonConvergenceError as err:
+            x0 = err.solution.values
+            continue
+        if sol.iterations == 0:
+            return sol.values, steps
+        x0 = sol.values
+    raise AssertionError("no convergence in 50 single-step solves")
+
+
+def test_rounding_regime_step_reuses_the_last_factor(area, annulus,
+                                                     monkeypatch):
+    data = np.cos(2.0 * annulus.node_angles())
+    log = _band_call_log(monkeypatch)
+    sol = solve_dirichlet(area, annulus, data,
+                          x0=np.zeros(annulus.num_nodes))
+    assert sol.converged
+    # the last step solves with the factor of the step before it, and no
+    # earlier step tries a kept factor: none was predicted to be in the
+    # rounding regime
+    assert log == ["factor", "solve"] * (sol.iterations - 1) + ["solve"]
+
+
+def test_reused_steps_never_follow_each_other(mu3, annulus, monkeypatch):
+    data = 0.4 * np.cos(2.0 * annulus.node_angles())
+    x0 = solve_dirichlet(mu3, annulus, data).values
+    log = _band_call_log(monkeypatch)
+    # at the minimizer every step is in the rounding regime, so each kept
+    # factor is reused, and then a new one is made
+    with monkeypatch.context() as m, pytest.raises(NonConvergenceError):
+        m.setattr(solver, "_GRAD_TOL", 0.0)
+        solve_dirichlet(mu3, annulus, data, SolverOptions(max_iter=6), x0=x0)
+    assert log == ["factor", "solve", "solve"] * 3
+
+
+def test_reused_step_above_the_rounding_regime_is_discarded(area, annulus,
+                                                           monkeypatch):
+    data = np.cos(2.0 * annulus.node_angles())
+    x0 = np.zeros(annulus.num_nodes)
+    want, steps = _one_factor_per_step(area, annulus, data, x0)
+    # a reused step scaled far past the rounding regime: the solve drops it
+    # and factors afresh, so every step has its own factor
+    log = _band_call_log(monkeypatch, scale_reused=1e8)
+    sol = solve_dirichlet(area, annulus, data, x0=x0)
+    assert sol.converged
+    assert log.count("factor") == sol.iterations
+    assert log.count("solve") > sol.iterations
+    assert sol.iterations == steps
+    np.testing.assert_allclose(sol.values, want, rtol=0, atol=1e-12)
 
 
 def test_seeded_comparison_trials_converge(mu3):
@@ -461,23 +549,34 @@ def _thread_counts(pools):
     return [get() for get, _ in pools]
 
 
-def _record_counts_in_band_solves(monkeypatch, pools):
+def _record_counts_in_band_calls(monkeypatch, pools):
+    """[(LAPACK call, thread counts inside it)] of every banded factor and
+    solve call."""
     seen = []
 
-    def spy(*args, **kwargs):
-        seen.append(_thread_counts(pools))
-        return solveh_banded(*args, **kwargs)
+    def spy(name, call):
+        def wrapped(*args, **kwargs):
+            seen.append((name, _thread_counts(pools)))
+            return call(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(solver, "solveh_banded", spy)
+    monkeypatch.setattr(solver, "cholesky_banded",
+                        spy("factor", cholesky_banded))
+    monkeypatch.setattr(solver, "cho_solve_banded",
+                        spy("solve", cho_solve_banded))
     return seen
 
 
 def test_solve_runs_blas_on_one_thread(area, annulus, blas_pools, monkeypatch):
-    seen = _record_counts_in_band_solves(monkeypatch, blas_pools)
+    seen = _record_counts_in_band_calls(monkeypatch, blas_pools)
     sol = solve_dirichlet(area, annulus, np.cos(2.0 * annulus.node_angles()))
     assert sol.converged
-    assert len(seen) == sol.iterations + 1      # the start, then each step
-    assert all(counts == [1] * len(blas_pools) for counts in seen)
+    names = [n for n, _ in seen]
+    # one solve for the start, then one for each step
+    assert names.count("solve") == sol.iterations + 1
+    # the last step is in the rounding regime and reuses the factor before it
+    assert names.count("factor") == sol.iterations
+    assert all(counts == [1] * len(blas_pools) for _, counts in seen)
     assert _thread_counts(blas_pools) == [2] * len(blas_pools)
 
 
@@ -487,11 +586,11 @@ def test_solve_runs_blas_on_one_thread(area, annulus, blas_pools, monkeypatch):
 ], ids=["x0-shape", "iteration-cap"])
 def test_failed_solve_restores_blas_threads(area, annulus, blas_pools,
                                             monkeypatch, bad, error):
-    seen = _record_counts_in_band_solves(monkeypatch, blas_pools)
+    seen = _record_counts_in_band_calls(monkeypatch, blas_pools)
     with pytest.raises(error):
         solve_dirichlet(area, annulus, np.cos(4.0 * annulus.node_angles()),
                         **bad)
-    assert all(counts == [1] * len(blas_pools) for counts in seen)
+    assert all(counts == [1] * len(blas_pools) for _, counts in seen)
     assert _thread_counts(blas_pools) == [2] * len(blas_pools)
 
 
