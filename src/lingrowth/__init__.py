@@ -31,8 +31,7 @@ from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
-from .mesh import (NodeTag, PolarMesh, build_polar_mesh, radial_values,
-                   rotate_columns, same_mesh)
+from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values, same_mesh
 from .solver import (ComparisonResult, DiscreteSolution, MeshMismatchError,
                      NonConvergenceError, SolverOptions, check_comparison,
                      energy, residual_EL, solve_dirichlet)
@@ -52,7 +51,7 @@ __all__ = [
     "ode_residual",
     "profile_value", "profile_value_substituted", "profile_values",
     "radial_values",
-    "read_report", "residual_EL", "rotate_columns", "run_catenoid_reproduction",
+    "read_report", "residual_EL", "run_catenoid_reproduction",
     "run_comparison_suite", "run_removability", "same_mesh", "sample_profile",
     "solve_dirichlet", "uniform_interior_bound",
     "validate", "write_report",

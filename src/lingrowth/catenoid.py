@@ -514,19 +514,22 @@ def envelope_bounds(d: Density, r: float, radii, R: float,
     return outer_value + (cumulative[-1] - cumulative[:-1])
 
 
-def uniform_interior_bound(d: Density, a: float, x_norm: float) -> float:
-    """Interior bound a + (1 - |x|) * (g')^{-1}(1/2) on the unit ball.
+def uniform_interior_bound(d: Density, a: float, x_norm, R: float = 1.0):
+    """Interior bound a + (R - |x|) * (g')^{-1}(1/2) on the ball of radius R.
 
     Applies to densities with divergent neck integral, whose barriers
     blow up at their necks: choosing the flux so the neck passes through
     radius |x|/2^{1/(n-1)} caps the barrier slope at (g')^{-1}(1/2) on
-    the whole segment from |x| to 1, independent of the dimension.
+    the whole segment from |x| to R, independent of the dimension.  ``a``
+    is the largest boundary value; ``x_norm`` is one radius or an array of
+    them, each in (0, R), and the bound has its shape.
     """
     _require_normalized(d)
-    if not (0.0 < x_norm < 1.0):
-        raise ValueError(f"x_norm must lie in (0, 1), got {x_norm}")
+    x = np.asarray(x_norm, dtype=float)
+    if not np.all((0.0 < x) & (x < R)):
+        raise ValueError(f"x_norm must lie in (0, {R}), got {x_norm}")
     if classify_growth(d) is not Growth.INFINITE_INTEGRAL:
         raise ValueError(
             "the uniform interior bound applies to densities with "
             "divergent neck integral (infinite growth class)")
-    return a + (1.0 - x_norm) * invert_gprime(d, 0.5)
+    return a + (R - x) * invert_gprime(d, 0.5)

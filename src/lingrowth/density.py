@@ -504,7 +504,10 @@ def flux_tangent(d: Density, p):
     """
     p = np.asarray(p, dtype=float)
     k = p.shape[-1]
-    t = np.hypot.reduce(p, axis=-1, initial=0.0)
+    comps = [p[..., i] for i in range(k)]
+    t = np.zeros(p.shape[:-1])
+    for c in comps:
+        t = np.hypot(t, c)
     gp = np.asarray(d.gprime(t), dtype=float)
     c2 = np.asarray(d.gsecond(t), dtype=float)
     pos = t > 0.0
@@ -512,11 +515,14 @@ def flux_tangent(d: Density, p):
     c1 = np.where(pos, gp / safe, c2)           # g'(t)/t, and g''(0) at t = 0
     flux = c1[..., None] * p
 
-    ph = p / safe[..., None]
+    # entry by entry on whole arrays: (coef ph_i) ph_j for i <= j, c1 added
+    # on the diagonal, the upper entry mirrored below it
+    ph = [c / safe for c in comps]
     coef = np.where(pos, c2 - c1, 0.0)
-    tangent = (coef[..., None, None] * ph[..., :, None]) * ph[..., None, :]
-    upper, lower = np.triu_indices(k, 1)
-    tangent[..., lower, upper] = tangent[..., upper, lower]
-    diag = np.arange(k)
-    tangent[..., diag, diag] += c1[..., None]
+    tangent = np.empty(p.shape + (k,))
+    for i in range(k):
+        ci = coef * ph[i]
+        tangent[..., i, i] = ci * ph[i] + c1
+        for j in range(i + 1, k):
+            tangent[..., i, j] = tangent[..., j, i] = ci * ph[j]
     return flux, tangent

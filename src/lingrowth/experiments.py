@@ -40,9 +40,9 @@ import numpy as np
 
 from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
-                       envelope_bounds, profile_value, profile_values)
-from .density import (Density, Growth, density_from_config, invert_gprime,
-                      normalize)
+                       envelope_bounds, profile_value, profile_values,
+                       uniform_interior_bound)
+from .density import Density, Growth, density_from_config, normalize
 from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values
 from .solver import (NonConvergenceError, SolverOptions, check_comparison,
                      solve_dirichlet)
@@ -279,7 +279,6 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     min_outer = float(np.min(outer_vals))
 
     records = []
-    half_slope = invert_gprime(d, 0.5)
     for eps in cfg.epsilons:
         annulus = build_polar_mesh(eps, R, cfg.n_r, cfg.n_theta,
                                    inner_layers=cfg.inner_layers)
@@ -312,11 +311,14 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
             "two_sided_bound_satisfied": two_sided,
         }
         if growth is Growth.INFINITE_INTEGRAL:
-            r_probe = radii[probe]
-            cap_hi = max_outer + (R - r_probe) * half_slope + allow
-            cap_lo = min_outer - (R - r_probe) * half_slope - allow
+            # inside the outer circle, whose data obey the bound trivially;
+            # the lower cap is the bound for -u, which has data -outer
+            inside = probe & (annulus.node_tags == NodeTag.INTERIOR)
+            r_in, u_in = radii[inside], sol.values[inside]
+            cap_hi = uniform_interior_bound(d, max_outer, r_in, R) + allow
+            cap_lo = -uniform_interior_bound(d, -min_outer, r_in, R) - allow
             rec["uniform_bound_satisfied"] = bool(
-                np.all(u_probe <= cap_hi) and np.all(u_probe >= cap_lo))
+                np.all(u_in <= cap_hi) and np.all(u_in >= cap_lo))
         records.append(rec)
 
     deviations = [r["deviation_at_probe"] for r in records]

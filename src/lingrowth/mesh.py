@@ -44,8 +44,10 @@ class PolarMesh:
     ring_radii : radii of the node circles, ascending; a disk's center
         counts as a ring of radius 0 holding a single node.
     areas : (M,) triangle areas.
-    grads : (M, 2, 3) gradients of the three nodal hat functions on each
-        triangle, cached for assembly.
+    grads : (2, 3, M) gradients of the three nodal hat functions on each
+        triangle, component-major: ``grads[c, k]`` is the c-th component
+        of the gradient of the hat at vertex k, one entry per triangle, so
+        assembly runs as arithmetic on whole length-M arrays.
     """
 
     r_in: float
@@ -235,14 +237,13 @@ def _triangle_geometry(nodes, triangles):
     det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
     areas = 0.5 * det
 
-    m = len(triangles)
-    grads = np.empty((m, 2, 3))
+    grads = np.empty((2, 3, len(triangles)))
     # gradients of the barycentric coordinates lambda_1, lambda_2
-    grads[:, 0, 1] = v2[:, 1] / det
-    grads[:, 1, 1] = -v2[:, 0] / det
-    grads[:, 0, 2] = -v1[:, 1] / det
-    grads[:, 1, 2] = v1[:, 0] / det
-    grads[:, :, 0] = -(grads[:, :, 1] + grads[:, :, 2])
+    grads[0, 1] = v2[:, 1] / det
+    grads[1, 1] = -v2[:, 0] / det
+    grads[0, 2] = -v1[:, 1] / det
+    grads[1, 2] = v1[:, 0] / det
+    grads[:, 0] = -(grads[:, 1] + grads[:, 2])
     return areas, grads
 
 
@@ -254,12 +255,6 @@ def same_mesh(m1: PolarMesh, m2: PolarMesh) -> bool:
             and np.array_equal(m1.triangles, m2.triangles)
             and np.array_equal(m1.node_tags, m2.node_tags)
             and bool(np.all(np.abs(m1.nodes - m2.nodes) <= 1e-14)))
-
-
-def rotate_columns(mesh: PolarMesh, values: np.ndarray, k: int) -> np.ndarray:
-    """Values of the function rotated by k angular steps: the value at
-    column j of the result is the input value at column j - k."""
-    return mesh.from_rings(np.roll(mesh.rings(values), k, axis=1))
 
 
 def radial_values(mesh: PolarMesh, values: np.ndarray, r) -> np.ndarray:

@@ -16,8 +16,13 @@ with p the triangle gradient and t = |p|,
 
 the tangent being symmetric positive definite thanks to g'' > 0 and g'
 increasing.  Each Newton step evaluates the density once, scatters the
-flux into the nodal gradient and the triangle blocks areas * G^T T G (G
-the hat gradients, T the tangent) straight into a banded interior matrix.
+flux into the nodal gradient and the lower entries of the triangle blocks
+areas * G^T T G (G the hat gradients, T the tangent) straight into a
+banded interior matrix.  The kernels are arithmetic on whole length-M
+arrays, one per component, read from the component-major hat gradients
+(``PolarMesh.grads``), never products of small per-triangle matrices: on
+the few-thousand-triangle meshes of a removability sweep, numpy loops over
+inner axes of length 2 or 3 cost more than the banded factorization.
 
 Ring-major node numbering keeps every interior coupling within n_theta + 1
 of the diagonal (n_theta at a disk's center), so the interior Hessian is
@@ -165,7 +170,8 @@ class ComparisonResult:
 
 
 def _triangle_gradients(mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
-    """(M, 2) array of per-triangle gradients of the P1 field u.
+    """(M, 2) array of per-triangle gradients of the P1 field u, a view of
+    a component-major (2, M) array.
 
     The first vertex value is subtracted before contracting with the hat
     gradients (their sum vanishes, so this changes nothing analytically);
@@ -173,9 +179,9 @@ def _triangle_gradients(mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
     absolute offset, which keeps gradient norms meaningful for fields
     sitting far from zero.
     """
-    ut = u[mesh.triangles]                      # (M, 3)
-    ut = ut - ut[:, :1]
-    return np.einsum("mik,mk->mi", mesh.grads, ut)
+    u0, u1, u2 = u[mesh.triangles.T]
+    G = mesh.grads
+    return (G[:, 1] * (u1 - u0) + G[:, 2] * (u2 - u0)).T
 
 
 def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
@@ -186,17 +192,37 @@ def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
 
 
 def _nodal_gradient(mesh: PolarMesh, flux: np.ndarray) -> np.ndarray:
-    """Scatter per-triangle fluxes into the nodal energy gradient."""
-    contrib = np.einsum("m,mik,mi->mk", mesh.areas, mesh.grads, flux)
+    """Scatter (M, 2) per-triangle fluxes into the nodal energy gradient."""
+    G, a = mesh.grads, mesh.areas
+    # (M, 3) to ravel like the triangles, filled through its (3, M)
+    # transpose; products taken in place keep one temporary alive
+    contrib = np.empty((mesh.num_triangles, 3))
+    ct = contrib.T
+    np.multiply(a, G[0], out=ct)
+    ct *= flux[:, 0]
+    second = a * G[1]
+    second *= flux[:, 1]
+    ct += second
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.num_nodes)
 
 
+# the (i, j) vertex pairs, i >= j, of the lower triangle of a 3 x 3 block
+_LOWER = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+
+
 def _blocks(mesh: PolarMesh, tangent: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) triangle stiffness blocks areas * G^T T G."""
-    blocks = np.swapaxes(mesh.grads, 1, 2) @ (tangent @ mesh.grads)
-    blocks *= mesh.areas[:, None, None]
-    return blocks
+    """(M, 6) lower entries, in ``_LOWER`` order, of the triangle stiffness
+    blocks areas * G^T T G for an (M, 2, 2) tangent, or one (2, 2) tangent
+    shared by every triangle."""
+    g0, g1 = mesh.grads
+    t00, t01, t11 = tangent[..., 0, 0], tangent[..., 0, 1], tangent[..., 1, 1]
+    tg0 = t00 * g0 + t01 * g1                   # rows of T G, (3, M) each
+    tg1 = t01 * g0 + t11 * g1
+    lower = np.empty((mesh.num_triangles, len(_LOWER)))
+    for e, (i, j) in enumerate(_LOWER):
+        lower[:, e] = (g0[i] * tg0[j] + g1[i] * tg1[j]) * mesh.areas
+    return lower
 
 
 def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
@@ -297,27 +323,28 @@ def _boundary_vector(mesh: PolarMesh, boundary_data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Band:
-    """Scatter map from triangle blocks into the lower band of the interior
-    Hessian, stored as LAPACK's ``ab[i - j, j] = K[i, j]`` in column-major
-    order so that ``cholesky_banded`` factors it in place."""
+    """Scatter map from the lower triangle-block entries into the lower band
+    of the interior Hessian, stored as LAPACK's ``ab[i - j, j] = K[i, j]``
+    in column-major order so that ``cholesky_banded`` factors it in
+    place."""
 
-    entries: np.ndarray     # flat indices into blocks.ravel()
+    entries: np.ndarray     # flat indices into the (M, 6) lower entries
     positions: np.ndarray   # matching flat indices into the column-major ab
     shape: tuple            # (half-bandwidth + 1, number of interior nodes)
 
-    def matrix(self, blocks: np.ndarray) -> np.ndarray:
-        """Banded interior Hessian assembled from (M, 3, 3) blocks."""
+    def matrix(self, lower: np.ndarray) -> np.ndarray:
+        """Banded interior Hessian assembled from (M, 6) lower entries."""
         depth, n = self.shape
-        ab = np.bincount(self.positions, weights=blocks.ravel()[self.entries],
+        ab = np.bincount(self.positions, weights=lower.ravel()[self.entries],
                          minlength=depth * n)
         return ab.reshape(n, depth).T
 
-    def factor(self, blocks: np.ndarray) -> np.ndarray:
-        """Banded Cholesky factor of K, assembled from (M, 3, 3) blocks and
-        factored in place, so the band and its factor share one array; a
-        solve keeps it for at most one reuse.  Raises LinAlgError when K
+    def factor(self, lower: np.ndarray) -> np.ndarray:
+        """Banded Cholesky factor of K, assembled from (M, 6) lower entries
+        and factored in place, so the band and its factor share one array;
+        a solve keeps it for at most one reuse.  Raises LinAlgError when K
         is not numerically positive definite."""
-        return cholesky_banded(self.matrix(blocks), overwrite_ab=True,
+        return cholesky_banded(self.matrix(lower), overwrite_ab=True,
                                lower=True, check_finite=False)
 
 
@@ -327,21 +354,21 @@ def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
-    """Band map for one mesh: every block entry whose row and column are
-    both interior, with row >= column in interior numbering.  The
+    """Band map for one mesh: every lower block entry whose vertices are
+    both interior, placed at (larger, smaller) interior index; blocks are
+    symmetric, so that is the entry the lower band holds.  The
     half-bandwidth is the largest such gap (n_theta + 1 on ring-major
     meshes, n_theta at a disk's center)."""
     local = np.full(mesh.num_nodes, -1, dtype=np.int64)
     local[interior] = np.arange(len(interior))
     lt = local[mesh.triangles]
-    shape = (len(lt), 3, 3)
-    rows = np.broadcast_to(lt[:, :, None], shape).ravel()
-    cols = np.broadcast_to(lt[:, None, :], shape).ravel()
-    entries = np.flatnonzero((cols >= 0) & (rows >= cols))
-    offsets = rows[entries] - cols[entries]
+    i, j = np.array(_LOWER).T
+    a, b = lt[:, i].ravel(), lt[:, j].ravel()   # like the (M, 6) entries
+    entries = np.flatnonzero((a >= 0) & (b >= 0))
+    a, b = a[entries], b[entries]
+    offsets = np.abs(a - b)
     depth = int(offsets.max()) + 1
-    return _Band(entries=entries,
-                 positions=cols[entries] * depth + offsets,
+    return _Band(entries=entries, positions=np.minimum(a, b) * depth + offsets,
                  shape=(depth, len(interior)))
 
 
@@ -349,14 +376,13 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
                         interior: np.ndarray, band: _Band) -> np.ndarray:
     """Initial guess from boundary data u (zero on the interior): discrete
     harmonic extension weighted by the flat tangent g''(0) * Id (one
-    banded linear solve)."""
-    _, tangent = flux_tangent(d, np.zeros((mesh.num_triangles, 2)))
-    blocks = _blocks(mesh, tangent)
-    tri = mesh.triangles
-    Ku = np.bincount(tri.ravel(), weights=(blocks @ u[tri][:, :, None]).ravel(),
-                     minlength=mesh.num_nodes)
+    banded linear solve).  K u is the nodal gradient of the flux
+    g''(0) * grad u of that quadratic energy."""
+    _, flat = flux_tangent(d, np.zeros(2))
+    Ku = _nodal_gradient(mesh, flat[0, 0] * _triangle_gradients(mesh, u))
     out = u.copy()
-    out[interior] = _solve_factored(band.factor(blocks), -Ku[interior])
+    out[interior] = _solve_factored(band.factor(_blocks(mesh, flat)),
+                                    -Ku[interior])
     return out
 
 

@@ -23,7 +23,8 @@ from lingrowth.catenoid import (
     uniform_interior_bound,
 )
 from lingrowth import catenoid
-from lingrowth.density import make_custom_density, make_mu_density, normalize
+from lingrowth.density import (invert_gprime, make_custom_density,
+                               make_mu_density, normalize)
 
 
 def spec2(sign=Sign.PLUS, alpha=1.0, a=0.0, n=2, anchor=Anchor.NECK):
@@ -397,6 +398,18 @@ def test_uniform_bound_mu2_closed_form(mu2):
     assert uniform_interior_bound(mu2, 2.0, 0.25) == pytest.approx(2.75, abs=1e-12)
     assert uniform_interior_bound(mu2, 0.0, 0.999) == pytest.approx(
         0.001, abs=1e-12)
+
+
+def test_uniform_bound_outer_radius_and_radius_array(mu2):
+    # the removability study's caps a + (R - r) * (g')^{-1}(1/2), bit for bit
+    r = np.array([0.3, 1.1, 1.9999])
+    half = invert_gprime(mu2, 0.5)
+    got = uniform_interior_bound(mu2, 0.25, r, 2.0)
+    assert np.array_equal(got, 0.25 + (2.0 - r) * half)
+    assert uniform_interior_bound(mu2, 0.25, 1.1, 2.0) == got[1]
+    for bad in (np.array([0.5, 2.0]), np.array([0.0, 1.0]), 2.5):
+        with pytest.raises(ValueError):
+            uniform_interior_bound(mu2, 0.0, bad, 2.0)
 
 
 def test_uniform_bound_needs_divergent_tail(area):

@@ -332,6 +332,43 @@ def test_flux_tangent_stack_matches_rows(area, mu3, rng):
             d.gsecond(0.0) * np.eye(2), (6, 2, 2)))
 
 
+def broadcast_flux_tangent(d, p):
+    """Oracle: flux and tangent by broadcasting over (..., k, k) arrays,
+    upper entries mirrored below the diagonal by fancy indexing."""
+    p = np.asarray(p, dtype=float)
+    k = p.shape[-1]
+    t = np.hypot.reduce(p, axis=-1, initial=0.0)
+    gp = np.asarray(d.gprime(t), dtype=float)
+    c2 = np.asarray(d.gsecond(t), dtype=float)
+    pos = t > 0.0
+    safe = np.where(pos, t, 1.0)
+    c1 = np.where(pos, gp / safe, c2)
+    flux = c1[..., None] * p
+    ph = p / safe[..., None]
+    coef = np.where(pos, c2 - c1, 0.0)
+    tangent = (coef[..., None, None] * ph[..., :, None]) * ph[..., None, :]
+    upper, lower = np.triu_indices(k, 1)
+    tangent[..., lower, upper] = tangent[..., upper, lower]
+    diag = np.arange(k)
+    tangent[..., diag, diag] += c1[..., None]
+    return flux, tangent
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flux_tangent_matches_broadcast_bitwise(area, mu3, rng, k):
+    p = rng.normal(size=(60, k)) * rng.choice([1e-8, 0.1, 1.0, 30.0],
+                                               size=(60, 1))
+    p[::5] = 0.0
+    for d in (area, mu3):
+        for stack in (p, p.reshape(3, 4, 5, k), p.T.copy().T, p[7]):
+            flux, tangent = flux_tangent(d, stack)
+            want_flux, want_tangent = broadcast_flux_tangent(d, stack)
+            assert flux.shape == want_flux.shape
+            assert tangent.shape == want_tangent.shape
+            assert np.array_equal(flux, want_flux)
+            assert np.array_equal(tangent, want_tangent)
+
+
 def test_hessian_continuous_at_origin(area):
     # radial and tangential eigenvalues both converge to g''(0)
     for norm in (1e-3, 1e-5, 1e-7):

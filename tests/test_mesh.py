@@ -9,9 +9,9 @@ from lingrowth.mesh import (
     NodeTag,
     build_polar_mesh,
     radial_values,
-    rotate_columns,
     same_mesh,
 )
+from rotation import rotate_columns
 
 
 def test_annulus_counts():

@@ -15,7 +15,7 @@ from lingrowth import solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux_tangent
 from lingrowth.experiments import run_comparison_suite
-from lingrowth.mesh import build_polar_mesh, rotate_columns
+from lingrowth.mesh import build_polar_mesh
 from lingrowth.solver import (
     ComparisonResult,
     MeshMismatchError,
@@ -30,21 +30,68 @@ from lingrowth.solver import (
     residual_EL,
     solve_dirichlet,
 )
+from rotation import rotate_columns
 
 
 def affine(mesh, qx, qy, c):
     return c + qx * mesh.nodes[:, 0] + qy * mesh.nodes[:, 1]
 
 
+# -- oracles: the batched small-matrix kernels the solver replaced -----------
+
+
+def hat_gradients(mesh):
+    """(M, 2, 3) triangle-major copy of the component-major hat gradients."""
+    return np.ascontiguousarray(np.moveaxis(mesh.grads, -1, 0))
+
+
+def einsum_triangle_gradients(mesh, u):
+    ut = u[mesh.triangles]
+    ut = ut - ut[:, :1]
+    return np.einsum("mik,mk->mi", hat_gradients(mesh), ut)
+
+
+def einsum_nodal_gradient(mesh, flux):
+    contrib = np.einsum("m,mik,mi->mk", mesh.areas, hat_gradients(mesh), flux)
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_nodes)
+
+
+def matmul_blocks(mesh, tangent):
+    """(M, 3, 3) triangle stiffness blocks areas * G^T T G."""
+    G = hat_gradients(mesh)
+    blocks = np.swapaxes(G, 1, 2) @ (tangent @ G)
+    blocks *= mesh.areas[:, None, None]
+    return blocks
+
+
+def bincount_band(mesh, interior, blocks):
+    """Lower band ab[i - j, j] = K[i, j] of the interior Hessian, scattered
+    from every entry of (M, 3, 3) blocks whose row is at least its column
+    in interior numbering."""
+    local = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    local[interior] = np.arange(len(interior))
+    lt = local[mesh.triangles]
+    rows = np.repeat(lt, 3, axis=1).ravel()
+    cols = np.tile(lt, (1, 3)).ravel()
+    keep = (cols >= 0) & (rows >= cols)
+    offsets = rows[keep] - cols[keep]
+    depth = int(offsets.max()) + 1
+    ab = np.bincount(cols[keep] * depth + offsets,
+                     weights=blocks.ravel()[keep],
+                     minlength=depth * len(interior))
+    return ab.reshape(len(interior), depth).T
+
+
 def coo_hessian(d, mesh, u):
-    """Full-node energy Hessian summed from the triangle blocks by sparse
-    COO assembly: the reference the banded interior matrix is checked
-    against."""
+    """Full-node energy Hessian summed from the oracle's triangle blocks by
+    sparse COO assembly: the reference the banded interior matrix is
+    checked against."""
     _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix((_blocks(mesh, tangent).ravel(), (rows, cols)),
+    return sp.coo_matrix((matmul_blocks(mesh, tangent).ravel(), (rows, cols)),
                          shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
 
 
@@ -111,12 +158,67 @@ def test_assembly_matches_energy_differences(density, request):
                                atol=1e-3 * np.max(np.abs(hess)))
 
 
+# -- kernels against their oracles --------------------------------------------
+
+KERNEL_MESHES = [
+    ((0.0, 1.0, 5, 9), {}),                    # disk: center node interior
+    ((0.2, 1.0, 6, 12), {"inner_layers": 2}),  # graded annulus
+]
+
+
+def _rough_field(mesh, rng, offset=0.0):
+    return (offset + 0.7 * mesh.nodes[:, 0]
+            + np.sin(3.0 * mesh.node_angles()) * mesh.node_radii()
+            + 0.1 * rng.normal(size=mesh.num_nodes))
+
+
+@pytest.mark.parametrize("args, kw", KERNEL_MESHES)
+def test_triangle_gradients_match_einsum_bitwise(rng, args, kw):
+    mesh = build_polar_mesh(*args, **kw)
+    for offset in (0.0, 1e6):
+        u = _rough_field(mesh, rng, offset)
+        p = _triangle_gradients(mesh, u)
+        assert p.shape == (mesh.num_triangles, 2)
+        assert np.array_equal(p, einsum_triangle_gradients(mesh, u))
+
+
+@pytest.mark.parametrize("args, kw", KERNEL_MESHES)
+def test_nodal_gradient_matches_einsum_bitwise(mu3, rng, args, kw):
+    mesh = build_polar_mesh(*args, **kw)
+    p = _triangle_gradients(mesh, _rough_field(mesh, rng))
+    flux, _ = flux_tangent(mu3, p)
+    for f in (flux, rng.normal(size=(mesh.num_triangles, 2))):
+        assert np.array_equal(_nodal_gradient(mesh, f),
+                              einsum_nodal_gradient(mesh, f))
+
+
+@pytest.mark.parametrize("args, kw", KERNEL_MESHES)
+def test_band_matches_matmul_assembly(area, mu3, rng, args, kw):
+    mesh = build_polar_mesh(*args, **kw)
+    ii = mesh.interior_nodes()
+    for d in (area, mu3):
+        p = _triangle_gradients(mesh, _rough_field(mesh, rng))
+        _, tangent = flux_tangent(d, p)
+        got = _band(mesh, ii).matrix(_blocks(mesh, tangent))
+        want = bincount_band(mesh, ii, matmul_blocks(mesh, tangent))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=4e-16 * np.max(np.abs(want)))
+
+
+def test_blocks_of_one_shared_tangent(mu3):
+    # the harmonic extension passes one (2, 2) tangent for every triangle
+    mesh = build_polar_mesh(0.2, 1.0, 6, 12, inner_layers=2)
+    _, flat = flux_tangent(mu3, np.zeros(2))
+    stacked = np.broadcast_to(flat, (mesh.num_triangles, 2, 2))
+    assert np.array_equal(_blocks(mesh, flat), _blocks(mesh, stacked))
+
+
 # -- banded interior Hessian --------------------------------------------------
 
 
 def _band_and_sparse(d, mesh, rng):
-    u = (0.7 * mesh.nodes[:, 0] + np.sin(3.0 * mesh.node_angles())
-         * mesh.node_radii() + 0.1 * rng.normal(size=mesh.num_nodes))
+    u = _rough_field(mesh, rng)
     ii = mesh.interior_nodes()
     band = _band(mesh, ii)
     _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
