@@ -227,6 +227,35 @@ def build_polar_mesh(r_in: float, r_out: float, n_r: int,
     )
 
 
+def one_column(mesh: PolarMesh) -> PolarMesh:
+    """The mesh of one angular column, on which a field constant on each
+    ring of ``mesh`` has one unknown per ring: node k is ring k, at angle
+    0, with the ring's boundary tag (a disk's center is its ring 0).
+
+    Its triangles are those of column 0, the ones with every vertex in
+    column 0 or 1, re-indexed by ring, so two vertices of each share a
+    node.  Their hat gradients are copied and their areas scaled by
+    n_theta.  ``mesh`` maps onto itself under rotation by one angular
+    step, so a ring-constant field has exactly n_theta times the column's
+    energy, and its energy gradient summed over each ring is n_theta times
+    the column's.  The column has n_theta = 1, so its :meth:`PolarMesh.rings`
+    grid is one value per ring.
+    """
+    n_rings = len(mesh.ring_radii)
+    ring = mesh.from_rings(np.arange(n_rings)[:, None])
+    col = mesh.from_rings(np.arange(mesh.n_theta))
+    in_column = np.all(col[mesh.triangles] <= 1, axis=1)
+    return PolarMesh(
+        r_in=mesh.r_in, r_out=mesh.r_out, n_r=mesh.n_r, n_theta=1,
+        nodes=np.column_stack([mesh.ring_radii, np.zeros(n_rings)]),
+        triangles=ring[mesh.triangles[in_column]],
+        node_tags=mesh.rings(mesh.node_tags)[:, 0].copy(),
+        ring_radii=mesh.ring_radii,
+        areas=mesh.n_theta * mesh.areas[in_column],
+        grads=mesh.grads[:, :, in_column],
+    )
+
+
 def _triangle_geometry(nodes, triangles):
     """Signed areas and hat-function gradients, vectorized over triangles."""
     p0 = nodes[triangles[:, 0]]

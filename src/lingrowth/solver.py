@@ -31,6 +31,13 @@ Cholesky factorization (``dpbtrf``) and one pair of triangular solves
 (``dpbtrs``).  A matrix that is not numerically positive definite, or a
 non-finite step, falls back to the gradient direction.
 
+The band is the Galerkin matrix of whatever mesh is passed, including the
+one-column mesh of :func:`lingrowth.mesh.one_column`, whose triangles each
+have two vertices on one node.  An off-diagonal block entry stands for
+both K_ij and K_ji; where its two vertices are one node, both land on the
+diagonal, so the entry is added there twice.  No triangle of a 2D mesh
+repeats a vertex, so their bands do not change.
+
 Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
 energy sum, and the Armijo test can no longer see it.  In that rounding
@@ -358,13 +365,17 @@ def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
     both interior, placed at (larger, smaller) interior index; blocks are
     symmetric, so that is the entry the lower band holds.  The
     half-bandwidth is the largest such gap (n_theta + 1 on ring-major
-    meshes, n_theta at a disk's center)."""
+    meshes, n_theta at a disk's center).  An off-diagonal entry whose two
+    vertices are one node (on a one-column mesh) is placed on the diagonal
+    twice, once for K_ij and once for K_ji."""
     local = np.full(mesh.num_nodes, -1, dtype=np.int64)
     local[interior] = np.arange(len(interior))
     lt = local[mesh.triangles]
     i, j = np.array(_LOWER).T
     a, b = lt[:, i].ravel(), lt[:, j].ravel()   # like the (M, 6) entries
-    entries = np.flatnonzero((a >= 0) & (b >= 0))
+    twice = [np.flatnonzero((lt[:, p] == lt[:, q]) & (lt[:, q] >= 0))
+             * len(_LOWER) + e for e, (p, q) in enumerate(_LOWER) if p != q]
+    entries = np.concatenate([np.flatnonzero((a >= 0) & (b >= 0)), *twice])
     a, b = a[entries], b[entries]
     offsets = np.abs(a - b)
     depth = int(offsets.max()) + 1

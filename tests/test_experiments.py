@@ -229,8 +229,22 @@ def test_removability_warm_starts_match_cold(monkeypatch, dcfg):
     cfg = RemovabilityConfig(density=dcfg, epsilons=(0.2, 0.1), n_r=12,
                              n_theta=16, inner_layers=2)
     assert run_removability(cfg).all_checks_pass()
-    assert len(calls) == 3  # reference disk, then one annulus per epsilon
-    _assert_warm_matches_cold(calls, n_warm=2)
+    # reference disk, then per epsilon the ring problem on one column and
+    # the annulus started from its solution
+    assert len(calls) == 5
+    assert [mesh.n_theta for _, mesh, *_ in calls] == [16, 1, 16, 1, 16]
+    _assert_warm_matches_cold(calls, n_warm=4)
+
+
+@pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])
+def test_removability_annuli_take_at_most_two_steps(monkeypatch, dcfg):
+    # the default sweep: each annulus starts from the exact solution of its
+    # ring-constant problem, so only the reference's angular part is left
+    calls = _record_solves(monkeypatch)
+    assert run_removability(RemovabilityConfig(density=dcfg)).all_checks_pass()
+    annuli = [sol.iterations for _, mesh, *_, sol in calls
+              if mesh.n_theta > 1 and not mesh.is_disk]
+    assert len(annuli) == 4 and max(annuli) <= 2
 
 
 def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):
@@ -477,4 +491,5 @@ def test_removability_solves_on_the_calling_thread(monkeypatch):
     cfg = RemovabilityConfig(density={"kind": "area"},
                              **{**FAST, "epsilons": (0.3, 0.2, 0.15, 0.1)})
     assert run_removability(cfg).all_checks_pass()
-    assert threads == [threading.get_ident()] * 5
+    # the reference disk, then a ring solve and an annulus solve per epsilon
+    assert threads == [threading.get_ident()] * 9

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from lingrowth.density import flux_tangent
 from lingrowth.mesh import (
     NodeTag,
     build_polar_mesh,
+    one_column,
     radial_values,
     same_mesh,
 )
+from lingrowth.solver import (_nodal_gradient, _triangle_gradients, energy,
+                              solve_dirichlet)
 from rotation import rotate_columns
 
 
@@ -282,3 +286,73 @@ def test_graded_mesh_interpolation_still_exact():
     r = 0.5 + 0.125 / 3.0  # inside the graded zone, off every ring
     np.testing.assert_allclose(radial_values(m, vals, r),
                                np.full(12, 2.0 * r + 1.0), atol=1e-13)
+
+
+# -- one-column mesh of ring-constant fields ------------------------------------
+
+COLUMN_MESHES = [
+    ((0.1, 1.0, 6, 12), {"inner_layers": 3}),   # graded annulus
+    ((0.0, 1.0, 5, 9), {}),                     # disk: the center is ring 0
+]
+
+
+@pytest.mark.parametrize("args, kw", COLUMN_MESHES)
+def test_one_column_layout(args, kw):
+    mesh = build_polar_mesh(*args, **kw)
+    column = one_column(mesh)
+    n_rings = len(mesh.ring_radii)
+    assert column.n_theta == 1 and column.num_nodes == n_rings
+    assert column.is_disk == mesh.is_disk
+    assert np.array_equal(column.ring_radii, mesh.ring_radii)
+    assert np.array_equal(column.node_radii(), mesh.ring_radii)
+    assert np.array_equal(column.node_tags, mesh.node_tags[
+        [mesh.node_index(k, 0) for k in range(n_rings)]])
+    # two triangles per cell of the column, one fan triangle at a center
+    assert column.num_triangles == 2 * (n_rings - 1) - mesh.is_disk
+    # each triangle spans two neighbouring rings, two vertices on one
+    rows = np.sort(column.triangles, axis=1)
+    assert np.all(rows[:, 2] - rows[:, 0] == 1)
+    assert np.all((rows[:, 1] == rows[:, 0]) | (rows[:, 1] == rows[:, 2]))
+    np.testing.assert_allclose(column.area_total, mesh.area_total,
+                               rtol=1e-14)
+    assert np.array_equal(column.rings(np.arange(n_rings)).ravel(),
+                          np.arange(n_rings))
+
+
+@pytest.mark.parametrize("args, kw", COLUMN_MESHES)
+@pytest.mark.parametrize("density", ["area", "mu3"])
+def test_one_column_energy_and_gradient_of_ring_constant_fields(
+        density, args, kw, request, rng):
+    d = request.getfixturevalue(density)
+    mesh = build_polar_mesh(*args, **kw)
+    column = one_column(mesh)
+    n_rings = len(mesh.ring_radii)
+    ring = mesh.from_rings(np.arange(n_rings)[:, None])
+    for w in (np.sin(4.0 * mesh.ring_radii), rng.normal(size=n_rings)):
+        u = mesh.from_rings(w[:, None])
+        assert energy(d, column, w) == pytest.approx(energy(d, mesh, u),
+                                                     rel=1e-14)
+        full = _nodal_gradient(
+            mesh, flux_tangent(d, _triangle_gradients(mesh, u))[0])
+        want = np.bincount(ring, weights=full, minlength=n_rings)
+        got = _nodal_gradient(
+            column, flux_tangent(d, _triangle_gradients(column, w))[0])
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("density", ["area", "mu2", "mu3"])
+def test_one_column_solve_matches_the_full_solve(density, request):
+    # ring-constant data have a ring-constant minimizer (it is unique and
+    # the mesh is rotation invariant), so the column solves the same problem
+    d = request.getfixturevalue(density)
+    mesh = build_polar_mesh(0.05, 1.0, 12, 16, inner_layers=3)
+    column = one_column(mesh)
+    w = np.zeros(len(mesh.ring_radii))
+    w[0], w[-1] = 1.0, 0.2
+    full = solve_dirichlet(d, mesh, mesh.from_rings(w[:, None]))
+    ring = solve_dirichlet(d, column, w)
+    np.testing.assert_allclose(mesh.from_rings(column.rings(ring.values)),
+                               full.values, rtol=0, atol=1e-9)
+    assert abs(ring.iterations - full.iterations) <= 1
+    assert ring.energy == pytest.approx(full.energy, rel=1e-12)

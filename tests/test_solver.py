@@ -15,12 +15,14 @@ from lingrowth import solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux_tangent
 from lingrowth.experiments import run_comparison_suite
-from lingrowth.mesh import build_polar_mesh
+from lingrowth.mesh import build_polar_mesh, one_column
 from lingrowth.solver import (
+    _LOWER,
     ComparisonResult,
     MeshMismatchError,
     NonConvergenceError,
     SolverOptions,
+    _Band,
     _band,
     _blocks,
     _nodal_gradient,
@@ -81,6 +83,23 @@ def bincount_band(mesh, interior, blocks):
                      weights=blocks.ravel()[keep],
                      minlength=depth * len(interior))
     return ab.reshape(len(interior), depth).T
+
+
+def band_counting_each_entry_once(mesh, interior):
+    """Band map that places every lower block entry once, also an
+    off-diagonal one whose two vertices are one node: right on 2D meshes,
+    where no such entry exists, and wrong on a one-column mesh."""
+    local = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    local[interior] = np.arange(len(interior))
+    lt = local[mesh.triangles]
+    i, j = np.array(_LOWER).T
+    a, b = lt[:, i].ravel(), lt[:, j].ravel()
+    entries = np.flatnonzero((a >= 0) & (b >= 0))
+    a, b = a[entries], b[entries]
+    offsets = np.abs(a - b)
+    depth = int(offsets.max()) + 1
+    return _Band(entries=entries, positions=np.minimum(a, b) * depth + offsets,
+                 shape=(depth, len(interior)))
 
 
 def coo_hessian(d, mesh, u):
@@ -261,6 +280,54 @@ def test_band_step_matches_sparse_solve(area, rng):
     got = solver._solve_factored(cholesky_banded(ab, lower=True), rhs)
     np.testing.assert_allclose(got, want, rtol=0.0,
                                atol=1e-10 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("args, kw", KERNEL_MESHES + [
+    ((0.025, 1.0, 48, 64), {"inner_layers": 6}),   # a removability annulus
+])
+def test_band_map_of_2d_meshes_is_unchanged(args, kw):
+    # no 2D triangle repeats a vertex, so the coincident-vertex rule adds
+    # nothing and the band stays bit-identical
+    mesh = build_polar_mesh(*args, **kw)
+    ii = mesh.interior_nodes()
+    got, want = _band(mesh, ii), band_counting_each_entry_once(mesh, ii)
+    assert np.array_equal(got.entries, want.entries)
+    assert np.array_equal(got.positions, want.positions)
+    assert got.shape == want.shape
+
+
+@pytest.mark.parametrize("density", ["area", "mu2", "mu3"])
+def test_one_column_band_is_the_ring_summed_hessian(density, request, rng):
+    # P^T K P, with K the full Hessian at a ring-constant field and P the
+    # indicator of the interior rings, is the Hessian of the ring problem
+    d = request.getfixturevalue(density)
+    mesh = build_polar_mesh(0.1, 1.0, 6, 12, inner_layers=3)
+    column = one_column(mesh)
+    w = 0.7 * np.cos(3.0 * column.ring_radii) + 0.05 * rng.normal(
+        size=len(column.ring_radii))
+    u = mesh.from_rings(w[:, None])
+    ii = mesh.interior_nodes()
+    ring = mesh.from_rings(np.arange(len(mesh.ring_radii))[:, None])[ii]
+    rings = np.unique(ring)
+    P = sp.csr_matrix((np.ones(len(ii)), (np.arange(len(ii)),
+                                          np.searchsorted(rings, ring))))
+    K = coo_hessian(d, mesh, u)[ii][:, ii]
+    want = (P.T @ K @ P).toarray()
+
+    _, tangent = flux_tangent(d, _triangle_gradients(column, w))
+    blocks = _blocks(column, tangent)
+    ci = column.interior_nodes()
+    assert np.array_equal(ci, np.arange(1, len(w) - 1))
+    ab = _band(column, ci).matrix(blocks)
+    assert ab.shape == (2, len(rings))
+    atol = 1e-14 * np.max(np.abs(K))
+    np.testing.assert_allclose(ab[0], np.diagonal(want), rtol=0, atol=atol)
+    np.testing.assert_allclose(ab[1, :-1], np.diagonal(want, -1), rtol=0,
+                               atol=atol)
+    # counting each coincident entry once misses one of K_ij, K_ji
+    once = band_counting_each_entry_once(column, ci).matrix(blocks)
+    assert np.max(np.abs(once[0] - np.diagonal(want))) > 1e-3 * np.max(
+        np.abs(want))
 
 
 def _not_positive_definite(*args, **kwargs):
