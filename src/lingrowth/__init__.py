@@ -6,6 +6,8 @@ convex, linearly growing g:
 
 * :mod:`lingrowth.density` -- the densities themselves with validation,
   normalization, slope inversion, and the neck-integral growth dichotomy;
+* :mod:`lingrowth.quadrature` -- adaptive Gauss-Kronrod quadrature, a
+  port of QUADPACK's QAGS for integrands that take arrays;
 * :mod:`lingrowth.catenoid` -- radial catenoid-type barrier profiles via
   two independent quadrature routes, flux-identity checking, and interior
   envelope bounds;
@@ -18,11 +20,10 @@ convex, linearly growing g:
 * :mod:`lingrowth.cli` -- the ``lingrowth`` command.
 """
 
-from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError,
-                       RadialProfile, Sign, envelope_bound, envelope_bounds,
-                       neck_limit, ode_residual, profile_value,
-                       profile_value_substituted, profile_values,
-                       sample_profile, uniform_interior_bound)
+from .catenoid import (Anchor, CatenoidSpec, RadialProfile, Sign,
+                       envelope_bound, envelope_bounds, neck_limit,
+                       ode_residual, profile_value, profile_value_substituted,
+                       profile_values, sample_profile, uniform_interior_bound)
 from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
                       ValidationReport, classify_growth, density_from_config,
                       flux_tangent, invert_gprime, make_area_density,
@@ -32,6 +33,7 @@ from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
 from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values, same_mesh
+from .quadrature import QuadratureAccuracyError
 from .solver import (ComparisonResult, DiscreteSolution, MeshMismatchError,
                      NonConvergenceError, SolverOptions, check_comparison,
                      energy, residual_EL, solve_dirichlet)

@@ -36,18 +36,20 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .density import Density, Growth, classify_growth, invert_gprime
+from .quadrature import QuadratureAccuracyError, integrate
 
 # Certified absolute accuracy demanded from every profile quadrature.
 # The direct route's integrand loses digits to cancellation in
-# 1 - alpha/r^(n-1) as r approaches the neck, which puts QUADPACK's
-# achievable error bound near 1e-10 there; 1e-9 keeps the contract
-# honest while staying an order of magnitude below the 1e-8 agreement
-# tolerances downstream.
+# 1 - alpha/r^(n-1) as r approaches the neck, which puts the achievable
+# error bound of the QUADPACK QAGS port (:mod:`lingrowth.quadrature`)
+# near 1e-10 there; 1e-9 keeps the contract honest while staying an order
+# of magnitude below the 1e-8 agreement tolerances downstream.
 QUAD_ABS_TOL = 1e-9
 _NEAR_NECK_FRACTION = 0.1
+# largest slope argument below 1, for nodes that round onto the neck
+_Y_MAX = 1.0 - 1e-16
 
 
 class Sign(Enum):
@@ -64,14 +66,6 @@ class Anchor(Enum):
 
     NECK = "neck"
     UNIT = "unit"
-
-
-class QuadratureAccuracyError(RuntimeError):
-    """Adaptive quadrature could not meet the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved error bound {achieved:.3e})")
-        self.achieved = achieved
 
 
 @dataclass(frozen=True)
@@ -150,17 +144,6 @@ def _require_normalized(d: Density):
             "call normalize() first")
 
 
-def _checked_quad(f, lo, hi, *, abs_tol=QUAD_ABS_TOL, what="integral"):
-    # full_output=1 keeps QUADPACK from warning when it stops early; the
-    # achieved error bound is checked against the contract instead.
-    out = quad(f, lo, hi, epsabs=abs_tol * 1e-2, epsrel=1e-12,
-               limit=200, full_output=1)
-    val, err = out[0], out[1]
-    if err > abs_tol:
-        raise QuadratureAccuracyError(f"{what} did not converge", err)
-    return val
-
-
 def _decade_points(lo: float, hi: float) -> list:
     """Split [lo, hi] at powers of ten: wide smooth tails integrate best
     one decade at a time."""
@@ -176,10 +159,8 @@ def _decade_points(lo: float, hi: float) -> list:
 
 def _radial_integrand(d: Density, alpha: float, n: int):
     def f(r):
-        y = alpha / r ** (n - 1)
-        if y >= 1.0:
-            y = 1.0 - 1e-16  # only reachable by endpoint roundoff
-        return invert_gprime(d, y)
+        # y reaches 1 only by roundoff at the neck
+        return invert_gprime(d, np.minimum(alpha / r ** (n - 1), _Y_MAX))
     return f
 
 
@@ -188,18 +169,20 @@ def _radial_integrals(d: Density, alpha: float, n: int,
     """integral( (g')^{-1}(alpha / r^{n-1}), r = radii[0]..radii[i] ) for
     every i, accumulated over the gaps between consecutive radii.
 
-    Each gap is one quadrature panel certified to
-    QUAD_ABS_TOL / (len(radii) - 1), so every cumulative value stays within
-    QUAD_ABS_TOL.  The radii must not descend.  The integrand may be
+    Each gap is one QAGS interval (:func:`lingrowth.quadrature.integrate`)
+    certified to QUAD_ABS_TOL / (len(radii) - 1), so every cumulative value
+    stays within QUAD_ABS_TOL.  The first Gauss-Kronrod pass covers every
+    gap in one array evaluation, and only the gaps it leaves open are
+    bisected further.  The radii must not descend.  The integrand may be
     (integrably) singular at radii[0] when it equals the neck radius;
     Gauss-Kronrod panels never evaluate the endpoints, and the QUADPACK
-    extrapolation handles the algebraic blow-up.
+    epsilon extrapolation handles the algebraic blow-up.
     """
-    f = _radial_integrand(d, alpha, n)
-    gaps = [_checked_quad(f, lo, hi, abs_tol=QUAD_ABS_TOL / (len(radii) - 1),
-                          what="radial profile integral")
-            for lo, hi in zip(radii[:-1], radii[1:])]
-    return np.cumsum([0.0] + gaps)
+    radii = np.asarray(radii, dtype=float)
+    gaps = integrate(_radial_integrand(d, alpha, n), radii[:-1], radii[1:],
+                     QUAD_ABS_TOL / max(len(radii) - 1, 1),  # one radius: none
+                     what="radial profile integral")
+    return np.cumsum(np.concatenate(([0.0], gaps)))
 
 
 def _check_radii(radii, neck: float) -> np.ndarray:
@@ -223,8 +206,7 @@ def _substituted_integrand(d: Density, n: int):
     expo = -n / (n - 1.0)
 
     def phi(s):
-        gp = float(d.gprime(s))
-        return s * float(d.gsecond(s)) * gp ** expo / (n - 1.0)
+        return s * d.gsecond(s) * d.gprime(s) ** expo / (n - 1.0)
     return phi
 
 
@@ -270,13 +252,10 @@ def _substituted_integral(d: Density, n: int, s_lo: float,
         budget *= 0.9
     if s_hi <= s_lo:
         return 0.0
-    points = _decade_points(s_lo, s_hi)
-    per_panel = budget / len(points)
-    total = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        total += _checked_quad(phi, a, b, abs_tol=per_panel,
-                               what="substituted profile integral")
-    return total
+    points = np.array(_decade_points(s_lo, s_hi))
+    panels = integrate(phi, points[:-1], points[1:], budget / len(points),
+                       what="substituted profile integral")
+    return float(np.cumsum(panels)[-1])
 
 
 def _check_radius(spec: CatenoidSpec, rho: float):
@@ -451,8 +430,8 @@ def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
     offsets = np.geomspace(rho_min - neck, rho_max - neck, num)
     rho = neck + offsets
     values = profile_values(d, spec, rho)
-    slopes = spec.sign.factor * np.array(
-        [invert_gprime(d, spec.alpha / r ** (spec.dim_n - 1)) for r in rho])
+    slopes = spec.sign.factor * invert_gprime(
+        d, spec.alpha / rho ** (spec.dim_n - 1))
     return RadialProfile(
         alpha=spec.alpha, dim_n=spec.dim_n,
         rho=rho, values=values, slopes=slopes,

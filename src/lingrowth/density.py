@@ -30,8 +30,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+
+from .quadrature import qagse
 
 
 class Growth(Enum):
@@ -406,35 +406,89 @@ def _rescaled(d: Density) -> Density:
 # slope inversion
 
 
-_INVERT_RTOL = 8.9e-16  # brentq floor, about 4 ulp
+_INVERT_RTOL = 8.9e-16  # Newton step below this share of t, about 4 ulp
+_INVERT_RESIDUAL = 1e-12  # |g'(t) - y| <= this * max(1, y)
+_INVERT_MAX_ITER = 200
 _BRACKET_CAP = 1e300
 
 
-def invert_gprime(d: Density, y: float) -> float:
+def invert_gprime(d: Density, y):
     """Solve g'(t) = y for t, with y in [0, 1) on a normalized density.
 
-    Uses the closed-form inverse when the density carries one; otherwise a
-    bracket is grown by doubling from t = 1 and the root is polished to a
-    residual below 1e-12 * max(1, y).
-    """
-    y = float(y)
-    if y < 0.0 or y >= 1.0:
-        raise ValueError(f"invert_gprime requires 0 <= y < 1, got {y}")
-    if y == 0.0:
-        return 0.0
-    if d.analytic_inverse is not None:
-        return float(d.analytic_inverse(y))
+    ``y`` is one value or an array of them; the result is a float or an
+    array of y's shape.  A closed-form inverse, when the density carries
+    one, is applied as it is.  Otherwise each root is bracketed by
+    doubling from t = 1 and found by Newton steps on g', safeguarded by
+    bisection (:func:`_newton_inverse`).
 
-    lo, hi = 0.0, 1.0
-    while float(d.gprime(hi)) < y:
-        lo = hi
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise ValueError(
-                f"slope never reaches {y}; density may not be normalized")
-    t = brentq(lambda s: float(d.gprime(s)) - y, lo, hi,
-               xtol=1e-15, rtol=_INVERT_RTOL, maxiter=200)
-    return float(t)
+    Raises ``ValueError`` if any y lies outside [0, 1), or if g' never
+    reaches y below t = 1e300.
+    """
+    y_arr = np.asarray(y, dtype=float)
+    # one y and many take the same (1-d) array loops, so give the same bits
+    flat = y_arr.reshape(-1)
+    inside = (flat >= 0.0) & (flat < 1.0)
+    if not inside.all():
+        raise ValueError("invert_gprime requires 0 <= y < 1, got "
+                         f"{flat[~inside][0]}")
+    if d.analytic_inverse is not None:
+        t = np.asarray(d.analytic_inverse(flat), dtype=float)
+    else:
+        t = _newton_inverse(d, flat)
+    return float(t[0]) if y_arr.ndim == 0 else t.reshape(y_arr.shape)
+
+
+def _newton_inverse(d: Density, y: np.ndarray) -> np.ndarray:
+    """g'(t) = y solved for each entry of a 1-d ``y`` on a density without
+    closed-form inverse.
+
+    Each positive y is bracketed by doubling from [0, 1] until g'(hi) >= y.
+    Newton steps on g', using g'' > 0, start at the bracket's lower end;
+    a step that would leave the bracket, or fails to halve the step
+    before it, bisects instead (Numerical Recipes' ``rtsafe``).  A root is
+    done when its residual is zero, or when its last step is at most
+    _INVERT_RTOL * t and its residual at most 1e-12 * max(1, y).
+    """
+    t_out = np.zeros_like(y)
+    pending = np.flatnonzero(y > 0.0)
+    yv = y[pending]
+    lo = np.zeros_like(yv)
+    hi = np.ones_like(yv)
+    low = d.gprime(hi) < yv
+    while np.any(low):
+        lo = np.where(low, hi, lo)
+        hi = np.where(low, 2.0 * hi, hi)
+        if np.any(hi > _BRACKET_CAP):
+            raise ValueError(f"slope never reaches {yv[hi > _BRACKET_CAP][0]}"
+                             "; density may not be normalized")
+        low = d.gprime(hi) < yv
+
+    tol = _INVERT_RESIDUAL * np.maximum(1.0, yv)
+    t = lo
+    h = d.gprime(t) - yv
+    step_old = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_INVERT_MAX_ITER):
+            if pending.size == 0:
+                return t_out
+            gpp = d.gsecond(t)
+            newton = t - h / gpp
+            take = ((gpp > 0.0) & (lo < newton) & (newton < hi)
+                    & (np.abs(2.0 * h) <= np.abs(step_old * gpp)))
+            t_new = np.where(take, newton, 0.5 * (lo + hi))
+            step_old = t_new - t
+            t = t_new
+            h = d.gprime(t) - yv
+            lo = np.where(h < 0.0, t, lo)
+            hi = np.where(h > 0.0, t, hi)
+            done = (h == 0.0) | ((np.abs(step_old) <= _INVERT_RTOL * t)
+                                 & (np.abs(h) <= tol))
+            t_out[pending[done]] = t[done]
+            keep = ~done
+            pending, yv, tol, t, h, lo, hi, step_old = (
+                a[keep] for a in (pending, yv, tol, t, h, lo, hi, step_old))
+    raise RuntimeError(f"slope inverse did not converge in "
+                       f"{_INVERT_MAX_ITER} iterations for y = {yv[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +515,9 @@ def classify_growth(d: Density) -> Growth:
     if d.growth is not Growth.UNDETERMINED:
         return d.growth
 
-    increments = []
-    for a, b in zip(_CLASSIFY_EDGES[:-1], _CLASSIFY_EDGES[1:]):
-        val, _ = quad(lambda t: t * float(d.gsecond(t)), a, b,
-                      epsabs=1e-10, epsrel=1e-8, limit=200)
-        increments.append(val)
-    deltas = increments[1:]  # growth of I(T) across the three last decades
+    increments, _ = qagse(lambda t: t * d.gsecond(t), _CLASSIFY_EDGES[:-1],
+                          _CLASSIFY_EDGES[1:], 1e-10, 1e-8)
+    deltas = increments[1:].tolist()  # growth of I(T) over the last decades
 
     if all(dlt <= 1e-12 for dlt in deltas):
         return Growth.FINITE_INTEGRAL

@@ -276,12 +276,12 @@ def test_envelope_bounds_gap_budgets_sum_to_the_contract(area, monkeypatch):
     """One panel per gap, the last one ending at R, each certified to an
     equal share of QUAD_ABS_TOL."""
     budgets = []
-    checked = catenoid._checked_quad
+    checked = catenoid.integrate
 
-    def recording(f, lo, hi, *, abs_tol=QUAD_ABS_TOL, what="integral"):
-        budgets.append((hi, abs_tol))
-        return checked(f, lo, hi, abs_tol=abs_tol, what=what)
-    monkeypatch.setattr(catenoid, "_checked_quad", recording)
+    def recording(f, lo, hi, abs_tol, what="integral"):
+        budgets.extend((end, abs_tol) for end in np.atleast_1d(hi))
+        return checked(f, lo, hi, abs_tol, what)
+    monkeypatch.setattr(catenoid, "integrate", recording)
     envelope_bounds(area, 0.1, np.linspace(0.15, 0.95, 9), 1.0, 0.0, 2)
     assert len(budgets) == 9 and budgets[-1][0] == 1.0
     assert sum(tol for _, tol in budgets) <= QUAD_ABS_TOL * (1 + 1e-12)

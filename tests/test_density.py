@@ -203,7 +203,7 @@ def test_normalize_pins_the_classified_growth(monkeypatch):
     def no_probe(*args, **kwargs):
         raise AssertionError("growth probe ran after normalize")
 
-    monkeypatch.setattr(density, "quad", no_probe)
+    monkeypatch.setattr(density, "qagse", no_probe)
     assert classify_growth(d) is Growth.FINITE_INTEGRAL
     spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
     for r in np.linspace(1.1, 3.0, 20):
@@ -211,7 +211,7 @@ def test_normalize_pins_the_classified_growth(monkeypatch):
 
 
 def test_declared_growth_is_the_answer(monkeypatch):
-    monkeypatch.setattr(density, "quad", None)      # any probe would fail
+    monkeypatch.setattr(density, "qagse", None)     # any probe would fail
     base = make_area_density()
     declared = make_custom_density(base.g, base.gprime, base.gsecond,
                                    gprime_inf=1.0,
@@ -242,8 +242,60 @@ def test_invert_gprime_domain(area, y):
         invert_gprime(area, y)
 
 
+def _stripped(d):
+    """``d`` without its closed-form inverse: inversion takes the
+    safeguarded Newton path."""
+    return make_custom_density(d.g, d.gprime, d.gsecond, gprime_inf=1.0)
+
+
+# y from 0 through 1 - 1e-12: tiny slopes, the bulk, and near-vertical ones
+_Y_SWEEP = np.concatenate(([0.0], np.geomspace(1e-300, 1e-3, 60),
+                           np.linspace(1e-3, 0.999, 300),
+                           1.0 - np.geomspace(1e-12, 1e-3, 200)))
+
+
+@pytest.mark.parametrize("which", ["area", "mu2", "mu3", "newton"])
+def test_invert_gprime_arrays_match_scalar_calls(request, which):
+    d = (_stripped(make_area_density()) if which == "newton"
+         else request.getfixturevalue(which))
+    got = invert_gprime(d, _Y_SWEEP)
+    assert got.shape == _Y_SWEEP.shape
+    want = [invert_gprime(d, float(y)) for y in _Y_SWEEP]
+    assert all(isinstance(t, float) for t in want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        invert_gprime(d, _Y_SWEEP[:300].reshape(20, 15)), got[:300].reshape(20, 15))
+
+
+def test_invert_gprime_newton_is_within_4_ulp_of_closed_form():
+    """The area slope without its closed form, on y in (0, 1 - 1e-12].
+
+    Near y = 1 the slope saturates, and one ulp of y moves the root by
+    ulp(y) / g''(t), about 40 at y = 1 - 1e-12, where t is 7e5.  No
+    double carries t more precisely than that, the closed form included.
+    So the gap is counted in units of ulp(t) + ulp(y) / g''(t): an ulp of
+    t plus an ulp of y carried through the inverse.  Where the root is
+    well conditioned that is about one ulp of t."""
+    area = make_area_density()
+    y = _Y_SWEEP[1:]
+    closed = invert_gprime(area, y)
+    newton = invert_gprime(_stripped(area), y)
+    unit = np.spacing(closed) + np.spacing(y) / area.gsecond(closed)
+    assert np.all(np.abs(newton - closed) <= 4.0 * unit)
+    well = y <= 0.5
+    assert np.all(np.abs(newton - closed)[well] <= 4.0 * np.spacing(closed[well]))
+
+
+@pytest.mark.parametrize("y", [[0.2, 1.0], [0.5, -1e-300], [[0.1], [np.nan]],
+                               [0.3, np.inf]])
+def test_invert_gprime_rejects_arrays_with_any_y_outside(area, y):
+    for d in (area, _stripped(area)):
+        with pytest.raises(ValueError, match="0 <= y < 1"):
+            invert_gprime(d, np.array(y))
+
+
 def test_invert_gprime_numeric_matches_analytic(rng):
-    # strip the closed form and let the bracketing root finder do the work
+    # strip the closed form and let the safeguarded Newton steps do the work
     base = make_area_density()
     numeric = make_custom_density(base.g, base.gprime, base.gsecond,
                                   gprime_inf=1.0)
