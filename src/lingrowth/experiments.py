@@ -443,8 +443,8 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
 
     The exact ring values come from one cumulative pass over the ring
     radii (:func:`profile_values`).  The data on the two circles come from
-    separate :func:`profile_value` calls, so the per-radius and the
-    cumulative routes cross-check each other there.
+    two separate :func:`profile_value` calls, made once for all levels, so
+    the per-radius and the cumulative routes cross-check each other there.
 
     The coarsest solve starts from the harmonic extension of its data.
     Every finer level nests the previous one, so its solve starts from the
@@ -463,6 +463,8 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
         raise ValueError("need at least one refinement level")
     solver = solver or SolverOptions()
 
+    # every level shares the two circles
+    inner, outer = profile_value(d, spec, r_in), profile_value(d, spec, r_out)
     records = []
     errors = []
     sol = None
@@ -471,8 +473,7 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
         n_theta = n_theta0 * 2 ** level
         mesh = build_polar_mesh(r_in, r_out, n_r, n_theta)
         ring_exact = profile_values(d, spec, mesh.ring_radii)
-        data = _dirichlet(mesh, inner=profile_value(d, spec, r_in),
-                          outer=profile_value(d, spec, r_out))
+        data = _dirichlet(mesh, inner=inner, outer=outer)
         x0 = None if sol is None else _prolongate(sol.mesh, sol.values, mesh)
         sol = solve_dirichlet(d, mesh, data, solver, x0=x0)
         exact = mesh.from_rings(ring_exact[:, None])

@@ -183,22 +183,18 @@ def build_polar_mesh(r_in: float, r_out: float, n_r: int,
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
     is_disk = r_in == 0.0
-    nodes = []
-    if is_disk:
-        nodes.append(np.zeros((1, 2)))
-        circle_radii = radii[1:]
-    else:
-        circle_radii = radii
-    for r in circle_radii:
-        nodes.append(np.column_stack([r * cos_t, r * sin_t]))
-    nodes = np.vstack(nodes)
+    # ring-major numbering: circle k starts at node first + k * n_theta,
+    # after a disk's center node at the origin
+    first = 1 if is_disk else 0
+    circle_radii = radii[first:]
+    nodes = np.zeros((first + len(circle_radii) * n_theta, 2))
+    nodes[first:, 0] = np.multiply.outer(circle_radii, cos_t).ravel()
+    nodes[first:, 1] = np.multiply.outer(circle_radii, sin_t).ravel()
 
     n_cells = len(radii) - 1
 
-    # ring-major numbering: circle k starts at node first + k * n_theta,
-    # after a disk's center node; each cell between circles k and k + 1
-    # splits along its (k, j) -- (k + 1, j + 1) diagonal
-    first = 1 if is_disk else 0
+    # each cell between circles k and k + 1 splits along its
+    # (k, j) -- (k + 1, j + 1) diagonal
     cols = np.arange(n_theta, dtype=np.int64)
     nxt = (cols + 1) % n_theta
     starts = first + n_theta * np.arange(len(circle_radii) - 1,

@@ -28,8 +28,11 @@ Ring-major node numbering keeps every interior coupling within n_theta + 1
 of the diagonal (n_theta at a disk's center), so the interior Hessian is
 stored in LAPACK's lower band layout and each Newton step is one banded
 Cholesky factorization (``dpbtrf``) and one pair of triangular solves
-(``dpbtrs``).  A matrix that is not numerically positive definite, or a
-non-finite step, falls back to the gradient direction.
+(``dpbtrs``).  Both are called through ctypes from the LAPACK that numpy
+already loads for ``numpy.linalg``, so the package imports no scipy; only
+where that LAPACK exports neither routine are scipy's wrappers used.  A
+matrix that is not numerically positive definite, or a non-finite step,
+falls back to the gradient direction.
 
 The band is the Galerkin matrix of whatever mesh is passed, including the
 one-column mesh of :func:`lingrowth.mesh.one_column`, whose triangles each
@@ -86,7 +89,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from numpy.linalg import LinAlgError
 
 from .density import Density, flux_tangent
 from .mesh import PolarMesh, same_mesh
@@ -241,6 +244,100 @@ def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# banded LAPACK
+
+# Symbol patterns of dpbtrf/dpbtrs in numpy's LAPACK, tried in order, each
+# with its Fortran integer: numpy >= 2 wheels (scipy-openblas, 64-bit
+# ints), numpy 1.x wheels (64-bit ints), LP64 builds (32-bit ints).
+_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64),
+                   ("{}_64_", ctypes.c_int64),
+                   ("{}_", ctypes.c_int32))
+
+
+@functools.cache
+def _band_lapack() -> tuple:
+    """(pbtrf, pbtrs), looked up once: ``pbtrf(ab)`` factors a lower band
+    ``ab[i - j, j] = K[i, j]`` in place (copied first only if it is not a
+    Fortran-ordered float array) and returns the factor, raising
+    LinAlgError when K is not numerically positive definite;
+    ``pbtrs(factor, rhs)`` returns the solution of K x = rhs in a new
+    array.
+
+    The routines come from the library of ``numpy.linalg``, which a loaded
+    numpy has mapped already; scipy's wrappers of the same routines are
+    imported only where none of ``_LAPACK_SYMBOLS`` resolves there."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for pattern, fint in _LAPACK_SYMBOLS:
+        trf = getattr(lib, pattern.format("dpbtrf"), None)
+        trs = getattr(lib, pattern.format("dpbtrs"), None)
+        if trf is not None and trs is not None:
+            return _ctypes_band(trf, trs, fint)
+    return _scipy_band()
+
+
+def _ctypes_band(trf, trs, fint) -> tuple:
+    """(pbtrf, pbtrs) of ``_band_lapack`` over the Fortran routines
+    ``dpbtrf``/``dpbtrs`` with integer type ``fint``.  Every argument goes
+    by reference, and the length of the UPLO string follows the others."""
+    ref, ptr = ctypes.POINTER(fint), ctypes.c_void_p
+    trf.argtypes = (ctypes.c_char_p, ref, ref, ptr, ref, ref, ctypes.c_size_t)
+    trs.argtypes = (ctypes.c_char_p, ref, ref, ref, ptr, ref, ptr, ref, ref,
+                    ctypes.c_size_t)
+    trf.restype = trs.restype = None
+    by = ctypes.byref
+
+    def pbtrf(ab):
+        ab = np.asfortranarray(ab, dtype=float)
+        depth, n = ab.shape
+        info = fint()
+        trf(b"L", by(fint(n)), by(fint(depth - 1)), ab.ctypes.data,
+            by(fint(depth)), by(info), 1)
+        _check_info("dpbtrf", info.value)
+        return ab
+
+    def pbtrs(factor, rhs):
+        factor = np.asfortranarray(factor, dtype=float)
+        depth, n = factor.shape
+        x = np.array(rhs, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"right-hand side of shape {x.shape} for a "
+                             f"band of {n} columns")
+        info = fint()
+        trs(b"L", by(fint(n)), by(fint(depth - 1)), by(fint(1)),
+            factor.ctypes.data, by(fint(depth)), x.ctypes.data, by(fint(n)),
+            by(info), 1)
+        _check_info("dpbtrs", info.value)
+        return x
+
+    return pbtrf, pbtrs
+
+
+def _scipy_band() -> tuple:
+    """(pbtrf, pbtrs) of ``_band_lapack`` through scipy's LAPACK wrappers."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    def pbtrf(ab):
+        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        _check_info("dpbtrf", info)
+        return factor
+
+    def pbtrs(factor, rhs):
+        x, info = dpbtrs(factor, rhs, lower=1)
+        _check_info("dpbtrs", info)
+        return x
+
+    return pbtrf, pbtrs
+
+
+def _check_info(routine: str, info: int):
+    if info > 0:
+        raise LinAlgError(f"{routine}: leading minor {info} is not positive "
+                          f"definite")
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+
+
+# ---------------------------------------------------------------------------
 # BLAS thread scope
 
 
@@ -248,7 +345,9 @@ def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
 def _openblas_pools() -> tuple:
     """(get, set) thread-count functions of every OpenBLAS library mapped
     into this process, looked up once.  Empty where none is found (another
-    BLAS, or no /proc/self/maps)."""
+    BLAS, or no /proc/self/maps).  The banded LAPACK is resolved first, so
+    a library that its scipy fallback loads is among them."""
+    _band_lapack()
     try:
         with open("/proc/self/maps") as fh:
             # the last field is the mapped file's path (or the inode)
@@ -332,8 +431,7 @@ def _boundary_vector(mesh: PolarMesh, boundary_data) -> np.ndarray:
 class _Band:
     """Scatter map from the lower triangle-block entries into the lower band
     of the interior Hessian, stored as LAPACK's ``ab[i - j, j] = K[i, j]``
-    in column-major order so that ``cholesky_banded`` factors it in
-    place."""
+    in column-major order so that ``dpbtrf`` factors it in place."""
 
     entries: np.ndarray     # flat indices into the (M, 6) lower entries
     positions: np.ndarray   # matching flat indices into the column-major ab
@@ -351,13 +449,12 @@ class _Band:
         and factored in place, so the band and its factor share one array;
         a solve keeps it for at most one reuse.  Raises LinAlgError when K
         is not numerically positive definite."""
-        return cholesky_banded(self.matrix(lower), overwrite_ab=True,
-                               lower=True, check_finite=False)
+        return _band_lapack()[0](self.matrix(lower))
 
 
 def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve K x = rhs with the banded Cholesky factor of K."""
-    return cho_solve_banded((factor, True), rhs, check_finite=False)
+    return _band_lapack()[1](factor, rhs)
 
 
 def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:

@@ -330,20 +330,28 @@ def test_one_column_band_is_the_ring_summed_hessian(density, request, rng):
         np.abs(want))
 
 
-def _not_positive_definite(*args, **kwargs):
-    raise LinAlgError("1th leading minor not positive definite")
+def _patch_band_lapack(monkeypatch, pbtrf=None, pbtrs=None):
+    """Route the solver's banded factor and solve through the given
+    stand-ins; the real routine serves where none is given."""
+    real_trf, real_trs = solver._band_lapack()
+    pair = (pbtrf or real_trf, pbtrs or real_trs)
+    monkeypatch.setattr(solver, "_band_lapack", lambda: pair)
 
 
-def _nan_step(factor, rhs, **kwargs):
+def _not_positive_definite(ab):
+    raise LinAlgError("dpbtrf: leading minor 1 is not positive definite")
+
+
+def _nan_step(factor, rhs):
     return np.full_like(rhs, np.nan)
 
 
-@pytest.mark.parametrize("call, broken", [
-    ("cholesky_banded", _not_positive_definite),
-    ("cho_solve_banded", _nan_step),
+@pytest.mark.parametrize("routine, broken", [
+    ("pbtrf", _not_positive_definite),
+    ("pbtrs", _nan_step),
 ], ids=["_not_positive_definite", "_nan_step"])
 def test_unusable_newton_step_falls_back_to_gradient(area, annulus,
-                                                     monkeypatch, call,
+                                                     monkeypatch, routine,
                                                      broken):
     directions = []
     armijo = solver._armijo
@@ -353,7 +361,7 @@ def test_unusable_newton_step_falls_back_to_gradient(area, annulus,
         return armijo(d, mesh, u, interior, direction, g_i, E)
 
     monkeypatch.setattr(solver, "_armijo", spy)
-    monkeypatch.setattr(solver, call, broken)
+    _patch_band_lapack(monkeypatch, **{routine: broken})
     data = np.cos(2.0 * annulus.node_angles())
     with pytest.raises(NonConvergenceError) as err:
         solve_dirichlet(area, annulus, data, SolverOptions(max_iter=3),
@@ -399,24 +407,24 @@ def _band_call_log(monkeypatch, scale_reused=None):
     solver.  With ``scale_reused``, a solve with a factor that has already
     served one solve returns its step multiplied by ``scale_reused``."""
     log, last = [], {"factor": None, "uses": 0}
+    pbtrf, pbtrs = solver._band_lapack()
 
-    def factor(*args, **kwargs):
+    def factor(ab):
         log.append("factor")
-        last["factor"] = cholesky_banded(*args, **kwargs)
+        last["factor"] = pbtrf(ab)
         last["uses"] = 0
         return last["factor"]
 
-    def solve(cb_and_lower, rhs, **kwargs):
+    def solve(cb, rhs):
         log.append("solve")
-        assert cb_and_lower[0] is last["factor"]
+        assert cb is last["factor"]
         last["uses"] += 1
-        step = cho_solve_banded(cb_and_lower, rhs, **kwargs)
+        step = pbtrs(cb, rhs)
         if scale_reused is not None and last["uses"] > 1:
             step = scale_reused * step
         return step
 
-    monkeypatch.setattr(solver, "cholesky_banded", factor)
-    monkeypatch.setattr(solver, "cho_solve_banded", solve)
+    _patch_band_lapack(monkeypatch, factor, solve)
     return log
 
 
@@ -485,6 +493,77 @@ def test_seeded_comparison_trials_converge(mu3):
     rep = run_comparison_suite(mu3, 6, 8)
     assert all(r["converged"] for r in rep.records)
     assert rep.all_checks_pass()
+
+
+# -- banded LAPACK ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mesh", [
+    build_polar_mesh(0.0, 1.0, 5, 9),
+    build_polar_mesh(0.2, 1.0, 6, 12, inner_layers=2),
+    one_column(build_polar_mesh(0.1, 1.0, 6, 12, inner_layers=3)),
+], ids=["disk-center", "graded-annulus", "one-column"])
+def test_band_lapack_matches_scipy_bit_for_bit(mu3, rng, mesh):
+    _, tangent = flux_tangent(mu3, _triangle_gradients(
+        mesh, _rough_field(mesh, rng)))
+    ab = _band(mesh, mesh.interior_nodes()).matrix(_blocks(mesh, tangent))
+    rhs = rng.normal(size=ab.shape[1])
+    want = cholesky_banded(ab, lower=True)
+    pbtrf, pbtrs = solver._band_lapack()
+    got = pbtrf(ab)
+    assert got is ab                # factored in place
+    assert np.array_equal(got, want)
+    x = pbtrs(got, rhs)
+    assert np.array_equal(x, cho_solve_banded((want, True), rhs))
+    assert not np.shares_memory(x, rhs)
+    with pytest.raises(ValueError, match="right-hand side"):
+        pbtrs(got, rhs[:-1])
+
+
+def test_band_that_is_not_positive_definite_takes_gradient_steps(
+        area, annulus, monkeypatch):
+    # a negated Hessian: the factor fails at its first column
+    ab = _band(annulus, annulus.interior_nodes()).matrix(
+        -_blocks(annulus, np.eye(2)))
+    with pytest.raises(LinAlgError, match="leading minor 1 "):
+        solver._band_lapack()[0](ab)
+
+    directions = []
+    armijo, blocks = solver._armijo, solver._blocks
+
+    def spy(d, mesh, u, interior, direction, g_i, E):
+        directions.append((direction, g_i))
+        return armijo(d, mesh, u, interior, direction, g_i, E)
+
+    monkeypatch.setattr(solver, "_armijo", spy)
+    monkeypatch.setattr(solver, "_blocks", lambda mesh, t: -blocks(mesh, t))
+    data = np.cos(2.0 * annulus.node_angles())
+    with pytest.raises(NonConvergenceError) as err:
+        solve_dirichlet(area, annulus, data, SolverOptions(max_iter=3),
+                        x0=np.zeros(annulus.num_nodes))
+    hist = err.value.solution.energy_history
+    assert len(hist) == 4 and hist[-1] < hist[0]
+    assert len(directions) == 3
+    for direction, g_i in directions:
+        assert np.array_equal(direction, -g_i)
+
+
+def test_scipy_fallback_gives_identical_solutions(mu3, annulus, monkeypatch):
+    data = 0.4 * np.cos(2.0 * annulus.node_angles())
+    ordinary = solve_dirichlet(mu3, annulus, data)
+    assert "_ctypes_band" in solver._band_lapack()[0].__qualname__
+    # with no numpy LAPACK symbol to find, the resolver takes scipy's
+    # wrappers; the cached choice is dropped on both sides
+    monkeypatch.setattr(solver, "_LAPACK_SYMBOLS", ())
+    solver._band_lapack.cache_clear()
+    try:
+        fallback = solve_dirichlet(mu3, annulus, data)
+        assert "_scipy_band" in solver._band_lapack()[0].__qualname__
+    finally:
+        monkeypatch.undo()
+        solver._band_lapack.cache_clear()
+    assert np.array_equal(fallback.values, ordinary.values)
+    assert fallback.iterations == ordinary.iterations
 
 
 # -- exact reproduction -------------------------------------------------------
@@ -729,10 +808,8 @@ def _record_counts_in_band_calls(monkeypatch, pools):
             return call(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(solver, "cholesky_banded",
-                        spy("factor", cholesky_banded))
-    monkeypatch.setattr(solver, "cho_solve_banded",
-                        spy("solve", cho_solve_banded))
+    pbtrf, pbtrs = solver._band_lapack()
+    _patch_band_lapack(monkeypatch, spy("factor", pbtrf), spy("solve", pbtrs))
     return seen
 
 
