@@ -15,10 +15,9 @@ Three studies are provided:
 * **Catenoid reproduction** (:func:`run_catenoid_reproduction`): impose
   exact radial barrier values on both circles of an annulus and measure
   the nodal error of the solve under mesh refinement, estimating the
-  empirical convergence order.  The levels nest, so each solve after the
-  first starts from the previous level's solution carried onto the finer
-  mesh by cubic interpolation (nested iteration with the cubic
-  interpolation of full multigrid).
+  empirical convergence order.  The data are radial, so each level's
+  solve starts from the exact solution of its ring-constant problem,
+  solved on the level's one-column mesh.
 
 * **Comparison suite** (:func:`run_comparison_suite`): random ordered
   boundary-data pairs must produce ordered solutions (discrete comparison
@@ -32,7 +31,6 @@ on the calling thread.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -379,53 +377,6 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
 # catenoid reproduction
 
 
-def _prolongate(coarse: PolarMesh, values: np.ndarray,
-                fine: PolarMesh) -> np.ndarray:
-    """Coarse annulus field carried onto the annulus with twice as many
-    rings of cells and sectors, by cubic interpolation (the higher-order
-    interpolation of full multigrid, Trottenberg, Oosterlee & Schueller,
-    Multigrid, 2001, 2.6).
-
-    A fine node at a coarse node copies its value.  A fine node halfway
-    along a ring takes the periodic 4-point weights (-1, 9, 9, -1)/16 of
-    its ring; one on a ray between two coarse rings takes the cubic
-    Lagrange weights of the four nearest coarse ring radii (one-sided in
-    the two end cells); a cell centre takes the tensor product of the
-    two.  The fine rings must be the coarse ones with one ring inserted in
-    every cell."""
-    radii = coarse.ring_radii
-    if (coarse.is_disk or fine.is_disk or fine.n_theta != 2 * coarse.n_theta
-            or len(fine.ring_radii) != 2 * len(radii) - 1
-            or not np.array_equal(fine.ring_radii[0::2], radii)):
-        raise ValueError("fine mesh does not nest the coarse annulus")
-    c = coarse.rings(values)
-    # along rings: the mean of the two ends plus the cubic correction
-    ends = c + np.roll(c, -1, axis=1)                   # columns j and j + 1
-    on_rings = 0.5 * ends + (2.0 * ends - np.roll(ends, 1, axis=1)
-                             - np.roll(ends, -1, axis=1)) / 16.0
-    # along rays: the cubic Lagrange weights, at the ring inserted in each
-    # cell, of the four coarse rings nearest to it
-    cells = len(radii) - 1
-    first = np.clip(np.arange(cells) - 1, 0, cells - 3)
-    stencil = first[:, None] + np.arange(4)                    # (cells, 4)
-    nodes, x = radii[stencil], fine.ring_radii[1::2]
-    weights = np.ones((cells, 4))
-    for m, k in itertools.permutations(range(4), 2):
-        weights[:, m] *= (x - nodes[:, k]) / (nodes[:, m] - nodes[:, k])
-
-    def on_rays(grid):
-        # written against the inner end of each cell, so constants are exact
-        return grid[:-1] + np.einsum("km,kmj->kj", weights,
-                                     grid[stencil] - grid[:-1, None])
-
-    f = np.empty((len(fine.ring_radii), fine.n_theta))
-    f[0::2, 0::2] = c
-    f[0::2, 1::2] = on_rings
-    f[1::2, 0::2] = on_rays(c)
-    f[1::2, 1::2] = on_rays(on_rings)
-    return fine.from_rings(f)
-
-
 def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
                               refinements: int, *,
                               r_in: float = 1.5, r_out: float = 3.0,
@@ -441,18 +392,24 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     log2(e_k / e_{k+1}).  A single level produces one record and no order
     estimate.
 
-    The exact ring values come from one cumulative pass over the ring
-    radii (:func:`profile_values`).  The data on the two circles come from
-    two separate :func:`profile_value` calls, made once for all levels, so
-    the per-radius and the cumulative routes cross-check each other there.
+    The exact ring values come from one cumulative pass over the finest
+    level's ring radii (:func:`profile_values`).  The levels nest, so each
+    coarser level's rings are every 2**(top - level)-th of them.  The data
+    on the two circles come from two separate :func:`profile_value` calls,
+    made once for all levels, so the per-radius and the cumulative routes
+    cross-check each other there.
 
-    The coarsest solve starts from the harmonic extension of its data.
-    Every finer level nests the previous one, so its solve starts from the
-    previous solution carried over by the cubic interpolation of
-    :func:`_prolongate` (nested iteration, as in full multigrid).  The
-    cubic start leaves each finer level about two Newton steps, the last
-    of them in the rounding regime, where the solver reuses the factor of
-    the step before.
+    The data are constant on each circle and every level maps onto itself
+    under rotation by one column, so its discrete minimizer, which is
+    unique, is constant on each ring.  Each level therefore first solves
+    its ring-constant problem, a :func:`solve_dirichlet` on the level's
+    one-column mesh (:func:`lingrowth.mesh.one_column`) with one unknown
+    per ring, started from the harmonic extension and run with the
+    study's options.  The 2D solve starts from that ring solution, and its
+    gradient test is still the only certificate: where the start passes
+    it, the level takes no 2D Newton step and factors no 2D band.  Each
+    record carries the column's Newton steps as ``column_iterations`` next
+    to the 2D ``iterations``.
     """
     d = normalize(d)
     if not (spec.neck_radius < r_in < r_out):
@@ -465,24 +422,35 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
 
     # every level shares the two circles
     inner, outer = profile_value(d, spec, r_in), profile_value(d, spec, r_out)
+    top = refinements - 1
+    finest = build_polar_mesh(r_in, r_out, n_r0 * 2 ** top,
+                              n_theta0 * 2 ** top)
+    finest_exact = profile_values(d, spec, finest.ring_radii)
     records = []
     errors = []
-    sol = None
     for level in range(refinements):
         n_r = n_r0 * 2 ** level
         n_theta = n_theta0 * 2 ** level
-        mesh = build_polar_mesh(r_in, r_out, n_r, n_theta)
-        ring_exact = profile_values(d, spec, mesh.ring_radii)
+        mesh = (finest if level == top
+                else build_polar_mesh(r_in, r_out, n_r, n_theta))
+        stride = 2 ** (top - level)
+        assert np.array_equal(finest.ring_radii[::stride], mesh.ring_radii)
+        column = one_column(mesh)
+        ring = solve_dirichlet(d, column,
+                               _dirichlet(column, inner=inner, outer=outer),
+                               solver)
+        seed = mesh.from_rings(column.rings(ring.values))
         data = _dirichlet(mesh, inner=inner, outer=outer)
-        x0 = None if sol is None else _prolongate(sol.mesh, sol.values, mesh)
-        sol = solve_dirichlet(d, mesh, data, solver, x0=x0)
-        exact = mesh.from_rings(ring_exact[:, None])
+        sol = solve_dirichlet(d, mesh, data, solver, x0=seed)
+        exact = mesh.from_rings(finest_exact[::stride, None])
         err = float(np.max(np.abs(sol.values - exact)))
         errors.append(err)
         records.append({
             "level": level, "n_r": n_r, "n_theta": n_theta,
             "h": mesh.h_radial, "max_error": err,
-            "iterations": sol.iterations, "converged": sol.converged,
+            "iterations": sol.iterations,
+            "column_iterations": ring.iterations,
+            "converged": sol.converged,
         })
 
     orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])

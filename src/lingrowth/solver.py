@@ -64,13 +64,15 @@ loaded in the process is set to one thread, and on exit the counts found
 are put back.  LAPACK works through the band in 32-column blocks, so one
 factorization of N unknowns is about N/32 small BLAS-3 calls, and waking a
 second thread for each costs more than it saves.  Inside a catenoid
-refinement study on two cores (medians), a 32,512-unknown factorization
-took 219 ms on two threads and 105 ms on one, an 8,064-unknown one 32 ms
-and 13 ms; in isolation one thread was never slower, up to 130,560
-unknowns.  Callers that run solves from several threads of their own
-share one save and restore.  Where no OpenBLAS library is found the
-counts are left alone.  Reports are byte-identical at one and two BLAS
-threads, so the scope changes speed only.
+refinement study on two cores (medians), measured before its levels were
+seeded from their column solves and stopped factoring 2D bands, a
+32,512-unknown factorization took 219 ms on two threads and 105 ms on
+one, an 8,064-unknown one 32 ms and 13 ms; in isolation one thread was
+never slower, up to 130,560 unknowns.  Callers that run solves from
+several threads of their own share one save and restore.  Where no
+OpenBLAS library is found the counts are left alone.  Reports are
+byte-identical at one and two BLAS threads, so the scope changes speed
+only.
 
 Boundary data has one form, from :func:`solve_dirichlet` inward: a full
 nodal vector whose boundary entries are the data.
@@ -594,10 +596,12 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     opts = opts or SolverOptions()
 
     interior = mesh.interior_nodes()
-    band = _band(mesh, interior)
+    # the band map is built for the first factorization, so a start that
+    # passes the gradient test builds none
+    band = functools.cache(lambda: _band(mesh, interior))
     u = _boundary_vector(mesh, boundary_data)
     if x0 is None:
-        u = _harmonic_extension(d, mesh, u, interior, band)
+        u = _harmonic_extension(d, mesh, u, interior, band())
     else:
         u[interior] = _start_interior(mesh, x0, interior)
 
@@ -633,7 +637,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         # before a new band is assembled
         kept = None
         if step is None:
-            kept, step = _newton_step(band, _blocks(mesh, tangent), g_i)
+            kept, step = _newton_step(band(), _blocks(mesh, tangent), g_i)
             if step is not None:
                 quotient = -float(np.dot(step, g_i)) / grad_norm ** 2
         if step is None:

@@ -108,6 +108,21 @@ def test_solver_exactness_and_convergence_order(area):
         assert report.records[-1]["max_error"] <= 5e-4
 
 
+def test_five_level_catenoid_study_from_column_solves(mu3):
+    # 16x32 ... 256x512 (131,584 nodes): each level starts from its
+    # one-column ring solve, which the 2D gradient test certifies as is
+    with Budget(10.0):
+        spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
+        report = run_catenoid_reproduction(mu3, spec, 5,
+                                           r_in=1.5, r_out=3.0,
+                                           n_r0=16, n_theta0=32)
+        assert report.all_checks_pass()
+        assert all(r["converged"] for r in report.records)
+        assert [r["iterations"] for r in report.records] == [0] * 5
+        assert min(report.orders) >= 1.99
+        assert report.records[-1]["max_error"] <= 5e-7
+
+
 def test_comparison_principle_random_trials(area, mu3):
     with Budget(120.0):
         tol = 1e-8 + 10.0 * (0.5 / 16) ** 2

@@ -1,6 +1,5 @@
 """Experiment harness: sweeps, reports, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -9,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from lingrowth import experiments
+from lingrowth import experiments, solver
 from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                                 profile_value)
 from lingrowth.density import (TailEstimate, make_area_density,
@@ -18,7 +17,6 @@ from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
     _barrier_seed,
-    _prolongate,
     circle_data_values,
     fourier_values,
     read_report,
@@ -28,7 +26,7 @@ from lingrowth.experiments import (
     write_report,
 )
 from lingrowth.mesh import NodeTag, build_polar_mesh
-from lingrowth.solver import residual_EL, solve_dirichlet
+from lingrowth.solver import solve_dirichlet
 
 FAST = dict(epsilons=(0.3, 0.15), n_r=16, n_theta=24, inner_layers=4)
 
@@ -248,13 +246,37 @@ def test_removability_annuli_take_at_most_two_steps(monkeypatch, dcfg):
 
 
 def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):
+    # per level the ring problem on one column, cold, then the 2D solve
+    # started from its solution, which already passes the gradient test
     calls = _record_solves(monkeypatch)
     spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
     rep = run_catenoid_reproduction(mu3, spec, refinements=2, n_r0=8,
                                     n_theta0=16)
     assert rep.all_checks_pass()
-    assert len(calls) == 2
-    _assert_warm_matches_cold(calls, n_warm=1)
+    assert [mesh.n_theta for _, mesh, *_ in calls] == [1, 16, 1, 32]
+    _assert_warm_matches_cold(calls, n_warm=2)
+    assert [r["iterations"] for r in rep.records] == [0, 0]
+    assert ([r["column_iterations"] for r in rep.records]
+            == [sol.iterations for _, mesh, *_, sol in calls
+                if mesh.n_theta == 1])
+
+
+def test_catenoid_reproduction_factors_column_bands_only(monkeypatch, mu3):
+    factored = []
+    factor = solver._Band.factor
+
+    def recording(band, lower):
+        factored.append(band.shape)
+        return factor(band, lower)
+    monkeypatch.setattr(solver._Band, "factor", recording)
+    spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
+    rep = run_catenoid_reproduction(mu3, spec, refinements=3, n_r0=8,
+                                    n_theta0=16)
+    assert rep.all_checks_pass()
+    # a column band couples ring k to ring k + 1 only, and has one unknown
+    # per interior ring: 7, 15 and 31 on the three levels
+    assert factored and all(depth == 2 for depth, _ in factored)
+    assert sorted({n for _, n in factored}) == [7, 15, 31]
 
 
 def test_barrier_seed_matches_per_ring_envelopes(mu2):
@@ -267,113 +289,6 @@ def test_barrier_seed_matches_per_ring_envelopes(mu2):
                                atol=1e-9)
     # the spike caps the rings next to the inner circle, not the far ones
     assert rings[1, 0] == -0.2 and -0.2 < rings[-2, 0] < 0.0
-
-
-def test_prolongate_reproduces_constants_and_linear_radial_fields():
-    coarse = build_polar_mesh(1.5, 3.0, 4, 8)
-    fine = build_polar_mesh(1.5, 3.0, 8, 16)
-    const = _prolongate(coarse, np.full(coarse.num_nodes, 2.5), fine)
-    assert np.array_equal(const, np.full(fine.num_nodes, 2.5))
-
-    ring_linear = np.repeat(3.0 * coarse.ring_radii - 1.0, coarse.n_theta)
-    linear = _prolongate(coarse, ring_linear, fine)
-    for ring, r in enumerate(fine.ring_radii):
-        np.testing.assert_allclose(fine.rings(linear)[ring],
-                                   3.0 * r - 1.0, rtol=1e-15, atol=0)
-
-
-def _ring_midpoints(grid):
-    """Periodic 4-point weights (-1, 9, 9, -1)/16 between columns j and
-    j + 1 of a (rings, n_theta) grid."""
-    return (9.0 * (grid + np.roll(grid, -1, axis=1))
-            - np.roll(grid, 1, axis=1) - np.roll(grid, -2, axis=1)) / 16.0
-
-
-def _bisected(coarse, n_r, n_theta):
-    """Mesh with twice the rings of cells and sectors whose rings are the
-    coarse rings plus the midpoint of each cell.  ``_prolongate`` reads the
-    ring layout only, so a graded coarse mesh can be given a bisected
-    partner, which ``build_polar_mesh`` grades differently."""
-    radii = coarse.ring_radii
-    fine_radii = np.empty(2 * len(radii) - 1)
-    fine_radii[0::2] = radii
-    fine_radii[1::2] = 0.5 * (radii[:-1] + radii[1:])
-    fine = build_polar_mesh(coarse.r_in, coarse.r_out, n_r, n_theta)
-    assert len(fine.ring_radii) == len(fine_radii)
-    return dataclasses.replace(fine, ring_radii=fine_radii)
-
-
-def test_prolongate_copies_coarse_nodes_and_reproduces_cubics(rng):
-    """Coarse node (i, j) is fine node (2i, 2j) bit for bit.  A field that
-    is a cubic in r times anything in the column comes out as the cubic at
-    the fine radii times the column values completed by the 4-point ring
-    weights, end cells of uniform and graded rings included.  A ring
-    inserted in a cell reads the four coarse rings nearest to it."""
-    graded = build_polar_mesh(0.2, 1.0, 5, 6, inner_layers=2)
-    pairs = [(build_polar_mesh(1.5, 3.0, 5, 6),
-              build_polar_mesh(1.5, 3.0, 10, 12)),
-             (graded, _bisected(graded, 14, 12))]
-
-    def cubic(r):
-        return 2.0 * r ** 3 - 3.0 * r ** 2 + 0.5 * r - 1.0
-
-    for coarse, fine in pairs:
-        column = rng.normal(size=coarse.n_theta)
-        vals = coarse.from_rings(cubic(coarse.ring_radii)[:, None] * column)
-        out = fine.rings(_prolongate(coarse, vals, fine))
-        assert np.array_equal(out[0::2, 0::2], coarse.rings(vals))
-
-        fine_column = np.empty(fine.n_theta)
-        fine_column[0::2] = column
-        fine_column[1::2] = _ring_midpoints(column[None, :])[0]
-        want = cubic(fine.ring_radii)[:, None] * fine_column
-        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
-
-        rings = len(coarse.ring_radii)
-        for k in range(rings):
-            impulse = coarse.from_rings(np.eye(rings)[k][:, None])
-            reached = fine.rings(_prolongate(coarse, impulse, fine))[1::2, 0]
-            nearest = [cell for cell in range(rings - 1)
-                       if k in np.argsort(abs(np.arange(rings) - cell - 0.5),
-                                          kind="stable")[:4]]
-            assert list(np.flatnonzero(reached)) == nearest
-
-
-def test_cubic_start_beats_bisection_on_the_catenoid(mu3):
-    """Nested iteration from 16x32 to 32x64 on the mu=3 catenoid: the
-    cubic prolongation starts with a far smaller gradient than the mean of
-    the two ends of each bisected coarse edge."""
-    spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
-    inner, outer = profile_value(mu3, spec, 1.5), profile_value(mu3, spec, 3.0)
-    coarse = build_polar_mesh(1.5, 3.0, 16, 32)
-    fine = build_polar_mesh(1.5, 3.0, 32, 64)
-    data = np.full(coarse.num_nodes, np.nan)
-    data[coarse.inner_nodes()], data[coarse.outer_nodes()] = inner, outer
-    sol = solve_dirichlet(mu3, coarse, data)
-
-    c = coarse.rings(sol.values)
-    c_next = np.roll(c, -1, axis=1)             # column j + 1, wrapping
-    f = np.empty((len(fine.ring_radii), fine.n_theta))
-    f[0::2, 0::2] = c
-    f[0::2, 1::2] = 0.5 * (c + c_next)
-    f[1::2, 0::2] = 0.5 * (c[:-1] + c[1:])
-    f[1::2, 1::2] = 0.5 * (c[:-1] + c_next[1:])   # the cell's diagonal
-    bisection = fine.from_rings(f)
-    cubic = _prolongate(coarse, sol.values, fine)
-    for start in (bisection, cubic):
-        assert np.all(fine.rings(start)[0] == inner)
-        assert np.all(fine.rings(start)[-1] == outer)
-    assert (10.0 * residual_EL(mu3, fine, cubic)
-            <= residual_EL(mu3, fine, bisection))
-
-
-def test_prolongate_rejects_meshes_that_do_not_nest():
-    coarse = build_polar_mesh(1.5, 3.0, 4, 8)
-    for fine in (build_polar_mesh(1.5, 3.0, 8, 8),      # sectors not doubled
-                 build_polar_mesh(0.2, 1.0, 8, 16),     # other radii
-                 build_polar_mesh(1.5, 3.0, 6, 16, inner_layers=2)):
-        with pytest.raises(ValueError, match="nest"):
-            _prolongate(coarse, np.zeros(coarse.num_nodes), fine)
 
 
 # -- comparison suite -----------------------------------------------------------
