@@ -36,7 +36,7 @@ from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values, same_mesh
 from .quadrature import QuadratureAccuracyError
 from .solver import (ComparisonResult, DiscreteSolution, MeshMismatchError,
                      NonConvergenceError, SolverOptions, check_comparison,
-                     energy, residual_EL, solve_dirichlet)
+                     energy, solve_dirichlet)
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,7 @@ __all__ = [
     "ode_residual",
     "profile_value", "profile_value_substituted", "profile_values",
     "radial_values",
-    "read_report", "residual_EL", "run_catenoid_reproduction",
+    "read_report", "run_catenoid_reproduction",
     "run_comparison_suite", "run_removability", "same_mesh", "sample_profile",
     "solve_dirichlet", "uniform_interior_bound",
     "validate", "write_report",

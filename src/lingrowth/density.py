@@ -212,7 +212,8 @@ def make_mu_density(mu: float) -> Density:
         return (_mu - 1.0) * (1.0 + t) ** (-_mu)
 
     def _inverse(y, _mu=mu):
-        return (1.0 - y) ** (-1.0 / (_mu - 1.0)) - 1.0
+        # (1 - y)**(-1/(mu - 1)) - 1 without the cancellation at small y
+        return np.expm1(-np.log1p(-y) / (_mu - 1.0))
 
     growth = Growth.FINITE_INTEGRAL if mu > 2.0 else Growth.INFINITE_INTEGRAL
     return Density(

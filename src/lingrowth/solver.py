@@ -48,17 +48,6 @@ regime the full Newton step is taken without the energy test; whether the
 result counts as converged is decided by the gradient test alone, which is
 made at the start and after every step.
 
-The factor of the last Newton step is kept for one iteration.  The next
-iteration may solve with it first: a chord step (Kelley, Solving Nonlinear
-Equations with Newton's Method, SIAM 2003, ch. 5).  It does so when the
-chord step's decrement g . K^-1 g, predicted from the new gradient norm
-and the last step's decrement per squared gradient norm, lies in the
-rounding regime.  If the computed decrement lies there too, the chord step
-is taken in full, as a Newton step there would be, and the new Hessian is
-not factored.  Otherwise the kept factor is dropped before the new band is
-assembled.  So at most one band or factor is alive at a time, and a factor
-serves at most one step beyond its own.
-
 Each solve runs BLAS on one thread: on entry every OpenBLAS thread pool
 loaded in the process is set to one thread, and on exit the counts found
 are put back.  LAPACK works through the band in 32-column blocks, so one
@@ -235,14 +224,6 @@ def _blocks(mesh: PolarMesh, tangent: np.ndarray) -> np.ndarray:
     for e, (i, j) in enumerate(_LOWER):
         lower[:, e] = (g0[i] * tg0[j] + g1[i] * tg1[j]) * mesh.areas
     return lower
-
-
-def residual_EL(d: Density, mesh: PolarMesh, values: np.ndarray) -> float:
-    """Euclidean norm of the interior-restricted energy gradient: the
-    discrete Euler-Lagrange residual of a nodal field."""
-    p = _triangle_gradients(mesh, np.asarray(values, dtype=float))
-    grad = _nodal_gradient(mesh, flux_tangent(d, p)[0])
-    return float(np.linalg.norm(grad[mesh.interior_nodes()]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +429,8 @@ class _Band:
 
     def factor(self, lower: np.ndarray) -> np.ndarray:
         """Banded Cholesky factor of K, assembled from (M, 6) lower entries
-        and factored in place, so the band and its factor share one array;
-        a solve keeps it for at most one reuse.  Raises LinAlgError when K
-        is not numerically positive definite."""
+        and factored in place, so the band and its factor share one array.
+        Raises LinAlgError when K is not numerically positive definite."""
         return _band_lapack()[0](self.matrix(lower))
 
 
@@ -496,25 +476,18 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
     return out
 
 
-def _descent(factor: np.ndarray, g_i: np.ndarray) -> Optional[np.ndarray]:
-    """Step -K^-1 g with the factor of K, or None when it is not a finite
-    descent direction."""
+def _newton_step(band: _Band, blocks: np.ndarray,
+                 g_i: np.ndarray) -> Optional[np.ndarray]:
+    """The Newton step -K^-1 g, or None when K is not numerically positive
+    definite or the step is not a finite descent direction."""
+    try:
+        factor = band.factor(blocks)
+    except LinAlgError:
+        return None
     step = _solve_factored(factor, -g_i)
     if not np.all(np.isfinite(step)) or float(np.dot(step, g_i)) >= 0.0:
         return None
     return step
-
-
-def _newton_step(band: _Band, blocks: np.ndarray, g_i: np.ndarray):
-    """(factor, step): the Newton step -K^-1 g and the factor of K, or
-    (None, None) when K is not numerically positive definite or the step
-    is not a finite descent direction."""
-    try:
-        factor = band.factor(blocks)
-    except LinAlgError:
-        return None, None
-    step = _descent(factor, g_i)
-    return (None, None) if step is None else (factor, step)
 
 
 # Newton decrement lambda^2 = -step . grad below which a step is taken in
@@ -575,9 +548,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     only way a solve ends well: it is made at the start and after every
     step, the last allowed one included.  A Newton step whose decrement
     lies below the rounding of the energy is taken in full without the
-    line search, and so is a chord step with the last step's factor whose
-    decrement lies there; the gradient test after it still decides
-    convergence.
+    line search; the gradient test after it still decides convergence.
 
     Raises
     ------
@@ -610,9 +581,6 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         raise ValueError(f"non-finite initial energy {E}")
 
     history = [E]
-    # factor of the last Newton step, kept for one reuse, and that step's
-    # decrement over its squared gradient norm (a Rayleigh quotient of K^-1)
-    kept, quotient = None, 0.0
     for it in range(opts.max_iter + 1):
         flux, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
         g_i = _nodal_gradient(mesh, flux)[interior]
@@ -626,20 +594,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
             break
 
         rounding = _ROUNDING_DECREMENT * (1.0 + abs(E))
-        step = None
-        # the chord step's decrement g . K^-1 g, predicted with the quotient
-        # of the step before, decides whether the kept factor is tried
-        if kept is not None and quotient * grad_norm ** 2 <= rounding:
-            step = _descent(kept, g_i)
-            if step is not None and -float(np.dot(step, g_i)) > rounding:
-                step = None
-        # a kept factor serves one step at most; either way it is dropped
-        # before a new band is assembled
-        kept = None
-        if step is None:
-            kept, step = _newton_step(band(), _blocks(mesh, tangent), g_i)
-            if step is not None:
-                quotient = -float(np.dot(step, g_i)) / grad_norm ** 2
+        step = _newton_step(band(), _blocks(mesh, tangent), g_i)
         if step is None:
             # Newton direction unusable; fall back downhill
             u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E)

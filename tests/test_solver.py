@@ -29,7 +29,6 @@ from lingrowth.solver import (
     _triangle_gradients,
     check_comparison,
     energy,
-    residual_EL,
     solve_dirichlet,
 )
 from rotation import rotate_columns
@@ -402,88 +401,34 @@ def test_rounding_regime_takes_full_newton_steps(mu3, annulus, monkeypatch):
     assert len(calls) >= 1
 
 
-def _band_call_log(monkeypatch, scale_reused=None):
+def _band_call_log(monkeypatch):
     """Record "factor" and "solve" for each banded LAPACK call of the
-    solver.  With ``scale_reused``, a solve with a factor that has already
-    served one solve returns its step multiplied by ``scale_reused``."""
-    log, last = [], {"factor": None, "uses": 0}
+    solver; every solve must use the latest factor."""
+    log, last = [], {}
     pbtrf, pbtrs = solver._band_lapack()
 
     def factor(ab):
         log.append("factor")
         last["factor"] = pbtrf(ab)
-        last["uses"] = 0
         return last["factor"]
 
     def solve(cb, rhs):
         log.append("solve")
         assert cb is last["factor"]
-        last["uses"] += 1
-        step = pbtrs(cb, rhs)
-        if scale_reused is not None and last["uses"] > 1:
-            step = scale_reused * step
-        return step
+        return pbtrs(cb, rhs)
 
     _patch_band_lapack(monkeypatch, factor, solve)
     return log
 
 
-def _one_factor_per_step(d, mesh, data, x0):
-    """(values, steps) of the solve with every step on a fresh factor:
-    single-step solves chained through x0, so no factor outlives its
-    step."""
-    for steps in range(50):
-        try:
-            sol = solve_dirichlet(d, mesh, data, SolverOptions(max_iter=1),
-                                  x0=x0)
-        except NonConvergenceError as err:
-            x0 = err.solution.values
-            continue
-        if sol.iterations == 0:
-            return sol.values, steps
-        x0 = sol.values
-    raise AssertionError("no convergence in 50 single-step solves")
-
-
-def test_rounding_regime_step_reuses_the_last_factor(area, annulus,
-                                                     monkeypatch):
+def test_every_newton_step_factors_its_own_band(area, annulus, monkeypatch):
     data = np.cos(2.0 * annulus.node_angles())
     log = _band_call_log(monkeypatch)
-    sol = solve_dirichlet(area, annulus, data,
-                          x0=np.zeros(annulus.num_nodes))
-    assert sol.converged
-    # the last step solves with the factor of the step before it, and no
-    # earlier step tries a kept factor: none was predicted to be in the
-    # rounding regime
-    assert log == ["factor", "solve"] * (sol.iterations - 1) + ["solve"]
-
-
-def test_reused_steps_never_follow_each_other(mu3, annulus, monkeypatch):
-    data = 0.4 * np.cos(2.0 * annulus.node_angles())
-    x0 = solve_dirichlet(mu3, annulus, data).values
-    log = _band_call_log(monkeypatch)
-    # at the minimizer every step is in the rounding regime, so each kept
-    # factor is reused, and then a new one is made
-    with monkeypatch.context() as m, pytest.raises(NonConvergenceError):
-        m.setattr(solver, "_GRAD_TOL", 0.0)
-        solve_dirichlet(mu3, annulus, data, SolverOptions(max_iter=6), x0=x0)
-    assert log == ["factor", "solve", "solve"] * 3
-
-
-def test_reused_step_above_the_rounding_regime_is_discarded(area, annulus,
-                                                           monkeypatch):
-    data = np.cos(2.0 * annulus.node_angles())
-    x0 = np.zeros(annulus.num_nodes)
-    want, steps = _one_factor_per_step(area, annulus, data, x0)
-    # a reused step scaled far past the rounding regime: the solve drops it
-    # and factors afresh, so every step has its own factor
-    log = _band_call_log(monkeypatch, scale_reused=1e8)
-    sol = solve_dirichlet(area, annulus, data, x0=x0)
-    assert sol.converged
-    assert log.count("factor") == sol.iterations
-    assert log.count("solve") > sol.iterations
-    assert sol.iterations == steps
-    np.testing.assert_allclose(sol.values, want, rtol=0, atol=1e-12)
+    sol = solve_dirichlet(area, annulus, data)
+    assert sol.converged and sol.iterations >= 3
+    # one factor and solve for the harmonic extension, then one per step,
+    # the last one in the rounding regime included
+    assert log == ["factor", "solve"] * (sol.iterations + 1)
 
 
 def test_seeded_comparison_trials_converge(mu3):
@@ -621,6 +566,14 @@ def test_nan_boundary_data_rejected(area, annulus):
 
 
 # -- residual -----------------------------------------------------------------
+
+
+def residual_EL(d, mesh, values):
+    """Euclidean norm of the interior-restricted energy gradient: the
+    discrete Euler-Lagrange residual of a nodal field."""
+    p = _triangle_gradients(mesh, np.asarray(values, dtype=float))
+    grad = _nodal_gradient(mesh, flux_tangent(d, p)[0])
+    return float(np.linalg.norm(grad[mesh.interior_nodes()]))
 
 
 def test_residual_small_after_convergence(area, annulus, rng):
@@ -818,10 +771,9 @@ def test_solve_runs_blas_on_one_thread(area, annulus, blas_pools, monkeypatch):
     sol = solve_dirichlet(area, annulus, np.cos(2.0 * annulus.node_angles()))
     assert sol.converged
     names = [n for n, _ in seen]
-    # one solve for the start, then one for each step
+    # one factor and solve for the start, then one of each for every step
     assert names.count("solve") == sol.iterations + 1
-    # the last step is in the rounding regime and reuses the factor before it
-    assert names.count("factor") == sol.iterations
+    assert names.count("factor") == sol.iterations + 1
     assert all(counts == [1] * len(blas_pools) for _, counts in seen)
     assert _thread_counts(blas_pools) == [2] * len(blas_pools)
 
