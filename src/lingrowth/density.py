@@ -206,7 +206,8 @@ def make_mu_density(mu: float) -> Density:
             return t + ((1.0 + t) ** (2.0 - _mu) - 1.0) / (_mu - 2.0)
 
     def _gprime(t, _mu=mu):
-        return 1.0 - (1.0 + t) ** (1.0 - _mu)
+        # 1 - (1 + t)**(1 - mu) without the cancellation at small t
+        return -np.expm1((1.0 - _mu) * np.log1p(t))
 
     def _gsecond(t, _mu=mu):
         return (_mu - 1.0) * (1.0 + t) ** (-_mu)

@@ -249,7 +249,8 @@ def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
     between, and 0 on the outer circle.  The envelopes of all rings
     between come from one cumulative pass (:func:`envelope_bounds`).  From
     it the ring solves of the default sweeps take 3 to 10 Newton steps;
-    from the harmonic extension they took 7 to 25."""
+    from the harmonic extension they took 7 to 25, and for spikes of 10 to
+    1000 at the default epsilons 14 to 119 against at most 4."""
     env = envelope_bounds(d, eps, annulus.ring_radii[1:-1], R, 0.0, 2)
     excess = np.concatenate(
         ([spike], np.copysign(np.minimum(abs(spike), env), spike), [0.0]))

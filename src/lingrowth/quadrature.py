@@ -5,9 +5,10 @@ error and the Wynn epsilon-table extrapolation are those of QUADPACK
 (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*, Springer
 1983; Wynn, *MTAC* 10, 1956): ``dqk21``, ``dqagse``, ``dqpsrt`` and
 ``dqelg``, in the same order of operations.  Integrands take arrays: each
-Gauss-Kronrod pass evaluates all 21 nodes of every panel in one call, and
-:func:`qagse` integrates many intervals at once, running the first pass on
-all of them together and the adaptive loop only on those it leaves open.
+Gauss-Kronrod pass evaluates all 21 nodes of every panel in one call, then
+forms dqk21's sums panel by panel in Python floats.  :func:`qagse`
+integrates many intervals at once, running the first pass on all of them
+together and the adaptive loop only on those it leaves open.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ _UFLOW = float(np.finfo(float).tiny)        # d1mach(1)
 _OFLOW = float(np.finfo(float).max)         # d1mach(2)
 
 LIMIT = 200     # panels per interval, as scipy.integrate.quad was given
-# Up to this many intervals the first pass runs panel by panel in Python
-# floats (_qk21_panels), beyond it on arrays (_qk21); the bits are the same.
-# The array form costs about 60 us of NumPy calls whatever the count, the
-# Python one about 7 us a panel.
-_FEW_PANELS = 8
 
 # 21-point Kronrod abscissae on [0, 1), descending; the odd entries
 # (xgk[1], xgk[3], ...) are the nodes of the 10-point Gauss rule
@@ -48,18 +44,16 @@ _WG = np.array([
 
 # Node layout of one panel: the centre, then the nodes left of it and those
 # right of it, each side with the Gauss nodes first.  That is the order in
-# which dqk21 accumulates its sums, so a running sum (cumsum) along a row
-# rounds as it does.
+# which dqk21 adds its Kronrod and Gauss terms, so _panel reads the pairs
+# f(c - h x) + f(c + h x) straight down the layout.
 _ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
-_NATURAL = np.argsort(_ORDER)
 _NODES = np.concatenate(([0.0], -_XGK[_ORDER], _XGK[_ORDER]))
-_W_KRONROD = np.concatenate(([_WGK[10]], _WGK[_ORDER]))
-# weights of the |f - mean| sum, which dqk21 takes in node order
-_W_ASC = np.concatenate(([_WGK[10]], _WGK[:10]))
-# the same weights as Python floats, for _panel
-_WK = _W_KRONROD.tolist()
+# Kronrod weights in that layout, the centre's first, as Python floats
+_WK = [float(_WGK[10])] + _WGK[_ORDER].tolist()
 _WG_LIST = _WG.tolist()
-_ASC_PAIRS = list(zip(_WGK[:10].tolist(), (1 + _NATURAL).tolist()))
+# dqk21 takes the |f - mean| sum in node order: each weight with the
+# layout column of its left node
+_ASC_PAIRS = list(zip(_WGK[:10].tolist(), (1 + np.argsort(_ORDER)).tolist()))
 
 
 class QuadratureAccuracyError(RuntimeError):
@@ -71,55 +65,15 @@ class QuadratureAccuracyError(RuntimeError):
 
 
 def _qk21(f, a, b):
-    """The 21-point Gauss-Kronrod rule on the panels [a[i], b[i]].
+    """The 21-point Gauss-Kronrod rule on the panels [a[i], b[i]], given as
+    sequences of floats.
 
-    Returns arrays (result, abserr, resabs, resasc) as ``dqk21`` does:
-    the Kronrod value, its error estimate, and the rule applied to |f| and
-    to |f - mean|.  ``f`` is called once, on an array of shape
-    (len(a), 21).  The sums run in dqk21's order, so the bits are
-    QUADPACK's.
+    Returns one (result, abserr, resabs, resasc) per panel as ``dqk21``
+    does: the Kronrod value, its error estimate, and the rule applied to
+    |f| and to |f - mean|.  ``f`` is called once, on an array of shape
+    (len(a), 21); the sums then run panel by panel in dqk21's order, so the
+    bits are QUADPACK's.
     """
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    fx = np.asarray(f(centr[:, None] + hlgth[:, None] * _NODES), dtype=float)
-    fabs = np.abs(fx)
-    pairs = fx[:, 1:11] + fx[:, 11:]
-    kronrod = np.empty((2, len(a), 11))
-    kronrod[0, :, 0] = fx[:, 0]
-    kronrod[0, :, 1:] = pairs
-    kronrod[1, :, 0] = fabs[:, 0]
-    np.add(fabs[:, 1:11], fabs[:, 11:], out=kronrod[1, :, 1:])
-    kronrod *= _W_KRONROD
-    resk, resabs = kronrod.cumsum(axis=2)[:, :, -1]
-    resg = (pairs[:, :5] * _WG).cumsum(axis=1)[:, -1]
-    dev = np.abs(fx - 0.5 * resk[:, None])
-    dev[:, 1:11] += dev[:, 11:]
-    dev[:, 1:11] = dev[:, 1 + _NATURAL]
-    resasc = (dev[:, :11] * _W_ASC).cumsum(axis=1)[:, -1]
-
-    dhlgth = np.abs(hlgth)
-    result = resk * hlgth
-    resabs *= dhlgth
-    resasc *= dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
-    rescale = (resasc != 0.0) & (abserr != 0.0)
-    if rescale.any():
-        # Python's power is the C library's, as in dqk21; NumPy's
-        # vectorized one can differ in the last bit
-        ratio = (200.0 * abserr[rescale] / resasc[rescale]).tolist()
-        abserr[rescale] = resasc[rescale] * np.fmin(
-            1.0, [r ** 1.5 for r in ratio])
-    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
-                      np.fmax(50.0 * _EPMACH * resabs, abserr), abserr)
-    return result, abserr, resabs, resasc
-
-
-def _qk21_panels(f, a, b):
-    """:func:`_qk21` on a few panels in Python floats: one call of ``f`` on
-    all their nodes, then dqk21's sums panel by panel.  A list of
-    (result, abserr, resabs, resasc) per panel; for the two halves of a
-    bisection this is several times faster than the array form, and gives
-    the same bits."""
     centr = np.array([0.5 * (lo + hi) for lo, hi in zip(a, b)])
     hlgth = [0.5 * (hi - lo) for lo, hi in zip(a, b)]
     x = np.multiply.outer(hlgth, _NODES)
@@ -173,11 +127,8 @@ def qagse(f, a, b, epsabs: float, epsrel: float):
     """
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                np.atleast_1d(np.asarray(b, dtype=float)))
-    if len(a) <= _FEW_PANELS:
-        result, abserr, defabs, resasc = np.array(
-            _qk21_panels(f, a.tolist(), b.tolist())).reshape(-1, 4).T
-    else:
-        result, abserr, defabs, resasc = _qk21(f, a, b)
+    result, abserr, defabs, resasc = np.array(
+        _qk21(f, a.tolist(), b.tolist())).reshape(-1, 4).T
     errbnd = np.maximum(epsabs, epsrel * np.abs(result))
     settled = (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
                | ((abserr <= 100.0 * _EPMACH * defabs) & (abserr > errbnd)))
@@ -235,7 +186,7 @@ def _adapt(f, a, b, epsabs, epsrel, result, abserr):
         b2 = blist[maxerr]
         erlast = errmax
         (area1, error1, _, defab1), (area2, error2, _, defab2) = (
-            _qk21_panels(f, (a1, a2), (b1, b2)))
+            _qk21(f, (a1, a2), (b1, b2)))
 
         area12 = area1 + area2
         erro12 = error1 + error2

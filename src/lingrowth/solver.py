@@ -52,12 +52,13 @@ Each solve runs BLAS on one thread: on entry every OpenBLAS thread pool
 loaded in the process is set to one thread, and on exit the counts found
 are put back.  LAPACK works through the band in 32-column blocks, so one
 factorization of N unknowns is about N/32 small BLAS-3 calls, and waking a
-second thread for each costs more than it saves.  Inside a catenoid
-refinement study on two cores (medians), measured before its levels were
-seeded from their column solves and stopped factoring 2D bands, a
-32,512-unknown factorization took 219 ms on two threads and 105 ms on
-one, an 8,064-unknown one 32 ms and 13 ms; in isolation one thread was
-never slower, up to 130,560 unknowns.  Callers that run solves from
+second thread for each costs more than it saves.  Measured with the
+benchmark harness on a shared two-core machine at two OpenBLAS threads
+(six alternating pairs, medians), the scope cuts a removability pass
+(2D bands of up to 3,392 unknowns) from 0.38 to 0.16 s of CPU and from
+0.19 to 0.16 s of wall time, and halves the CPU time of a refinement
+pass, which factors only column bands of 15 to 127 unknowns (0.091 to
+0.047 s), at equal wall time.  Callers that run solves from
 several threads of their own share one save and restore.  Where no
 OpenBLAS library is found the counts are left alone.  Reports are
 byte-identical at one and two BLAS threads, so the scope changes speed

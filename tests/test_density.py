@@ -307,15 +307,16 @@ def test_invert_gprime_numeric_matches_analytic(rng):
 
 @pytest.mark.parametrize("mu", [2.0, 3.0])
 def test_mu_inverse_round_trip_is_exact_to_ulps_at_small_y(mu):
-    """g'(t) = 1 - (1 + t)**(1 - mu) of the inverse's t, read back as
-    -expm1((1 - mu) log1p(t)).  The density's g' subtracts from 1 and so
-    rounds to multiples of about 1e-16 near t = 0: it cannot resolve
-    y = 1e-16, so the round trip uses the form without cancellation."""
+    """g'(t) = 1 - (1 + t)**(1 - mu) of the inverse's t, read back through
+    the density's own g' and through -expm1((1 - mu) log1p(t)).  Formed
+    as a difference from 1, g' would round to multiples of about 1e-16
+    near t = 0 and read 0 at y = 1e-16."""
     d = make_mu_density(mu)
     for y in (1e-16, 1e-10, 1e-4):
         t = invert_gprime(d, y)
         back = -math.expm1((1.0 - mu) * math.log1p(t))
         assert abs(back - y) <= 4.0 * math.ulp(y)
+        assert abs(float(d.gprime(t)) - y) <= 4.0 * math.ulp(y)
 
 
 # -- growth classification --------------------------------------------------

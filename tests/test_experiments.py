@@ -25,7 +25,7 @@ from lingrowth.experiments import (
     run_removability,
     write_report,
 )
-from lingrowth.mesh import NodeTag, build_polar_mesh
+from lingrowth.mesh import NodeTag, build_polar_mesh, one_column
 from lingrowth.solver import solve_dirichlet
 
 FAST = dict(epsilons=(0.3, 0.15), n_r=16, n_theta=24, inner_layers=4)
@@ -289,6 +289,25 @@ def test_barrier_seed_matches_per_ring_envelopes(mu2):
                                atol=1e-9)
     # the spike caps the rings next to the inner circle, not the far ones
     assert rings[1, 0] == -0.2 and -0.2 < rings[-2, 0] < 0.0
+
+
+@pytest.mark.parametrize("spike", [10.0, 100.0, -1000.0])
+@pytest.mark.parametrize("density", ["area", "mu2"])
+def test_barrier_seed_keeps_large_spike_ring_solves_short(density, spike,
+                                                          request):
+    """From the capped envelope the ring problem of a large spike takes at
+    most 4 Newton steps at every default epsilon; from the harmonic
+    extension it took 14 to 119, so cold column solves are no substitute
+    for the seed."""
+    d = request.getfixturevalue(density)
+    cfg = RemovabilityConfig(density={"kind": "area"})  # default sweep
+    for eps in cfg.epsilons:
+        column = one_column(build_polar_mesh(
+            eps, cfg.outer_radius, cfg.n_r, cfg.n_theta,
+            inner_layers=cfg.inner_layers))
+        start = _barrier_seed(d, column, eps, cfg.outer_radius, spike)
+        ring = solve_dirichlet(d, column, start, x0=start)
+        assert ring.converged and ring.iterations <= 4, (eps, ring.iterations)
 
 
 # -- comparison suite -----------------------------------------------------------

@@ -66,24 +66,14 @@ def test_qk21_node_layout_matches_the_rule():
     rounding floor (50 eps * resabs) exactly while the Gauss rule is exact
     too."""
     for k in range(32):
-        result, _, _, _ = quadrature._qk21(lambda t: t ** k, np.array([0.5]),
-                                          np.array([2.0]))
+        (result, _, _, _), = quadrature._qk21(lambda t: t ** k, [0.5], [2.0])
         exact = (2.0 ** (k + 1) - 0.5 ** (k + 1)) / (k + 1)
-        assert result[0] == pytest.approx(exact, rel=1e-14), k
+        assert result == pytest.approx(exact, rel=1e-14), k
     for k in range(0, 22, 2):
-        _, abserr, resabs, _ = quadrature._qk21(
-            lambda t: t ** k, np.array([-1.0]), np.array([1.0]))
-        floor = 50.0 * np.finfo(float).eps * resabs[0]
-        assert (abserr[0] == floor) == (k < 20), k
-
-
-def test_array_and_panel_kernels_give_the_same_bits(rng):
-    a = np.sort(rng.uniform(0.0, 3.0, 40))
-    b = a + rng.uniform(1e-3, 1.0, 40)
-    for f in (np.sqrt, np.exp, lambda t: 1.0 / (1.0 + t * t)):
-        arrays = np.array(quadrature._qk21(f, a, b)).T
-        panels = np.array(quadrature._qk21_panels(f, a.tolist(), b.tolist()))
-        np.testing.assert_array_equal(arrays, panels)
+        (_, abserr, resabs, _), = quadrature._qk21(lambda t: t ** k, [-1.0],
+                                                   [1.0])
+        floor = 50.0 * np.finfo(float).eps * resabs
+        assert (abserr == floor) == (k < 20), k
 
 
 # -- the adaptive loop against QUADPACK ----------------------------------------
@@ -123,13 +113,30 @@ def test_envelope_gaps_match_quad():
 
 
 def test_batched_equals_one_interval_at_a_time():
-    f = _radial_integrand(make_mu_density(3.0), 1.0, 2)
-    ends = np.array([1.0, 1.01, 1.1, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0])
-    for lo, hi in ((ends[:-1], ends[1:]), (ends[:4], ends[1:5])):
-        batched = qagse(f, lo, hi, 1e-11, 1e-12)
-        single = np.array([qagse(f, a, b, 1e-11, 1e-12)
-                           for a, b in zip(lo, hi)])[:, :, 0].T
-        np.testing.assert_array_equal(batched, single)
+    """One batched first pass gives every interval the bits of its own
+    dqagse call, at the tolerance each gap gets in a cumulative pass, on
+    all the gaps and on a few of them: 10 gaps of a mu=3 profile from its
+    neck, the 53 gaps of the default removability barrier seed at the
+    smallest eps (annulus rings, then R = 1), and the 128 gaps between the
+    finest rings of the refinement study."""
+    removability = build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6)
+    refinement = build_polar_mesh(1.5, 3.0, 128, 256)
+    cases = [
+        (make_mu_density(3.0), 1.0, 10,
+         np.array([1.0, 1.01, 1.1, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0])),
+        (make_area_density(), 0.025, 53,
+         np.append(removability.ring_radii[1:-1], 1.0)),
+        (make_mu_density(3.0), 1.0, 128, refinement.ring_radii),
+    ]
+    for d, neck, count, ends in cases:
+        assert len(ends) - 1 == count
+        f = _radial_integrand(d, neck, 2)
+        epsabs = QUAD_ABS_TOL * 1e-2 / count
+        for lo, hi in ((ends[:-1], ends[1:]), (ends[:4], ends[1:5])):
+            batched = qagse(f, lo, hi, epsabs, 1e-12)
+            single = np.array([qagse(f, a, b, epsabs, 1e-12)
+                               for a, b in zip(lo, hi)])[:, :, 0].T
+            np.testing.assert_array_equal(batched, single)
 
 
 @pytest.mark.parametrize("d", [make_area_density(), make_mu_density(2.5),
