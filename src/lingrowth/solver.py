@@ -39,7 +39,34 @@ one-column mesh of :func:`lingrowth.mesh.one_column`, whose triangles each
 have two vertices on one node.  An off-diagonal block entry stands for
 both K_ij and K_ji; where its two vertices are one node, both land on the
 diagonal, so the entry is added there twice.  No triangle of a 2D mesh
-repeats a vertex, so their bands do not change.
+repeats a vertex, so their bands do not change.  A band map depends on
+the triangles and the interior nodes only, so the maps of the last few
+topologies are kept, keyed by those bytes: the annuli of a removability
+sweep differ in their radii alone and share one map.
+
+On an annulus, the Hessian K(w) at a ring-constant field w is
+block-circulant in theta: the mesh maps onto itself under rotation by one
+column, and so does w.  The discrete Fourier transform in theta
+diagonalizes every circulant (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988,
+builds circulant preconditioners on this), so each mode
+theta_k = 2 pi k / n_theta meets one matrix in the ring index.  It is real
+and tridiagonal.  Each quadrilateral cell has two parallel chords, on
+which w is constant, so w has one gradient p on both of its triangles and
+both share one tangent T.  The hat gradient of the vertex alone on its
+ring in either triangle is parallel to p, an eigenvector of T with
+eigenvalue g''(|p|), so the coupling across the cell's diagonal is
+g''(|p|) times the Laplacian's, -(cot B + cot D)/2, where B and D are the
+angles opposite the diagonal.  The cell is an isosceles trapezoid, so
+B + D = pi and the coupling vanishes.  What is left couples each node to
+itself (D0), to the next node of its ring (D1) and to the node of the next
+ring in its column (S): diagonal D0 + 2 cos(theta_k) D1, off-diagonal S.
+:func:`_ring_mode_step` sums them from the column-0 triangle blocks of the
+one-column mesh, stacks the real and imaginary parts of every mode
+k = 0 .. n_theta // 2 of ``numpy.fft.rfft`` into one band of depth 2, and
+factors and solves it with the same ``dpbtrf``/``dpbtrs``.  A step with it
+differs from the 2D banded solve of K(w) by rounding only; it is used to
+correct starts, and the gradient test of :func:`solve_dirichlet` still
+decides convergence.
 
 Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
@@ -463,6 +490,31 @@ def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
                  shape=(depth, len(interior)))
 
 
+# band maps of the last few mesh topologies, most recent last
+_BAND_CACHE_SIZE = 8
+_bands: dict = {}
+_bands_lock = threading.Lock()
+
+
+def _cached_band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
+    """:func:`_band` of ``mesh``, kept for the last ``_BAND_CACHE_SIZE``
+    topologies.  The key is the bytes of the triangles and of the interior
+    nodes, not the mesh object, so meshes that differ only in their node
+    positions (every annulus of a removability sweep, the reference disks
+    of two densities) share one map.  Its arrays are read-only."""
+    key = (mesh.triangles.tobytes(), interior.tobytes())
+    with _bands_lock:
+        band = _bands.pop(key, None)
+        if band is None:
+            band = _band(mesh, interior)
+            band.entries.flags.writeable = False
+            band.positions.flags.writeable = False
+        _bands[key] = band
+        if len(_bands) > _BAND_CACHE_SIZE:
+            del _bands[next(iter(_bands))]
+    return band
+
+
 def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
                         interior: np.ndarray, band: _Band) -> np.ndarray:
     """Initial guess from boundary data u (zero on the interior): discrete
@@ -475,6 +527,60 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
     out[interior] = _solve_factored(band.factor(_blocks(mesh, flat)),
                                     -Ku[interior])
     return out
+
+
+def _ring_mode_step(d: Density, annulus: PolarMesh, column: PolarMesh,
+                    ring_values: np.ndarray):
+    """The map u -> u - K(w)^-1 grad E(u) on the interior of ``annulus``,
+    boundary entries kept, where w is the ring-constant field of
+    ``ring_values`` on ``column``, the annulus's one-column mesh
+    (:func:`lingrowth.mesh.one_column`), and K(w) the 2D interior Hessian
+    at w.  K(w) is factored once, here, for every call of the map.
+
+    K(w) is never assembled in 2D: it is block-circulant in theta, and each
+    Fourier mode is one real tridiagonal system in the ring index (see the
+    module docstring).  A disk's center couples every column, so disks
+    raise ValueError.
+    """
+    if annulus.is_disk:
+        raise ValueError("the ring-mode step needs an annulus, not a disk")
+    n, n_rings = annulus.n_theta, len(annulus.ring_radii)
+    m = n_rings - 2                             # interior rings
+
+    # the column's triangles are the annulus's column-0 triangles, whose
+    # blocks at w are those of every rotated copy; the column scales their
+    # areas by n_theta
+    _, tangent = flux_tangent(d, _triangle_gradients(column, ring_values))
+    lower = _blocks(column, tangent) / n
+    i, j = np.array(_LOWER).T
+    ra, rb = column.triangles[:, i], column.triangles[:, j]
+    # D0, D1 and S of the module docstring, by the lower of the two rings;
+    # the diagonal couplings of each cell, summed into S, cancel
+    kind = np.where(i == j, 0, np.where(ra == rb, 1, 2))
+    lo = np.minimum(ra, rb)
+    keep = (lo >= 1) & (np.maximum(ra, rb) <= m)
+    D0, D1, S = np.bincount((kind * n_rings + lo)[keep], weights=lower[keep],
+                            minlength=3 * n_rings).reshape(3, n_rings)
+    cos = np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+
+    # the real and imaginary parts of every mode, one tridiagonal block
+    # each, in LAPACK's lower band layout
+    ab = np.zeros((2, len(cos), m, 2))
+    ab[..., 0] = D0[1:-1] + 2.0 * cos[:, None] * D1[1:-1]
+    ab[..., :-1, 1] = S[1:-2]
+    pbtrf, pbtrs = _band_lapack()
+    factor = pbtrf(ab.reshape(-1, 2).T)
+
+    def step(u: np.ndarray) -> np.ndarray:
+        flux, _ = flux_tangent(d, _triangle_gradients(annulus, u))
+        rhs = np.fft.rfft(annulus.rings(_nodal_gradient(annulus, flux))[1:-1])
+        x = pbtrs(factor, np.stack([rhs.real.T, rhs.imag.T]).ravel())
+        x = x.reshape(2, len(cos), m)
+        out = np.array(u, dtype=float)
+        annulus.rings(out)[1:-1] -= np.fft.irfft((x[0] + 1j * x[1]).T, n)
+        return out
+
+    return step
 
 
 def _newton_step(band: _Band, blocks: np.ndarray,
@@ -568,9 +674,9 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     opts = opts or SolverOptions()
 
     interior = mesh.interior_nodes()
-    # the band map is built for the first factorization, so a start that
-    # passes the gradient test builds none
-    band = functools.cache(lambda: _band(mesh, interior))
+    # the band map is looked up for the first factorization, so a start
+    # that passes the gradient test looks up none
+    band = functools.cache(lambda: _cached_band(mesh, interior))
     u = _boundary_vector(mesh, boundary_data)
     if x0 is None:
         u = _harmonic_extension(d, mesh, u, interior, band())

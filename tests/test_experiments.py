@@ -25,7 +25,7 @@ from lingrowth.experiments import (
     run_removability,
     write_report,
 )
-from lingrowth.mesh import NodeTag, build_polar_mesh, one_column
+from lingrowth.mesh import NodeTag, build_polar_mesh, one_column, radial_values
 from lingrowth.solver import solve_dirichlet
 
 FAST = dict(epsilons=(0.3, 0.15), n_r=16, n_theta=24, inner_layers=4)
@@ -235,14 +235,55 @@ def test_removability_warm_starts_match_cold(monkeypatch, dcfg):
 
 
 @pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])
-def test_removability_annuli_take_at_most_two_steps(monkeypatch, dcfg):
+def test_removability_annuli_take_one_newton_step(monkeypatch, dcfg):
     # the default sweep: each annulus starts from the exact solution of its
-    # ring-constant problem, so only the reference's angular part is left
+    # ring-constant problem, corrected twice mode by mode in theta, so one
+    # Newton step takes the gradient down to rounding
     calls = _record_solves(monkeypatch)
-    assert run_removability(RemovabilityConfig(density=dcfg)).all_checks_pass()
-    annuli = [sol.iterations for _, mesh, *_, sol in calls
+    factored = []
+    factor = solver._Band.factor
+
+    def recording(band, lower):
+        factored.append(band.shape)
+        return factor(band, lower)
+    monkeypatch.setattr(solver._Band, "factor", recording)
+    rep = run_removability(RemovabilityConfig(density=dcfg))
+    assert rep.all_checks_pass()
+    annuli = [sol for _, mesh, *_, sol in calls
               if mesh.n_theta > 1 and not mesh.is_disk]
-    assert len(annuli) == 4 and max(annuli) <= 2
+    assert [sol.iterations for sol in annuli] == [1, 1, 1, 1]
+    for sol in annuli:
+        assert sol.grad_norm <= 1e-12 * (1.0 + abs(sol.energy))
+    assert [r["iterations"] for r in rep.records] == [1, 1, 1, 1]
+    assert ([r["column_iterations"] for r in rep.records]
+            == [sol.iterations for _, mesh, *_, sol in calls
+                if mesh.n_theta == 1])
+    # 2D bands (column bands have depth 2): the reference disk's harmonic
+    # extension and one Newton step per annulus; the mode solves factor
+    # none
+    assert sum(depth > 2 for depth, _ in factored) == 5
+
+
+@pytest.mark.parametrize("outer, corrected", [
+    ({"kind": "affine", "q": (0.012, 0.009), "c": 0.0}, True),
+    # a steep background: the second correction is about five times the
+    # first, so the annulus starts from the uncorrected field
+    ({"kind": "affine", "q": (1.0, 0.0), "c": 0.0}, False),
+])
+def test_removability_keeps_only_contracting_corrections(monkeypatch, outer,
+                                                         corrected):
+    calls = _record_solves(monkeypatch)
+    cfg = RemovabilityConfig(density={"kind": "mu", "mu": 2.0},
+                             epsilons=(0.2,), outer_data=outer)
+    # the steep background's dipole exceeds the envelope; only convergence
+    # is asked for here
+    assert run_removability(cfg).checks["complete"]
+    (_, disk, *_, reference), (_, column, *_, ring), \
+        (_, annulus, _, _, x0, _) = calls
+    ref_on_annulus = annulus.from_rings(
+        radial_values(disk, reference.values, annulus.ring_radii))
+    seed = ref_on_annulus + annulus.from_rings(column.rings(ring.values))
+    assert np.array_equal(x0, seed) != corrected
 
 
 def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):

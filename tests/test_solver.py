@@ -25,7 +25,9 @@ from lingrowth.solver import (
     _Band,
     _band,
     _blocks,
+    _cached_band,
     _nodal_gradient,
+    _ring_mode_step,
     _triangle_gradients,
     check_comparison,
     energy,
@@ -327,6 +329,71 @@ def test_one_column_band_is_the_ring_summed_hessian(density, request, rng):
     once = band_counting_each_entry_once(column, ci).matrix(blocks)
     assert np.max(np.abs(once[0] - np.diagonal(want))) > 1e-3 * np.max(
         np.abs(want))
+
+
+@pytest.mark.parametrize("n_theta", [15, 16])
+@pytest.mark.parametrize("density", ["area", "mu3"])
+def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
+                                                  rng):
+    # K(w) at a ring-constant w is block-circulant in theta, so its mode by
+    # mode solve is the 2D banded solve of the same matrix, with and
+    # without a Nyquist mode
+    d = request.getfixturevalue(density)
+    mesh = build_polar_mesh(0.1, 1.0, 8, n_theta, inner_layers=2)
+    column = one_column(mesh)
+    w = 0.7 * np.cos(3.0 * column.ring_radii) + 0.05 * rng.normal(
+        size=len(column.ring_radii))
+    ring_field = mesh.from_rings(w[:, None])
+    u = ring_field + 0.3 * rng.normal(size=mesh.num_nodes)
+    ii = mesh.interior_nodes()
+    _, tangent = flux_tangent(d, _triangle_gradients(mesh, ring_field))
+    factor = _band(mesh, ii).factor(_blocks(mesh, tangent))
+    flux, _ = flux_tangent(d, _triangle_gradients(mesh, u))
+    want = u.copy()
+    want[ii] -= solver._solve_factored(factor,
+                                       _nodal_gradient(mesh, flux)[ii])
+
+    got = _ring_mode_step(d, mesh, column, w)(u)
+    bnodes = mesh.boundary_nodes()
+    assert np.array_equal(got[bnodes], u[bnodes])
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want - u)))
+
+
+def test_ring_mode_step_rejects_a_disk(area):
+    disk = build_polar_mesh(0.0, 1.0, 6, 12)
+    column = one_column(disk)
+    with pytest.raises(ValueError, match="annulus"):
+        _ring_mode_step(area, disk, column, np.zeros(len(disk.ring_radii)))
+
+
+def test_band_cache_shares_one_map_per_topology():
+    # annuli that differ only in their radii share one map, equal to a
+    # fresh one; another topology gets its own
+    a = build_polar_mesh(0.2, 1.0, 12, 16, inner_layers=2)
+    b = build_polar_mesh(0.05, 2.0, 12, 16, inner_layers=2)
+    c = build_polar_mesh(0.2, 1.0, 12, 17, inner_layers=2)
+    for mesh in (a, b, c, one_column(a)):
+        ii = mesh.interior_nodes()
+        got, fresh = _cached_band(mesh, ii), _band(mesh, ii)
+        assert np.array_equal(got.entries, fresh.entries)
+        assert np.array_equal(got.positions, fresh.positions)
+        assert got.shape == fresh.shape
+        assert not got.entries.flags.writeable
+    assert _cached_band(a, a.interior_nodes()) is _cached_band(
+        b, b.interior_nodes())
+    assert _cached_band(a, a.interior_nodes()) is not _cached_band(
+        c, c.interior_nodes())
+
+
+def test_band_cache_keeps_the_last_few_topologies():
+    meshes = [build_polar_mesh(0.5, 1.0, 3, n_theta)
+              for n_theta in range(3, 4 + solver._BAND_CACHE_SIZE)]
+    bands = [_cached_band(m, m.interior_nodes()) for m in meshes]
+    assert len(solver._bands) <= solver._BAND_CACHE_SIZE
+    # the oldest was evicted, the newest is kept
+    assert _cached_band(meshes[-1], meshes[-1].interior_nodes()) is bands[-1]
+    assert _cached_band(meshes[0], meshes[0].interior_nodes()) is not bands[0]
 
 
 def _patch_band_lapack(monkeypatch, pbtrf=None, pbtrs=None):
@@ -868,8 +935,10 @@ def test_converged_values_as_x0_take_no_step(mu3, annulus, monkeypatch):
     def no_band(*args):
         raise AssertionError("a start that passes the gradient test "
                              "needs no band")
-    # the band map is built for the first factorization only
-    monkeypatch.setattr(solver, "_band", no_band)
+    # the band map is looked up for the first factorization only; the
+    # cold solve has cached this mesh's map, so the lookup is what is
+    # barred, not only a build
+    monkeypatch.setattr(solver, "_cached_band", no_band)
     warm = solve_dirichlet(mu3, annulus, data, x0=cold.values)
     assert warm.converged
     assert warm.iterations == 0
