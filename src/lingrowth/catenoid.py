@@ -465,13 +465,13 @@ def envelope_bound(d: Density, r: float, rho: float, R: float,
     t = rho..R ), the value at radius rho of the decreasing barrier that
     equals outer_value on the sphere of radius R.  Requires
     0 < r < rho < R.  As r -> 0 the integral vanishes and the envelope
-    collapses to the outer bound.
+    collapses to the outer bound.  This is :func:`envelope_bounds` at the
+    one radius rho.
     """
     _require_normalized(d)
     if not (0.0 < r < rho < R):
         raise ValueError(f"need 0 < r < rho < R, got r={r}, rho={rho}, R={R}")
-    return outer_value + float(
-        _radial_integrals(d, r ** (n - 1), n, (rho, R))[1])
+    return float(envelope_bounds(d, r, [rho], R, outer_value, n)[0])
 
 
 def envelope_bounds(d: Density, r: float, radii, R: float,

@@ -46,6 +46,7 @@ from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
 from .density import Density, Growth, density_from_config, normalize
 from .mesh import (NodeTag, PolarMesh, build_polar_mesh, one_column,
                    radial_values)
+from .quadrature import QuadratureAccuracyError
 from .solver import (NonConvergenceError, SolverOptions, _ring_mode_step,
                      check_comparison, solve_dirichlet)
 
@@ -202,10 +203,10 @@ class RemovabilityConfig:
 
     The default outer slope is kept small because the envelope bound
     controls only the spike's own influence: a background gradient q adds
-    a genuine continuum contribution ~ 0.45 * epsilon * |q| to the
-    deviation at the probe (the saturated inner circle emits flux 1
-    pointwise, so the background field turns the excess source into a
-    monopole plus an O(epsilon |q|) dipole).
+    a continuum contribution of its own to the deviation at the probe,
+    not a fixed multiple of epsilon * |q|: on the default mesh, that
+    contribution over epsilon * |q| fell from 0.42 to 0.036 for area and
+    rose from 0.41 to 1.21 for mu = 2 as epsilon fell from 0.2 to 3.1e-3.
     """
 
     density: dict
@@ -288,6 +289,8 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     mesh (:func:`lingrowth.mesh.one_column`), so that problem is a
     :func:`solve_dirichlet` on the column, started from the capped barrier
     envelope of :func:`_barrier_seed` and run with the study's options.
+    Where that envelope cannot be certified (mu = 1.2, on the first graded
+    rings), the ring solve starts from the harmonic extension instead.
     That start is left with the reference's angular part.  Two chord
     corrections take most of it out: each is a step with the 2D Hessian at
     the ring solution, which is rotation-invariant, so it is solved mode by
@@ -325,8 +328,13 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
         inner_vals = annulus.rings(ref_on_annulus)[0] + cfg.spike
         data = _dirichlet(annulus, inner=inner_vals, outer=outer_vals)
         column = one_column(annulus)
-        start = _barrier_seed(d, column, eps, R, cfg.spike)
-        ring = solve_dirichlet(d, column, start, opts, x0=start)
+        try:
+            start = _barrier_seed(d, column, eps, R, cfg.spike)
+        except QuadratureAccuracyError:
+            start = None
+        ring = solve_dirichlet(d, column,
+                               _dirichlet(column, inner=cfg.spike, outer=0.0),
+                               opts, x0=start)
         seed = ref_on_annulus + annulus.from_rings(column.rings(ring.values))
         step = _ring_mode_step(d, annulus, column, ring.values)
         once = step(seed)

@@ -75,19 +75,16 @@ regime the full Newton step is taken without the energy test; whether the
 result counts as converged is decided by the gradient test alone, which is
 made at the start and after every step.
 
-Each solve runs BLAS on one thread: on entry every OpenBLAS thread pool
-loaded in the process is set to one thread, and on exit the counts found
-are put back.  LAPACK works through the band in 32-column blocks, so one
-factorization of N unknowns is about N/32 small BLAS-3 calls, and waking a
-second thread for each costs more than it saves.  Measured with the
-benchmark harness on a shared two-core machine at two OpenBLAS threads
-(six alternating pairs, medians), the scope cuts a removability pass
-(2D bands of up to 3,392 unknowns) from 0.38 to 0.16 s of CPU and from
-0.19 to 0.16 s of wall time, and halves the CPU time of a refinement
-pass, which factors only column bands of 15 to 127 unknowns (0.091 to
-0.047 s), at equal wall time.  Callers that run solves from
-several threads of their own share one save and restore.  Where no
-OpenBLAS library is found the counts are left alone.  Reports are
+Each solve runs BLAS on one thread.  :func:`_band_lapack` takes the
+OpenBLAS thread count from the same library handle that supplies
+``dpbtrf`` and ``dpbtrs``, so the count that is set is the one of the
+library that runs the band algebra, numpy's or, in the fallback, scipy's.
+On entry to a solve it is set to one, and on exit the count found is put
+back.  LAPACK works through the band in 32-column blocks, so one
+factorization of N unknowns is about N/32 small BLAS-3 calls, and waking
+a second thread for each costs more than it saves.  Callers that run
+solves from several threads of their own share one save and restore.
+Where that library is not OpenBLAS the count is left alone.  Reports are
 byte-identical at one and two BLAS threads, so the scope changes speed
 only.
 
@@ -100,9 +97,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
-import os
 import threading
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -258,32 +253,51 @@ def _blocks(mesh: PolarMesh, tangent: np.ndarray) -> np.ndarray:
 # banded LAPACK
 
 # Symbol patterns of dpbtrf/dpbtrs in numpy's LAPACK, tried in order, each
-# with its Fortran integer: numpy >= 2 wheels (scipy-openblas, 64-bit
+# with its Fortran integer and the pattern of the OpenBLAS thread-count
+# functions that come with it: numpy >= 2 wheels (scipy-openblas, 64-bit
 # ints), numpy 1.x wheels (64-bit ints), LP64 builds (32-bit ints).
-_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64),
-                   ("{}_64_", ctypes.c_int64),
-                   ("{}_", ctypes.c_int32))
+_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64,
+                    "scipy_openblas_{}_num_threads64_"),
+                   ("{}_64_", ctypes.c_int64, "openblas_{}_num_threads64_"),
+                   ("{}_", ctypes.c_int32, "openblas_{}_num_threads"))
 
 
 @functools.cache
 def _band_lapack() -> tuple:
-    """(pbtrf, pbtrs), looked up once: ``pbtrf(ab)`` factors a lower band
-    ``ab[i - j, j] = K[i, j]`` in place (copied first only if it is not a
-    Fortran-ordered float array) and returns the factor, raising
+    """(pbtrf, pbtrs, threads), looked up once: ``pbtrf(ab)`` factors a
+    lower band ``ab[i - j, j] = K[i, j]`` in place (copied first only if it
+    is not a Fortran-ordered float array) and returns the factor, raising
     LinAlgError when K is not numerically positive definite;
     ``pbtrs(factor, rhs)`` returns the solution of K x = rhs in a new
-    array.
+    array.  ``threads`` is the (get, set) pair of OpenBLAS's thread-count
+    functions from the library that runs the two routines, or None where
+    that library is not OpenBLAS.
 
     The routines come from the library of ``numpy.linalg``, which a loaded
     numpy has mapped already; scipy's wrappers of the same routines are
     imported only where none of ``_LAPACK_SYMBOLS`` resolves there."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for pattern, fint in _LAPACK_SYMBOLS:
+    for pattern, fint, threads in _LAPACK_SYMBOLS:
         trf = getattr(lib, pattern.format("dpbtrf"), None)
         trs = getattr(lib, pattern.format("dpbtrs"), None)
         if trf is not None and trs is not None:
-            return _ctypes_band(trf, trs, fint)
+            return (*_ctypes_band(trf, trs, fint),
+                    _thread_count(lib, (threads,)))
     return _scipy_band()
+
+
+def _thread_count(lib, patterns) -> Optional[tuple]:
+    """(get, set) of the OpenBLAS thread count in ``lib``, under the first
+    of ``patterns`` ("{}" standing for get and set) that names both, or
+    None."""
+    for pattern in patterns:
+        get = getattr(lib, pattern.format("get"), None)
+        put = getattr(lib, pattern.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
 
 
 def _ctypes_band(trf, trs, fint) -> tuple:
@@ -324,8 +338,9 @@ def _ctypes_band(trf, trs, fint) -> tuple:
 
 
 def _scipy_band() -> tuple:
-    """(pbtrf, pbtrs) of ``_band_lapack`` through scipy's LAPACK wrappers."""
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    """(pbtrf, pbtrs, threads) of ``_band_lapack`` through scipy's LAPACK
+    wrappers, with the thread count of the library they are built in."""
+    from scipy.linalg.lapack import _flapack, dpbtrf, dpbtrs
 
     def pbtrf(ab):
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
@@ -337,7 +352,10 @@ def _scipy_band() -> tuple:
         _check_info("dpbtrs", info)
         return x
 
-    return pbtrf, pbtrs
+    threads = _thread_count(ctypes.CDLL(_flapack.__file__),
+                            ("scipy_openblas_{}_num_threads",
+                             "openblas_{}_num_threads"))
+    return pbtrf, pbtrs, threads
 
 
 def _check_info(routine: str, info: int):
@@ -348,71 +366,52 @@ def _check_info(routine: str, info: int):
         raise ValueError(f"{routine}: illegal value in argument {-info}")
 
 
+def _factor(ab: np.ndarray) -> np.ndarray:
+    """Banded Cholesky factor of K from its lower band ``ab``, factored in
+    place, so the band and its factor share one array.  Raises LinAlgError
+    when K is not numerically positive definite."""
+    return _band_lapack()[0](ab)
+
+
+def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve K x = rhs with the banded Cholesky factor of K."""
+    return _band_lapack()[1](factor, rhs)
+
+
 # ---------------------------------------------------------------------------
 # BLAS thread scope
 
 
-@functools.cache
-def _openblas_pools() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS library mapped
-    into this process, looked up once.  Empty where none is found (another
-    BLAS, or no /proc/self/maps).  The banded LAPACK is resolved first, so
-    a library that its scipy fallback loads is among them."""
-    _band_lapack()
-    try:
-        with open("/proc/self/maps") as fh:
-            # the last field is the mapped file's path (or the inode)
-            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
-    except OSError:
-        return ()
-    pools = []
-    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("scipy_", ""), ("", "64_")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                pools.append((get, put))
-                break
-    return tuple(pools)
-
-
 _blas_lock = threading.Lock()
 _blas_depth = 0
-_blas_saved = ()
+_blas_saved = 0
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the enclosed solve with every OpenBLAS pool at one thread.
+    """Run the enclosed solve with the banded LAPACK's OpenBLAS at one
+    thread.
 
     :func:`solve_dirichlet` is public, so a caller may run solves from
-    several threads of its own; the OpenBLAS counts are process-wide, so
+    several threads of its own; the OpenBLAS count is process-wide, so
     overlapping scopes share one save and restore: the first scope in
-    records the counts and sets them to 1, the last one out puts the
-    recorded counts back.
+    records the count and sets it to 1, the last one out puts the
+    recorded count back.
     """
     global _blas_depth, _blas_saved
     with _blas_lock:
-        pools = _openblas_pools()
-        if _blas_depth == 0:
-            _blas_saved = tuple(get() for get, _ in pools)
-            for _, put in pools:
-                put(1)
+        threads = _band_lapack()[2]
+        if _blas_depth == 0 and threads is not None:
+            _blas_saved = threads[0]()
+            threads[1](1)
         _blas_depth += 1
     try:
         yield
     finally:
         with _blas_lock:
             _blas_depth -= 1
-            if _blas_depth == 0:
-                for (_, put), count in zip(pools, _blas_saved):
-                    put(count)
+            if _blas_depth == 0 and threads is not None:
+                threads[1](_blas_saved)
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +453,6 @@ class _Band:
         ab = np.bincount(self.positions, weights=lower.ravel()[self.entries],
                          minlength=depth * n)
         return ab.reshape(n, depth).T
-
-    def factor(self, lower: np.ndarray) -> np.ndarray:
-        """Banded Cholesky factor of K, assembled from (M, 6) lower entries
-        and factored in place, so the band and its factor share one array.
-        Raises LinAlgError when K is not numerically positive definite."""
-        return _band_lapack()[0](self.matrix(lower))
-
-
-def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs with the banded Cholesky factor of K."""
-    return _band_lapack()[1](factor, rhs)
 
 
 def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
@@ -523,9 +511,9 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
     g''(0) * grad u of that quadratic energy."""
     _, flat = flux_tangent(d, np.zeros(2))
     Ku = _nodal_gradient(mesh, flat[0, 0] * _triangle_gradients(mesh, u))
+    factor = _factor(band.matrix(_blocks(mesh, flat)))
     out = u.copy()
-    out[interior] = _solve_factored(band.factor(_blocks(mesh, flat)),
-                                    -Ku[interior])
+    out[interior] = _solve_factored(factor, -Ku[interior])
     return out
 
 
@@ -568,13 +556,13 @@ def _ring_mode_step(d: Density, annulus: PolarMesh, column: PolarMesh,
     ab = np.zeros((2, len(cos), m, 2))
     ab[..., 0] = D0[1:-1] + 2.0 * cos[:, None] * D1[1:-1]
     ab[..., :-1, 1] = S[1:-2]
-    pbtrf, pbtrs = _band_lapack()
-    factor = pbtrf(ab.reshape(-1, 2).T)
+    factor = _factor(ab.reshape(-1, 2).T)
 
     def step(u: np.ndarray) -> np.ndarray:
         flux, _ = flux_tangent(d, _triangle_gradients(annulus, u))
         rhs = np.fft.rfft(annulus.rings(_nodal_gradient(annulus, flux))[1:-1])
-        x = pbtrs(factor, np.stack([rhs.real.T, rhs.imag.T]).ravel())
+        x = _solve_factored(factor,
+                            np.stack([rhs.real.T, rhs.imag.T]).ravel())
         x = x.reshape(2, len(cos), m)
         out = np.array(u, dtype=float)
         annulus.rings(out)[1:-1] -= np.fft.irfft((x[0] + 1j * x[1]).T, n)
@@ -588,7 +576,7 @@ def _newton_step(band: _Band, blocks: np.ndarray,
     """The Newton step -K^-1 g, or None when K is not numerically positive
     definite or the step is not a finite descent direction."""
     try:
-        factor = band.factor(blocks)
+        factor = _factor(band.matrix(blocks))
     except LinAlgError:
         return None
     step = _solve_factored(factor, -g_i)

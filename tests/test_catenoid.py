@@ -269,7 +269,10 @@ def test_envelope_bounds_match_scalar_and_closed_form(area, mu3):
     for d in (area, mu3):
         got = envelope_bounds(d, eps, radii, R, 2.5, 2)
         want = [envelope_bound(d, eps, rho, R, 2.5, 2) for rho in radii]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        # one radius is one route; several split the integral into gaps
+        assert want == [envelope_bounds(d, eps, [rho], R, 2.5, 2)[0]
+                        for rho in radii]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_envelope_bounds_gap_budgets_sum_to_the_contract(area, monkeypatch):

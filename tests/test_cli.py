@@ -172,6 +172,16 @@ def test_experiment_removability_passes(tmp_path, capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+def test_experiment_removability_mu_1_2_passes(tmp_path):
+    # the barrier seed's envelope cannot be certified on the first graded
+    # rings of this valid density; the study must not end on that
+    code, out = run(tmp_path, "experiment", "--kind", "mu", "--mu", "1.2",
+                    "--experiment-kind", "removability")
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"] and all(report["checks"].values())
+
+
 def test_experiment_epsilon_probe_conflict_is_config_error(tmp_path):
     cfg = {"density": {"kind": "area"},
            "experiment": {**FAST_SWEEP, "epsilons": [0.6, 0.3]}}

@@ -12,7 +12,8 @@ from lingrowth import experiments, solver
 from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                                 profile_value)
 from lingrowth.density import (TailEstimate, make_area_density,
-                               make_custom_density, make_mu_density)
+                               make_custom_density, make_mu_density,
+                               normalize)
 from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
@@ -26,6 +27,7 @@ from lingrowth.experiments import (
     write_report,
 )
 from lingrowth.mesh import NodeTag, build_polar_mesh, one_column, radial_values
+from lingrowth.quadrature import QuadratureAccuracyError
 from lingrowth.solver import solve_dirichlet
 
 FAST = dict(epsilons=(0.3, 0.15), n_r=16, n_theta=24, inner_layers=4)
@@ -241,12 +243,12 @@ def test_removability_annuli_take_one_newton_step(monkeypatch, dcfg):
     # Newton step takes the gradient down to rounding
     calls = _record_solves(monkeypatch)
     factored = []
-    factor = solver._Band.factor
+    factor = solver._factor
 
-    def recording(band, lower):
-        factored.append(band.shape)
-        return factor(band, lower)
-    monkeypatch.setattr(solver._Band, "factor", recording)
+    def recording(ab):
+        factored.append(ab.shape)
+        return factor(ab)
+    monkeypatch.setattr(solver, "_factor", recording)
     rep = run_removability(RemovabilityConfig(density=dcfg))
     assert rep.all_checks_pass()
     annuli = [sol for _, mesh, *_, sol in calls
@@ -258,9 +260,8 @@ def test_removability_annuli_take_one_newton_step(monkeypatch, dcfg):
     assert ([r["column_iterations"] for r in rep.records]
             == [sol.iterations for _, mesh, *_, sol in calls
                 if mesh.n_theta == 1])
-    # 2D bands (column bands have depth 2): the reference disk's harmonic
-    # extension and one Newton step per annulus; the mode solves factor
-    # none
+    # 2D bands (column and mode bands have depth 2): the reference disk's
+    # harmonic extension and one Newton step per annulus
     assert sum(depth > 2 for depth, _ in factored) == 5
 
 
@@ -304,12 +305,12 @@ def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):
 
 def test_catenoid_reproduction_factors_column_bands_only(monkeypatch, mu3):
     factored = []
-    factor = solver._Band.factor
+    factor = solver._factor
 
-    def recording(band, lower):
-        factored.append(band.shape)
-        return factor(band, lower)
-    monkeypatch.setattr(solver._Band, "factor", recording)
+    def recording(ab):
+        factored.append(ab.shape)
+        return factor(ab)
+    monkeypatch.setattr(solver, "_factor", recording)
     spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
     rep = run_catenoid_reproduction(mu3, spec, refinements=3, n_r0=8,
                                     n_theta0=16)
@@ -330,6 +331,25 @@ def test_barrier_seed_matches_per_ring_envelopes(mu2):
                                atol=1e-9)
     # the spike caps the rings next to the inner circle, not the far ones
     assert rings[1, 0] == -0.2 and -0.2 < rings[-2, 0] < 0.0
+
+
+def test_uncertified_barrier_seed_starts_the_ring_solve_cold(monkeypatch):
+    # mu = 1.2: the envelope quadrature raises at every default epsilon, so
+    # each ring solve starts from the harmonic extension of the same data
+    cfg = RemovabilityConfig(density={"kind": "mu", "mu": 1.2})
+    d = normalize(make_mu_density(1.2))
+    calls = _record_solves(monkeypatch)
+    rep = run_removability(cfg)
+    assert rep.all_checks_pass()
+    rings = [(mesh, data, x0) for _, mesh, data, _, x0, _ in calls
+             if mesh.n_theta == 1]
+    assert len(rings) == len(cfg.epsilons)
+    for eps, (column, data, x0) in zip(cfg.epsilons, rings):
+        with pytest.raises(QuadratureAccuracyError):
+            _barrier_seed(d, column, eps, cfg.outer_radius, cfg.spike)
+        assert x0 is None
+        assert list(column.rings(data)[[0, -1], 0]) == [cfg.spike, 0.0]
+    assert [r["iterations"] for r in rep.records] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("spike", [10.0, 100.0, -1000.0])

@@ -1,5 +1,7 @@
 """FEM energy minimizer: exactness, descent, symmetry, comparison checks."""
 
+import contextlib
+import ctypes
 import dataclasses
 import math
 import sys
@@ -347,7 +349,7 @@ def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
     u = ring_field + 0.3 * rng.normal(size=mesh.num_nodes)
     ii = mesh.interior_nodes()
     _, tangent = flux_tangent(d, _triangle_gradients(mesh, ring_field))
-    factor = _band(mesh, ii).factor(_blocks(mesh, tangent))
+    factor = solver._factor(_band(mesh, ii).matrix(_blocks(mesh, tangent)))
     flux, _ = flux_tangent(d, _triangle_gradients(mesh, u))
     want = u.copy()
     want[ii] -= solver._solve_factored(factor,
@@ -399,9 +401,9 @@ def test_band_cache_keeps_the_last_few_topologies():
 def _patch_band_lapack(monkeypatch, pbtrf=None, pbtrs=None):
     """Route the solver's banded factor and solve through the given
     stand-ins; the real routine serves where none is given."""
-    real_trf, real_trs = solver._band_lapack()
-    pair = (pbtrf or real_trf, pbtrs or real_trs)
-    monkeypatch.setattr(solver, "_band_lapack", lambda: pair)
+    real_trf, real_trs, threads = solver._band_lapack()
+    triple = (pbtrf or real_trf, pbtrs or real_trs, threads)
+    monkeypatch.setattr(solver, "_band_lapack", lambda: triple)
 
 
 def _not_positive_definite(ab):
@@ -472,7 +474,7 @@ def _band_call_log(monkeypatch):
     """Record "factor" and "solve" for each banded LAPACK call of the
     solver; every solve must use the latest factor."""
     log, last = [], {}
-    pbtrf, pbtrs = solver._band_lapack()
+    pbtrf, pbtrs, _ = solver._band_lapack()
 
     def factor(ab):
         log.append("factor")
@@ -521,7 +523,7 @@ def test_band_lapack_matches_scipy_bit_for_bit(mu3, rng, mesh):
     ab = _band(mesh, mesh.interior_nodes()).matrix(_blocks(mesh, tangent))
     rhs = rng.normal(size=ab.shape[1])
     want = cholesky_banded(ab, lower=True)
-    pbtrf, pbtrs = solver._band_lapack()
+    pbtrf, pbtrs, _ = solver._band_lapack()
     got = pbtrf(ab)
     assert got is ab                # factored in place
     assert np.array_equal(got, want)
@@ -797,78 +799,82 @@ def test_uniqueness_across_initial_guesses(area, annulus):
 # -- BLAS thread scope --------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _two_blas_threads(threads):
+    """The OpenBLAS count of a (get, set) pair at 2 threads (so that a
+    restored count differs from the solve's 1), put back afterwards."""
+    get, put = threads
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
+
+
 @pytest.fixture
-def blas_pools():
-    """The OpenBLAS pools the solver finds, each set to 2 threads for the
-    test (so that a restored count differs from the solve's 1) and put
-    back afterwards."""
-    pools = solver._openblas_pools()
-    if not pools:
-        pytest.skip("no OpenBLAS pool found in this process")
-    before = [get() for get, _ in pools]
-    for _, put in pools:
-        put(2)
-    yield pools
-    for (_, put), count in zip(pools, before):
-        put(count)
+def blas_count():
+    """The get function of the OpenBLAS count the solver sets, at 2
+    threads for the test."""
+    threads = solver._band_lapack()[2]
+    if threads is None:
+        pytest.skip("the banded LAPACK's BLAS is not OpenBLAS")
+    with _two_blas_threads(threads) as get:
+        yield get
 
 
-def _thread_counts(pools):
-    return [get() for get, _ in pools]
-
-
-def _record_counts_in_band_calls(monkeypatch, pools):
-    """[(LAPACK call, thread counts inside it)] of every banded factor and
+def _record_counts_in_band_calls(monkeypatch, get):
+    """[(LAPACK call, thread count inside it)] of every banded factor and
     solve call."""
     seen = []
 
     def spy(name, call):
         def wrapped(*args, **kwargs):
-            seen.append((name, _thread_counts(pools)))
+            seen.append((name, get()))
             return call(*args, **kwargs)
         return wrapped
 
-    pbtrf, pbtrs = solver._band_lapack()
+    pbtrf, pbtrs, _ = solver._band_lapack()
     _patch_band_lapack(monkeypatch, spy("factor", pbtrf), spy("solve", pbtrs))
     return seen
 
 
-def test_solve_runs_blas_on_one_thread(area, annulus, blas_pools, monkeypatch):
-    seen = _record_counts_in_band_calls(monkeypatch, blas_pools)
+def test_solve_runs_blas_on_one_thread(area, annulus, blas_count, monkeypatch):
+    seen = _record_counts_in_band_calls(monkeypatch, blas_count)
     sol = solve_dirichlet(area, annulus, np.cos(2.0 * annulus.node_angles()))
     assert sol.converged
     names = [n for n, _ in seen]
     # one factor and solve for the start, then one of each for every step
     assert names.count("solve") == sol.iterations + 1
     assert names.count("factor") == sol.iterations + 1
-    assert all(counts == [1] * len(blas_pools) for _, counts in seen)
-    assert _thread_counts(blas_pools) == [2] * len(blas_pools)
+    assert all(count == 1 for _, count in seen)
+    assert blas_count() == 2
 
 
 @pytest.mark.parametrize("bad, error", [
     (dict(x0=np.zeros(7)), ValueError),
     (dict(opts=SolverOptions(max_iter=1)), NonConvergenceError),
 ], ids=["x0-shape", "iteration-cap"])
-def test_failed_solve_restores_blas_threads(area, annulus, blas_pools,
+def test_failed_solve_restores_blas_threads(area, annulus, blas_count,
                                             monkeypatch, bad, error):
-    seen = _record_counts_in_band_calls(monkeypatch, blas_pools)
+    seen = _record_counts_in_band_calls(monkeypatch, blas_count)
     with pytest.raises(error):
         solve_dirichlet(area, annulus, np.cos(4.0 * annulus.node_angles()),
                         **bad)
-    assert all(counts == [1] * len(blas_pools) for _, counts in seen)
-    assert _thread_counts(blas_pools) == [2] * len(blas_pools)
+    assert all(count == 1 for _, count in seen)
+    assert blas_count() == 2
 
 
-def test_overlapping_scopes_share_one_save_and_restore(blas_pools):
+def test_overlapping_scopes_share_one_save_and_restore(blas_count):
     """More threads than cores enter and leave the scope with a short
-    switch interval; a lost update of the shared depth would leave a pool
-    at 1 thread afterwards, or at its old count inside a scope."""
+    switch interval; a lost update of the shared depth would leave the
+    count at 1 thread afterwards, or at its old value inside a scope."""
     inside = []
 
     def worker():
         for _ in range(2000):
             with solver._one_blas_thread():
-                inside.append(_thread_counts(blas_pools))
+                inside.append(blas_count())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -882,17 +888,45 @@ def test_overlapping_scopes_share_one_save_and_restore(blas_pools):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(inside) == 6 * 2000
-    assert all(counts == [1] * len(blas_pools) for counts in inside)
-    assert _thread_counts(blas_pools) == [2] * len(blas_pools)
+    assert all(count == 1 for count in inside)
+    assert blas_count() == 2
 
 
 def test_solve_without_openblas_pools_is_unchanged(mu3, annulus, monkeypatch):
     data = 0.4 * np.cos(2.0 * annulus.node_angles())
     ordinary = solve_dirichlet(mu3, annulus, data)
-    monkeypatch.setattr(solver, "_openblas_pools", lambda: ())
+    pbtrf, pbtrs, _ = solver._band_lapack()
+    monkeypatch.setattr(solver, "_band_lapack", lambda: (pbtrf, pbtrs, None))
     bare = solve_dirichlet(mu3, annulus, data)
     assert np.array_equal(bare.values, ordinary.values)
     assert bare.iterations == ordinary.iterations
+
+
+def test_scipy_fallback_runs_blas_on_one_thread(area, annulus, monkeypatch):
+    # with no numpy LAPACK symbol to find, the scope sets the count of the
+    # library that scipy's wrappers run in, read here from that library
+    from scipy.linalg.lapack import _flapack
+    threads = solver._thread_count(ctypes.CDLL(_flapack.__file__),
+                                   ("scipy_openblas_{}_num_threads",
+                                    "openblas_{}_num_threads"))
+    if threads is None:
+        pytest.skip("scipy's LAPACK exports no OpenBLAS thread count")
+    monkeypatch.setattr(solver, "_LAPACK_SYMBOLS", ())
+    solver._band_lapack.cache_clear()
+    try:
+        assert "_scipy_band" in solver._band_lapack()[0].__qualname__
+        with _two_blas_threads(threads) as get:
+            seen = _record_counts_in_band_calls(monkeypatch, get)
+            sol = solve_dirichlet(area, annulus,
+                                  np.cos(2.0 * annulus.node_angles()))
+            assert sol.converged
+            factors = [count for name, count in seen if name == "factor"]
+            assert len(factors) == sol.iterations + 1
+            assert all(count == 1 for _, count in seen)
+            assert get() == 2
+    finally:
+        monkeypatch.undo()
+        solver._band_lapack.cache_clear()
 
 
 # -- start vector x0 ----------------------------------------------------------
