@@ -539,6 +539,31 @@ def classify_growth(d: Density) -> Growth:
 # vector calculus helpers for the field energy G(p) = g(|p|)
 
 
+def _slope_over_norm(d: Density, p):
+    """What :func:`flux_only` and :func:`flux_tangent` share: the stack p
+    as a float array, its components, t = |p|, the mask t > 0, t with 1
+    where t = 0, and g'(t) divided by that, which is g'(t)/t where t > 0."""
+    p = np.asarray(p, dtype=float)
+    comps = [p[..., i] for i in range(p.shape[-1])]
+    t = np.zeros(p.shape[:-1])
+    for c in comps:
+        t = np.hypot(t, c)
+    gp = np.asarray(d.gprime(t), dtype=float)
+    pos = t > 0.0
+    safe = np.where(pos, t, 1.0)
+    return p, comps, t, pos, safe, gp / safe
+
+
+def flux_only(d: Density, p):
+    """The flux (g'(t)/t) p of :func:`flux_tangent`, bit for bit, without
+    evaluating g'' or building the tangent: for callers that need the
+    energy gradient alone.  At p = 0 it is 0, as there."""
+    p, _, _, pos, _, slope = _slope_over_norm(d, p)
+    # flux_tangent's coefficient is g''(0) > 0 where t = 0; any positive
+    # one gives the same signed zeros
+    return np.where(pos, slope, 1.0)[..., None] * p
+
+
 def flux_tangent(d: Density, p):
     """Flux and tangent of G(p) = g(|p|) for a stack p of shape (..., k).
 
@@ -551,21 +576,15 @@ def flux_tangent(d: Density, p):
     (..., k) and (..., k, k); one vector p gives one flux vector and one
     k x k tangent.  This is the only place the formulas live: the
     finite-element gradient and Hessian in :mod:`lingrowth.solver` read
-    them from here.  Strict convexity plus a monotone slope make the
-    tangent positive definite, and each off-diagonal entry is rounded once
-    and mirrored, so it is exactly symmetric.
+    them from here, and :func:`flux_only` shares the flux's g'(t)/t with
+    them.  Strict convexity plus a monotone slope make the tangent positive
+    definite, and each off-diagonal entry is rounded once and mirrored, so
+    it is exactly symmetric.
     """
-    p = np.asarray(p, dtype=float)
-    k = p.shape[-1]
-    comps = [p[..., i] for i in range(k)]
-    t = np.zeros(p.shape[:-1])
-    for c in comps:
-        t = np.hypot(t, c)
-    gp = np.asarray(d.gprime(t), dtype=float)
+    p, comps, t, pos, safe, slope = _slope_over_norm(d, p)
+    k = len(comps)
     c2 = np.asarray(d.gsecond(t), dtype=float)
-    pos = t > 0.0
-    safe = np.where(pos, t, 1.0)
-    c1 = np.where(pos, gp / safe, c2)           # g'(t)/t, and g''(0) at t = 0
+    c1 = np.where(pos, slope, c2)               # g'(t)/t, and g''(0) at t = 0
     flux = c1[..., None] * p
 
     # entry by entry on whole arrays: (coef ph_i) ph_j for i <= j, c1 added

@@ -10,9 +10,9 @@ Three studies are provided:
   discrete shadow of removable-singularity behaviour.  Each annulus solve
   starts from the reference plus the exact discrete solution of the
   spike's ring-constant problem, solved on a one-column mesh from the
-  spike's capped barrier envelope, and corrected twice, mode by mode in
-  theta, with the Hessian at that ring solution; in the default sweeps
-  one 2D Newton step is then left.
+  spike's capped barrier envelope, and corrected mode by mode in theta,
+  with the Hessian at that ring solution, down to the rounding of the
+  field; in the default sweeps no 2D Newton step is then left.
 
 * **Catenoid reproduction** (:func:`run_catenoid_reproduction`): impose
   exact radial barrier values on both circles of an annulus and measure
@@ -47,7 +47,7 @@ from .density import Density, Growth, density_from_config, normalize
 from .mesh import (NodeTag, PolarMesh, build_polar_mesh, one_column,
                    radial_values)
 from .quadrature import QuadratureAccuracyError
-from .solver import (NonConvergenceError, SolverOptions, _ring_mode_step,
+from .solver import (NonConvergenceError, SolverOptions, _ring_mode_corrected,
                      check_comparison, solve_dirichlet)
 
 
@@ -260,18 +260,6 @@ def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
     return annulus.from_rings(excess[:, None])
 
 
-# Largest ratio of the second ring-mode correction to the first at which a
-# removability annulus starts from the corrected field.  The corrections are
-# chord steps with one Hessian, so the ratio estimates their contraction.
-# Over 240 annuli (area, mu=2, mu=3; background slopes 0.05 to 3; spikes 1
-# and -10; the default epsilons and mesh) the corrected start never took
-# more 2D Newton steps than the uncorrected one where the ratio was at most
-# 1/4 (2211 -> 2074 steps in all); with no test it took up to 65 more
-# (2607 in all), where a steep background puts the start far from the
-# Hessian at the ring solution.
-_CHORD_CONTRACTION = 0.25
-
-
 def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     """Excised-disk sweep: corrupted inner data versus barrier envelope.
 
@@ -291,19 +279,22 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     envelope of :func:`_barrier_seed` and run with the study's options.
     Where that envelope cannot be certified (mu = 1.2, on the first graded
     rings), the ring solve starts from the harmonic extension instead.
-    That start is left with the reference's angular part.  Two chord
-    corrections take most of it out: each is a step with the 2D Hessian at
-    the ring solution, which is rotation-invariant, so it is solved mode by
-    mode in theta (:func:`lingrowth.solver._ring_mode_step`).  In the
-    default sweeps the gradient falls about a hundredfold per correction,
-    and from the corrected start the annulus solve takes one Newton step;
-    its gradient test is still the only certificate.  Where the second
-    correction is more than ``_CHORD_CONTRACTION`` times the first (a
-    steep background), the corrections are dropped and the annulus starts
-    from the uncorrected field.  Each record carries the annulus's Newton
-    steps as ``iterations`` and the ring solve's as ``column_iterations``.
-    Every seed depends only on the reference and epsilon, so the solves
-    are independent.
+    That start is left with the reference's angular part.  Chord
+    corrections take it out: each is a step with the 2D Hessian at the
+    ring solution, which is rotation-invariant, so it is solved mode by
+    mode in theta, and they go on while they contract, until the next one
+    would fall below the rounding of the field
+    (:func:`lingrowth.solver._ring_mode_corrected`).  In the default
+    sweeps that takes six to eight corrections, and the corrected start
+    passes the annulus solve's gradient test as it is: no annulus takes a
+    Newton step or factors a 2D band, and the gradient test is still the
+    only certificate.  Where the second correction is more than a quarter
+    of the first (a steep background), the corrections are dropped and the
+    annulus starts from the uncorrected field.  Each record carries the
+    annulus's Newton steps as ``iterations``, the ring solve's as
+    ``column_iterations`` and the number of corrections kept, 0 where they
+    were dropped, as ``corrections``.  Every seed depends only on the
+    reference and epsilon, so the solves are independent.
     """
     d = normalize(density_from_config(cfg.density))
     growth = d.growth
@@ -335,13 +326,9 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
         ring = solve_dirichlet(d, column,
                                _dirichlet(column, inner=cfg.spike, outer=0.0),
                                opts, x0=start)
-        seed = ref_on_annulus + annulus.from_rings(column.rings(ring.values))
-        step = _ring_mode_step(d, annulus, column, ring.values)
-        once = step(seed)
-        twice = step(once)
-        if (np.linalg.norm(twice - once)
-                <= _CHORD_CONTRACTION * np.linalg.norm(once - seed)):
-            seed = twice
+        seed, corrections = _ring_mode_corrected(
+            d, annulus, column, ring.values,
+            ref_on_annulus + annulus.from_rings(column.rings(ring.values)))
         sol = solve_dirichlet(d, annulus, data, opts, x0=seed)
         h = annulus.h_radial
         allow = 10.0 * h * h
@@ -361,6 +348,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
             "converged": sol.converged,
             "iterations": sol.iterations,
             "column_iterations": ring.iterations,
+            "corrections": corrections,
             "deviation_at_probe": deviation,
             "envelope_satisfied": bool(deviation <= env + allow),
             "two_sided_bound_satisfied": two_sided,

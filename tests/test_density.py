@@ -9,6 +9,7 @@ from lingrowth import density
 from lingrowth.density import (
     Growth,
     TailEstimate,
+    flux_only,
     flux_tangent,
     classify_growth,
     invert_gprime,
@@ -433,6 +434,19 @@ def test_flux_tangent_matches_broadcast_bitwise(area, mu3, rng, k):
             assert tangent.shape == want_tangent.shape
             assert np.array_equal(flux, want_flux)
             assert np.array_equal(tangent, want_tangent)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flux_only_is_the_flux_of_flux_tangent_bitwise(area, mu3, rng, k):
+    p = rng.normal(size=(60, k)) * rng.choice([1e-8, 0.1, 1.0, 30.0],
+                                               size=(60, 1))
+    p[::5] = 0.0
+    p[1::10] = -0.0
+    for d in (area, mu3):
+        for stack in (p, p.reshape(3, 4, 5, k), p.T.copy().T, p[7], p[1]):
+            got, want = flux_only(d, stack), flux_tangent(d, stack)[0]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_hessian_continuous_at_origin(area):

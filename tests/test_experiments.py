@@ -11,7 +11,7 @@ import pytest
 from lingrowth import experiments, solver
 from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                                 profile_value)
-from lingrowth.density import (TailEstimate, make_area_density,
+from lingrowth.density import (TailEstimate, flux_tangent, make_area_density,
                                make_custom_density, make_mu_density,
                                normalize)
 from lingrowth.experiments import (
@@ -236,12 +236,8 @@ def test_removability_warm_starts_match_cold(monkeypatch, dcfg):
     _assert_warm_matches_cold(calls, n_warm=4)
 
 
-@pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])
-def test_removability_annuli_take_one_newton_step(monkeypatch, dcfg):
-    # the default sweep: each annulus starts from the exact solution of its
-    # ring-constant problem, corrected twice mode by mode in theta, so one
-    # Newton step takes the gradient down to rounding
-    calls = _record_solves(monkeypatch)
+def _record_factors(monkeypatch):
+    """The shape of every band the solver factors."""
     factored = []
     factor = solver._factor
 
@@ -249,20 +245,53 @@ def test_removability_annuli_take_one_newton_step(monkeypatch, dcfg):
         factored.append(ab.shape)
         return factor(ab)
     monkeypatch.setattr(solver, "_factor", recording)
+    return factored
+
+
+def _annulus_solves(calls):
+    return [(d, mesh, sol) for d, mesh, *_, sol in calls
+            if mesh.n_theta > 1 and not mesh.is_disk]
+
+
+@pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0},
+                                  {"kind": "mu", "mu": 3.0}])
+def test_removability_annuli_take_no_newton_step(monkeypatch, dcfg):
+    # the default sweep: each annulus starts from the exact solution of its
+    # ring-constant problem, corrected mode by mode in theta down to the
+    # rounding of the field, which passes the gradient test as it is
+    calls = _record_solves(monkeypatch)
+    factored = _record_factors(monkeypatch)
     rep = run_removability(RemovabilityConfig(density=dcfg))
     assert rep.all_checks_pass()
-    annuli = [sol for _, mesh, *_, sol in calls
-              if mesh.n_theta > 1 and not mesh.is_disk]
-    assert [sol.iterations for sol in annuli] == [1, 1, 1, 1]
+    annuli = [sol for *_, sol in _annulus_solves(calls)]
+    assert [sol.iterations for sol in annuli] == [0, 0, 0, 0]
     for sol in annuli:
         assert sol.grad_norm <= 1e-12 * (1.0 + abs(sol.energy))
-    assert [r["iterations"] for r in rep.records] == [1, 1, 1, 1]
+    assert [r["iterations"] for r in rep.records] == [0, 0, 0, 0]
+    assert all(r["corrections"] > 2 for r in rep.records)
     assert ([r["column_iterations"] for r in rep.records]
             == [sol.iterations for _, mesh, *_, sol in calls
                 if mesh.n_theta == 1])
     # 2D bands (column and mode bands have depth 2): the reference disk's
-    # harmonic extension and one Newton step per annulus
-    assert sum(depth > 2 for depth, _ in factored) == 5
+    # harmonic extension alone
+    assert sum(depth > 2 for depth, _ in factored) == 1
+
+
+@pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])
+def test_removability_annuli_are_solved_to_rounding(monkeypatch, dcfg):
+    # one more 2D Newton step, taken whatever the gradient, moves no node
+    # of a default annulus solution by more than 1e-13
+    calls = _record_solves(monkeypatch)
+    run_removability(RemovabilityConfig(density=dcfg))
+    for d, mesh, sol in _annulus_solves(calls):
+        ii = mesh.interior_nodes()
+        flux, tangent = flux_tangent(
+            d, solver._triangle_gradients(mesh, sol.values))
+        factor = solver._factor(solver._band(mesh, ii).matrix(
+            solver._blocks(mesh, tangent)))
+        step = solver._solve_factored(
+            factor, solver._nodal_gradient(mesh, flux)[ii])
+        assert np.max(np.abs(step)) <= 1e-13
 
 
 @pytest.mark.parametrize("outer, corrected", [
@@ -278,13 +307,48 @@ def test_removability_keeps_only_contracting_corrections(monkeypatch, outer,
                              epsilons=(0.2,), outer_data=outer)
     # the steep background's dipole exceeds the envelope; only convergence
     # is asked for here
-    assert run_removability(cfg).checks["complete"]
+    rep = run_removability(cfg)
+    assert rep.checks["complete"]
     (_, disk, *_, reference), (_, column, *_, ring), \
         (_, annulus, _, _, x0, _) = calls
     ref_on_annulus = annulus.from_rings(
         radial_values(disk, reference.values, annulus.ring_radii))
     seed = ref_on_annulus + annulus.from_rings(column.rings(ring.values))
     assert np.array_equal(x0, seed) != corrected
+    assert (rep.records[0]["corrections"] > 0) == corrected
+
+
+@pytest.mark.parametrize("spike", [1.0, 0.0])
+@pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])
+def test_removability_without_background_takes_no_newton_step(dcfg, spike):
+    # with q = 0 the start is the ring solution itself, up to the rounding
+    # of the ring solve; without a spike every correction is exactly zero
+    cfg = RemovabilityConfig(density=dcfg, spike=spike, outer_data={
+        "kind": "affine", "q": (0.0, 0.0), "c": 0.0})
+    rep = run_removability(cfg)
+    assert rep.checks["complete"]
+    assert [r["iterations"] for r in rep.records] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])
+def test_corrected_starts_take_no_more_steps_than_uncorrected(monkeypatch,
+                                                              dcfg, q):
+    # steep backgrounds, where the Hessian at the ring solution models the
+    # start less well: no annulus may take more 2D Newton steps from its
+    # corrected start than from the uncorrected one
+    calls = _record_solves(monkeypatch)
+    cfg = RemovabilityConfig(density=dcfg, n_r=24, n_theta=32, outer_data={
+        "kind": "affine", "q": (q, 0.0), "c": 0.0})
+    assert run_removability(cfg).checks["complete"]
+    (_, disk, *_, reference), *solves = calls
+    for (_, column, *_, ring), (d, annulus, data, opts, _, sol) in zip(
+            solves[::2], solves[1::2]):
+        ref_on_annulus = annulus.from_rings(
+            radial_values(disk, reference.values, annulus.ring_radii))
+        seed = ref_on_annulus + annulus.from_rings(column.rings(ring.values))
+        uncorrected = solve_dirichlet(d, annulus, data, opts, x0=seed)
+        assert sol.iterations <= uncorrected.iterations
 
 
 def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):
@@ -304,13 +368,7 @@ def test_catenoid_reproduction_warm_starts_match_cold(monkeypatch, mu3):
 
 
 def test_catenoid_reproduction_factors_column_bands_only(monkeypatch, mu3):
-    factored = []
-    factor = solver._factor
-
-    def recording(ab):
-        factored.append(ab.shape)
-        return factor(ab)
-    monkeypatch.setattr(solver, "_factor", recording)
+    factored = _record_factors(monkeypatch)
     spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
     rep = run_catenoid_reproduction(mu3, spec, refinements=3, n_r0=8,
                                     n_theta0=16)
@@ -349,7 +407,7 @@ def test_uncertified_barrier_seed_starts_the_ring_solve_cold(monkeypatch):
             _barrier_seed(d, column, eps, cfg.outer_radius, cfg.spike)
         assert x0 is None
         assert list(column.rings(data)[[0, -1], 0]) == [cfg.spike, 0.0]
-    assert [r["iterations"] for r in rep.records] == [1, 1, 1, 1]
+    assert [r["iterations"] for r in rep.records] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("spike", [10.0, 100.0, -1000.0])

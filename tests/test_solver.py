@@ -29,6 +29,7 @@ from lingrowth.solver import (
     _blocks,
     _cached_band,
     _nodal_gradient,
+    _ring_mode_corrected,
     _ring_mode_step,
     _triangle_gradients,
     check_comparison,
@@ -367,6 +368,52 @@ def test_ring_mode_step_rejects_a_disk(area):
     column = one_column(disk)
     with pytest.raises(ValueError, match="annulus"):
         _ring_mode_step(area, disk, column, np.zeros(len(disk.ring_radii)))
+
+
+def _scripted_corrections(monkeypatch, sizes):
+    """Make every ring-mode step add the next of ``sizes`` to entry 1 of a
+    field; returns the list of sizes used."""
+    used = []
+
+    def scripted(*args):
+        def step(u):
+            used.append(next(sizes))
+            out = u.copy()
+            out[1] += used[-1]
+            return out
+        return step
+    monkeypatch.setattr(solver, "_ring_mode_step", scripted)
+    return used
+
+
+@pytest.mark.parametrize("sizes, kept, calls", [
+    # the second is more than a quarter of the first: neither is kept
+    ((1.0, 0.3), 0, 2),
+    # the third shrinks by less than a quarter: the loop ends without it
+    ((1.0, 0.1, 0.03), 2, 3),
+    # tenfold each time: correction 16, 1e-15, predicts 1e-16 for the
+    # next, below the rounding eps * max|u| = 2.2e-16 of the field, so no
+    # 17th is made
+    ([10.0 ** -k for k in range(20)], 16, 16),
+])
+def test_ring_mode_corrections_follow_the_contraction_rule(monkeypatch, sizes,
+                                                           kept, calls):
+    used = _scripted_corrections(monkeypatch, iter(sizes))
+    u, got = _ring_mode_corrected(None, None, None, None, np.array([1.0, 0.0]))
+    assert (got, len(used)) == (kept, calls)
+    assert u[1] == pytest.approx(sum(used[:kept]), rel=1e-12)
+
+
+def test_exactly_zero_ring_mode_corrections_end_the_loop(area):
+    # at a zero field every correction is exactly zero: the stopping test,
+    # a predicted correction of 0 / 0, must end the loop without dividing
+    mesh = build_polar_mesh(0.1, 1.0, 8, 16, inner_layers=2)
+    column = one_column(mesh)
+    start = np.zeros(mesh.num_nodes)
+    with np.errstate(all="raise"):
+        u, kept = _ring_mode_corrected(area, mesh, column,
+                                       np.zeros(len(column.ring_radii)), start)
+    assert kept == 2 and np.array_equal(u, start)
 
 
 def test_band_cache_shares_one_map_per_topology():
@@ -847,6 +894,27 @@ def test_solve_runs_blas_on_one_thread(area, annulus, blas_count, monkeypatch):
     # one factor and solve for the start, then one of each for every step
     assert names.count("solve") == sol.iterations + 1
     assert names.count("factor") == sol.iterations + 1
+    assert all(count == 1 for _, count in seen)
+    assert blas_count() == 2
+
+
+def test_ring_mode_corrections_run_blas_on_one_thread(mu3, blas_count,
+                                                    monkeypatch):
+    # the ring solution of data 1 inside and 0 outside plus a small
+    # background, a start that keeps several corrections
+    mesh = build_polar_mesh(0.1, 1.0, 8, 16, inner_layers=2)
+    column = one_column(mesh)
+    data = np.zeros(column.num_nodes)
+    data[column.inner_nodes()] = 1.0
+    ring = solve_dirichlet(mu3, column, data)
+    start = (mesh.from_rings(column.rings(ring.values))
+             + 0.01 * (mesh.nodes[:, 0] - 0.1 * np.cos(mesh.node_angles())))
+    seen = _record_counts_in_band_calls(monkeypatch, blas_count)
+    _, kept = _ring_mode_corrected(mu3, mesh, column, ring.values, start)
+    names = [n for n, _ in seen]
+    # one mode band, solved for every correction made
+    assert kept > 2
+    assert names.count("factor") == 1 and names.count("solve") >= kept
     assert all(count == 1 for _, count in seen)
     assert blas_count() == 2
 
