@@ -24,6 +24,7 @@ exposed here as :class:`Growth`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -540,13 +541,17 @@ def classify_growth(d: Density) -> Growth:
 
 
 def _slope_over_norm(d: Density, p):
-    """What :func:`flux_only` and :func:`flux_tangent` share: the stack p
-    as a float array, its components, t = |p|, the mask t > 0, t with 1
-    where t = 0, and g'(t) divided by that, which is g'(t)/t where t > 0."""
+    """What the flux and the tangent share: the stack p as a float array,
+    its components, t = |p|, the mask t > 0, t with 1 where t = 0, and
+    g'(t) divided by that, which is g'(t)/t where t > 0."""
     p = np.asarray(p, dtype=float)
     comps = [p[..., i] for i in range(p.shape[-1])]
-    t = np.zeros(p.shape[:-1])
-    for c in comps:
+    # the fold of hypot from 0, started at the first two components:
+    # hypot(0, x) is |x|, or x itself where x is a quiet nan, and hypot
+    # reads no more of an operand than that, so the bits are the same with
+    # one pass less
+    t = np.hypot(comps[0], comps[1] if len(comps) > 1 else 0.0)
+    for c in comps[2:]:
         t = np.hypot(t, c)
     gp = np.asarray(d.gprime(t), dtype=float)
     pos = t > 0.0
@@ -554,14 +559,49 @@ def _slope_over_norm(d: Density, p):
     return p, comps, t, pos, safe, gp / safe
 
 
+def flux_lazy_tangent(d: Density, p):
+    """The flux of :func:`flux_tangent` and a callable that builds its
+    tangent.
+
+    t = |p| and g'(t) are evaluated here, once; calling the second item
+    evaluates g'' and builds the tangent from them.  A caller that needs
+    the tangent only sometimes, like the gradient test of
+    :func:`lingrowth.solver.solve_dirichlet`, pays for it only when it
+    calls, and still evaluates t and g' once.  At p = 0 the flux is 0,
+    with the signs of p's zeros.
+    """
+    p, comps, t, pos, safe, slope = _slope_over_norm(d, p)
+    # the flux's coefficient g'(t)/t is g''(0) > 0 where t = 0, which
+    # multiplies zeros; any positive one gives the same signed zeros
+    flux = np.where(pos, slope, 1.0)[..., None] * p
+    return flux, functools.partial(_tangent, d, comps, t, pos, safe, slope)
+
+
 def flux_only(d: Density, p):
-    """The flux (g'(t)/t) p of :func:`flux_tangent`, bit for bit, without
-    evaluating g'' or building the tangent: for callers that need the
-    energy gradient alone.  At p = 0 it is 0, as there."""
-    p, _, _, pos, _, slope = _slope_over_norm(d, p)
-    # flux_tangent's coefficient is g''(0) > 0 where t = 0; any positive
-    # one gives the same signed zeros
-    return np.where(pos, slope, 1.0)[..., None] * p
+    """The flux of :func:`flux_tangent`, bit for bit, without evaluating
+    g'' or building the tangent: for callers that need the energy gradient
+    alone."""
+    return flux_lazy_tangent(d, p)[0]
+
+
+def _tangent(d: Density, comps, t, pos, safe, slope):
+    """The tangent of :func:`flux_tangent` from what
+    :func:`_slope_over_norm` returned for p (p itself aside)."""
+    k = len(comps)
+    c2 = np.asarray(d.gsecond(t), dtype=float)
+    c1 = np.where(pos, slope, c2)               # g'(t)/t, and g''(0) at t = 0
+
+    # entry by entry on whole arrays: (coef ph_i) ph_j for i <= j, c1 added
+    # on the diagonal, the upper entry mirrored below it
+    ph = [c / safe for c in comps]
+    coef = np.where(pos, c2 - c1, 0.0)
+    tangent = np.empty(np.shape(t) + (k, k))
+    for i in range(k):
+        ci = coef * ph[i]
+        tangent[..., i, i] = ci * ph[i] + c1
+        for j in range(i + 1, k):
+            tangent[..., i, j] = tangent[..., j, i] = ci * ph[j]
+    return tangent
 
 
 def flux_tangent(d: Density, p):
@@ -574,27 +614,13 @@ def flux_tangent(d: Density, p):
 
     extended by 0 and g''(0) I at p = 0.  Returns arrays of shapes
     (..., k) and (..., k, k); one vector p gives one flux vector and one
-    k x k tangent.  This is the only place the formulas live: the
+    k x k tangent.  This module is the only place the formulas live: the
     finite-element gradient and Hessian in :mod:`lingrowth.solver` read
-    them from here, and :func:`flux_only` shares the flux's g'(t)/t with
-    them.  Strict convexity plus a monotone slope make the tangent positive
-    definite, and each off-diagonal entry is rounded once and mirrored, so
-    it is exactly symmetric.
+    them through this function, :func:`flux_lazy_tangent` and
+    :func:`flux_only`, which share one evaluation of t and g'(t)/t.  Strict
+    convexity plus a monotone slope make the tangent positive definite,
+    and each off-diagonal entry is rounded once and mirrored, so it is
+    exactly symmetric.
     """
-    p, comps, t, pos, safe, slope = _slope_over_norm(d, p)
-    k = len(comps)
-    c2 = np.asarray(d.gsecond(t), dtype=float)
-    c1 = np.where(pos, slope, c2)               # g'(t)/t, and g''(0) at t = 0
-    flux = c1[..., None] * p
-
-    # entry by entry on whole arrays: (coef ph_i) ph_j for i <= j, c1 added
-    # on the diagonal, the upper entry mirrored below it
-    ph = [c / safe for c in comps]
-    coef = np.where(pos, c2 - c1, 0.0)
-    tangent = np.empty(p.shape + (k,))
-    for i in range(k):
-        ci = coef * ph[i]
-        tangent[..., i, i] = ci * ph[i] + c1
-        for j in range(i + 1, k):
-            tangent[..., i, j] = tangent[..., j, i] = ci * ph[j]
-    return flux, tangent
+    flux, tangent = flux_lazy_tangent(d, p)
+    return flux, tangent()

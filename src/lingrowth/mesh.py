@@ -13,6 +13,11 @@ a disk additionally owns node 0 at the center, followed by the rings of
 positive radius.  Other modules never spell this layout out: they move a
 field between nodal vectors and (ring, column) grids through
 :meth:`PolarMesh.rings` and :meth:`PolarMesh.from_rings`.
+
+Triangles are numbered in the same order: a disk's n_theta center-fan
+triangles first, the one of column j being j, then the cells between
+consecutive circles, ring by ring and column by column within a ring,
+two triangles each.
 """
 
 from __future__ import annotations
@@ -236,11 +241,18 @@ def one_column(mesh: PolarMesh) -> PolarMesh:
     energy, and its energy gradient summed over each ring is n_theta times
     the column's.  The column has n_theta = 1, so its :meth:`PolarMesh.rings`
     grid is one value per ring.
+
+    Those triangles are picked by number, without reading the columns of
+    all 3M vertices (see the module docstring for the numbering): a disk's
+    fan triangle 0, and the first two triangles of each cell ring.
     """
     n_rings = len(mesh.ring_radii)
     ring = mesh.from_rings(np.arange(n_rings)[:, None])
-    col = mesh.from_rings(np.arange(mesh.n_theta))
-    in_column = np.all(col[mesh.triangles] <= 1, axis=1)
+    fan = mesh.n_theta if mesh.is_disk else 0
+    cells = np.arange(fan, mesh.num_triangles, 2 * mesh.n_theta)
+    in_column = np.column_stack([cells, cells + 1]).ravel()
+    if mesh.is_disk:
+        in_column = np.concatenate([[0], in_column])
     return PolarMesh(
         r_in=mesh.r_in, r_out=mesh.r_out, n_r=mesh.n_r, n_theta=1,
         nodes=np.column_stack([mesh.ring_radii, np.zeros(n_rings)]),
@@ -253,21 +265,27 @@ def one_column(mesh: PolarMesh) -> PolarMesh:
 
 
 def _triangle_geometry(nodes, triangles):
-    """Signed areas and hat-function gradients, vectorized over triangles."""
-    p0 = nodes[triangles[:, 0]]
-    p1 = nodes[triangles[:, 1]]
-    p2 = nodes[triangles[:, 2]]
-    v1 = p1 - p0
-    v2 = p2 - p0
-    det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+    """Signed areas and hat-function gradients, vectorized over triangles.
+
+    Each corner coordinate is one length-M gather from a contiguous x or y
+    array through a contiguous column of vertex indices.  Gathering (M, 2)
+    rows of ``nodes`` instead makes the same IEEE operations on the same
+    operands, so gives the same bytes, but took over twice as long at
+    65,536 triangles on a 2-core x86 machine."""
+    x, y = (np.ascontiguousarray(nodes[:, c]) for c in range(2))
+    i0, i1, i2 = np.ascontiguousarray(triangles.T)
+    x0, y0 = x[i0], y[i0]
+    v1x, v1y = x[i1] - x0, y[i1] - y0
+    v2x, v2y = x[i2] - x0, y[i2] - y0
+    det = v1x * v2y - v1y * v2x
     areas = 0.5 * det
 
     grads = np.empty((2, 3, len(triangles)))
     # gradients of the barycentric coordinates lambda_1, lambda_2
-    grads[0, 1] = v2[:, 1] / det
-    grads[1, 1] = -v2[:, 0] / det
-    grads[0, 2] = -v1[:, 1] / det
-    grads[1, 2] = v1[:, 0] / det
+    grads[0, 1] = v2y / det
+    grads[1, 1] = -v2x / det
+    grads[0, 2] = -v1y / det
+    grads[1, 2] = v1x / det
     grads[:, 0] = -(grads[:, 1] + grads[:, 2])
     return areas, grads
 

@@ -7,22 +7,28 @@ values on the boundary circles, minimize
 
 Strict convexity of g makes E strictly convex in the interior unknowns, so
 the minimizer is unique and is found by a damped Newton iteration with an
-Armijo backtracking line search.  Per-triangle flux and tangent blocks come
-from :func:`lingrowth.density.flux_tangent`, the one home of the formulas:
-with p the triangle gradient and t = |p|,
+Armijo backtracking line search.  Per-triangle flux and tangent come from
+:mod:`lingrowth.density`, the one home of the formulas: with p the triangle
+gradient and t = |p|,
 
     flux     = g'(t) p / t                      (0 at p = 0)
     tangent  = g''(t) P + (g'(t)/t) (I - P),    P = p p^T / t^2,
 
 the tangent being symmetric positive definite thanks to g'' > 0 and g'
-increasing.  Each Newton step evaluates the density once, scatters the
-flux into the nodal gradient and the lower entries of the triangle blocks
+increasing.  The triangle gradients of each iterate are computed once and
+serve both its energy and its flux.  The gradient test reads g' only: the
+flux of :func:`lingrowth.density.flux_lazy_tangent`, scattered into the
+nodal gradient.  g'' is evaluated, and the tangent built from the same
+evaluation of t and g', only when the test fails and a Newton step is
+taken; the step scatters the lower entries of the triangle blocks
 areas * G^T T G (G the hat gradients, T the tangent) straight into a
-banded interior matrix.  The kernels are arithmetic on whole length-M
-arrays, one per component, read from the component-major hat gradients
-(``PolarMesh.grads``), never products of small per-triangle matrices: on
-the few-thousand-triangle meshes of a removability sweep, numpy loops over
-inner axes of length 2 or 3 cost more than the banded factorization.
+banded interior matrix.  So a start that passes the test costs one
+residual: one pass of triangle gradients, one energy and one flux.  The
+kernels are arithmetic on whole length-M arrays, one per component, read
+from the component-major hat gradients (``PolarMesh.grads``), never
+products of small per-triangle matrices: on the few-thousand-triangle
+meshes of a removability sweep, numpy loops over inner axes of length 2 or
+3 cost more than the banded factorization.
 
 Ring-major node numbering keeps every interior coupling within n_theta + 1
 of the diagonal (n_theta at a disk's center), so the interior Hessian is
@@ -110,7 +116,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .density import Density, flux_only, flux_tangent
+from .density import Density, flux_lazy_tangent, flux_only, flux_tangent
 from .mesh import PolarMesh, same_mesh
 
 
@@ -215,7 +221,13 @@ def _triangle_gradients(mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
 
 def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
     """Total energy sum(area * g(|grad u|)) of a nodal field."""
-    p = _triangle_gradients(mesh, np.asarray(u, dtype=float))
+    return _energy(d, mesh,
+                   _triangle_gradients(mesh, np.asarray(u, dtype=float)))
+
+
+def _energy(d: Density, mesh: PolarMesh, p: np.ndarray) -> float:
+    """:func:`energy` of the field whose triangle gradients are p, for a
+    solve that reads the same p for its flux."""
     t = np.hypot(p[:, 0], p[:, 1])
     return float(np.dot(mesh.areas, d.g(t)))
 
@@ -726,13 +738,14 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     else:
         u[interior] = _start_interior(mesh, x0, interior)
 
-    E = energy(d, mesh, u)
+    p = _triangle_gradients(mesh, u)
+    E = _energy(d, mesh, p)
     if not math.isfinite(E):
         raise ValueError(f"non-finite initial energy {E}")
 
     history = [E]
     for it in range(opts.max_iter + 1):
-        flux, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
+        flux, tangent = flux_lazy_tangent(d, p)
         g_i = _nodal_gradient(mesh, flux)[interior]
         grad_norm = float(np.linalg.norm(g_i))
         if grad_norm <= _GRAD_TOL * (1.0 + abs(E)):
@@ -744,20 +757,24 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
             break
 
         rounding = _ROUNDING_DECREMENT * (1.0 + abs(E))
-        step = _newton_step(band(), _blocks(mesh, tangent), g_i)
+        step = _newton_step(band(), _blocks(mesh, tangent()), g_i)
         if step is None:
             # Newton direction unusable; fall back downhill
-            u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E)
+            u_new, E_new, ok, p_new = _armijo(d, mesh, u, interior, -g_i,
+                                              g_i, E)
         elif -float(np.dot(step, g_i)) <= rounding:
             # rounding regime: the energy test cannot see the decrease
             u_new = u.copy()
             u_new[interior] = u[interior] + step
-            E_new, ok = energy(d, mesh, u_new), True
+            p_new = _triangle_gradients(mesh, u_new)
+            E_new, ok = _energy(d, mesh, p_new), True
         else:
-            u_new, E_new, ok = _armijo(d, mesh, u, interior, step, g_i, E)
+            u_new, E_new, ok, p_new = _armijo(d, mesh, u, interior, step,
+                                              g_i, E)
             if not ok:
                 # Newton direction exhausted the line search; one gradient try
-                u_new, E_new, ok = _armijo(d, mesh, u, interior, -g_i, g_i, E)
+                u_new, E_new, ok, p_new = _armijo(d, mesh, u, interior, -g_i,
+                                                  g_i, E)
         if not ok:
             # neither direction made progress at a gradient that missed the
             # tolerance: we are numerically stationary
@@ -768,7 +785,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
             raise NonConvergenceError(
                 f"line search stalled at gradient norm {grad_norm:.3e} "
                 f"above tolerance", partial)
-        u, E = u_new, E_new
+        u, E, p = u_new, E_new, p_new
         history.append(E)
 
     partial = DiscreteSolution(mesh=mesh, values=u, energy=E,
@@ -780,17 +797,20 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
 
 
 def _armijo(d, mesh, u, interior, direction, g_i, E):
-    """Backtracking line search; returns (u_new, E_new, accepted)."""
+    """Backtracking line search; returns (u_new, E_new, accepted, p_new),
+    p_new the triangle gradients of u_new, or None where no trial was
+    accepted."""
     slope = float(np.dot(direction, g_i))
     step = 1.0
     trial = u.copy()
     while step >= 1e-14:
         trial[interior] = u[interior] + step * direction
-        E_trial = energy(d, mesh, trial)
+        p = _triangle_gradients(mesh, trial)
+        E_trial = _energy(d, mesh, p)
         if E_trial <= E + _ARMIJO_C * step * slope:
-            return trial, E_trial, True
+            return trial, E_trial, True, p
         step *= _ARMIJO_FACTOR
-    return u, E, False
+    return u, E, False, None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from lingrowth import density
 from lingrowth.density import (
     Growth,
     TailEstimate,
+    flux_lazy_tangent,
     flux_only,
     flux_tangent,
     classify_growth,
@@ -444,9 +445,67 @@ def test_flux_only_is_the_flux_of_flux_tangent_bitwise(area, mu3, rng, k):
     p[1::10] = -0.0
     for d in (area, mu3):
         for stack in (p, p.reshape(3, 4, 5, k), p.T.copy().T, p[7], p[1]):
-            got, want = flux_only(d, stack), flux_tangent(d, stack)[0]
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            got, want = flux_only(d, stack), flux_tangent(d, stack)
+            flux, tangent = flux_lazy_tangent(d, stack)
+            assert got.shape == want[0].shape
+            assert got.tobytes() == want[0].tobytes()
+            assert flux.tobytes() == want[0].tobytes()
+            assert tangent().tobytes() == want[1].tobytes()
+
+
+def test_lazy_tangent_evaluates_gsecond_only_when_built(mu3, rng,
+                                                        monkeypatch):
+    calls = []
+    gsecond = density.Density.gsecond
+
+    def spy(self, t):
+        calls.append(np.shape(t))
+        return gsecond(self, t)
+
+    monkeypatch.setattr(density.Density, "gsecond", spy)
+    p = rng.normal(size=(40, 2))
+    flux, tangent = flux_lazy_tangent(mu3, p)
+    assert calls == []
+    tangent()
+    assert calls == [(40,)]
+
+
+def _slope_over_norm_from_zero(d, p):
+    """Reference for density._slope_over_norm: |p| folded by hypot from 0,
+    one component at a time."""
+    p = np.asarray(p, dtype=float)
+    comps = [p[..., i] for i in range(p.shape[-1])]
+    t = np.zeros(p.shape[:-1])
+    for c in comps:
+        t = np.hypot(t, c)
+    gp = np.asarray(d.gprime(t), dtype=float)
+    pos = t > 0.0
+    safe = np.where(pos, t, 1.0)
+    return p, comps, t, pos, safe, gp / safe
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slope_over_norm_matches_the_hypot_fold_from_zero_bitwise(
+        area, mu3, rng, k):
+    p = rng.normal(size=(60, k)) * rng.choice([1e-300, 1e-8, 1.0, 1e300],
+                                               size=(60, 1))
+    p[::5] = 0.0
+    p[1::10] = -0.0
+    # quiet nans of both signs (inf - inf gives the negative one on x86),
+    # infinities of both signs, alone in a row and next to finite entries
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 2.5])
+    p[2::5] = rng.choice(specials, size=p[2::5].shape)
+    p[3::15] = specials[:4, None]
+    for d in (area, mu3):
+        for stack in (p, p.reshape(3, 4, 5, k), p.T.copy().T, p[2], p[3]):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = density._slope_over_norm(d, stack)
+                want = _slope_over_norm_from_zero(d, stack)
+            assert len(got[1]) == len(want[1]) == k
+            for a, b in zip((got[0], *got[1], *got[2:]),
+                            (want[0], *want[1], *want[2:])):
+                assert np.shape(a) == np.shape(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_hessian_continuous_at_origin(area):

@@ -4,11 +4,12 @@ import json
 import math
 import os
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lingrowth import experiments, solver
+from lingrowth import density, experiments, solver
 from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                                 profile_value)
 from lingrowth.density import (TailEstimate, flux_tangent, make_area_density,
@@ -275,6 +276,61 @@ def test_removability_annuli_take_no_newton_step(monkeypatch, dcfg):
     # 2D bands (column and mode bands have depth 2): the reference disk's
     # harmonic extension alone
     assert sum(depth > 2 for depth, _ in factored) == 1
+
+
+def _tangent_work_in_seeded_solves(monkeypatch):
+    """Solutions of a study's seeded 2D solves, and the calls that build or
+    read a tangent made inside them, by name."""
+    counts, seeded, inside = Counter(), [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "flux_tangent",
+                        counted("flux_tangent", solver.flux_tangent))
+    monkeypatch.setattr(density, "_tangent",
+                        counted("_tangent", density._tangent))
+    monkeypatch.setattr(density.Density, "gsecond",
+                        counted("gsecond", density.Density.gsecond))
+    monkeypatch.setattr(solver, "_blocks", counted("_blocks", solver._blocks))
+
+    def solve(d, mesh, data, opts=None, *, x0=None):
+        if mesh.n_theta == 1 or x0 is None:
+            return solve_dirichlet(d, mesh, data, opts, x0=x0)
+        inside.append(mesh)
+        try:
+            sol = solve_dirichlet(d, mesh, data, opts, x0=x0)
+        finally:
+            inside.pop()
+        seeded.append(sol)
+        return sol
+    monkeypatch.setattr(experiments, "solve_dirichlet", solve)
+    return seeded, counts
+
+
+@pytest.mark.parametrize("study", ["removability area", "removability mu2",
+                                   "catenoid mu3"])
+def test_certified_starts_build_no_tangent(monkeypatch, mu3, study):
+    # every seeded 2D solve of these studies passes its gradient test at
+    # the start, which reads the flux alone: no g'', no tangent, no blocks
+    seeded, counts = _tangent_work_in_seeded_solves(monkeypatch)
+    if study == "catenoid mu3":
+        spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
+        run_catenoid_reproduction(mu3, spec, refinements=2, n_r0=8,
+                                  n_theta0=16)
+        assert len(seeded) == 2
+    else:
+        dcfg = ({"kind": "area"} if study.endswith("area")
+                else {"kind": "mu", "mu": 2.0})
+        run_removability(RemovabilityConfig(density=dcfg))
+        assert len(seeded) == 4
+    assert [sol.iterations for sol in seeded] == [0] * len(seeded)
+    assert all(sol.converged for sol in seeded)
+    assert counts == Counter()
 
 
 @pytest.mark.parametrize("dcfg", [{"kind": "area"}, {"kind": "mu", "mu": 2.0}])

@@ -8,6 +8,7 @@ import pytest
 from lingrowth.density import flux_tangent
 from lingrowth.mesh import (
     NodeTag,
+    _triangle_geometry,
     build_polar_mesh,
     one_column,
     radial_values,
@@ -48,6 +49,61 @@ def test_positive_triangle_areas():
     for args in ((0.5, 1.0, 4, 8), (0.0, 1.0, 6, 16), (1.5, 3.0, 5, 9)):
         m = build_polar_mesh(*args)
         assert np.all(m.areas > 0.0)
+
+
+def _row_gather_geometry(nodes, triangles):
+    """Reference geometry: the corners gathered as (M, 2) rows of the
+    nodes, the edge vectors taken row by row."""
+    p0 = nodes[triangles[:, 0]]
+    p1 = nodes[triangles[:, 1]]
+    p2 = nodes[triangles[:, 2]]
+    v1 = p1 - p0
+    v2 = p2 - p0
+    det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+    grads = np.empty((2, 3, len(triangles)))
+    grads[0, 1] = v2[:, 1] / det
+    grads[1, 1] = -v2[:, 0] / det
+    grads[0, 2] = -v1[:, 1] / det
+    grads[1, 2] = v1[:, 0] / det
+    grads[:, 0] = -(grads[:, 1] + grads[:, 2])
+    return 0.5 * det, grads
+
+
+# a disk, a plain annulus, a graded annulus and the finest level of the
+# catenoid refinement study
+GEOMETRY_MESHES = [((0.0, 1.0, 5, 7), {}), ((0.5, 1.0, 4, 8), {}),
+                   ((0.05, 1.0, 12, 16), {"inner_layers": 6}),
+                   ((1.5, 3.0, 128, 256), {})]
+
+
+@pytest.mark.parametrize("args, kw", GEOMETRY_MESHES)
+def test_triangle_geometry_matches_row_gathers_bytewise(args, kw):
+    m = build_polar_mesh(*args, **kw)
+    areas, grads = _row_gather_geometry(m.nodes, m.triangles)
+    assert m.areas.tobytes() == areas.tobytes()
+    assert m.grads.shape == grads.shape
+    assert m.grads.tobytes() == grads.tobytes()
+
+
+def test_triangle_geometry_of_any_triangles_matches_row_gathers(rng):
+    # clockwise, degenerate and repeated-vertex triangles included, whose
+    # areas are negative or zero and whose gradients are inf or nan
+    nodes = rng.normal(size=(30, 2))
+    nodes[7] = nodes[3]
+    triangles = rng.integers(0, 30, size=(200, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _triangle_geometry(nodes, triangles)
+        want = _row_gather_geometry(nodes, triangles)
+    assert np.any(want[0] < 0.0) and np.any(want[0] == 0.0)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_non_positive_triangle_is_rejected():
+    # the rings of an annulus one ulp wide coincide
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-positive triangle"):
+        build_polar_mesh(1.0, math.nextafter(1.0, 2.0), 3, 8)
 
 
 def test_total_area_converges_to_annulus():
@@ -317,6 +373,23 @@ def test_one_column_layout(args, kw):
                                rtol=1e-14)
     assert np.array_equal(column.rings(np.arange(n_rings)).ravel(),
                           np.arange(n_rings))
+
+
+@pytest.mark.parametrize("args, kw", COLUMN_MESHES + GEOMETRY_MESHES
+                         + [((0.0, 1.0, 4, 3), {}), ((0.5, 1.0, 4, 3), {})])
+def test_one_column_picks_the_column_triangles_bytewise(args, kw):
+    # reference: the triangles with every vertex in column 0 or 1, found
+    # by reading the column of all 3M vertices
+    mesh = build_polar_mesh(*args, **kw)
+    column = one_column(mesh)
+    col = mesh.from_rings(np.arange(mesh.n_theta))
+    in_column = np.all(col[mesh.triangles] <= 1, axis=1)
+    ring = mesh.from_rings(np.arange(len(mesh.ring_radii))[:, None])
+    assert (column.triangles.tobytes()
+            == ring[mesh.triangles[in_column]].tobytes())
+    assert column.areas.tobytes() == (mesh.n_theta
+                                      * mesh.areas[in_column]).tobytes()
+    assert column.grads.tobytes() == mesh.grads[:, :, in_column].tobytes()
 
 
 @pytest.mark.parametrize("args, kw", COLUMN_MESHES)

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import spsolve
 
-from lingrowth import solver
+from lingrowth import density, solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux_tangent
 from lingrowth.experiments import run_comparison_suite
@@ -545,6 +546,49 @@ def test_every_newton_step_factors_its_own_band(area, annulus, monkeypatch):
     # one factor and solve for the harmonic extension, then one per step,
     # the last one in the rounding regime included
     assert log == ["factor", "solve"] * (sol.iterations + 1)
+
+
+@pytest.mark.parametrize("density_name", ["area", "mu3"])
+@pytest.mark.parametrize("amplitude", [3.0, 10.0])
+def test_stepping_solve_takes_one_gradient_pass_per_iterate(
+        density_name, amplitude, request, monkeypatch):
+    # a cold solve whose line searches backtrack: the triangle gradients of
+    # every iterate serve both its energy and its flux, and the tangent is
+    # built only for the Newton steps
+    d = request.getfixturevalue(density_name)
+    mesh = build_polar_mesh(0.5, 1.0, 16, 48)
+    data = amplitude * (np.sin(3.0 * mesh.node_angles()) + mesh.nodes[:, 0])
+    counts, steps = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((solver, "_triangle_gradients"), (solver, "_blocks"),
+                        (density, "_tangent"), (density.Density, "gsecond")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    armijo = solver._armijo
+
+    def line_search(d, mesh, u, interior, direction, g_i, E):
+        result = armijo(d, mesh, u, interior, direction, g_i, E)
+        assert result[2]
+        k = np.argmax(np.abs(direction))
+        steps.append((result[0][interior] - u[interior])[k] / direction[k])
+        return result
+    monkeypatch.setattr(solver, "_armijo", line_search)
+
+    sol = solve_dirichlet(d, mesh, data)
+    assert sol.converged and len(steps) > 2
+    # an accepted step length 2^-j comes after j rejected trials
+    rejected = sum(round(-math.log2(s)) for s in steps)
+    assert rejected > 0
+    # plus one pass, one tangent and one set of blocks for the harmonic
+    # extension that starts the solve
+    assert counts["_triangle_gradients"] == 1 + (sol.iterations + 1) + rejected
+    for name in ("_tangent", "gsecond", "_blocks"):
+        assert counts[name] == 1 + sol.iterations
 
 
 def test_seeded_comparison_trials_converge(mu3):
