@@ -402,12 +402,6 @@ class RadialProfile:
         if not (len(self.rho) == len(self.values) == len(self.slopes)):
             raise ValueError("rho, values, slopes must have equal length")
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("rho,value,slope\n")
-            for r, v, s in zip(self.rho, self.values, self.slopes):
-                fh.write(f"{r:.12g},{v:.12g},{s:.12g}\n")
-
 
 def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
                    rho_max: float, num: int = 200) -> RadialProfile:

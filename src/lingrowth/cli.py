@@ -33,7 +33,7 @@ from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError, Sign,
                        neck_limit, ode_residual, sample_profile)
 from .density import (UndeterminedLimitError, density_from_config,
                       normalize, validate)
-from .experiments import (RemovabilityConfig, circle_data_values,
+from .experiments import (RemovabilityConfig, _dirichlet, circle_data_values,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
 from .mesh import NodeTag, build_polar_mesh
@@ -212,7 +212,9 @@ def cmd_catenoid(args) -> int:
     residual = ode_residual(d, profile)
 
     out = _out_dir(args)
-    profile.write_csv(out / "profile.csv")
+    ioutil.write_csv_records(out / "profile.csv", [
+        {"rho": r, "value": v, "slope": s}
+        for r, v, s in zip(profile.rho, profile.values, profile.slopes)])
     ioutil.write_json(out / "profile_meta.json", {
         "spec": spec.to_config(),
         "density": dcfg,
@@ -245,16 +247,13 @@ def cmd_catenoid(args) -> int:
 def _boundary_from_config(mesh, bcfg, d) -> np.ndarray:
     """Nodal boundary vector from the config's ``outer``/``inner`` entries."""
     bcfg = _merge("boundary", bcfg, _BOUNDARY_KEYS)
-    data = np.full(mesh.num_nodes, np.nan)
-    data[mesh.outer_nodes()] = circle_data_values(mesh, NodeTag.OUTER,
-                                                  bcfg["outer"], d)
-    inner_nodes = mesh.inner_nodes()
-    if len(inner_nodes):
+    outer = circle_data_values(mesh, NodeTag.OUTER, bcfg["outer"], d)
+    inner = None
+    if not mesh.is_disk:
         if "inner" not in bcfg:
             raise ValueError("annulus solve needs boundary.inner in config")
-        data[inner_nodes] = circle_data_values(mesh, NodeTag.INNER,
-                                               bcfg["inner"], d)
-    return data
+        inner = circle_data_values(mesh, NodeTag.INNER, bcfg["inner"], d)
+    return _dirichlet(mesh, inner=inner, outer=outer)
 
 
 def cmd_solve(args) -> int:
@@ -281,7 +280,9 @@ def cmd_solve(args) -> int:
     except NonConvergenceError as exc:
         _say(args, f"solver did not converge: {exc}")
         sol = exc.solution
-    sol.write_csv(out / "solution.csv")
+    ioutil.write_csv_records(out / "solution.csv", [
+        {"node": i, "x": x, "y": y, "value": v}
+        for i, ((x, y), v) in enumerate(zip(mesh.nodes, sol.values))])
     ioutil.write_json(out / "diagnostics.json", sol.diagnostics())
     if not sol.converged:
         return EXIT_NONCONVERGENCE

@@ -577,13 +577,6 @@ def flux_lazy_tangent(d: Density, p):
     return flux, functools.partial(_tangent, d, comps, t, pos, safe, slope)
 
 
-def flux_only(d: Density, p):
-    """The flux of :func:`flux_tangent`, bit for bit, without evaluating
-    g'' or building the tangent: for callers that need the energy gradient
-    alone."""
-    return flux_lazy_tangent(d, p)[0]
-
-
 def _tangent(d: Density, comps, t, pos, safe, slope):
     """The tangent of :func:`flux_tangent` from what
     :func:`_slope_over_norm` returned for p (p itself aside)."""
@@ -616,11 +609,10 @@ def flux_tangent(d: Density, p):
     (..., k) and (..., k, k); one vector p gives one flux vector and one
     k x k tangent.  This module is the only place the formulas live: the
     finite-element gradient and Hessian in :mod:`lingrowth.solver` read
-    them through this function, :func:`flux_lazy_tangent` and
-    :func:`flux_only`, which share one evaluation of t and g'(t)/t.  Strict
-    convexity plus a monotone slope make the tangent positive definite,
-    and each off-diagonal entry is rounded once and mirrored, so it is
-    exactly symmetric.
+    them through this function and :func:`flux_lazy_tangent`, which share
+    one evaluation of t and g'(t)/t.  Strict convexity plus a monotone
+    slope make the tangent positive definite, and each off-diagonal entry
+    is rounded once and mirrored, so it is exactly symmetric.
     """
     flux, tangent = flux_lazy_tangent(d, p)
     return flux, tangent()

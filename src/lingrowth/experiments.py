@@ -109,11 +109,6 @@ def read_report(path) -> ExperimentReport:
 # boundary data helpers
 
 
-def affine_values(mesh: PolarMesh, nodes_idx, q, c) -> np.ndarray:
-    pts = mesh.nodes[nodes_idx]
-    return pts @ np.asarray(q, dtype=float) + float(c)
-
-
 def fourier_values(angles: np.ndarray, coeffs: dict) -> np.ndarray:
     """Truncated Fourier series c0 + sum(a_k cos + b_k sin)."""
     out = np.full_like(angles, float(coeffs["c0"]))
@@ -155,7 +150,8 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
         raise ValueError(
             f"unknown {name} data key(s) for kind {kind!r}: {unknown}")
     if kind == "affine":
-        return affine_values(mesh, idx, cfg["q"], cfg["c"])
+        q = np.asarray(cfg["q"], dtype=float)
+        return mesh.nodes[idx] @ q + float(cfg["c"])
     if kind == "constant":
         return np.full(len(idx), float(cfg["value"]))
     if kind == "radial":
@@ -293,8 +289,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     annulus starts from the uncorrected field.  Each record carries the
     annulus's Newton steps as ``iterations``, the ring solve's as
     ``column_iterations`` and the number of corrections kept, 0 where they
-    were dropped, as ``corrections``.  Every seed depends only on the
-    reference and epsilon, so the solves are independent.
+    were dropped, as ``corrections``.
     """
     d = normalize(density_from_config(cfg.density))
     growth = d.growth
@@ -408,8 +403,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
 def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
                               refinements: int, *,
                               r_in: float = 1.5, r_out: float = 3.0,
-                              n_r0: int = 16, n_theta0: int = 32,
-                              solver: Optional[SolverOptions] = None
+                              n_r0: int = 16, n_theta0: int = 32
                               ) -> ExperimentReport:
     """Solve with exact barrier boundary data under mesh refinement.
 
@@ -432,12 +426,11 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     unique, is constant on each ring.  Each level therefore first solves
     its ring-constant problem, a :func:`solve_dirichlet` on the level's
     one-column mesh (:func:`lingrowth.mesh.one_column`) with one unknown
-    per ring, started from the harmonic extension and run with the
-    study's options.  The 2D solve starts from that ring solution, and its
-    gradient test is still the only certificate: where the start passes
-    it, the level takes no 2D Newton step and factors no 2D band.  Each
-    record carries the column's Newton steps as ``column_iterations`` next
-    to the 2D ``iterations``.
+    per ring, started from the harmonic extension.  The 2D solve starts
+    from that ring solution, and its gradient test is still the only
+    certificate: where the start passes it, the level takes no 2D Newton
+    step and factors no 2D band.  Each record carries the column's Newton
+    steps as ``column_iterations`` next to the 2D ``iterations``.
     """
     d = normalize(d)
     if not (spec.neck_radius < r_in < r_out):
@@ -446,7 +439,6 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
             f"neck radius {spec.neck_radius:.12g}")
     if refinements < 1:
         raise ValueError("need at least one refinement level")
-    solver = solver or SolverOptions()
 
     # every level shares the two circles
     inner, outer = profile_value(d, spec, r_in), profile_value(d, spec, r_out)
@@ -465,11 +457,10 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
         assert np.array_equal(finest.ring_radii[::stride], mesh.ring_radii)
         column = one_column(mesh)
         ring = solve_dirichlet(d, column,
-                               _dirichlet(column, inner=inner, outer=outer),
-                               solver)
+                               _dirichlet(column, inner=inner, outer=outer))
         seed = mesh.from_rings(column.rings(ring.values))
         data = _dirichlet(mesh, inner=inner, outer=outer)
-        sol = solve_dirichlet(d, mesh, data, solver, x0=seed)
+        sol = solve_dirichlet(d, mesh, data, x0=seed)
         exact = mesh.from_rings(finest_exact[::stride, None])
         err = float(np.max(np.abs(sol.values - exact)))
         errors.append(err)
@@ -510,9 +501,7 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
 def run_comparison_suite(d: Density, trials: int, seed: int, *,
                          r_in: float = 0.5, r_out: float = 1.0,
                          n_r: int = 16, n_theta: int = 48,
-                         fourier_degree: int = 4,
-                         solver: Optional[SolverOptions] = None
-                         ) -> ExperimentReport:
+                         fourier_degree: int = 4) -> ExperimentReport:
     """Randomized discrete comparison-principle checks on an annulus.
 
     Each trial draws truncated Fourier data (degree <= fourier_degree,
@@ -527,7 +516,6 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
     value, and the solution must stay under the barrier nodewise.
     """
     d = normalize(d)
-    solver = solver or SolverOptions()
     mesh = build_polar_mesh(r_in, r_out, n_r, n_theta)
     h = mesh.h_radial
     tol = 1e-8 + 10.0 * h * h
@@ -547,10 +535,8 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
         shift = float(max(np.max(u_inner - v_inner),
                           np.max(u_outer - v_outer)))
         try:
-            u = solve_dirichlet(d, mesh, _dirichlet(mesh, u_inner, u_outer),
-                                solver)
-            v = solve_dirichlet(d, mesh, _dirichlet(mesh, v_inner, v_outer),
-                                solver)
+            u = solve_dirichlet(d, mesh, _dirichlet(mesh, u_inner, u_outer))
+            v = solve_dirichlet(d, mesh, _dirichlet(mesh, v_inner, v_outer))
         except NonConvergenceError:
             complete = False
             records.append({"trial": trial, "shift": shift, "holds": False,
@@ -564,7 +550,7 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
 
     scenario = None
     if d.growth is Growth.FINITE_INTEGRAL:
-        scenario = _barrier_scenario(d, mesh, tol, solver)
+        scenario = _barrier_scenario(d, mesh, tol)
 
     checks = {
         "complete": complete,
@@ -596,8 +582,7 @@ _SCENARIO_OUTER = 0.0
 _SCENARIO_MARGIN_FRACTION = 0.1
 
 
-def _barrier_scenario(d: Density, mesh: PolarMesh, tol: float,
-                      solver: SolverOptions) -> dict:
+def _barrier_scenario(d: Density, mesh: PolarMesh, tol: float) -> dict:
     """Pin a solve under a catenoid barrier anchored at the inner circle.
 
     The barrier's neck coincides with the inner circle (alpha = r_in^{n-1})
@@ -621,8 +606,7 @@ def _barrier_scenario(d: Density, mesh: PolarMesh, tol: float,
     margin = _SCENARIO_MARGIN_FRACTION * climb
 
     inner_value = offset - margin
-    sol = solve_dirichlet(d, mesh,
-                          _dirichlet(mesh, inner_value, outer_value), solver)
+    sol = solve_dirichlet(d, mesh, _dirichlet(mesh, inner_value, outer_value))
 
     # the inner circle sits at the neck, where the rise is 0
     per_ring = offset - np.concatenate(([0.0], rise))

@@ -71,7 +71,7 @@ one-column mesh, stacks the real and imaginary parts of every mode
 k = 0 .. n_theta // 2 of ``numpy.fft.rfft`` into one band of depth 2, and
 factors and solves it with the same ``dpbtrf``/``dpbtrs``.  A step with it
 differs from the 2D banded solve of K(w) by rounding only, and it needs
-the flux alone (:func:`lingrowth.density.flux_only`), not the tangent.
+the flux alone, not the tangent.
 :func:`_ring_mode_corrected` repeats it on a start for as long as the
 corrections contract, until the next one would fall below the rounding of
 the field; the gradient test of :func:`solve_dirichlet` still decides
@@ -85,11 +85,11 @@ regime the full Newton step is taken without the energy test; whether the
 result counts as converged is decided by the gradient test alone, which is
 made at the start and after every step.
 
-Each solve, and each run of the ring-mode corrections, runs BLAS on one
-thread.  :func:`_band_lapack` takes the OpenBLAS thread count from the same
-library handle that supplies ``dpbtrf`` and ``dpbtrs``, so the count that
-is set is the one of the library that runs the band algebra, numpy's or,
-in the fallback, scipy's.
+Each solve, each run of the ring-mode corrections and each call of the
+public :func:`energy` runs BLAS on one thread.  :func:`_band_lapack` takes
+the OpenBLAS thread count from the same library handle that supplies
+``dpbtrf`` and ``dpbtrs``, so the count that is set is the one of the
+library that runs the band algebra, numpy's or, in the fallback, scipy's.
 On entry to a solve it is set to one, and on exit the count found is put
 back.  LAPACK works through the band in 32-column blocks, so one
 factorization of N unknowns is about N/32 small BLAS-3 calls, and waking
@@ -116,7 +116,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .density import Density, flux_lazy_tangent, flux_only, flux_tangent
+from .density import Density, flux_lazy_tangent, flux_tangent
 from .mesh import PolarMesh, same_mesh
 
 
@@ -166,12 +166,6 @@ class DiscreteSolution:
             "converged": self.converged,
         }
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("node,x,y,value\n")
-            for i, ((x, y), v) in enumerate(zip(self.mesh.nodes, self.values)):
-                fh.write(f"{i},{x:.12g},{y:.12g},{v:.12g}\n")
-
 
 class NonConvergenceError(RuntimeError):
     """Newton iteration hit its cap; carries the best solution found."""
@@ -217,12 +211,6 @@ def _triangle_gradients(mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
     u0, u1, u2 = u[mesh.triangles.T]
     G = mesh.grads
     return (G[:, 1] * (u1 - u0) + G[:, 2] * (u2 - u0)).T
-
-
-def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
-    """Total energy sum(area * g(|grad u|)) of a nodal field."""
-    return _energy(d, mesh,
-                   _triangle_gradients(mesh, np.asarray(u, dtype=float)))
 
 
 def _energy(d: Density, mesh: PolarMesh, p: np.ndarray) -> float:
@@ -431,6 +419,14 @@ def _one_blas_thread():
                 threads[1](_blas_saved)
 
 
+@_one_blas_thread()
+def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
+    """Total energy sum(area * g(|grad u|)) of a nodal field, its area sum
+    taken on one BLAS thread, as in a solve."""
+    return _energy(d, mesh,
+                   _triangle_gradients(mesh, np.asarray(u, dtype=float)))
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet solve
 
@@ -576,7 +572,7 @@ def _ring_mode_step(d: Density, annulus: PolarMesh, column: PolarMesh,
     factor = _factor(ab.reshape(-1, 2).T)
 
     def step(u: np.ndarray) -> np.ndarray:
-        flux = flux_only(d, _triangle_gradients(annulus, u))
+        flux = flux_lazy_tangent(d, _triangle_gradients(annulus, u))[0]
         rhs = np.fft.rfft(annulus.rings(_nodal_gradient(annulus, flux))[1:-1])
         x = _solve_factored(factor,
                             np.stack([rhs.real.T, rhs.imag.T]).ravel())

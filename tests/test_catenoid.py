@@ -22,7 +22,7 @@ from lingrowth.catenoid import (
     sample_profile,
     uniform_interior_bound,
 )
-from lingrowth import catenoid
+from lingrowth import catenoid, cli
 from lingrowth.density import (invert_gprime, make_custom_density,
                                make_mu_density, normalize)
 
@@ -328,11 +328,13 @@ def test_zero_slope_profile_residual_equals_flux(area):
     assert ode_residual(area, flat) == pytest.approx(0.3, abs=1e-15)
 
 
-def test_profile_csv_layout(area, tmp_path):
-    prof = sample_profile(area, spec2(), 1.1, 3.0, 12)
-    path = tmp_path / "profile.csv"
-    prof.write_csv(path)
-    lines = path.read_text().strip().splitlines()
+def test_profile_csv_layout(tmp_path):
+    out = tmp_path / "run"
+    code = cli.main(["--quiet", "--out", str(out), "catenoid", "--kind",
+                     "area", "--alpha", "1", "--n", "2", "--rho-min", "1.1",
+                     "--rho-max", "3", "--samples", "12"])
+    assert code == cli.EXIT_OK
+    lines = (out / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "rho,value,slope"
     assert len(lines) == 13
 

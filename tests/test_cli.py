@@ -124,9 +124,15 @@ def test_solve_reproduces_affine_data(tmp_path):
     assert diag["converged"] is True
 
 
-def test_solve_on_annulus_requires_inner_data(tmp_path):
+def test_solve_on_annulus_requires_inner_data(tmp_path, capsys):
     code, _ = run(tmp_path, "solve", "--kind", "area")
     assert code == EXIT_CONFIG
+    cfg = solve_config()
+    del cfg["boundary"]["inner"]
+    code, out = run(tmp_path, "solve", config=cfg, name="outer-only")
+    assert code == EXIT_CONFIG
+    assert "boundary.inner" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
 
 
 def test_solve_nonconvergence_exit_code(tmp_path):
@@ -429,6 +435,25 @@ def test_same_config_and_seed_reproduce_bytes(tmp_path, monkeypatch):
     _, second = run(tmp_path, "--quiet", "experiment", config=cfg, name="b")
     for artifact in ("report.json", "report.csv", "config.json"):
         assert (first / artifact).read_bytes() == (second / artifact).read_bytes()
+
+
+def test_csv_outputs_share_one_line_ending(tmp_path):
+    """solution.csv, profile.csv and report.csv come from one writer."""
+    tables = []
+    for argv, config, table in [
+            (["solve"], solve_config(), "solution.csv"),
+            (["catenoid", "--kind", "area", "--alpha", "1", "--rho-max", "3",
+              "--samples", "20"], None, "profile.csv"),
+            (["experiment"], {"density": {"kind": "area"}, "experiment": {
+                "kind": "comparison", "trials": 2, "n_r": 8,
+                "n_theta": 24}}, "report.csv")]:
+        code, out = run(tmp_path, "--quiet", *argv, config=config,
+                        name=argv[0])
+        assert code == EXIT_OK
+        tables.append((out / table).read_bytes())
+    for data in tables:
+        assert data.endswith(b"\r\n")
+        assert data.count(b"\n") == data.count(b"\r\n") > 2
 
 
 def test_echoed_seed_reproduces_without_the_flag(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import contextlib
 import ctypes
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import spsolve
 
-from lingrowth import density, solver
+from lingrowth import cli, density, solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux_tangent
 from lingrowth.experiments import run_comparison_suite
@@ -849,11 +850,18 @@ def test_diagnostics_fields(area, annulus):
     assert diag["converged"] is True
 
 
-def test_solution_csv(area, annulus, tmp_path):
-    sol = solve_dirichlet(area, annulus, affine(annulus, 0.3, 0.0, 0.0))
-    path = tmp_path / "solution.csv"
-    sol.write_csv(path)
-    lines = path.read_text().strip().splitlines()
+def test_solution_csv(annulus, tmp_path):
+    out = tmp_path / "run"
+    config = tmp_path / "solve.json"
+    config.write_text(json.dumps({
+        "density": {"kind": "area"},
+        "mesh": {"r_in": 0.5, "r_out": 1.0, "n_r": 16, "n_theta": 32},
+        "boundary": {"outer": {"kind": "affine", "q": [0.3, 0.0], "c": 0.0},
+                     "inner": {"kind": "affine", "q": [0.3, 0.0], "c": 0.0}}}))
+    code = cli.main(["--quiet", "--out", str(out), "--config", str(config),
+                     "solve"])
+    assert code == cli.EXIT_OK
+    lines = (out / "solution.csv").read_text().strip().splitlines()
     assert lines[0] == "node,x,y,value"
     assert len(lines) == annulus.num_nodes + 1
 
@@ -960,6 +968,26 @@ def test_ring_mode_corrections_run_blas_on_one_thread(mu3, blas_count,
     assert kept > 2
     assert names.count("factor") == 1 and names.count("solve") >= kept
     assert all(count == 1 for _, count in seen)
+    assert blas_count() == 2
+
+
+def test_energy_runs_blas_on_one_thread(mu3, blas_count, monkeypatch, rng):
+    # outside the scope, two threads move the area sum of this size by
+    # about 1e-14 against the one-thread sum
+    mesh = build_polar_mesh(0.5, 1.0, 128, 256)
+    u = rng.normal(size=mesh.num_nodes)
+    with solver._one_blas_thread():
+        inside = energy(mu3, mesh, u)
+    seen = []
+    sum_areas = solver._energy
+
+    def spy(*args):
+        seen.append(blas_count())
+        return sum_areas(*args)
+
+    monkeypatch.setattr(solver, "_energy", spy)
+    assert energy(mu3, mesh, u) == inside
+    assert seen == [1]
     assert blas_count() == 2
 
 
