@@ -35,8 +35,8 @@ from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
 from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values, same_mesh
 from .quadrature import QuadratureAccuracyError
 from .solver import (ComparisonResult, DiscreteSolution, MeshMismatchError,
-                     NonConvergenceError, SolverOptions, check_comparison,
-                     energy, solve_dirichlet)
+                     NonConvergenceError, check_comparison, energy,
+                     solve_dirichlet)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "Anchor", "CatenoidSpec", "ComparisonResult", "Density",
     "DiscreteSolution", "ExperimentReport", "Growth", "MeshMismatchError",
     "NodeTag", "NonConvergenceError", "PolarMesh", "QuadratureAccuracyError",
-    "RadialProfile", "RemovabilityConfig", "Sign", "SolverOptions",
+    "RadialProfile", "RemovabilityConfig", "Sign",
     "TailEstimate", "UndeterminedLimitError", "ValidationReport",
     "build_polar_mesh", "check_comparison", "classify_growth",
     "density_from_config", "energy", "envelope_bound", "envelope_bounds",

@@ -37,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import ioutil
 from .density import Density, Growth, classify_growth, invert_gprime
 from .quadrature import QuadratureAccuracyError, integrate
 
@@ -118,15 +119,14 @@ class CatenoidSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "CatenoidSpec":
-        unknown = sorted(set(cfg) - {"sign", "alpha", "a", "n", "convention"})
-        if unknown:
-            raise ValueError(f"unknown catenoid spec key(s): {unknown}")
+        ioutil.check_keys(cfg, {"sign", "alpha", "a", "n", "convention"},
+                          "catenoid spec key(s)")
         try:
             return CatenoidSpec(
                 sign=Sign(cfg["sign"]),
                 alpha=float(cfg["alpha"]),
                 offset_a=float(cfg["a"]),
-                dim_n=int(cfg["n"]),
+                dim_n=cfg["n"],
                 anchor=Anchor(cfg["convention"]),
             )
         except (KeyError, ValueError) as exc:

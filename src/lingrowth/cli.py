@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .experiments import (RemovabilityConfig, _dirichlet, circle_data_values,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
 from .mesh import NodeTag, build_polar_mesh
-from .solver import NonConvergenceError, SolverOptions, solve_dirichlet
+from .solver import NonConvergenceError, solve_dirichlet
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,10 +75,8 @@ def _load_config(args) -> dict:
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
     sections = _SECTIONS[args.command]
-    unknown = sorted(set(cfg) - sections - {"command", "seed"})
-    if unknown:
-        raise ValueError(
-            f"unknown config section(s) for {args.command}: {unknown}")
+    ioutil.check_keys(cfg, sections | {"command", "seed"},
+                      f"config section(s) for {args.command}")
     for name in sorted(sections & set(cfg)):
         if not isinstance(cfg[name], dict):
             raise ValueError(f"config section {name!r} must be a JSON object")
@@ -106,32 +105,44 @@ def _density_config(args, cfg: dict) -> dict:
     raise ValueError("no density specified (use --kind or a config file)")
 
 
+def _integer(value) -> int:
+    """The value of an integer key, an int as it is; a bool, a fraction or
+    a string is an error."""
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
 # Accepted keys of each config section: key -> (default, cast).  A key
 # whose default is None is left out unless given, so its consumer's own
-# default applies.  The study keywords have no cast: the study checks
-# them, and the echoed config repeats them as given.
+# default applies.  A key without a cast is checked by its consumer (the
+# catenoid spec keys by CatenoidSpec.from_config, the study keywords by
+# the study), and the echoed config repeats it as given.
 _AS_GIVEN = (None, None)
 _CATENOID_KEYS = {
-    "sign": ("plus", Sign), "alpha": (1.0, float), "a": (0.0, float),
-    "n": (2, int), "convention": ("neck", Anchor),
+    "sign": ("plus", None), "alpha": (1.0, None), "a": (0.0, None),
+    "n": (2, None), "convention": ("neck", None),
     "rho_min": (None, float),       # default 1.01 * neck radius
-    "rho_max": (5.0, float), "samples": (100, int),
+    "rho_max": (5.0, float), "samples": (100, _integer),
 }
 _MESH_KEYS = {"r_in": (0.5, float), "r_out": (1.0, float),
-              "n_r": (16, int), "n_theta": (32, int)}
+              "n_r": (16, _integer), "n_theta": (32, _integer)}
+_SOLVER_KEYS = {"max_iter": (None, _integer)}
 _BOUNDARY_KEYS = {                  # circle data: see circle_data_values
     "outer": ({"kind": "affine", "q": [0.5, 0.3], "c": 0.0}, None),
     "inner": _AS_GIVEN,             # required on an annulus
 }
 _EXPERIMENT_KEYS = {
+    "removability": {f.name: _AS_GIVEN for f in fields(RemovabilityConfig)
+                     if f.name != "density"},
     "catenoid": {
         "spec": ({"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
                   "convention": "neck"}, CatenoidSpec.from_config),
-        "refinements": (3, int), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "refinements": (3, _integer), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
         "n_r0": _AS_GIVEN, "n_theta0": _AS_GIVEN,
     },
     "comparison": {
-        "trials": (20, int), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "trials": (20, _integer), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
         "n_r": _AS_GIVEN, "n_theta": _AS_GIVEN, "fourier_degree": _AS_GIVEN,
     },
 }
@@ -139,17 +150,19 @@ _EXPERIMENT_KEYS = {
 
 def _merge(name: str, section: dict, table: dict, flags=None) -> dict:
     """Effective values of one config section: the flag of a key's name
-    (when given) wins over the section, the section over the default."""
-    unknown = sorted(set(section) - set(table))
-    if unknown:
-        raise ValueError(f"unknown {name} config key(s): {unknown}")
+    (when given) wins over the section, the section over the default.  A
+    value that its key's cast rejects is an error naming the key."""
+    ioutil.check_keys(section, table, f"{name} config key(s)")
     merged = {}
     for key, (default, cast) in table.items():
         flag = getattr(flags, key, None)
         value = flag if flag is not None else section.get(key, default)
         if value is None and key not in section:
             continue
-        merged[key] = value if cast is None else cast(value)
+        try:
+            merged[key] = value if cast is None else cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} config key {key!r}: {exc}") from exc
     return merged
 
 
@@ -197,11 +210,11 @@ def cmd_catenoid(args) -> int:
     d = normalize(density_from_config(dcfg))
 
     ccfg = _merge("catenoid", cfg.get("catenoid", {}), _CATENOID_KEYS, args)
-    spec = CatenoidSpec(sign=ccfg["sign"], alpha=ccfg["alpha"],
-                        offset_a=ccfg["a"], dim_n=ccfg["n"],
-                        anchor=ccfg["convention"])
-    rho_min = ccfg.get("rho_min", 1.01 * spec.neck_radius)
-    rho_max, num = ccfg["rho_max"], ccfg["samples"]
+    rho_min = ccfg.pop("rho_min", None)
+    rho_max, num = ccfg.pop("rho_max"), ccfg.pop("samples")
+    spec = CatenoidSpec.from_config(ccfg)
+    if rho_min is None:
+        rho_min = 1.01 * spec.neck_radius
 
     if rho_min <= spec.neck_radius:
         _say(args, f"requested range starts at {rho_min}, at or below the "
@@ -267,19 +280,19 @@ def cmd_solve(args) -> int:
 
     bcfg = cfg.get("boundary", {})
     data = _boundary_from_config(mesh, bcfg, d)
-    opts = SolverOptions.from_config(cfg.get("solver", {}))
+    scfg = _merge("solver", cfg.get("solver", {}), _SOLVER_KEYS)
 
-    out = _out_dir(args)
-    effective = {"command": "solve", "density": dcfg, "mesh": mcfg,
-                 "boundary": bcfg, "solver": cfg.get("solver", {}),
-                 "seed": cfg["seed"]}
-    _echo_config(args, out, effective)
-
+    # solve_dirichlet checks max_iter, so a bad one leaves no output
     try:
-        sol = solve_dirichlet(d, mesh, data, opts)
+        sol = solve_dirichlet(d, mesh, data, **scfg)
     except NonConvergenceError as exc:
         _say(args, f"solver did not converge: {exc}")
         sol = exc.solution
+
+    out = _out_dir(args)
+    effective = {"command": "solve", "density": dcfg, "mesh": mcfg,
+                 "boundary": bcfg, "solver": scfg, "seed": cfg["seed"]}
+    _echo_config(args, out, effective)
     ioutil.write_csv_records(out / "solution.csv", [
         {"node": i, "x": x, "y": y, "value": v}
         for i, ((x, y), v) in enumerate(zip(mesh.nodes, sol.values))])
@@ -304,16 +317,16 @@ def cmd_experiment(args) -> int:
 
     dcfg = _density_config(args, cfg)
     ecfg.pop("kind", None)
+    kwargs = _merge("experiment", ecfg, _EXPERIMENT_KEYS[kind])
     out = _out_dir(args)
 
     if kind == "removability":
-        rcfg = RemovabilityConfig(density=dcfg, **ecfg)
+        rcfg = RemovabilityConfig(density=dcfg, **kwargs)
         report = run_removability(rcfg)
         effective_exp = {"kind": kind, **rcfg.to_dict()}
         effective_exp.pop("density")
     else:
         d = normalize(density_from_config(dcfg))
-        kwargs = _merge("experiment", ecfg, _EXPERIMENT_KEYS[kind])
         if kind == "catenoid":
             spec, refinements = kwargs.pop("spec"), kwargs.pop("refinements")
             report = run_catenoid_reproduction(d, spec, refinements, **kwargs)

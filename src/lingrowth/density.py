@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import ioutil
 from .quadrature import qagse
 
 
@@ -70,8 +71,6 @@ class Density:
 
     Attributes
     ----------
-    kind : str
-        "area", "mu", or "custom".
     gprime_inf : float or None
         Asymptotic slope when known analytically; None means "estimate it
         during :func:`normalize`".
@@ -81,11 +80,10 @@ class Density:
         Declared convergence class of integral(t * g'').
     tail : TailEstimate or None
         Optional certified power bound on g'' for tail truncation.
-    mu : float or None
-        Family parameter for kind == "mu".
+    label : str
+        Name in reports, such as "area" or "mu(3)".
     """
 
-    kind: str
     _g: Callable
     _gprime: Callable
     _gsecond: Callable
@@ -93,7 +91,6 @@ class Density:
     analytic_inverse: Optional[Callable]
     growth: Growth
     tail: Optional[TailEstimate] = None
-    mu: Optional[float] = None
     label: str = "density"
 
     def eval(self, t):
@@ -165,7 +162,6 @@ def make_area_density() -> Density:
     converge.
     """
     return Density(
-        kind="area",
         _g=lambda t: np.sqrt(1.0 + t * t),
         _gprime=lambda t: t / np.sqrt(1.0 + t * t),
         _gsecond=lambda t: (1.0 + t * t) ** (-1.5),
@@ -219,7 +215,6 @@ def make_mu_density(mu: float) -> Density:
 
     growth = Growth.FINITE_INTEGRAL if mu > 2.0 else Growth.INFINITE_INTEGRAL
     return Density(
-        kind="mu",
         _g=_g,
         _gprime=_gprime,
         _gsecond=_gsecond,
@@ -227,7 +222,6 @@ def make_mu_density(mu: float) -> Density:
         analytic_inverse=_inverse,
         growth=growth,
         tail=TailEstimate(exponent=mu, coeff=mu - 1.0),
-        mu=mu,
         label=f"mu({mu:g})",
     )
 
@@ -244,7 +238,7 @@ def make_custom_density(g, gprime, gsecond, *, gprime_inf=None,
     :func:`normalize` estimates it from large-argument samples.
     """
     return Density(
-        kind="custom", _g=g, _gprime=gprime, _gsecond=gsecond,
+        _g=g, _gprime=gprime, _gsecond=gsecond,
         gprime_inf=gprime_inf, analytic_inverse=analytic_inverse,
         growth=growth, tail=tail, label=label,
     )
@@ -263,10 +257,8 @@ def density_from_config(cfg: dict) -> Density:
     kind = cfg["kind"]
     if kind not in _CONFIG_KEYS:
         raise ValueError(f"unknown density kind {kind!r}")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS[kind])
-    if unknown:
-        raise ValueError(f"unknown density config key(s) for kind {kind!r}: "
-                         f"{unknown}")
+    ioutil.check_keys(cfg, _CONFIG_KEYS[kind],
+                      f"density config key(s) for kind {kind!r}")
     if kind == "area":
         return make_area_density()
     if "mu" not in cfg:
@@ -392,7 +384,6 @@ def _rescaled(d: Density) -> Density:
     new_inv = None if old_inv is None else (lambda y, _c=c: old_inv(y * _c))
     new_tail = None if d.tail is None else replace(d.tail, coeff=d.tail.coeff / c)
     return Density(
-        kind=d.kind,
         _g=lambda t, _c=c, _f=d._g: _f(t) / _c,
         _gprime=lambda t, _c=c, _f=d._gprime: _f(t) / _c,
         _gsecond=lambda t, _c=c, _f=d._gsecond: _f(t) / _c,
@@ -400,7 +391,6 @@ def _rescaled(d: Density) -> Density:
         analytic_inverse=new_inv,
         growth=d.growth,
         tail=new_tail,
-        mu=d.mu,
         label=d.label + "/normalized",
     )
 

@@ -47,7 +47,7 @@ from .density import Density, Growth, density_from_config, normalize
 from .mesh import (NodeTag, PolarMesh, build_polar_mesh, one_column,
                    radial_values)
 from .quadrature import QuadratureAccuracyError
-from .solver import (NonConvergenceError, SolverOptions, _ring_mode_corrected,
+from .solver import (NonConvergenceError, _ring_mode_corrected,
                      check_comparison, solve_dirichlet)
 
 
@@ -145,10 +145,8 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
     kind = cfg.get("kind")
     if kind not in _CIRCLE_KEYS:
         raise ValueError(f"unknown {name} data kind {kind!r}")
-    unknown = sorted(set(cfg) - _CIRCLE_KEYS[kind] - {"kind"})
-    if unknown:
-        raise ValueError(
-            f"unknown {name} data key(s) for kind {kind!r}: {unknown}")
+    ioutil.check_keys(cfg, _CIRCLE_KEYS[kind] | {"kind"},
+                      f"{name} data key(s) for kind {kind!r}")
     if kind == "affine":
         q = np.asarray(cfg["q"], dtype=float)
         return mesh.nodes[idx] @ q + float(cfg["c"])
@@ -181,7 +179,9 @@ def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RemovabilityConfig:
-    """Configuration of a removability sweep.
+    """Configuration of a removability sweep.  Every field but ``density``
+    is a key of the CLI's ``experiment`` section, and every solve runs with
+    :func:`solve_dirichlet`'s default step cap.
 
     ``epsilons`` must decrease strictly and stay below ``probe_radius``,
     which in turn lies inside the outer radius.  ``outer_data`` follows
@@ -215,7 +215,6 @@ class RemovabilityConfig:
     n_r: int = 48
     n_theta: int = 64
     inner_layers: int = 6
-    solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -272,7 +271,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     field on the annulus has n_theta times the energy of its one-column
     mesh (:func:`lingrowth.mesh.one_column`), so that problem is a
     :func:`solve_dirichlet` on the column, started from the capped barrier
-    envelope of :func:`_barrier_seed` and run with the study's options.
+    envelope of :func:`_barrier_seed`.
     Where that envelope cannot be certified (mu = 1.2, on the first graded
     rings), the ring solve starts from the harmonic extension instead.
     That start is left with the reference's angular part.  Chord
@@ -294,12 +293,10 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     d = normalize(density_from_config(cfg.density))
     growth = d.growth
     R = cfg.outer_radius
-    opts = SolverOptions.from_config(cfg.solver)
 
     disk = build_polar_mesh(0.0, R, cfg.n_r, cfg.n_theta)
     outer_vals = circle_data_values(disk, NodeTag.OUTER, cfg.outer_data, d)
-    reference = solve_dirichlet(d, disk, _dirichlet(disk, outer=outer_vals),
-                                opts)
+    reference = solve_dirichlet(d, disk, _dirichlet(disk, outer=outer_vals))
     max_outer = float(np.max(outer_vals))
     min_outer = float(np.min(outer_vals))
 
@@ -320,11 +317,11 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
             start = None
         ring = solve_dirichlet(d, column,
                                _dirichlet(column, inner=cfg.spike, outer=0.0),
-                               opts, x0=start)
+                               x0=start)
         seed, corrections = _ring_mode_corrected(
             d, annulus, column, ring.values,
             ref_on_annulus + annulus.from_rings(column.rings(ring.values)))
-        sol = solve_dirichlet(d, annulus, data, opts, x0=seed)
+        sol = solve_dirichlet(d, annulus, data, x0=seed)
         h = annulus.h_radial
         allow = 10.0 * h * h
         env = envelope_bound(d, eps, cfg.probe_radius, R, 0.0, 2)

@@ -1,4 +1,5 @@
-"""Deterministic serialization helpers shared by reports and the CLI.
+"""Deterministic serialization helpers shared by reports and the CLI, and
+the one check of a config's keys.
 
 All floats are quantized to 12 significant digits before writing, JSON
 keys are sorted, and wall-clock values never enter a file unless the
@@ -66,6 +67,14 @@ def _cell(v):
     if isinstance(v, float):
         return fmt12(v) if math.isfinite(v) else str(v)
     return v
+
+
+def check_keys(cfg, allowed, what: str) -> None:
+    """Reject every key of the config ``cfg`` outside ``allowed``, so a
+    misspelled or misplaced key is an error, not a silent default."""
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
 
 
 def deterministic_timestamp() -> Optional[int]:

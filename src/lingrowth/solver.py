@@ -110,7 +110,7 @@ import ctypes
 import functools
 import math
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -118,26 +118,6 @@ from numpy.linalg import LinAlgError
 
 from .density import Density, flux_lazy_tangent, flux_tangent
 from .mesh import PolarMesh, same_mesh
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """``max_iter`` Newton steps are allowed, and the gradient test is made
-    before each and after the last (0 tests the start only)."""
-
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-
-    @staticmethod
-    def from_config(cfg: dict) -> "SolverOptions":
-        known = {f.name for f in fields(SolverOptions)}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown solver options: {sorted(unknown)}")
-        return SolverOptions(**cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,9 +661,8 @@ def _start_interior(mesh: PolarMesh, x0, interior: np.ndarray) -> np.ndarray:
 
 
 @_one_blas_thread()
-def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
-                    opts: Optional[SolverOptions] = None, *,
-                    x0=None) -> DiscreteSolution:
+def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
+                    x0=None, max_iter: int = 200) -> DiscreteSolution:
     """Minimize the discrete energy subject to Dirichlet boundary values.
 
     Parameters
@@ -692,12 +671,13 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
     mesh : PolarMesh.
     boundary_data : full nodal vector of length ``mesh.num_nodes``; only
         its boundary entries are read, and they must be finite.
-    opts : SolverOptions, optional.
     x0 : full nodal vector, optional.  Its interior entries are the Newton
         start in place of the harmonic extension of the boundary data; its
         boundary entries are ignored (the data always wins).  The minimizer
         is unique, so the start changes only the iteration count and
         rounding within the stopping tolerance.
+    max_iter : int >= 0, the Newton steps allowed.  The gradient test is
+        made before each and after the last, so 0 tests the start only.
 
     Returns
     -------
@@ -718,11 +698,12 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         For boundary data that is not a full nodal vector (a dict
         included) or has non-finite boundary entries, a non-normalized
         density, an ``x0`` of the wrong shape or with non-finite interior
-        entries, or non-finite initial energy.
+        entries, a negative ``max_iter``, or non-finite initial energy.
     """
     if d.gprime_inf != 1.0:
         raise ValueError("solver requires a normalized density")
-    opts = opts or SolverOptions()
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
     interior = mesh.interior_nodes()
     # the band map is looked up for the first factorization, so a start
@@ -740,16 +721,20 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         raise ValueError(f"non-finite initial energy {E}")
 
     history = [E]
-    for it in range(opts.max_iter + 1):
+
+    def solution(iterations: int, converged: bool) -> DiscreteSolution:
+        return DiscreteSolution(mesh=mesh, values=u, energy=E,
+                                grad_norm=grad_norm, iterations=iterations,
+                                converged=converged,
+                                energy_history=tuple(history))
+
+    for it in range(max_iter + 1):
         flux, tangent = flux_lazy_tangent(d, p)
         g_i = _nodal_gradient(mesh, flux)[interior]
         grad_norm = float(np.linalg.norm(g_i))
         if grad_norm <= _GRAD_TOL * (1.0 + abs(E)):
-            return DiscreteSolution(mesh=mesh, values=u, energy=E,
-                                    grad_norm=grad_norm, iterations=it,
-                                    converged=True,
-                                    energy_history=tuple(history))
-        if it == opts.max_iter:
+            return solution(it, True)
+        if it == max_iter:
             break
 
         rounding = _ROUNDING_DECREMENT * (1.0 + abs(E))
@@ -774,22 +759,16 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data,
         if not ok:
             # neither direction made progress at a gradient that missed the
             # tolerance: we are numerically stationary
-            partial = DiscreteSolution(mesh=mesh, values=u, energy=E,
-                                       grad_norm=grad_norm, iterations=it + 1,
-                                       converged=False,
-                                       energy_history=tuple(history))
             raise NonConvergenceError(
                 f"line search stalled at gradient norm {grad_norm:.3e} "
-                f"above tolerance", partial)
+                f"above tolerance", solution(it + 1, False))
         u, E, p = u_new, E_new, p_new
         history.append(E)
 
-    partial = DiscreteSolution(mesh=mesh, values=u, energy=E,
-                               grad_norm=grad_norm, iterations=opts.max_iter,
-                               converged=False, energy_history=tuple(history))
     raise NonConvergenceError(
-        f"no convergence in {opts.max_iter} iterations "
-        f"(grad_norm={grad_norm:.3e}, energy={E:.12g})", partial)
+        f"no convergence in {max_iter} iterations "
+        f"(grad_norm={grad_norm:.3e}, energy={E:.12g})",
+        solution(max_iter, False))
 
 
 def _armijo(d, mesh, u, interior, direction, g_i, E):

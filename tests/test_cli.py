@@ -373,11 +373,18 @@ def test_experiment_config_wins_over_default(tmp_path, monkeypatch, kind,
     ("solve", solve_config(solver={"energy_stall_rtol": 1e-14}),
      "energy_stall_rtol"),
     ("solve", solve_config(solver={"grad_tol": 1e-12}), "grad_tol"),
+    ("solve", solve_config(solver={"typo": 1}), "typo"),
+    ("solve", solve_config(solver={"armijo_factor": 0.5}), "armijo_factor"),
     ("experiment", {"density": {"kind": "area"}, "experiment": {
         "kind": "catenoid", "spec": {**SPEC, "alhpa": 2.0}}}, "alhpa"),
+    # every removability config.json echoed before the study lost its
+    # solver option carries this key
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        **FAST_SWEEP, "solver": {}}}, "solver"),
 ], ids=["catenoid", "mesh", "comparison", "catenoid-study", "section",
         "density", "samples_max", "boundary", "circle", "solver",
-        "solver-stall", "solver-grad-tol", "catenoid-spec"])
+        "solver-stall", "solver-grad-tol", "solver-typo",
+        "solver-armijo-factor", "catenoid-spec", "removability-solver"])
 def test_misspelled_config_key_is_config_error(tmp_path, capsys, command,
                                                config, key):
     code, _ = run(tmp_path, command, config=config)
@@ -408,7 +415,18 @@ def test_section_the_command_does_not_read_is_config_error(
     ("catenoid", {"density": {"kind": "area"}, "catenoid": []}, "catenoid"),
     ("density", {"density": {"kind": "area"}, "seed": "1"}, "seed"),
     ("density", {"density": {"kind": "area"}, "seed": 1.5}, "seed"),
-], ids=["experiment", "solver", "catenoid", "seed-string", "seed-float"])
+    ("catenoid", {"density": {"kind": "area"}, "catenoid": {"n": 2.7}},
+     "'n': 2.7"),
+    ("catenoid", {"density": {"kind": "area"}, "catenoid": {"samples": 2.7}},
+     "samples"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": True, "n_r": 8, "n_theta": 24}},
+     "trials"),
+    ("solve", solve_config(solver={"max_iter": True}), "max_iter"),
+    ("solve", solve_config(solver={"max_iter": -1}), "max_iter"),
+], ids=["experiment", "solver", "catenoid", "seed-string", "seed-float",
+        "n-fraction", "samples-fraction", "trials-bool", "max_iter-bool",
+        "max_iter-negative"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, command,
                                                 config, word):
     code, _ = run(tmp_path, command, config=config)

@@ -204,9 +204,9 @@ def _record_solves(monkeypatch):
     """Capture every solve a study makes: its arguments and its solution."""
     calls = []
 
-    def recording(d, mesh, data, opts=None, *, x0=None):
-        sol = solve_dirichlet(d, mesh, data, opts, x0=x0)
-        calls.append((d, mesh, data, opts, x0, sol))
+    def recording(d, mesh, data, *, x0=None):
+        sol = solve_dirichlet(d, mesh, data, x0=x0)
+        calls.append((d, mesh, data, x0, sol))
         return sol
     monkeypatch.setattr(experiments, "solve_dirichlet", recording)
     return calls
@@ -215,8 +215,8 @@ def _record_solves(monkeypatch):
 def _assert_warm_matches_cold(calls, n_warm):
     assert sum(x0 is not None for *_, x0, _ in calls) == n_warm
     warm_iters = cold_iters = 0
-    for d, mesh, data, opts, x0, warm in calls:
-        cold = solve_dirichlet(d, mesh, data, opts)
+    for d, mesh, data, x0, warm in calls:
+        cold = solve_dirichlet(d, mesh, data)
         np.testing.assert_allclose(warm.values, cold.values, rtol=0,
                                    atol=1e-8)
         warm_iters += warm.iterations
@@ -298,12 +298,12 @@ def _tangent_work_in_seeded_solves(monkeypatch):
                         counted("gsecond", density.Density.gsecond))
     monkeypatch.setattr(solver, "_blocks", counted("_blocks", solver._blocks))
 
-    def solve(d, mesh, data, opts=None, *, x0=None):
+    def solve(d, mesh, data, *, x0=None):
         if mesh.n_theta == 1 or x0 is None:
-            return solve_dirichlet(d, mesh, data, opts, x0=x0)
+            return solve_dirichlet(d, mesh, data, x0=x0)
         inside.append(mesh)
         try:
-            sol = solve_dirichlet(d, mesh, data, opts, x0=x0)
+            sol = solve_dirichlet(d, mesh, data, x0=x0)
         finally:
             inside.pop()
         seeded.append(sol)
@@ -366,7 +366,7 @@ def test_removability_keeps_only_contracting_corrections(monkeypatch, outer,
     rep = run_removability(cfg)
     assert rep.checks["complete"]
     (_, disk, *_, reference), (_, column, *_, ring), \
-        (_, annulus, _, _, x0, _) = calls
+        (_, annulus, _, x0, _) = calls
     ref_on_annulus = annulus.from_rings(
         radial_values(disk, reference.values, annulus.ring_radii))
     seed = ref_on_annulus + annulus.from_rings(column.rings(ring.values))
@@ -398,12 +398,12 @@ def test_corrected_starts_take_no_more_steps_than_uncorrected(monkeypatch,
         "kind": "affine", "q": (q, 0.0), "c": 0.0})
     assert run_removability(cfg).checks["complete"]
     (_, disk, *_, reference), *solves = calls
-    for (_, column, *_, ring), (d, annulus, data, opts, _, sol) in zip(
+    for (_, column, *_, ring), (d, annulus, data, _, sol) in zip(
             solves[::2], solves[1::2]):
         ref_on_annulus = annulus.from_rings(
             radial_values(disk, reference.values, annulus.ring_radii))
         seed = ref_on_annulus + annulus.from_rings(column.rings(ring.values))
-        uncorrected = solve_dirichlet(d, annulus, data, opts, x0=seed)
+        uncorrected = solve_dirichlet(d, annulus, data, x0=seed)
         assert sol.iterations <= uncorrected.iterations
 
 
@@ -455,7 +455,7 @@ def test_uncertified_barrier_seed_starts_the_ring_solve_cold(monkeypatch):
     calls = _record_solves(monkeypatch)
     rep = run_removability(cfg)
     assert rep.all_checks_pass()
-    rings = [(mesh, data, x0) for _, mesh, data, _, x0, _ in calls
+    rings = [(mesh, data, x0) for _, mesh, data, x0, _ in calls
              if mesh.n_theta == 1]
     assert len(rings) == len(cfg.epsilons)
     for eps, (column, data, x0) in zip(cfg.epsilons, rings):

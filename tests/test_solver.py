@@ -2,7 +2,6 @@
 
 import contextlib
 import ctypes
-import dataclasses
 import json
 import math
 import sys
@@ -25,7 +24,6 @@ from lingrowth.solver import (
     ComparisonResult,
     MeshMismatchError,
     NonConvergenceError,
-    SolverOptions,
     _Band,
     _band,
     _blocks,
@@ -481,7 +479,7 @@ def test_unusable_newton_step_falls_back_to_gradient(area, annulus,
     _patch_band_lapack(monkeypatch, **{routine: broken})
     data = np.cos(2.0 * annulus.node_angles())
     with pytest.raises(NonConvergenceError) as err:
-        solve_dirichlet(area, annulus, data, SolverOptions(max_iter=3),
+        solve_dirichlet(area, annulus, data, max_iter=3,
                         x0=np.zeros(annulus.num_nodes))
     hist = err.value.solution.energy_history
     assert len(hist) == 4 and hist[-1] < hist[0]
@@ -506,7 +504,7 @@ def test_rounding_regime_takes_full_newton_steps(mu3, annulus, monkeypatch):
     with monkeypatch.context() as m, \
             pytest.raises(NonConvergenceError) as err:
         m.setattr(solver, "_GRAD_TOL", 0.0)
-        solve_dirichlet(mu3, annulus, data, SolverOptions(max_iter=3),
+        solve_dirichlet(mu3, annulus, data, max_iter=3,
                         x0=sol.values)
     assert calls == []
     hist = np.array(err.value.solution.energy_history)
@@ -645,7 +643,7 @@ def test_band_that_is_not_positive_definite_takes_gradient_steps(
     monkeypatch.setattr(solver, "_blocks", lambda mesh, t: -blocks(mesh, t))
     data = np.cos(2.0 * annulus.node_angles())
     with pytest.raises(NonConvergenceError) as err:
-        solve_dirichlet(area, annulus, data, SolverOptions(max_iter=3),
+        solve_dirichlet(area, annulus, data, max_iter=3,
                         x0=np.zeros(annulus.num_nodes))
     hist = err.value.solution.energy_history
     assert len(hist) == 4 and hist[-1] < hist[0]
@@ -789,34 +787,18 @@ def test_energy_history_non_increasing(area, annulus, rng):
 
 def test_iteration_cap_raises_with_partial(area, annulus):
     vals = np.cos(4.0 * annulus.node_angles())
-    opts = SolverOptions(max_iter=1)
     with pytest.raises(NonConvergenceError) as err:
-        solve_dirichlet(area, annulus, vals, opts)
+        solve_dirichlet(area, annulus, vals, max_iter=1)
     partial = err.value.solution
     assert not partial.converged
     assert partial.iterations == 1
     assert np.isfinite(partial.energy)
 
 
-def test_solver_options_reject_unknown_keys():
-    # the Armijo constants and the gradient tolerance are fixed in the
-    # module, not options, and the gradient test is the only stopping rule
-    for key in ("typo", "armijo_c", "armijo_factor", "energy_stall_rtol",
-                "grad_tol"):
-        with pytest.raises(ValueError, match=key):
-            SolverOptions.from_config({"max_iter": 10, key: 1})
-
-
-def test_solver_options_accept_every_field():
-    cfg = {f.name: f.default for f in dataclasses.fields(SolverOptions)}
-    assert set(cfg) == {"max_iter"}
-    cfg["max_iter"] = 7
-    assert SolverOptions.from_config(cfg) == SolverOptions(**cfg)
-
-
-def test_negative_iteration_cap_is_rejected():
+def test_negative_iteration_cap_is_rejected(area, annulus):
     with pytest.raises(ValueError, match="max_iter"):
-        SolverOptions(max_iter=-1)
+        solve_dirichlet(area, annulus, np.zeros(annulus.num_nodes),
+                        max_iter=-1)
 
 
 def test_last_step_is_tested_at_the_iteration_cap(area, mu3, annulus):
@@ -827,18 +809,18 @@ def test_last_step_is_tested_at_the_iteration_cap(area, mu3, annulus):
     # the one that meets the gradient test
     hist = free.energy_history
     assert cap == 5 and 0.0 < (hist[-2] - hist[-1]) / hist[-2] < 1e-12
-    capped = solve_dirichlet(area, annulus, data, SolverOptions(max_iter=cap))
+    capped = solve_dirichlet(area, annulus, data, max_iter=cap)
     assert capped.converged
     assert capped.iterations == cap
     assert np.array_equal(capped.values, free.values)
     with pytest.raises(NonConvergenceError) as err:
-        solve_dirichlet(area, annulus, data, SolverOptions(max_iter=cap - 1))
+        solve_dirichlet(area, annulus, data, max_iter=cap - 1)
     assert err.value.solution.iterations == cap - 1
     # no step allowed: the start itself is tested, and affine data is
     # solved by its harmonic extension
     disk = build_polar_mesh(0.0, 1.0, 16, 32)
     start = solve_dirichlet(mu3, disk, affine(disk, 0.5, 0.3, 0.1),
-                            SolverOptions(max_iter=0))
+                            max_iter=0)
     assert start.converged
     assert start.iterations == 0
 
@@ -993,7 +975,7 @@ def test_energy_runs_blas_on_one_thread(mu3, blas_count, monkeypatch, rng):
 
 @pytest.mark.parametrize("bad, error", [
     (dict(x0=np.zeros(7)), ValueError),
-    (dict(opts=SolverOptions(max_iter=1)), NonConvergenceError),
+    (dict(max_iter=1), NonConvergenceError),
 ], ids=["x0-shape", "iteration-cap"])
 def test_failed_solve_restores_blas_threads(area, annulus, blas_count,
                                             monkeypatch, bad, error):
