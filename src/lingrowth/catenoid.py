@@ -121,11 +121,18 @@ class CatenoidSpec:
     def from_config(cfg: dict) -> "CatenoidSpec":
         ioutil.check_keys(cfg, {"sign", "alpha", "a", "n", "convention"},
                           "catenoid spec key(s)")
+
+        def real(key):
+            try:
+                return ioutil.real(cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"key {key!r} {exc}") from exc
+
         try:
             return CatenoidSpec(
                 sign=Sign(cfg["sign"]),
-                alpha=float(cfg["alpha"]),
-                offset_a=float(cfg["a"]),
+                alpha=real("alpha"),
+                offset_a=real("a"),
                 dim_n=cfg["n"],
                 anchor=Anchor(cfg["convention"]),
             )

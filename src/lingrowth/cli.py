@@ -105,14 +105,6 @@ def _density_config(args, cfg: dict) -> dict:
     raise ValueError("no density specified (use --kind or a config file)")
 
 
-def _integer(value) -> int:
-    """The value of an integer key, an int as it is; a bool, a fraction or
-    a string is an error."""
-    if type(value) is not int:
-        raise ValueError(f"must be an integer, got {value!r}")
-    return value
-
-
 # Accepted keys of each config section: key -> (default, cast).  A key
 # whose default is None is left out unless given, so its consumer's own
 # default applies.  A key without a cast is checked by its consumer (the
@@ -122,12 +114,12 @@ _AS_GIVEN = (None, None)
 _CATENOID_KEYS = {
     "sign": ("plus", None), "alpha": (1.0, None), "a": (0.0, None),
     "n": (2, None), "convention": ("neck", None),
-    "rho_min": (None, float),       # default 1.01 * neck radius
-    "rho_max": (5.0, float), "samples": (100, _integer),
+    "rho_min": (None, ioutil.real),     # default 1.01 * neck radius
+    "rho_max": (5.0, ioutil.real), "samples": (100, ioutil.integer),
 }
-_MESH_KEYS = {"r_in": (0.5, float), "r_out": (1.0, float),
-              "n_r": (16, _integer), "n_theta": (32, _integer)}
-_SOLVER_KEYS = {"max_iter": (None, _integer)}
+_MESH_KEYS = {"r_in": (0.5, ioutil.real), "r_out": (1.0, ioutil.real),
+              "n_r": (16, ioutil.integer), "n_theta": (32, ioutil.integer)}
+_SOLVER_KEYS = {"max_iter": (None, ioutil.integer)}
 _BOUNDARY_KEYS = {                  # circle data: see circle_data_values
     "outer": ({"kind": "affine", "q": [0.5, 0.3], "c": 0.0}, None),
     "inner": _AS_GIVEN,             # required on an annulus
@@ -138,11 +130,13 @@ _EXPERIMENT_KEYS = {
     "catenoid": {
         "spec": ({"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
                   "convention": "neck"}, CatenoidSpec.from_config),
-        "refinements": (3, _integer), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "refinements": (3, ioutil.integer), "r_in": _AS_GIVEN,
+        "r_out": _AS_GIVEN,
         "n_r0": _AS_GIVEN, "n_theta0": _AS_GIVEN,
     },
     "comparison": {
-        "trials": (20, _integer), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "trials": (20, ioutil.integer), "r_in": _AS_GIVEN,
+        "r_out": _AS_GIVEN,
         "n_r": _AS_GIVEN, "n_theta": _AS_GIVEN, "fourier_degree": _AS_GIVEN,
     },
 }

@@ -183,7 +183,9 @@ class RemovabilityConfig:
     is a key of the CLI's ``experiment`` section, and every solve runs with
     :func:`solve_dirichlet`'s default step cap.
 
-    ``epsilons`` must decrease strictly and stay below ``probe_radius``,
+    ``n_r``, ``n_theta`` and ``inner_layers`` must be ints (a bool or a
+    fraction raises ValueError naming the key).  ``epsilons`` must
+    decrease strictly and stay below ``probe_radius``,
     which in turn lies inside the outer radius.  ``outer_data`` follows
     the config schema of :func:`circle_data_values`.  One radial/angular
     resolution is shared by the reference disk and every annulus so their
@@ -217,6 +219,12 @@ class RemovabilityConfig:
     inner_layers: int = 6
 
     def __post_init__(self):
+        for key in ("n_r", "n_theta", "inner_layers"):
+            try:
+                ioutil.integer(getattr(self, key))
+            except ValueError as exc:
+                raise ValueError(
+                    f"removability config key {key!r}: {exc}") from exc
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValueError("epsilons must be nonempty")

@@ -1,5 +1,6 @@
-"""Deterministic serialization helpers shared by reports and the CLI, and
-the one check of a config's keys.
+"""Deterministic serialization helpers shared by reports and the CLI, the
+one check of a config's keys, and the strict casts of its integer and
+real values.
 
 All floats are quantized to 12 significant digits before writing, JSON
 keys are sorted, and wall-clock values never enter a file unless the
@@ -75,6 +76,22 @@ def check_keys(cfg, allowed, what: str) -> None:
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {what}: {unknown}")
+
+
+def integer(value) -> int:
+    """The value of an integer config key, an int as it is; a bool, a
+    fraction or a string is an error."""
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def real(value) -> float:
+    """The value of a real config key as a float, from an int or a float;
+    a bool or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a real number, got {value!r}")
+    return float(value)
 
 
 def deterministic_timestamp() -> Optional[int]:

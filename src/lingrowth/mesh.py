@@ -4,9 +4,9 @@ Nodes are laid out on concentric circles with equally spaced angles
 (radii are equally spaced too, apart from an optional geometric boundary
 layer at the inner circle), so every boundary node sits exactly on its
 circle (up to one ulp of cos/sin).  Each quadrilateral cell is split
-into two triangles along the same diagonal, which keeps the mesh
-invariant under rotation by one angular step -- a property the solver
-tests lean on.
+into two triangles along the same diagonal, so the mesh maps onto itself
+under rotation by one angular step, and only the triangles of angular
+column 0 are stored: every other column is their rotation.
 
 Node ordering is ring-major: index = ring * n_theta + column for annuli;
 a disk additionally owns node 0 at the center, followed by the rings of
@@ -14,10 +14,18 @@ positive radius.  Other modules never spell this layout out: they move a
 field between nodal vectors and (ring, column) grids through
 :meth:`PolarMesh.rings` and :meth:`PolarMesh.from_rings`.
 
-Triangles are numbered in the same order: a disk's n_theta center-fan
-triangles first, the one of column j being j, then the cells between
-consecutive circles, ring by ring and column by column within a ring,
-two triangles each.
+The cell between circles k and k + 1 in column j holds two triangles,
+of kind 0, (k, j), (k + 1, j), (k + 1, j + 1), and of kind 1, (k, j),
+(k + 1, j + 1), (k, j + 1), as (ring, column) pairs in that vertex order.
+The triangles come in rows, row 2 k + e holding the kind-e triangles of
+cell ring k, and are numbered row by row, column by column within a row.
+A disk's center fills ring 0, so its cell ring 0 is the center fan: row 0
+holds the fan triangles, and row 1 is a placeholder, whose would-be
+triangles (center, (1, j + 1), center) are degenerate.  It has zero area
+and zero hat gradients, so it adds nothing anywhere, and it is not a
+triangle: ``num_triangles`` leaves it out.  The solver's per-triangle
+arrays keep it, so every mesh has two rows per cell ring, each n_theta
+long.
 """
 
 from __future__ import annotations
@@ -43,24 +51,31 @@ class PolarMesh:
     ----------
     n_r : number of radial cell layers (including any graded ones).
     n_theta : number of angular sectors.
-    nodes : (N, 2) float array of vertex coordinates.
-    triangles : (M, 3) int array of positively oriented vertex triples.
     node_tags : (N,) int array of NodeTag values.
     ring_radii : radii of the node circles, ascending; a disk's center
         counts as a ring of radius 0 holding a single node.
-    areas : (M,) triangle areas.
-    grads : (2, 3, M) gradients of the three nodal hat functions on each
-        triangle, component-major: ``grads[c, k]`` is the c-th component
-        of the gradient of the hat at vertex k, one entry per triangle, so
-        assembly runs as arithmetic on whole length-M arrays.
+    areas : (rows,) areas of the triangles of column 0, one per row of the
+        triangle numbering (see the module docstring): one per cell ring
+        and kind, 0 for a disk's placeholder row.  Every column has the
+        same.
+    grads : (2, 3, rows) gradients of the three nodal hat functions on the
+        same triangles, component-major: ``grads[c, k]`` is the c-th
+        component of the gradient of the hat at vertex k, one entry per
+        row (0 for a disk's placeholder).  Column j's triangles are
+        column 0's rotated by 2 pi j / n_theta, and so are their hat
+        gradients; these are the gradients in each column's own frame,
+        rotated back to column 0.  The solver reads them only through
+        rotation-invariant contractions (|p|, G^T flux, G^T T G; see
+        :mod:`lingrowth.solver`).
+
+    ``nodes`` and :meth:`row_triangles` are computed from the layout when
+    read.
     """
 
     r_in: float
     r_out: float
     n_r: int
     n_theta: int
-    nodes: np.ndarray
-    triangles: np.ndarray
     node_tags: np.ndarray
     ring_radii: np.ndarray
     areas: np.ndarray
@@ -74,27 +89,31 @@ class PolarMesh:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_tags)
 
     @property
     def num_triangles(self) -> int:
-        return len(self.triangles)
+        return (len(self.areas) - self.is_disk) * self.n_theta
 
     @property
-    def area_total(self) -> float:
-        return float(np.sum(self.areas))
+    def nodes(self) -> np.ndarray:
+        """(N, 2) float array of vertex coordinates, node k of ring i at
+        radius ``ring_radii[i]`` and angle 2 pi k / n_theta."""
+        theta = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
+        return _ring_nodes(self.ring_radii, theta, self.is_disk)
+
+    def row_triangles(self) -> np.ndarray:
+        """(rows, n_theta, 3) positively oriented vertex triples of every
+        row, in the numbering of the module docstring, a disk's
+        placeholder row included: the layout of the solver's per-triangle
+        arrays."""
+        grid = self.rings(np.arange(self.num_nodes, dtype=np.int64))
+        return _row_triangles(np.concatenate([grid, grid[:, :1]], axis=1))
 
     @property
     def h_radial(self) -> float:
         """Largest radial spacing (the bulk spacing for graded meshes)."""
         return float(np.max(np.diff(self.ring_radii)))
-
-    @property
-    def h_max(self) -> float:
-        """Largest element diameter (the mesh size of interpolation theory)."""
-        corners = self.nodes[self.triangles]
-        edges = corners - np.roll(corners, 1, axis=1)
-        return float(np.sqrt(np.max(np.sum(edges * edges, axis=2))))
 
     def nodes_with_tag(self, tag: NodeTag) -> np.ndarray:
         return np.flatnonzero(self.node_tags == tag)
@@ -112,20 +131,12 @@ class PolarMesh:
         return np.flatnonzero(self.node_tags != NodeTag.INTERIOR)
 
     def node_radii(self) -> np.ndarray:
-        return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
+        nodes = self.nodes
+        return np.hypot(nodes[:, 0], nodes[:, 1])
 
     def node_angles(self) -> np.ndarray:
-        return np.arctan2(self.nodes[:, 1], self.nodes[:, 0])
-
-    def node_index(self, ring: int, col: int) -> int:
-        """Index of the node on circle ``ring`` (0-based, ascending radius)
-        at angular column ``col``."""
-        col = col % self.n_theta
-        if self.is_disk:
-            if ring == 0:
-                return 0
-            return 1 + (ring - 1) * self.n_theta + col
-        return ring * self.n_theta + col
+        nodes = self.nodes
+        return np.arctan2(nodes[:, 1], nodes[:, 0])
 
     def rings(self, values) -> np.ndarray:
         """Nodal values as a (rings, n_theta) grid: row k is circle k
@@ -149,6 +160,28 @@ class PolarMesh:
         return flat
 
 
+def _ring_nodes(radii, theta, is_disk) -> np.ndarray:
+    """Coordinates of the nodes on circles ``radii`` at angles ``theta``,
+    ring-major, after a disk's one center node at the origin."""
+    first = 1 if is_disk else 0
+    circle_radii = radii[first:]
+    nodes = np.zeros((first + len(circle_radii) * len(theta), 2))
+    nodes[first:, 0] = np.multiply.outer(circle_radii, np.cos(theta)).ravel()
+    nodes[first:, 1] = np.multiply.outer(circle_radii, np.sin(theta)).ravel()
+    return nodes
+
+
+def _row_triangles(index) -> np.ndarray:
+    """(rows, C, 3) vertex triples of the triangles of C columns, rows in
+    the order of the module docstring, from the (rings, C + 1) grid
+    ``index`` of node numbers whose column j + 1 is column j's angular
+    successor."""
+    lo, up = index[:-1], index[1:]
+    kind0 = np.stack([lo[:, :-1], up[:, :-1], up[:, 1:]], axis=-1)
+    kind1 = np.stack([lo[:, :-1], up[:, 1:], lo[:, 1:]], axis=-1)
+    return np.stack([kind0, kind1], axis=1).reshape(-1, *kind0.shape[1:])
+
+
 def build_polar_mesh(r_in: float, r_out: float, n_r: int,
                      n_theta: int, *, inner_layers: int = 0) -> PolarMesh:
     """Triangulate the annulus r_in <= |x| <= r_out (a disk when r_in = 0).
@@ -168,7 +201,9 @@ def build_polar_mesh(r_in: float, r_out: float, n_r: int,
     Returns
     -------
     PolarMesh with one node ring per radius for an annulus; a disk swaps
-    the degenerate inner circle for a single center node.
+    the degenerate inner circle for a single center node.  Its geometry
+    is that of column 0's triangles, computed from the nodes of columns 0
+    and 1 alone, which are the same floats as in ``nodes``.
     """
     if not (0.0 <= r_in < r_out):
         raise ValueError(f"need 0 <= r_in < r_out, got r_in={r_in}, r_out={r_out}")
@@ -184,47 +219,28 @@ def build_polar_mesh(r_in: float, r_out: float, n_r: int,
         h0 = radii[1] - radii[0]
         splits = r_in + h0 * 0.5 ** np.arange(inner_layers, 0, -1)
         radii = np.concatenate([[r_in], splits, radii[1:]])
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
     is_disk = r_in == 0.0
-    # ring-major numbering: circle k starts at node first + k * n_theta,
-    # after a disk's center node at the origin
-    first = 1 if is_disk else 0
-    circle_radii = radii[first:]
-    nodes = np.zeros((first + len(circle_radii) * n_theta, 2))
-    nodes[first:, 0] = np.multiply.outer(circle_radii, cos_t).ravel()
-    nodes[first:, 1] = np.multiply.outer(circle_radii, sin_t).ravel()
 
-    n_cells = len(radii) - 1
+    # the nodes of columns 0 and 1 of every ring, numbered 2 k + j
+    pair = _ring_nodes(radii, 2.0 * math.pi * np.arange(2) / n_theta, False)
+    column = _row_triangles(np.arange(len(pair)).reshape(-1, 2))[:, 0]
+    real = np.ones(len(column), dtype=bool)
+    real[1] = not is_disk                       # a disk's placeholder row
+    areas, grads = np.zeros(len(column)), np.zeros((2, 3, len(column)))
+    areas[real], grads[..., real] = _triangle_geometry(pair, column[real])
+    if np.any(areas[real] <= 0.0):
+        raise ValueError("mesh construction produced a non-positive triangle")
 
-    # each cell between circles k and k + 1 splits along its
-    # (k, j) -- (k + 1, j + 1) diagonal
-    cols = np.arange(n_theta, dtype=np.int64)
-    nxt = (cols + 1) % n_theta
-    starts = first + n_theta * np.arange(len(circle_radii) - 1,
-                                         dtype=np.int64)[:, None]
-    n00, n01 = starts + cols, starts + nxt
-    n10, n11 = n00 + n_theta, n01 + n_theta
-    triangles = np.stack([n00, n10, n11, n00, n11, n01], axis=-1).reshape(-1, 3)
-    if is_disk:
-        fan = np.column_stack([np.zeros(n_theta, dtype=np.int64),
-                               first + cols, first + nxt])
-        triangles = np.vstack([fan, triangles])
-
-    tags = np.full(len(nodes), NodeTag.INTERIOR, dtype=np.int8)
+    n_nodes = (len(radii) - is_disk) * n_theta + is_disk
+    tags = np.full(n_nodes, NodeTag.INTERIOR, dtype=np.int8)
     if not is_disk:
         tags[:n_theta] = NodeTag.INNER
     tags[-n_theta:] = NodeTag.OUTER
 
-    areas, grads = _triangle_geometry(nodes, triangles)
-    if np.any(areas <= 0.0):
-        raise ValueError("mesh construction produced a non-positive triangle")
-
     return PolarMesh(
-        r_in=float(r_in), r_out=float(r_out), n_r=n_cells, n_theta=int(n_theta),
-        nodes=nodes, triangles=triangles, node_tags=tags,
-        ring_radii=radii, areas=areas, grads=grads,
+        r_in=float(r_in), r_out=float(r_out), n_r=len(radii) - 1,
+        n_theta=int(n_theta), node_tags=tags, ring_radii=radii,
+        areas=areas, grads=grads,
     )
 
 
@@ -233,45 +249,31 @@ def one_column(mesh: PolarMesh) -> PolarMesh:
     ring of ``mesh`` has one unknown per ring: node k is ring k, at angle
     0, with the ring's boundary tag (a disk's center is its ring 0).
 
-    Its triangles are those of column 0, the ones with every vertex in
-    column 0 or 1, re-indexed by ring, so two vertices of each share a
-    node.  Their hat gradients are copied and their areas scaled by
-    n_theta.  ``mesh`` maps onto itself under rotation by one angular
-    step, so a ring-constant field has exactly n_theta times the column's
-    energy, and its energy gradient summed over each ring is n_theta times
-    the column's.  The column has n_theta = 1, so its :meth:`PolarMesh.rings`
-    grid is one value per ring.
-
-    Those triangles are picked by number, without reading the columns of
-    all 3M vertices (see the module docstring for the numbering): a disk's
-    fan triangle 0, and the first two triangles of each cell ring.
+    It is ``mesh`` with n_theta = 1: the same rows of column-0 geometry,
+    the hat gradients shared and the areas scaled by n_theta.  Column 0's
+    angular successor is column 0 itself, so two vertices of each
+    triangle share a node.  ``mesh`` maps onto itself under rotation by
+    one angular step, so a ring-constant field has exactly n_theta times
+    the column's energy, and its energy gradient summed over each ring is
+    n_theta times the column's.  Its :meth:`PolarMesh.rings` grid is one
+    value per ring.
     """
-    n_rings = len(mesh.ring_radii)
-    ring = mesh.from_rings(np.arange(n_rings)[:, None])
-    fan = mesh.n_theta if mesh.is_disk else 0
-    cells = np.arange(fan, mesh.num_triangles, 2 * mesh.n_theta)
-    in_column = np.column_stack([cells, cells + 1]).ravel()
-    if mesh.is_disk:
-        in_column = np.concatenate([[0], in_column])
     return PolarMesh(
         r_in=mesh.r_in, r_out=mesh.r_out, n_r=mesh.n_r, n_theta=1,
-        nodes=np.column_stack([mesh.ring_radii, np.zeros(n_rings)]),
-        triangles=ring[mesh.triangles[in_column]],
         node_tags=mesh.rings(mesh.node_tags)[:, 0].copy(),
         ring_radii=mesh.ring_radii,
-        areas=mesh.n_theta * mesh.areas[in_column],
-        grads=mesh.grads[:, :, in_column],
+        areas=mesh.n_theta * mesh.areas,
+        grads=mesh.grads,
     )
 
 
 def _triangle_geometry(nodes, triangles):
     """Signed areas and hat-function gradients, vectorized over triangles.
 
-    Each corner coordinate is one length-M gather from a contiguous x or y
-    array through a contiguous column of vertex indices.  Gathering (M, 2)
-    rows of ``nodes`` instead makes the same IEEE operations on the same
-    operands, so gives the same bytes, but took over twice as long at
-    65,536 triangles on a 2-core x86 machine."""
+    Each corner coordinate is one gather from a contiguous x or y array
+    through a contiguous column of vertex indices.  Gathering (M, 2) rows
+    of ``nodes`` instead makes the same IEEE operations on the same
+    operands, so gives the same bytes."""
     x, y = (np.ascontiguousarray(nodes[:, c]) for c in range(2))
     i0, i1, i2 = np.ascontiguousarray(triangles.T)
     x0, y0 = x[i0], y[i0]
@@ -291,13 +293,15 @@ def _triangle_geometry(nodes, triangles):
 
 
 def same_mesh(m1: PolarMesh, m2: PolarMesh) -> bool:
-    """True when two meshes triangulate the same nodes identically."""
+    """True when two meshes triangulate the same nodes identically: the
+    same layout (center or inner circle, rings, columns) and tags, and
+    ring radii that agree to 1e-14."""
     if m1 is m2:
         return True
-    return (m1.nodes.shape == m2.nodes.shape
-            and np.array_equal(m1.triangles, m2.triangles)
+    return (m1.is_disk == m2.is_disk and m1.n_theta == m2.n_theta
+            and m1.ring_radii.shape == m2.ring_radii.shape
             and np.array_equal(m1.node_tags, m2.node_tags)
-            and bool(np.all(np.abs(m1.nodes - m2.nodes) <= 1e-14)))
+            and bool(np.all(np.abs(m1.ring_radii - m2.ring_radii) <= 1e-14)))
 
 
 def radial_values(mesh: PolarMesh, values: np.ndarray, r) -> np.ndarray:

@@ -15,20 +15,33 @@ gradient and t = |p|,
     tangent  = g''(t) P + (g'(t)/t) (I - P),    P = p p^T / t^2,
 
 the tangent being symmetric positive definite thanks to g'' > 0 and g'
-increasing.  The triangle gradients of each iterate are computed once and
-serve both its energy and its flux.  The gradient test reads g' only: the
-flux of :func:`lingrowth.density.flux_lazy_tangent`, scattered into the
-nodal gradient.  g'' is evaluated, and the tangent built from the same
-evaluation of t and g', only when the test fails and a Newton step is
-taken; the step scatters the lower entries of the triangle blocks
-areas * G^T T G (G the hat gradients, T the tangent) straight into a
-banded interior matrix.  So a start that passes the test costs one
-residual: one pass of triangle gradients, one energy and one flux.  The
-kernels are arithmetic on whole length-M arrays, one per component, read
-from the component-major hat gradients (``PolarMesh.grads``), never
-products of small per-triangle matrices: on the few-thousand-triangle
-meshes of a removability sweep, numpy loops over inner axes of length 2 or
-3 cost more than the banded factorization.
+increasing.  The triangle gradients of each iterate, and their norms t,
+are computed once and serve both its energy and its flux.  The gradient
+test reads g' only: the flux of :func:`lingrowth.density.flux_lazy_tangent`,
+added into the nodal gradient.  g'' is evaluated, and the tangent built
+from the same evaluation of t and g', only when the test fails and a
+Newton step is taken; the step scatters the lower entries of the triangle
+blocks areas * G^T T G (G the hat gradients, T the tangent) straight into
+a banded interior matrix.  So a start that passes the test costs one
+residual: one pass of triangle gradients, one norm, one energy and one
+flux.
+
+The mesh stores the geometry of angular column 0 only, one area and one
+set of hat gradients per row of triangles (cell ring and kind, see
+:mod:`lingrowth.mesh`); every column is its rotation.  The kernels work in
+each column's own frame: the triangle gradient p of column j is the
+Cartesian one rotated back by 2 pi j / n_theta.  An isotropic density
+reads p only through rotation-invariant contractions, |p| for the energy,
+G^T flux for the nodal gradient and G^T T G for the blocks, so each row's
+column-0 geometry serves all its n_theta columns.  The kernels are
+differences of (ring, column) grid slices, contracted with the row's
+geometry broadcast over the columns, and slice-adds back onto the grid;
+the innermost axis is always the n_theta columns, never an axis of
+length 2 or 3, which numpy loops over at more cost than the work.  Every
+column adds its terms in the same order, so rotating a field by one
+column rotates its residual bit for bit (a disk's center, which sums its
+row, aside), and a ring-constant field has a residual that is constant
+on each ring.
 
 Ring-major node numbering keeps every interior coupling within n_theta + 1
 of the diagonal (n_theta at a disk's center), so the interior Hessian is
@@ -41,14 +54,15 @@ matrix that is not numerically positive definite, or a non-finite step,
 falls back to the gradient direction.
 
 The band is the Galerkin matrix of whatever mesh is passed, including the
-one-column mesh of :func:`lingrowth.mesh.one_column`, whose triangles each
-have two vertices on one node.  An off-diagonal block entry stands for
-both K_ij and K_ji; where its two vertices are one node, both land on the
-diagonal, so the entry is added there twice.  No triangle of a 2D mesh
-repeats a vertex, so their bands do not change.  A band map depends on
-the triangles and the interior nodes only, so the maps of the last few
-topologies are kept, keyed by those bytes: the annuli of a removability
-sweep differ in their radii alone and share one map.
+one-column mesh of :func:`lingrowth.mesh.one_column`, the same kernels at
+n_theta = 1, whose triangles each have two vertices on one node.  An
+off-diagonal block entry stands for both K_ij and K_ji; where its two
+vertices are one node, both land on the diagonal, so the entry is added
+there twice.  No triangle of a 2D mesh repeats a vertex, so their bands
+do not change; a disk's placeholder row is left out.  A band map depends
+on the layout (disk or annulus, rings, columns) and the interior nodes
+only, so the maps of the last few are kept, keyed by those: the annuli of
+a removability sweep differ in their radii alone and share one map.
 
 On an annulus, the Hessian K(w) at a ring-constant field w is
 block-circulant in theta: the mesh maps onto itself under rotation by one
@@ -66,17 +80,17 @@ angles opposite the diagonal.  The cell is an isosceles trapezoid, so
 B + D = pi and the coupling vanishes.  What is left couples each node to
 itself (D0), to the next node of its ring (D1) and to the node of the next
 ring in its column (S): diagonal D0 + 2 cos(theta_k) D1, off-diagonal S.
-:func:`_ring_mode_step` sums them from the column-0 triangle blocks of the
-one-column mesh, stacks the real and imaginary parts of every mode
-k = 0 .. n_theta // 2 of ``numpy.fft.rfft`` into one band of depth 2, and
-factors and solves it with the same ``dpbtrf``/``dpbtrs``.  A step with it
-differs from the 2D banded solve of K(w) by rounding only, and it needs
-the flux alone, not the tangent.
+:func:`_ring_mode_step` sums them from the blocks of the one-column mesh,
+whose rows are the annulus's column-0 triangles, stacks the real and
+imaginary parts of every mode k = 0 .. n_theta // 2 of ``numpy.fft.rfft``
+into one band of depth 2, and factors and solves it with the same
+``dpbtrf``/``dpbtrs``.  A step with it differs from the 2D banded solve of
+K(w) by rounding only, and it needs the flux alone, not the tangent.
 :func:`_ring_mode_corrected` repeats it on a start for as long as the
 corrections contract, until the next one would fall below the rounding of
 the field; the gradient test of :func:`solve_dirichlet` still decides
-convergence.  On the default removability annuli the corrected start
-passes that test as it is, so no annulus factors a 2D band.
+convergence.  On the default removability annuli the corrected start passes
+that test as it is, so no annulus factors a 2D band.
 
 Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
@@ -180,40 +194,74 @@ class ComparisonResult:
 
 def _triangle_gradients(mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
     """(M, 2) array of per-triangle gradients of the P1 field u, a view of
-    a component-major (2, M) array.
+    a component-major (2, M) array, with one row of triangles per cell
+    ring and kind as in :mod:`lingrowth.mesh` (a disk's placeholder row
+    included, where p = 0).  Each is in its column's own frame: column
+    j's are the Cartesian ones rotated back by 2 pi j / n_theta.
 
-    The first vertex value is subtracted before contracting with the hat
-    gradients (their sum vanishes, so this changes nothing analytically);
-    rounding then scales with the local variation of u instead of its
-    absolute offset, which keeps gradient norms meaningful for fields
-    sitting far from zero.
+    Each row contracts differences of (ring, column) grid slices with its
+    column-0 hat gradients: kind 0 the radial and diagonal differences,
+    kind 1 the diagonal and angular ones.  The difference from the first
+    vertex is taken before contracting (the hat gradients sum to zero, so
+    this changes nothing analytically); rounding then scales with the
+    local variation of u instead of its absolute offset, which keeps
+    gradient norms meaningful for fields sitting far from zero.
     """
-    u0, u1, u2 = u[mesh.triangles.T]
-    G = mesh.grads
-    return (G[:, 1] * (u1 - u0) + G[:, 2] * (u2 - u0)).T
+    grid = mesh.rings(u)
+    nxt = np.concatenate([grid[:, 1:], grid[:, :1]], axis=1)  # column j + 1
+    lo = grid[:-1]
+    diff = np.empty((len(lo), 3, mesh.n_theta))
+    np.subtract(grid[1:], lo, out=diff[:, 0])   # to (k + 1, j)
+    np.subtract(nxt[1:], lo, out=diff[:, 1])    # to (k + 1, j + 1)
+    np.subtract(nxt[:-1], lo, out=diff[:, 2])   # to (k, j + 1)
+    G = mesh.grads.reshape(2, 3, -1, 2, 1)      # by cell ring and kind
+    p = G[:, 1] * diff[:, :2]
+    p += G[:, 2] * diff[:, 1:]
+    return p.reshape(2, -1).T
 
 
-def _energy(d: Density, mesh: PolarMesh, p: np.ndarray) -> float:
-    """:func:`energy` of the field whose triangle gradients are p, for a
-    solve that reads the same p for its flux."""
+def _energy(d: Density, mesh: PolarMesh, p: np.ndarray) -> tuple:
+    """(E, t): :func:`energy` of the field whose triangle gradients are p,
+    and t = |p|, which the flux of the same field reads
+    (:func:`lingrowth.density.flux_lazy_tangent`).  The energy sums each
+    row's n_theta values of g, then weighs the row sums by the areas."""
     t = np.hypot(p[:, 0], p[:, 1])
-    return float(np.dot(mesh.areas, d.g(t)))
+    rows = d.g(t).reshape(len(mesh.areas), mesh.n_theta).sum(axis=1)
+    return float(np.dot(mesh.areas, rows)), t
+
+
+def _add_next(grid: np.ndarray, values: np.ndarray):
+    """grid[:, j + 1] += values[:, j], column n_theta - 1 onto column 0."""
+    grid[:, 1:] += values[:, :-1]
+    grid[:, :1] += values[:, -1:]
 
 
 def _nodal_gradient(mesh: PolarMesh, flux: np.ndarray) -> np.ndarray:
-    """Scatter (M, 2) per-triangle fluxes into the nodal energy gradient."""
-    G, a = mesh.grads, mesh.areas
-    # (M, 3) to ravel like the triangles, filled through its (3, M)
-    # transpose; products taken in place keep one temporary alive
-    contrib = np.empty((mesh.num_triangles, 3))
-    ct = contrib.T
-    np.multiply(a, G[0], out=ct)
-    ct *= flux[:, 0]
-    second = a * G[1]
-    second *= flux[:, 1]
-    ct += second
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.num_nodes)
+    """Add (M, 2) per-triangle fluxes into the nodal energy gradient.
+
+    Each vertex of a row of triangles sits on one grid slice, so the
+    contributions are added slice by slice, every column in the same
+    order: the order of the triangle numbering within each column (lower
+    cell ring first, kind 0 first, vertex by vertex), which on a
+    one-column mesh is the numbering itself.  A disk's center sums its
+    row."""
+    rows, n = len(mesh.areas), mesh.n_theta
+    aG = (mesh.areas * mesh.grads)[..., None]   # (2, 3, rows, 1)
+    c = aG[0] * flux[:, 0].reshape(rows, n)
+    c += aG[1] * flux[:, 1].reshape(rows, n)
+    c0, c1, c2 = c.reshape(3, -1, 2, n)         # by cell ring and kind
+    grid = np.zeros((len(mesh.ring_radii), n))
+    # from the cell ring below: kind 0's second and third vertices, kind
+    # 1's second; from the one above: both first vertices, kind 1's third
+    grid[1:] += c1[:, 0]
+    _add_next(grid[1:], c2[:, 0])
+    _add_next(grid[1:], c1[:, 1])
+    grid[:-1] += c0[:, 0]
+    grid[:-1] += c0[:, 1]
+    _add_next(grid[:-1], c2[:, 1])
+    if mesh.is_disk:
+        return np.concatenate([[grid[0].sum()], grid[1:].ravel()])
+    return grid.ravel()
 
 
 # the (i, j) vertex pairs, i >= j, of the lower triangle of a 3 x 3 block
@@ -224,14 +272,18 @@ def _blocks(mesh: PolarMesh, tangent: np.ndarray) -> np.ndarray:
     """(M, 6) lower entries, in ``_LOWER`` order, of the triangle stiffness
     blocks areas * G^T T G for an (M, 2, 2) tangent, or one (2, 2) tangent
     shared by every triangle."""
-    g0, g1 = mesh.grads
-    t00, t01, t11 = tangent[..., 0, 0], tangent[..., 0, 1], tangent[..., 1, 1]
-    tg0 = t00 * g0 + t01 * g1                   # rows of T G, (3, M) each
+    rows, n = len(mesh.areas), mesh.n_theta
+    shape = (rows, n) if np.ndim(tangent) > 2 else ()
+    t00, t01, t11 = (np.reshape(tangent[..., r, c], shape)
+                     for r, c in ((0, 0), (0, 1), (1, 1)))
+    g0, g1 = mesh.grads[..., None]
+    tg0 = t00 * g0 + t01 * g1                   # rows of T G, (3, rows, n)
     tg1 = t01 * g0 + t11 * g1
-    lower = np.empty((mesh.num_triangles, len(_LOWER)))
+    a = mesh.areas[:, None]
+    lower = np.empty((rows, n, len(_LOWER)))
     for e, (i, j) in enumerate(_LOWER):
-        lower[:, e] = (g0[i] * tg0[j] + g1[i] * tg1[j]) * mesh.areas
-    return lower
+        lower[..., e] = (g0[i] * tg0[j] + g1[i] * tg1[j]) * a
+    return lower.reshape(-1, len(_LOWER))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +456,7 @@ def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
     """Total energy sum(area * g(|grad u|)) of a nodal field, its area sum
     taken on one BLAS thread, as in a solve."""
     return _energy(d, mesh,
-                   _triangle_gradients(mesh, np.asarray(u, dtype=float)))
+                   _triangle_gradients(mesh, np.asarray(u, dtype=float)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +510,9 @@ def _band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
     twice, once for K_ij and once for K_ji."""
     local = np.full(mesh.num_nodes, -1, dtype=np.int64)
     local[interior] = np.arange(len(interior))
-    lt = local[mesh.triangles]
+    lt = local[mesh.row_triangles()].reshape(-1, 3)
+    # a disk's placeholder row (zero area) is left out
+    lt[np.repeat(mesh.areas == 0.0, mesh.n_theta)] = -1
     i, j = np.array(_LOWER).T
     a, b = lt[:, i].ravel(), lt[:, j].ravel()   # like the (M, 6) entries
     twice = [np.flatnonzero((lt[:, p] == lt[:, q]) & (lt[:, q] >= 0))
@@ -479,11 +533,13 @@ _bands_lock = threading.Lock()
 
 def _cached_band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
     """:func:`_band` of ``mesh``, kept for the last ``_BAND_CACHE_SIZE``
-    topologies.  The key is the bytes of the triangles and of the interior
-    nodes, not the mesh object, so meshes that differ only in their node
-    positions (every annulus of a removability sweep, the reference disks
-    of two densities) share one map.  Its arrays are read-only."""
-    key = (mesh.triangles.tobytes(), interior.tobytes())
+    topologies.  The key is the layout (disk or annulus, rings, columns),
+    which fixes the triangles, and the bytes of the interior nodes, not
+    the mesh object, so meshes that differ only in their radii (every
+    annulus of a removability sweep, the reference disks of two
+    densities) share one map.  Its arrays are read-only."""
+    key = (mesh.is_disk, len(mesh.ring_radii), mesh.n_theta,
+           interior.tobytes())
     with _bands_lock:
         band = _bands.pop(key, None)
         if band is None:
@@ -528,27 +584,31 @@ def _ring_mode_step(d: Density, annulus: PolarMesh, column: PolarMesh,
     n, n_rings = annulus.n_theta, len(annulus.ring_radii)
     m = n_rings - 2                             # interior rings
 
-    # the column's triangles are the annulus's column-0 triangles, whose
-    # blocks at w are those of every rotated copy; the column scales their
-    # areas by n_theta
+    # the column's rows are the annulus's column-0 triangles, whose blocks
+    # at w are those of every rotated copy; the column scales their areas
+    # by n_theta.  Its rows alternate kind 0 and kind 1, cell ring by cell
+    # ring.
     _, tangent = flux_tangent(d, _triangle_gradients(column, ring_values))
     lower = _blocks(column, tangent) / n
-    i, j = np.array(_LOWER).T
-    ra, rb = column.triangles[:, i], column.triangles[:, j]
-    # D0, D1 and S of the module docstring, by the lower of the two rings;
-    # the diagonal couplings of each cell, summed into S, cancel
-    kind = np.where(i == j, 0, np.where(ra == rb, 1, 2))
-    lo = np.minimum(ra, rb)
-    keep = (lo >= 1) & (np.maximum(ra, rb) <= m)
-    D0, D1, S = np.bincount((kind * n_rings + lo)[keep], weights=lower[keep],
-                            minlength=3 * n_rings).reshape(3, n_rings)
+    kind0, kind1 = lower[0::2].T, lower[1::2].T
+    # D0, D1 and S of the module docstring, in _LOWER order of the blocks
+    # of kind 0, (k, j) (k+1, j) (k+1, j+1), and kind 1, (k, j)
+    # (k+1, j+1) (k, j+1); S sums both diagonal couplings of each cell,
+    # which cancel
+    D0 = np.zeros(n_rings)
+    D0[:-1] += kind0[0] + kind1[0] + kind1[5]
+    D0[1:] += kind0[2] + kind0[5] + kind1[2]
+    D1 = np.zeros(n_rings)
+    D1[1:] += kind0[4]
+    D1[:-1] += kind1[3]
+    S = kind0[1] + kind0[3] + kind1[1] + kind1[4]     # by the lower ring
     cos = np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
     # the real and imaginary parts of every mode, one tridiagonal block
     # each, in LAPACK's lower band layout
     ab = np.zeros((2, len(cos), m, 2))
     ab[..., 0] = D0[1:-1] + 2.0 * cos[:, None] * D1[1:-1]
-    ab[..., :-1, 1] = S[1:-2]
+    ab[..., :-1, 1] = S[1:-1]
     factor = _factor(ab.reshape(-1, 2).T)
 
     def step(u: np.ndarray) -> np.ndarray:
@@ -716,7 +776,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
         u[interior] = _start_interior(mesh, x0, interior)
 
     p = _triangle_gradients(mesh, u)
-    E = _energy(d, mesh, p)
+    E, t = _energy(d, mesh, p)
     if not math.isfinite(E):
         raise ValueError(f"non-finite initial energy {E}")
 
@@ -729,7 +789,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
                                 energy_history=tuple(history))
 
     for it in range(max_iter + 1):
-        flux, tangent = flux_lazy_tangent(d, p)
+        flux, tangent = flux_lazy_tangent(d, p, t)
         g_i = _nodal_gradient(mesh, flux)[interior]
         grad_norm = float(np.linalg.norm(g_i))
         if grad_norm <= _GRAD_TOL * (1.0 + abs(E)):
@@ -741,28 +801,28 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
         step = _newton_step(band(), _blocks(mesh, tangent()), g_i)
         if step is None:
             # Newton direction unusable; fall back downhill
-            u_new, E_new, ok, p_new = _armijo(d, mesh, u, interior, -g_i,
-                                              g_i, E)
+            u_new, E_new, ok, p_new, t_new = _armijo(d, mesh, u, interior,
+                                                     -g_i, g_i, E)
         elif -float(np.dot(step, g_i)) <= rounding:
             # rounding regime: the energy test cannot see the decrease
             u_new = u.copy()
             u_new[interior] = u[interior] + step
             p_new = _triangle_gradients(mesh, u_new)
-            E_new, ok = _energy(d, mesh, p_new), True
+            (E_new, t_new), ok = _energy(d, mesh, p_new), True
         else:
-            u_new, E_new, ok, p_new = _armijo(d, mesh, u, interior, step,
-                                              g_i, E)
+            u_new, E_new, ok, p_new, t_new = _armijo(d, mesh, u, interior,
+                                                     step, g_i, E)
             if not ok:
                 # Newton direction exhausted the line search; one gradient try
-                u_new, E_new, ok, p_new = _armijo(d, mesh, u, interior, -g_i,
-                                                  g_i, E)
+                u_new, E_new, ok, p_new, t_new = _armijo(
+                    d, mesh, u, interior, -g_i, g_i, E)
         if not ok:
             # neither direction made progress at a gradient that missed the
             # tolerance: we are numerically stationary
             raise NonConvergenceError(
                 f"line search stalled at gradient norm {grad_norm:.3e} "
                 f"above tolerance", solution(it + 1, False))
-        u, E, p = u_new, E_new, p_new
+        u, E, p, t = u_new, E_new, p_new, t_new
         history.append(E)
 
     raise NonConvergenceError(
@@ -772,20 +832,20 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
 
 
 def _armijo(d, mesh, u, interior, direction, g_i, E):
-    """Backtracking line search; returns (u_new, E_new, accepted, p_new),
-    p_new the triangle gradients of u_new, or None where no trial was
-    accepted."""
+    """Backtracking line search; returns (u_new, E_new, accepted, p_new,
+    t_new), p_new the triangle gradients of u_new and t_new their norms,
+    both None where no trial was accepted."""
     slope = float(np.dot(direction, g_i))
     step = 1.0
     trial = u.copy()
     while step >= 1e-14:
         trial[interior] = u[interior] + step * direction
         p = _triangle_gradients(mesh, trial)
-        E_trial = _energy(d, mesh, p)
+        E_trial, t = _energy(d, mesh, p)
         if E_trial <= E + _ARMIJO_C * step * slope:
-            return trial, E_trial, True, p
+            return trial, E_trial, True, p, t
         step *= _ARMIJO_FACTOR
-    return u, E, False, None
+    return u, E, False, None, None
 
 
 # ---------------------------------------------------------------------------

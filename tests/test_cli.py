@@ -424,9 +424,31 @@ def test_section_the_command_does_not_read_is_config_error(
      "trials"),
     ("solve", solve_config(solver={"max_iter": True}), "max_iter"),
     ("solve", solve_config(solver={"max_iter": -1}), "max_iter"),
+    ("solve", solve_config(mesh={"r_in": 0.0, "r_out": True, "n_r": 8,
+                                 "n_theta": 24}), "r_out"),
+    ("solve", solve_config(mesh={"r_in": "0.5", "r_out": 1.0, "n_r": 8,
+                                 "n_theta": 24}), "r_in"),
+    ("catenoid", {"density": {"kind": "area"},
+                  "catenoid": {"rho_min": True}}, "rho_min"),
+    ("catenoid", {"density": {"kind": "area"},
+                  "catenoid": {"rho_max": "5"}}, "rho_max"),
+    ("catenoid", {"density": {"kind": "area"}, "catenoid": {"alpha": True}},
+     "'alpha'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinements": 1,
+        "spec": {"sign": "minus", "alpha": 0.25, "a": "0", "n": 2,
+                 "convention": "neck"}}}, "'a'"),
+    ("experiment", {"density": {"kind": "area"},
+                    "experiment": {**FAST_SWEEP, "inner_layers": 4.5}},
+     "inner_layers"),
+    ("experiment", {"density": {"kind": "area"},
+                    "experiment": {**FAST_SWEEP, "n_theta": True}},
+     "n_theta"),
 ], ids=["experiment", "solver", "catenoid", "seed-string", "seed-float",
         "n-fraction", "samples-fraction", "trials-bool", "max_iter-bool",
-        "max_iter-negative"])
+        "max_iter-negative", "r_out-bool", "r_in-string", "rho_min-bool",
+        "rho_max-string", "alpha-bool", "a-string", "inner_layers-fraction",
+        "n_theta-bool"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, command,
                                                 config, word):
     code, _ = run(tmp_path, command, config=config)

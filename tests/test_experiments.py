@@ -53,6 +53,15 @@ def test_config_requires_probe_inside_domain():
         RemovabilityConfig(density={"kind": "area"}, probe_radius=1.5)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("inner_layers", 4.5), ("inner_layers", True), ("n_r", 48.0),
+    ("n_theta", True), ("n_theta", "64")])
+def test_config_integer_fields_are_integers(key, value):
+    # 4.5 inner layers ran five graded layers, true one
+    with pytest.raises(ValueError, match=key):
+        RemovabilityConfig(density={"kind": "area"}, **{key: value})
+
+
 def test_config_round_trip():
     # the CLI echoes to_dict() as JSON and builds the config back from it
     cfg = RemovabilityConfig(density={"kind": "mu", "mu": 2.0}, **FAST)

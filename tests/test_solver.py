@@ -18,7 +18,7 @@ from lingrowth import cli, density, solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux_tangent
 from lingrowth.experiments import run_comparison_suite
-from lingrowth.mesh import build_polar_mesh, one_column
+from lingrowth.mesh import _triangle_geometry, build_polar_mesh, one_column
 from lingrowth.solver import (
     _LOWER,
     ComparisonResult,
@@ -43,31 +43,54 @@ def affine(mesh, qx, qy, c):
     return c + qx * mesh.nodes[:, 0] + qy * mesh.nodes[:, 1]
 
 
+def area_total(mesh):
+    real = mesh.row_triangles()[mesh.areas != 0.0].reshape(-1, 3)
+    return float(np.sum(_triangle_geometry(mesh.nodes, real)[0]))
+
+
+def node_index(mesh, ring, col):
+    """Index of the node on circle ``ring`` at angular column ``col``."""
+    return int(mesh.rings(np.arange(mesh.num_nodes))[ring, col % mesh.n_theta])
+
+
 # -- oracles: the batched small-matrix kernels the solver replaced -----------
 
 
-def hat_gradients(mesh):
-    """(M, 2, 3) triangle-major copy of the component-major hat gradients."""
-    return np.ascontiguousarray(np.moveaxis(mesh.grads, -1, 0))
+def layout(mesh):
+    """The solver's per-triangle layout spelled out triangle by triangle:
+    (M, 3) vertex triples, (M,) areas and (M, 2, 3) hat gradients, each
+    row's column-0 geometry repeated over its n_theta columns (a disk's
+    placeholder row included)."""
+    n = mesh.n_theta
+    return (mesh.row_triangles().reshape(-1, 3), np.repeat(mesh.areas, n),
+            np.repeat(np.moveaxis(mesh.grads, -1, 0), n, axis=0))
 
 
 def einsum_triangle_gradients(mesh, u):
-    ut = u[mesh.triangles]
+    tri, _, G = layout(mesh)
+    ut = u[tri]
     ut = ut - ut[:, :1]
-    return np.einsum("mik,mk->mi", hat_gradients(mesh), ut)
+    return np.einsum("mik,mk->mi", G, ut)
+
+
+def einsum_contributions(mesh, flux):
+    """(M, 3) per-vertex contributions areas * G^T flux of each triangle."""
+    _, areas, G = layout(mesh)
+    return np.einsum("m,mik,mi->mk", areas, G, flux)
 
 
 def einsum_nodal_gradient(mesh, flux):
-    contrib = np.einsum("m,mik,mi->mk", mesh.areas, hat_gradients(mesh), flux)
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+    tri = layout(mesh)[0]
+    return np.bincount(tri.ravel(),
+                       weights=einsum_contributions(mesh, flux).ravel(),
                        minlength=mesh.num_nodes)
 
 
 def matmul_blocks(mesh, tangent):
     """(M, 3, 3) triangle stiffness blocks areas * G^T T G."""
-    G = hat_gradients(mesh)
+    _, areas, G = layout(mesh)
     blocks = np.swapaxes(G, 1, 2) @ (tangent @ G)
-    blocks *= mesh.areas[:, None, None]
+    blocks *= areas[:, None, None]
     return blocks
 
 
@@ -77,7 +100,7 @@ def bincount_band(mesh, interior, blocks):
     in interior numbering."""
     local = np.full(mesh.num_nodes, -1, dtype=np.int64)
     local[interior] = np.arange(len(interior))
-    lt = local[mesh.triangles]
+    lt = local[layout(mesh)[0]]
     rows = np.repeat(lt, 3, axis=1).ravel()
     cols = np.tile(lt, (1, 3)).ravel()
     keep = (cols >= 0) & (rows >= cols)
@@ -95,7 +118,8 @@ def band_counting_each_entry_once(mesh, interior):
     where no such entry exists, and wrong on a one-column mesh."""
     local = np.full(mesh.num_nodes, -1, dtype=np.int64)
     local[interior] = np.arange(len(interior))
-    lt = local[mesh.triangles]
+    lt = local[layout(mesh)[0]]
+    lt[np.repeat(mesh.areas == 0.0, mesh.n_theta)] = -1   # placeholder
     i, j = np.array(_LOWER).T
     a, b = lt[:, i].ravel(), lt[:, j].ravel()
     entries = np.flatnonzero((a >= 0) & (b >= 0))
@@ -111,7 +135,7 @@ def coo_hessian(d, mesh, u):
     sparse COO assembly: the reference the banded interior matrix is
     checked against."""
     _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
-    tri = mesh.triangles
+    tri = layout(mesh)[0]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     return sp.coo_matrix((matmul_blocks(mesh, tangent).ravel(), (rows, cols)),
@@ -129,21 +153,21 @@ def annulus():
 def test_energy_constant_field(area, annulus):
     u = np.full(annulus.num_nodes, 3.7)
     assert energy(area, annulus, u) == pytest.approx(
-        area.g(0.0) * annulus.area_total, rel=1e-14)
+        area.g(0.0) * area_total(annulus), rel=1e-14)
 
 
 def test_energy_unit_gradient(area, annulus):
     u = annulus.nodes[:, 0].copy()
     assert energy(area, annulus, u) == pytest.approx(
-        area.g(1.0) * annulus.area_total, rel=1e-14)
-    assert energy(area, annulus, u) / annulus.area_total == pytest.approx(
+        area.g(1.0) * area_total(annulus), rel=1e-14)
+    assert energy(area, annulus, u) / area_total(annulus) == pytest.approx(
         math.sqrt(2.0), rel=1e-14)
 
 
 def test_energy_unit_gradient_mu3(mu3, annulus):
     u = annulus.nodes[:, 1].copy()
     assert energy(mu3, annulus, u) == pytest.approx(
-        mu3.g(1.0) * annulus.area_total, rel=1e-14)
+        mu3.g(1.0) * area_total(annulus), rel=1e-14)
 
 
 @pytest.mark.parametrize("density", ["area", "mu3"])
@@ -201,18 +225,28 @@ def test_triangle_gradients_match_einsum_bitwise(rng, args, kw):
     for offset in (0.0, 1e6):
         u = _rough_field(mesh, rng, offset)
         p = _triangle_gradients(mesh, u)
-        assert p.shape == (mesh.num_triangles, 2)
+        assert p.shape == (len(mesh.areas) * mesh.n_theta, 2)
         assert np.array_equal(p, einsum_triangle_gradients(mesh, u))
 
 
 @pytest.mark.parametrize("args, kw", KERNEL_MESHES)
-def test_nodal_gradient_matches_einsum_bitwise(mu3, rng, args, kw):
+def test_nodal_gradient_matches_einsum_to_rounding(mu3, rng, args, kw):
+    # the kernel adds each node's contributions (six, a disk's center two
+    # per column) in another order than bincount does, so the two sums of
+    # m terms agree to rounding: each is within (m - 1) eps / 2 of the
+    # sum of the terms' magnitudes from the exact sum
     mesh = build_polar_mesh(*args, **kw)
     p = _triangle_gradients(mesh, _rough_field(mesh, rng))
     flux, _ = flux_tangent(mu3, p)
-    for f in (flux, rng.normal(size=(mesh.num_triangles, 2))):
-        assert np.array_equal(_nodal_gradient(mesh, f),
-                              einsum_nodal_gradient(mesh, f))
+    tri = layout(mesh)[0]
+    terms = np.bincount(tri.ravel(), minlength=mesh.num_nodes)
+    for f in (flux, rng.normal(size=p.shape)):
+        terms_size = np.abs(einsum_contributions(mesh, f)).ravel()
+        size = np.bincount(tri.ravel(), weights=terms_size,
+                           minlength=mesh.num_nodes)
+        got, want = _nodal_gradient(mesh, f), einsum_nodal_gradient(mesh, f)
+        assert np.all(np.abs(got - want)
+                      <= (terms - 1) * np.finfo(float).eps * size)
 
 
 @pytest.mark.parametrize("args, kw", KERNEL_MESHES)
@@ -271,8 +305,8 @@ def test_band_matches_sparse_hessian(mu3, rng, args, kw):
     # the seam: column n_theta - 1 couples to column 0 of its own ring
     local = {int(node): i for i, node in enumerate(ii)}
     ring = 2 if mesh.is_disk else 1
-    a = local[mesh.node_index(ring, mesh.n_theta - 1)]
-    b = local[mesh.node_index(ring, 0)]
+    a = local[node_index(mesh, ring, mesh.n_theta - 1)]
+    b = local[node_index(mesh, ring, 0)]
     assert ab[a - b, b] == K[a, b] != 0.0
 
 
@@ -690,7 +724,7 @@ def test_affine_data_reproduced_on_disk(mu3):
 def test_constant_data_gives_constant_minimum(area, annulus):
     sol = solve_dirichlet(area, annulus, np.full(annulus.num_nodes, 2.0))
     assert np.max(np.abs(sol.values - 2.0)) < 1e-12
-    assert sol.energy == pytest.approx(area.g(0.0) * annulus.area_total,
+    assert sol.energy == pytest.approx(area.g(0.0) * area_total(annulus),
                                        rel=1e-12)
 
 
@@ -856,9 +890,57 @@ def test_rotation_equivariance(area, annulus):
     sol = solve_dirichlet(area, annulus, vals)
     rot_data = rotate_columns(annulus, vals, 1)
     sol_rot = solve_dirichlet(area, annulus, rot_data)
+    # the same Newton steps, rotated up to the rounding of the banded
+    # solves (measured: 1.1e-16 for values of size 1)
     np.testing.assert_allclose(sol_rot.values,
                                rotate_columns(annulus, sol.values, 1),
-                               atol=1e-10)
+                               rtol=0, atol=1e-15)
+
+
+def residual(d, mesh, u):
+    """The nodal energy gradient of u, every node."""
+    p = _triangle_gradients(mesh, np.asarray(u, dtype=float))
+    return _nodal_gradient(mesh, flux_tangent(d, p)[0])
+
+
+ROTATION_MESHES = [
+    build_polar_mesh(0.0, 1.0, 16, 32),
+    build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6),
+    build_polar_mesh(1.5, 3.0, 128, 256),
+    one_column(build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6)),
+]
+ROTATION_IDS = ["disk", "graded-annulus", "annulus-128x256", "column"]
+
+
+@pytest.mark.parametrize("mesh", ROTATION_MESHES, ids=ROTATION_IDS)
+@pytest.mark.parametrize("density", ["area", "mu3"])
+def test_residual_of_a_rotated_field_is_the_rotated_residual(density, mesh,
+                                                             request, rng):
+    # every column holds the same geometry and adds its terms in the same
+    # order, so rotating u by one column rotates its residual bit for bit;
+    # only a disk's center sums its row of n_theta terms in another order
+    # (measured: 9e-18 of the largest entry).  On a column, rotation by one
+    # column maps every node onto itself.
+    d = request.getfixturevalue(density)
+    u = _rough_field(mesh, rng)
+    got = residual(d, mesh, rotate_columns(mesh, u, 1))
+    want = rotate_columns(mesh, residual(d, mesh, u), 1)
+    center = 1 if mesh.is_disk else 0
+    assert np.array_equal(got[center:], want[center:])
+    assert np.all(np.abs(got[:center] - want[:center])
+                  <= 1e-15 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("mesh", ROTATION_MESHES, ids=ROTATION_IDS)
+@pytest.mark.parametrize("density", ["area", "mu3"])
+def test_residual_of_a_ring_constant_field_is_constant_on_each_ring(
+        density, mesh, request, rng):
+    # each column of a ring-constant field computes the same numbers
+    d = request.getfixturevalue(density)
+    w = np.sin(4.0 * mesh.ring_radii) + 0.2 * rng.normal(
+        size=len(mesh.ring_radii))
+    grid = mesh.rings(residual(d, mesh, mesh.from_rings(w[:, None])))
+    assert np.array_equal(grid, np.broadcast_to(grid[:, :1], grid.shape))
 
 
 def test_translation_invariance(mu3, annulus):
