@@ -312,7 +312,6 @@ def cmd_experiment(args) -> int:
     dcfg = _density_config(args, cfg)
     ecfg.pop("kind", None)
     kwargs = _merge("experiment", ecfg, _EXPERIMENT_KEYS[kind])
-    out = _out_dir(args)
 
     if kind == "removability":
         rcfg = RemovabilityConfig(density=dcfg, **kwargs)
@@ -331,6 +330,8 @@ def cmd_experiment(args) -> int:
             report = run_comparison_suite(d, trials, cfg["seed"], **kwargs)
             effective_exp = {"kind": kind, "trials": trials, **kwargs}
 
+    # the study checks its own config, so a bad value leaves no output
+    out = _out_dir(args)
     write_report(report, out / "report.json")
     _echo_config(args, out, {"command": "experiment", "density": dcfg,
                              "experiment": effective_exp,

@@ -4,10 +4,13 @@ Three studies are provided:
 
 * **Removability** (:func:`run_removability`): solve a reference problem on
   the full disk, then re-solve on annuli with a small inner circle excised
-  and its data corrupted by a spike.  The deviation at a probe radius is
-  compared against the barrier envelope E(eps), demonstrating that the
-  influence of the corrupted circle dies out with its radius -- the
-  discrete shadow of removable-singularity behaviour.  Each annulus solve
+  and its data corrupted by a spike.  For affine outer data the
+  reference is the affine field itself, the exact discrete minimizer on
+  any P1 mesh, which the disk solve certifies without a Newton step.
+  The deviation at a probe radius is compared against the barrier
+  envelope E(eps), demonstrating that the influence of the corrupted
+  circle dies out with its radius -- the discrete shadow of
+  removable-singularity behaviour.  Each annulus solve
   starts from the reference plus the exact discrete solution of the
   spike's ring-constant problem, solved on a one-column mesh from the
   spike's capped barrier envelope, and corrected mode by mode in theta,
@@ -130,13 +133,41 @@ _CIRCLE_KEYS = {"affine": {"q", "c"}, "constant": {"value"},
                 "radial": {"spec"}, "samples": {"values"}}
 
 
+def _real(name: str, key: str, value) -> float:
+    """:func:`lingrowth.ioutil.real` of one value of a circle's data, its
+    error naming the circle and the key."""
+    try:
+        return ioutil.real(value)
+    except ValueError as exc:
+        raise ValueError(f"{name} data key {key!r}: {exc}") from exc
+
+
+def _affine_coefficients(cfg: dict, name: str) -> Optional[tuple]:
+    """(q0, q1, c) of a circle's ``affine`` data, (0, 0, value) of its
+    ``constant`` data, None for the other kinds.  ``q`` must hold exactly
+    two real numbers and ``c`` and ``value`` must be real (a bool or a
+    string raises ValueError naming the key)."""
+    if cfg["kind"] == "constant":
+        return 0.0, 0.0, _real(name, "value", cfg["value"])
+    if cfg["kind"] != "affine":
+        return None
+    q = cfg["q"]
+    if not isinstance(q, (list, tuple)) or len(q) != 2:
+        raise ValueError(
+            f"{name} data key 'q': must be two real numbers, got {q!r}")
+    return (_real(name, "q", q[0]), _real(name, "q", q[1]),
+            _real(name, "c", cfg["c"]))
+
+
 def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
                        d: Density) -> np.ndarray:
     """Values on one boundary circle (``NodeTag.INNER`` or
     ``NodeTag.OUTER``) for the configured data choice: ``affine`` (q . x
     + c), ``constant`` (value), ``radial`` (the barrier profile of a
     :class:`CatenoidSpec` config at the circle's radius) or ``samples``
-    (one value per angle).  A key the kind does not take is an error."""
+    (one value per angle).  A key the kind does not take is an error, and
+    so is a value that is not a real number (a bool or a string
+    included)."""
     radius = {NodeTag.INNER: mesh.r_in, NodeTag.OUTER: mesh.r_out}[circle]
     idx = mesh.nodes_with_tag(circle)
     name = circle.name.lower()
@@ -147,19 +178,20 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
         raise ValueError(f"unknown {name} data kind {kind!r}")
     ioutil.check_keys(cfg, _CIRCLE_KEYS[kind] | {"kind"},
                       f"{name} data key(s) for kind {kind!r}")
+    affine = _affine_coefficients(cfg, name)
     if kind == "affine":
-        q = np.asarray(cfg["q"], dtype=float)
-        return mesh.nodes[idx] @ q + float(cfg["c"])
+        return mesh.nodes[idx] @ np.array(affine[:2]) + affine[2]
     if kind == "constant":
-        return np.full(len(idx), float(cfg["value"]))
+        return np.full(len(idx), affine[2])
     if kind == "radial":
         spec = CatenoidSpec.from_config(cfg["spec"])
         return np.full(len(idx), profile_value(d, spec, radius))
-    vals = np.asarray(cfg["values"], dtype=float)
-    if vals.shape != (mesh.n_theta,):
+    vals = cfg["values"]
+    if (not isinstance(vals, (list, tuple, np.ndarray))
+            or len(vals) != mesh.n_theta):
         raise ValueError(
             f"{name} samples must have length n_theta={mesh.n_theta}")
-    return vals.copy()
+    return np.array([_real(name, "values", v) for v in vals])
 
 
 def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
@@ -184,12 +216,15 @@ class RemovabilityConfig:
     :func:`solve_dirichlet`'s default step cap.
 
     ``n_r``, ``n_theta`` and ``inner_layers`` must be ints (a bool or a
-    fraction raises ValueError naming the key).  ``epsilons`` must
-    decrease strictly and stay below ``probe_radius``,
-    which in turn lies inside the outer radius.  ``outer_data`` follows
-    the config schema of :func:`circle_data_values`.  One radial/angular
-    resolution is shared by the reference disk and every annulus so their
-    angular columns align.
+    fraction raises ValueError naming the key); ``outer_radius``,
+    ``probe_radius``, ``spike`` and each epsilon must be real numbers (a
+    bool or a string raises ValueError naming the key), and are kept as
+    floats.  ``epsilons`` must decrease strictly and stay below
+    ``probe_radius``, which in turn lies inside the outer radius.
+    ``outer_data`` follows the config schema of
+    :func:`circle_data_values`.  One radial/angular resolution is shared
+    by the reference disk and every annulus so their angular columns
+    align.
 
     ``inner_layers`` grades the annulus meshes toward the spiked inner
     circle (see :func:`build_polar_mesh`).  Without grading, the first
@@ -201,10 +236,12 @@ class RemovabilityConfig:
 
     The default outer slope is kept small because the envelope bound
     controls only the spike's own influence: a background gradient q adds
-    a continuum contribution of its own to the deviation at the probe,
-    not a fixed multiple of epsilon * |q|: on the default mesh, that
-    contribution over epsilon * |q| fell from 0.42 to 0.036 for area and
-    rose from 0.41 to 1.21 for mu = 2 as epsilon fell from 0.2 to 3.1e-3.
+    a continuum contribution of its own to the deviation at the probe.
+    Measured on log-polar annuli with 16 to 64 rings per unit of log r,
+    that contribution over epsilon * |q| is not constant at large
+    epsilon, but below epsilon of about 3e-3 both growth classes level
+    off at B * epsilon * |q|, with B about 0.013 for area and about 1.24
+    for mu = 2.
     """
 
     density: dict
@@ -219,13 +256,23 @@ class RemovabilityConfig:
     inner_layers: int = 6
 
     def __post_init__(self):
-        for key in ("n_r", "n_theta", "inner_layers"):
+        def checked(key, cast, value):
             try:
-                ioutil.integer(getattr(self, key))
+                return cast(value)
             except ValueError as exc:
                 raise ValueError(
                     f"removability config key {key!r}: {exc}") from exc
-        eps = tuple(float(e) for e in self.epsilons)
+
+        for key in ("n_r", "n_theta", "inner_layers"):
+            checked(key, ioutil.integer, getattr(self, key))
+        for key in ("outer_radius", "probe_radius", "spike"):
+            object.__setattr__(self, key,
+                               checked(key, ioutil.real, getattr(self, key)))
+        if not isinstance(self.epsilons, (list, tuple, np.ndarray)):
+            raise ValueError(f"removability config key 'epsilons': must be "
+                             f"a list of real numbers, got {self.epsilons!r}")
+        eps = tuple(checked("epsilons", ioutil.real, e)
+                    for e in self.epsilons)
         if not eps:
             raise ValueError("epsilons must be nonempty")
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -272,10 +319,19 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     radii >= probe, the envelope value from the barrier module, and the
     bound checks with discretization allowance 10 h^2.
 
-    The reference disk solve starts from the harmonic extension of its
-    data.  Each annulus solve starts from the reference plus the exact
-    discrete solution of the spike's ring-constant problem: spike on the
-    inner circle, 0 on the outer, one unknown per ring.  A ring-constant
+    For ``affine`` outer data, and ``constant`` data (q = 0), the reference
+    disk solve starts from the affine field q . x + c itself, computed
+    node by node from the validated (q, c).  An affine field has one
+    gradient on every triangle of any P1 mesh, so its flux is constant
+    and its nodal gradient vanishes at every interior node up to
+    rounding: it is the discrete minimizer for every isotropic density,
+    and the solve's gradient test certifies it with one residual, no
+    Newton step and no band.  ``samples`` and ``radial`` outer data start
+    the reference from the harmonic extension of their data.
+
+    Each annulus solve starts from the reference plus the exact discrete
+    solution of the spike's ring-constant problem: spike on the inner
+    circle, 0 on the outer, one unknown per ring.  A ring-constant
     field on the annulus has n_theta times the energy of its one-column
     mesh (:func:`lingrowth.mesh.one_column`), so that problem is a
     :func:`solve_dirichlet` on the column, started from the capped barrier
@@ -304,7 +360,15 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
 
     disk = build_polar_mesh(0.0, R, cfg.n_r, cfg.n_theta)
     outer_vals = circle_data_values(disk, NodeTag.OUTER, cfg.outer_data, d)
-    reference = solve_dirichlet(d, disk, _dirichlet(disk, outer=outer_vals))
+    affine = _affine_coefficients(cfg.outer_data, "outer")
+    start = None
+    if affine is not None:
+        # x * q0 + y * q1 + c elementwise, not a BLAS product, so the start
+        # has the same bits at every BLAS thread count
+        nodes = disk.nodes
+        start = nodes[:, 0] * affine[0] + nodes[:, 1] * affine[1] + affine[2]
+    reference = solve_dirichlet(d, disk, _dirichlet(disk, outer=outer_vals),
+                                x0=start)
     max_outer = float(np.max(outer_vals))
     min_outer = float(np.min(outer_vals))
 

@@ -61,8 +61,13 @@ vertices are one node, both land on the diagonal, so the entry is added
 there twice.  No triangle of a 2D mesh repeats a vertex, so their bands
 do not change; a disk's placeholder row is left out.  A band map depends
 on the layout (disk or annulus, rings, columns) and the interior nodes
-only, so the maps of the last few are kept, keyed by those: the annuli of
-a removability sweep differ in their radii alone and share one map.
+only, so the maps of the last few are kept, keyed by those, and meshes
+that differ in their radii alone share one.  A 2D map is built only for
+a 2D factorization: a Newton step or a harmonic-extension start, as in
+the comparison suite, ``lingrowth solve`` and the reference disk of
+removability data that is not affine.  A start that passes the gradient
+test, such as every default removability annulus and affine reference
+disk, builds none.
 
 On an annulus, the Hessian K(w) at a ring-constant field w is
 block-circulant in theta: the mesh maps onto itself under rotation by one
@@ -90,7 +95,9 @@ K(w) by rounding only, and it needs the flux alone, not the tangent.
 corrections contract, until the next one would fall below the rounding of
 the field; the gradient test of :func:`solve_dirichlet` still decides
 convergence.  On the default removability annuli the corrected start passes
-that test as it is, so no annulus factors a 2D band.
+that test as it is, so no annulus factors a 2D band; nor does the
+reference disk of affine data, which starts from the affine field, the
+exact discrete minimizer.
 
 Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
@@ -535,9 +542,10 @@ def _cached_band(mesh: PolarMesh, interior: np.ndarray) -> _Band:
     """:func:`_band` of ``mesh``, kept for the last ``_BAND_CACHE_SIZE``
     topologies.  The key is the layout (disk or annulus, rings, columns),
     which fixes the triangles, and the bytes of the interior nodes, not
-    the mesh object, so meshes that differ only in their radii (every
-    annulus of a removability sweep, the reference disks of two
-    densities) share one map.  Its arrays are read-only."""
+    the mesh object, so meshes that differ only in their radii share one
+    map, and so do the many solves on one mesh of the comparison suite.
+    A solve whose start passes its gradient test looks up none (see the
+    module docstring).  Its arrays are read-only."""
     key = (mesh.is_disk, len(mesh.ring_radii), mesh.n_theta,
            interior.tobytes())
     with _bands_lock:

@@ -456,6 +456,49 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, command,
     assert word in capsys.readouterr().err
 
 
+def _affine(q=(0.5, 0.3), c=0.1):
+    return {"kind": "affine", "q": list(q), "c": c}
+
+
+def _sweep(**keys):
+    return {"density": {"kind": "area"}, "experiment": {**FAST_SWEEP, **keys}}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    # each of these solved, or swept, with a bool read as 1
+    ("solve", solve_config(boundary={"outer": _affine(q=(True, 0.1)),
+                                     "inner": _affine()}), "'q'"),
+    ("solve", solve_config(boundary={"outer": _affine(c=True),
+                                     "inner": _affine()}), "'c'"),
+    ("solve", solve_config(boundary={
+        "outer": _affine(), "inner": {"kind": "constant", "value": True}}),
+     "'value'"),
+    ("solve", solve_config(boundary={"outer": _affine(q=(0.5, 0.3, 0.1)),
+                                     "inner": _affine()}), "'q'"),
+    ("solve", solve_config(boundary={
+        "outer": {"kind": "samples", "values": [0.0] * 23 + ["0.5"]},
+        "inner": _affine()}), "'values'"),
+    ("experiment", _sweep(spike=True), "'spike'"),
+    ("experiment", _sweep(spike="2"), "'spike'"),
+    ("experiment", _sweep(outer_radius=True), "'outer_radius'"),
+    ("experiment", _sweep(probe_radius="0.5"), "'probe_radius'"),
+    ("experiment", _sweep(epsilons=[0.3, True]), "'epsilons'"),
+    ("experiment", _sweep(epsilons=0.3), "'epsilons'"),
+    ("experiment", _sweep(outer_data=_affine(q=(True, 0.1))), "'q'"),
+    ("experiment", _sweep(outer_data={"kind": "constant", "value": True}),
+     "'value'"),
+], ids=["solve-q-bool", "solve-c-bool", "solve-value-bool", "solve-q-three",
+        "solve-values-string", "spike-bool", "spike-string",
+        "outer_radius-bool", "probe_radius-string", "epsilon-bool",
+        "epsilons-scalar", "outer_data-q-bool", "outer_data-value-bool"])
+def test_real_config_value_rejects_bool_and_string(tmp_path, capsys, command,
+                                                   config, key):
+    code, out = run(tmp_path, command, config=config)
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_constant_data_on_either_circle(tmp_path):
     cfg = solve_config(boundary={"outer": {"kind": "constant", "value": 0.3},
                                  "inner": {"kind": "constant", "value": 0.3}})

@@ -239,11 +239,11 @@ def test_removability_warm_starts_match_cold(monkeypatch, dcfg):
     cfg = RemovabilityConfig(density=dcfg, epsilons=(0.2, 0.1), n_r=12,
                              n_theta=16, inner_layers=2)
     assert run_removability(cfg).all_checks_pass()
-    # reference disk, then per epsilon the ring problem on one column and
-    # the annulus started from its solution
+    # reference disk started from the affine field, then per epsilon the
+    # ring problem on one column and the annulus started from its solution
     assert len(calls) == 5
     assert [mesh.n_theta for _, mesh, *_ in calls] == [16, 1, 16, 1, 16]
-    _assert_warm_matches_cold(calls, n_warm=4)
+    _assert_warm_matches_cold(calls, n_warm=5)
 
 
 def _record_factors(monkeypatch):
@@ -282,9 +282,10 @@ def test_removability_annuli_take_no_newton_step(monkeypatch, dcfg):
     assert ([r["column_iterations"] for r in rep.records]
             == [sol.iterations for _, mesh, *_, sol in calls
                 if mesh.n_theta == 1])
-    # 2D bands (column and mode bands have depth 2): the reference disk's
-    # harmonic extension alone
-    assert sum(depth > 2 for depth, _ in factored) == 1
+    # the reference disk starts from the affine field, which its gradient
+    # test certifies: no 2D band (column and mode bands have depth 2)
+    assert rep.reference["iterations"] == 0
+    assert factored and all(depth == 2 for depth, _ in factored)
 
 
 def _tangent_work_in_seeded_solves(monkeypatch):
@@ -336,7 +337,9 @@ def test_certified_starts_build_no_tangent(monkeypatch, mu3, study):
         dcfg = ({"kind": "area"} if study.endswith("area")
                 else {"kind": "mu", "mu": 2.0})
         run_removability(RemovabilityConfig(density=dcfg))
-        assert len(seeded) == 4
+        # the reference disk and the four annuli
+        assert len(seeded) == 5
+        assert [sol.mesh.is_disk for sol in seeded] == [True] + [False] * 4
     assert [sol.iterations for sol in seeded] == [0] * len(seeded)
     assert all(sol.converged for sol in seeded)
     assert counts == Counter()
@@ -393,6 +396,40 @@ def test_removability_without_background_takes_no_newton_step(dcfg, spike):
     rep = run_removability(cfg)
     assert rep.checks["complete"]
     assert [r["iterations"] for r in rep.records] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("outer", [
+    {"kind": "affine", "q": (0.012, 0.009), "c": 0.3},
+    {"kind": "constant", "value": -0.2}])
+def test_affine_reference_is_its_own_start(monkeypatch, outer):
+    # the reference disk starts from q . x + c, computed node by node, and
+    # its gradient test certifies it as it is
+    calls = _record_solves(monkeypatch)
+    rep = run_removability(RemovabilityConfig(density={"kind": "area"},
+                                              outer_data=outer, **FAST))
+    assert rep.all_checks_pass()
+    (_, disk, _, x0, reference), *_ = calls
+    q = outer.get("q", (0.0, 0.0))
+    c = outer.get("c", outer.get("value"))
+    nodes = disk.nodes
+    assert np.array_equal(x0, nodes[:, 0] * q[0] + nodes[:, 1] * q[1] + c)
+    ii = disk.interior_nodes()
+    assert np.array_equal(reference.values[ii], x0[ii])
+    assert rep.reference["iterations"] == 0 and rep.reference["converged"]
+
+
+def test_sampled_reference_starts_from_the_harmonic_extension(monkeypatch):
+    # samples data are not affine: the reference disk starts cold, as before
+    calls = _record_solves(monkeypatch)
+    n_theta = FAST["n_theta"]
+    angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    outer = {"kind": "samples", "values": list(0.01 * np.cos(2.0 * angles))}
+    rep = run_removability(RemovabilityConfig(density={"kind": "area"},
+                                              outer_data=outer, **FAST))
+    assert rep.checks["complete"]
+    (_, disk, _, x0, reference), *_ = calls
+    assert disk.is_disk and x0 is None
+    assert reference.converged and reference.iterations > 0
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 1.0])
@@ -473,6 +510,7 @@ def test_uncertified_barrier_seed_starts_the_ring_solve_cold(monkeypatch):
         assert x0 is None
         assert list(column.rings(data)[[0, -1], 0]) == [cfg.spike, 0.0]
     assert [r["iterations"] for r in rep.records] == [0, 0, 0, 0]
+    assert rep.reference["iterations"] == 0
 
 
 @pytest.mark.parametrize("spike", [10.0, 100.0, -1000.0])

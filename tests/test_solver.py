@@ -721,6 +721,28 @@ def test_affine_data_reproduced_on_disk(mu3):
     assert np.max(np.abs(sol.values - target)) < 1e-9
 
 
+@pytest.mark.parametrize("q0, q1, c", [(0.012, 0.009, 0.0),
+                                        (0.8, -0.3, 0.25)])
+@pytest.mark.parametrize("mesh", [
+    build_polar_mesh(0.0, 1.0, 48, 64),
+    build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6),
+], ids=["disk", "graded-annulus"])
+@pytest.mark.parametrize("density", ["area", "mu2", "mu3"])
+def test_affine_start_is_certified_as_it_is(density, mesh, q0, q1, c,
+                                            request, monkeypatch):
+    # an affine field has one gradient on every triangle, so its nodal
+    # gradient vanishes at every interior node: the gradient test passes
+    # at the start, and no band map is built or factored
+    d = request.getfixturevalue(density)
+    monkeypatch.setattr(solver, "_cached_band",
+                        lambda *a: pytest.fail("band map built"))
+    start = affine(mesh, q0, q1, c)
+    sol = solve_dirichlet(d, mesh, start, x0=start)
+    assert sol.converged and sol.iterations == 0
+    ii = mesh.interior_nodes()
+    assert np.array_equal(sol.values[ii], start[ii])
+
+
 def test_constant_data_gives_constant_minimum(area, annulus):
     sol = solve_dirichlet(area, annulus, np.full(annulus.num_nodes, 2.0))
     assert np.max(np.abs(sol.values - 2.0)) < 1e-12
