@@ -108,9 +108,10 @@ def _density_config(args, cfg: dict) -> dict:
 # Accepted keys of each config section: key -> (default, cast).  A key
 # whose default is None is left out unless given, so its consumer's own
 # default applies.  A key without a cast is checked by its consumer (the
-# catenoid spec keys by CatenoidSpec.from_config, the study keywords by
-# the study), and the echoed config repeats it as given.
+# catenoid spec keys by CatenoidSpec.from_config, the removability keys by
+# RemovabilityConfig), and the echoed config repeats it as given.
 _AS_GIVEN = (None, None)
+_REAL, _INT = (None, ioutil.real), (None, ioutil.integer)
 _CATENOID_KEYS = {
     "sign": ("plus", None), "alpha": (1.0, None), "a": (0.0, None),
     "n": (2, None), "convention": ("neck", None),
@@ -130,14 +131,13 @@ _EXPERIMENT_KEYS = {
     "catenoid": {
         "spec": ({"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
                   "convention": "neck"}, CatenoidSpec.from_config),
-        "refinements": (3, ioutil.integer), "r_in": _AS_GIVEN,
-        "r_out": _AS_GIVEN,
-        "n_r0": _AS_GIVEN, "n_theta0": _AS_GIVEN,
+        "refinements": (3, ioutil.integer),
+        "r_in": _REAL, "r_out": _REAL, "n_r0": _INT, "n_theta0": _INT,
     },
     "comparison": {
-        "trials": (20, ioutil.integer), "r_in": _AS_GIVEN,
-        "r_out": _AS_GIVEN,
-        "n_r": _AS_GIVEN, "n_theta": _AS_GIVEN, "fourier_degree": _AS_GIVEN,
+        "trials": (20, ioutil.integer),
+        "r_in": _REAL, "r_out": _REAL, "n_r": _INT, "n_theta": _INT,
+        "fourier_degree": _INT,
     },
 }
 
@@ -269,8 +269,9 @@ def cmd_solve(args) -> int:
     d = normalize(density_from_config(dcfg))
 
     mcfg = _merge("mesh", cfg.get("mesh", {}), _MESH_KEYS, args)
-    mesh = build_polar_mesh(mcfg["r_in"], mcfg["r_out"], mcfg["n_r"],
-                            mcfg["n_theta"])
+    mesh = build_polar_mesh(
+        np.linspace(mcfg["r_in"], mcfg["r_out"], mcfg["n_r"] + 1),
+        mcfg["n_theta"])
 
     bcfg = cfg.get("boundary", {})
     data = _boundary_from_config(mesh, bcfg, d)

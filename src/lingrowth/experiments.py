@@ -168,7 +168,7 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
     (one value per angle).  A key the kind does not take is an error, and
     so is a value that is not a real number (a bool or a string
     included)."""
-    radius = {NodeTag.INNER: mesh.r_in, NodeTag.OUTER: mesh.r_out}[circle]
+    radius = float(mesh.ring_radii[0 if circle == NodeTag.INNER else -1])
     idx = mesh.nodes_with_tag(circle)
     name = circle.name.lower()
     if not isinstance(cfg, dict):
@@ -215,11 +215,12 @@ class RemovabilityConfig:
     is a key of the CLI's ``experiment`` section, and every solve runs with
     :func:`solve_dirichlet`'s default step cap.
 
-    ``n_r``, ``n_theta`` and ``inner_layers`` must be ints (a bool or a
-    fraction raises ValueError naming the key); ``outer_radius``,
-    ``probe_radius``, ``spike`` and each epsilon must be real numbers (a
-    bool or a string raises ValueError naming the key), and are kept as
-    floats.  ``epsilons`` must decrease strictly and stay below
+    ``n_r``, ``n_theta`` and ``inner_layers`` must be ints, and
+    ``inner_layers`` >= 0 (a bool, a fraction or a negative count raises
+    ValueError naming the key); ``outer_radius``, ``probe_radius``,
+    ``spike`` and each epsilon must be real numbers (a bool or a string
+    raises ValueError naming the key), and are kept as floats.
+    ``epsilons`` must be positive, decrease strictly and stay below
     ``probe_radius``, which in turn lies inside the outer radius.
     ``outer_data`` follows the config schema of
     :func:`circle_data_values`.  One radial/angular resolution is shared
@@ -227,7 +228,7 @@ class RemovabilityConfig:
     align.
 
     ``inner_layers`` grades the annulus meshes toward the spiked inner
-    circle (see :func:`build_polar_mesh`).  Without grading, the first
+    circle (see :func:`_graded_radii`).  Without grading, the first
     radial cell caps the discrete flux a ring can emit at
     (epsilon + h/2) instead of epsilon, which inflates the measured
     deviation by O(h) -- first order, so no O(h^2) allowance ever covers
@@ -265,6 +266,9 @@ class RemovabilityConfig:
 
         for key in ("n_r", "n_theta", "inner_layers"):
             checked(key, ioutil.integer, getattr(self, key))
+        if self.inner_layers < 0:
+            raise ValueError(f"removability config key 'inner_layers': must "
+                             f"be >= 0, got {self.inner_layers}")
         for key in ("outer_radius", "probe_radius", "spike"):
             object.__setattr__(self, key,
                                checked(key, ioutil.real, getattr(self, key)))
@@ -277,6 +281,8 @@ class RemovabilityConfig:
             raise ValueError("epsilons must be nonempty")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"epsilons must decrease strictly: {eps}")
+        if eps[-1] <= 0.0:
+            raise ValueError(f"epsilons must be positive: {eps}")
         if not (0.0 < self.probe_radius < self.outer_radius):
             raise ValueError("need 0 < probe_radius < outer_radius")
         if eps[0] >= self.probe_radius:
@@ -287,6 +293,16 @@ class RemovabilityConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _graded_radii(eps: float, R: float, n_r: int, layers: int) -> np.ndarray:
+    """Ring radii of a removability annulus: n_r equal cells of width
+    h = (R - eps)/n_r, the first of them halved ``layers`` times toward
+    the inner circle, so the innermost cell has width h / 2**layers while
+    the largest spacing stays h (see :class:`RemovabilityConfig`)."""
+    radii = np.linspace(eps, R, n_r + 1)
+    splits = eps + (radii[1] - radii[0]) * 0.5 ** np.arange(layers, 0, -1)
+    return np.concatenate([[eps], splits, radii[1:]])
 
 
 def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
@@ -358,7 +374,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     growth = d.growth
     R = cfg.outer_radius
 
-    disk = build_polar_mesh(0.0, R, cfg.n_r, cfg.n_theta)
+    disk = build_polar_mesh(np.linspace(0.0, R, cfg.n_r + 1), cfg.n_theta)
     outer_vals = circle_data_values(disk, NodeTag.OUTER, cfg.outer_data, d)
     affine = _affine_coefficients(cfg.outer_data, "outer")
     start = None
@@ -374,8 +390,8 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
 
     records = []
     for eps in cfg.epsilons:
-        annulus = build_polar_mesh(eps, R, cfg.n_r, cfg.n_theta,
-                                   inner_layers=cfg.inner_layers)
+        annulus = build_polar_mesh(
+            _graded_radii(eps, R, cfg.n_r, cfg.inner_layers), cfg.n_theta)
         # both meshes share n_theta, so every annulus circle is a disk
         # radius where the P1 reference interpolates exactly
         ref_on_annulus = annulus.from_rings(
@@ -484,11 +500,11 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     estimate.
 
     The exact ring values come from one cumulative pass over the finest
-    level's ring radii (:func:`profile_values`).  The levels nest, so each
-    coarser level's rings are every 2**(top - level)-th of them.  The data
-    on the two circles come from two separate :func:`profile_value` calls,
-    made once for all levels, so the per-radius and the cumulative routes
-    cross-check each other there.
+    level's ring radii (:func:`profile_values`).  Each coarser level is
+    built on every 2**(top - level)-th of them, so the levels nest.  The
+    data on the two circles come from two separate :func:`profile_value`
+    calls, made once for all levels, so the per-radius and the cumulative
+    routes cross-check each other there.
 
     The data are constant on each circle and every level maps onto itself
     under rotation by one column, so its discrete minimizer, which is
@@ -512,7 +528,7 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     # every level shares the two circles
     inner, outer = profile_value(d, spec, r_in), profile_value(d, spec, r_out)
     top = refinements - 1
-    finest = build_polar_mesh(r_in, r_out, n_r0 * 2 ** top,
+    finest = build_polar_mesh(np.linspace(r_in, r_out, n_r0 * 2 ** top + 1),
                               n_theta0 * 2 ** top)
     finest_exact = profile_values(d, spec, finest.ring_radii)
     records = []
@@ -520,10 +536,9 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     for level in range(refinements):
         n_r = n_r0 * 2 ** level
         n_theta = n_theta0 * 2 ** level
-        mesh = (finest if level == top
-                else build_polar_mesh(r_in, r_out, n_r, n_theta))
         stride = 2 ** (top - level)
-        assert np.array_equal(finest.ring_radii[::stride], mesh.ring_radii)
+        mesh = (finest if level == top
+                else build_polar_mesh(finest.ring_radii[::stride], n_theta))
         column = one_column(mesh)
         ring = solve_dirichlet(d, column,
                                _dirichlet(column, inner=inner, outer=outer))
@@ -585,7 +600,7 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
     value, and the solution must stay under the barrier nodewise.
     """
     d = normalize(d)
-    mesh = build_polar_mesh(r_in, r_out, n_r, n_theta)
+    mesh = build_polar_mesh(np.linspace(r_in, r_out, n_r + 1), n_theta)
     h = mesh.h_radial
     tol = 1e-8 + 10.0 * h * h
     rng = np.random.default_rng(seed)
@@ -666,7 +681,7 @@ def _barrier_scenario(d: Density, mesh: PolarMesh, tol: float) -> dict:
     """
     outer_value = _SCENARIO_OUTER
     n = 2
-    alpha = mesh.r_in ** (n - 1)
+    alpha = float(mesh.ring_radii[0]) ** (n - 1)
     rise = profile_values(
         d, CatenoidSpec(Sign.PLUS, alpha, 0.0, n, Anchor.NECK),
         mesh.ring_radii[1:])

@@ -1,12 +1,11 @@
 """Structured triangulations of disks and annuli in polar coordinates.
 
-Nodes are laid out on concentric circles with equally spaced angles
-(radii are equally spaced too, apart from an optional geometric boundary
-layer at the inner circle), so every boundary node sits exactly on its
-circle (up to one ulp of cos/sin).  Each quadrilateral cell is split
-into two triangles along the same diagonal, so the mesh maps onto itself
-under rotation by one angular step, and only the triangles of angular
-column 0 are stored: every other column is their rotation.
+Nodes are laid out on concentric circles of the caller's radii, with
+equally spaced angles, so every boundary node sits exactly on its circle
+(up to one ulp of cos/sin).  Each quadrilateral cell is split into two
+triangles along the same diagonal, so the mesh maps onto itself under
+rotation by one angular step, and only the triangles of angular column 0
+are stored: every other column is their rotation.
 
 Node ordering is ring-major: index = ring * n_theta + column for annuli;
 a disk additionally owns node 0 at the center, followed by the rings of
@@ -49,11 +48,11 @@ class PolarMesh:
 
     Attributes
     ----------
-    n_r : number of radial cell layers (including any graded ones).
     n_theta : number of angular sectors.
     node_tags : (N,) int array of NodeTag values.
     ring_radii : radii of the node circles, ascending; a disk's center
-        counts as a ring of radius 0 holding a single node.
+        counts as a ring of radius 0 holding a single node.  The domain is
+        ``ring_radii[0] <= |x| <= ring_radii[-1]``.
     areas : (rows,) areas of the triangles of column 0, one per row of the
         triangle numbering (see the module docstring): one per cell ring
         and kind, 0 for a disk's placeholder row.  Every column has the
@@ -72,9 +71,6 @@ class PolarMesh:
     read.
     """
 
-    r_in: float
-    r_out: float
-    n_r: int
     n_theta: int
     node_tags: np.ndarray
     ring_radii: np.ndarray
@@ -85,7 +81,7 @@ class PolarMesh:
 
     @property
     def is_disk(self) -> bool:
-        return self.r_in == 0.0
+        return bool(self.ring_radii[0] == 0.0)
 
     @property
     def num_nodes(self) -> int:
@@ -112,7 +108,7 @@ class PolarMesh:
 
     @property
     def h_radial(self) -> float:
-        """Largest radial spacing (the bulk spacing for graded meshes)."""
+        """Largest radial spacing between consecutive rings."""
         return float(np.max(np.diff(self.ring_radii)))
 
     def nodes_with_tag(self, tag: NodeTag) -> np.ndarray:
@@ -182,21 +178,17 @@ def _row_triangles(index) -> np.ndarray:
     return np.stack([kind0, kind1], axis=1).reshape(-1, *kind0.shape[1:])
 
 
-def build_polar_mesh(r_in: float, r_out: float, n_r: int,
-                     n_theta: int, *, inner_layers: int = 0) -> PolarMesh:
-    """Triangulate the annulus r_in <= |x| <= r_out (a disk when r_in = 0).
+def build_polar_mesh(ring_radii, n_theta: int) -> PolarMesh:
+    """Triangulate the annulus between the first and the last of the node
+    circles ``ring_radii`` (a disk when the first is 0).
 
     Parameters
     ----------
-    r_in, r_out : inner and outer radii, 0 <= r_in < r_out.
-    n_r : number of radial cell layers, >= 3.
+    ring_radii : radii of the node circles: at least 4 finite numbers,
+        the first >= 0, strictly ascending.  The spacing is the caller's:
+        equal (``np.linspace``), graded toward the inner circle, or
+        log-polar.
     n_theta : number of angular sectors, >= 3.
-    inner_layers : optional boundary-layer grading for annuli.  The first
-        radial cell is subdivided this many times by repeated halving
-        toward the inner circle, so the innermost cell has width
-        h / 2**inner_layers while the bulk spacing stays h.  Use it when
-        the solution has a steep gradient at the inner boundary; the
-        reported ``h_radial`` remains the bulk spacing.
 
     Returns
     -------
@@ -205,21 +197,15 @@ def build_polar_mesh(r_in: float, r_out: float, n_r: int,
     is that of column 0's triangles, computed from the nodes of columns 0
     and 1 alone, which are the same floats as in ``nodes``.
     """
-    if not (0.0 <= r_in < r_out):
-        raise ValueError(f"need 0 <= r_in < r_out, got r_in={r_in}, r_out={r_out}")
-    if n_r < 3 or n_theta < 3:
-        raise ValueError(f"need n_r >= 3 and n_theta >= 3, got {n_r}, {n_theta}")
-    if inner_layers < 0:
-        raise ValueError(f"inner_layers must be >= 0, got {inner_layers}")
-    if inner_layers > 0 and r_in == 0.0:
-        raise ValueError("inner boundary-layer grading needs an annulus")
-
-    radii = np.linspace(r_in, r_out, n_r + 1)
-    if inner_layers > 0:
-        h0 = radii[1] - radii[0]
-        splits = r_in + h0 * 0.5 ** np.arange(inner_layers, 0, -1)
-        radii = np.concatenate([[r_in], splits, radii[1:]])
-    is_disk = r_in == 0.0
+    radii = np.array(ring_radii, dtype=float)
+    if (radii.ndim != 1 or len(radii) < 4 or not np.all(np.isfinite(radii))
+            or radii[0] < 0.0 or np.any(np.diff(radii) <= 0.0)):
+        raise ValueError(
+            f"ring radii must be at least 4 finite numbers, the first >= 0, "
+            f"strictly ascending; got {ring_radii!r}")
+    if n_theta < 3:
+        raise ValueError(f"need n_theta >= 3, got {n_theta}")
+    is_disk = bool(radii[0] == 0.0)
 
     # the nodes of columns 0 and 1 of every ring, numbered 2 k + j
     pair = _ring_nodes(radii, 2.0 * math.pi * np.arange(2) / n_theta, False)
@@ -237,11 +223,8 @@ def build_polar_mesh(r_in: float, r_out: float, n_r: int,
         tags[:n_theta] = NodeTag.INNER
     tags[-n_theta:] = NodeTag.OUTER
 
-    return PolarMesh(
-        r_in=float(r_in), r_out=float(r_out), n_r=len(radii) - 1,
-        n_theta=int(n_theta), node_tags=tags, ring_radii=radii,
-        areas=areas, grads=grads,
-    )
+    return PolarMesh(n_theta=int(n_theta), node_tags=tags, ring_radii=radii,
+                     areas=areas, grads=grads)
 
 
 def one_column(mesh: PolarMesh) -> PolarMesh:
@@ -259,10 +242,8 @@ def one_column(mesh: PolarMesh) -> PolarMesh:
     value per ring.
     """
     return PolarMesh(
-        r_in=mesh.r_in, r_out=mesh.r_out, n_r=mesh.n_r, n_theta=1,
-        node_tags=mesh.rings(mesh.node_tags)[:, 0].copy(),
-        ring_radii=mesh.ring_radii,
-        areas=mesh.n_theta * mesh.areas,
+        n_theta=1, node_tags=mesh.rings(mesh.node_tags)[:, 0].copy(),
+        ring_radii=mesh.ring_radii, areas=mesh.n_theta * mesh.areas,
         grads=mesh.grads,
     )
 

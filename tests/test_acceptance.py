@@ -92,7 +92,7 @@ def test_flux_constancy_across_dimensions(area, mu3):
 def test_solver_exactness_and_convergence_order(area):
     with Budget(60.0):
         # exact reproduction of affine data
-        mesh = build_polar_mesh(0.5, 1.0, 16, 32)
+        mesh = build_polar_mesh(np.linspace(0.5, 1.0, 17), 32)
         q, c = (0.5, 0.3), 0.1
         want = mesh.nodes @ np.array(q) + c
         sol = solve_dirichlet(area, mesh, want)

@@ -444,11 +444,41 @@ def test_section_the_command_does_not_read_is_config_error(
     ("experiment", {"density": {"kind": "area"},
                     "experiment": {**FAST_SWEEP, "n_theta": True}},
      "n_theta"),
+    ("experiment", {"density": {"kind": "area"},
+                    "experiment": {**FAST_SWEEP, "inner_layers": -1}},
+     "inner_layers"),
+    # the study keywords of the catenoid and comparison studies: a bool ran
+    # as a number, a fraction failed with a message naming no key
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 2, "r_in": True, "r_out": 2,
+        "n_r": 8, "n_theta": 24}}, "'r_in'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 2, "r_out": "2"}}, "'r_out'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 2, "n_r": 8.0}}, "'n_r'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 2, "n_theta": True}}, "'n_theta'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 2, "fourier_degree": 2.5}},
+     "'fourier_degree'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinements": 1, "r_in": "1.5"}}, "'r_in'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinements": 1, "r_out": True}}, "'r_out'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinements": 1, "n_r0": 4.0}}, "'n_r0'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinements": 1, "n_theta0": 8.5}},
+     "'n_theta0'"),
 ], ids=["experiment", "solver", "catenoid", "seed-string", "seed-float",
         "n-fraction", "samples-fraction", "trials-bool", "max_iter-bool",
         "max_iter-negative", "r_out-bool", "r_in-string", "rho_min-bool",
         "rho_max-string", "alpha-bool", "a-string", "inner_layers-fraction",
-        "n_theta-bool"])
+        "n_theta-bool", "inner_layers-negative", "comparison-r_in-bool",
+        "comparison-r_out-string", "comparison-n_r-fraction",
+        "comparison-n_theta-bool", "comparison-fourier_degree-fraction",
+        "catenoid-r_in-string", "catenoid-r_out-bool",
+        "catenoid-n_r0-fraction", "catenoid-n_theta0-fraction"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, command,
                                                 config, word):
     code, _ = run(tmp_path, command, config=config)

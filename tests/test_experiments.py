@@ -19,6 +19,7 @@ from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
     _barrier_seed,
+    _graded_radii,
     circle_data_values,
     fourier_values,
     read_report,
@@ -55,9 +56,10 @@ def test_config_requires_probe_inside_domain():
 
 @pytest.mark.parametrize("key, value", [
     ("inner_layers", 4.5), ("inner_layers", True), ("n_r", 48.0),
-    ("n_theta", True), ("n_theta", "64")])
+    ("n_theta", True), ("n_theta", "64"), ("inner_layers", -1)])
 def test_config_integer_fields_are_integers(key, value):
-    # 4.5 inner layers ran five graded layers, true one
+    # each must be a valid integer: 4.5 inner layers ran five graded
+    # layers, true one, and -1 none
     with pytest.raises(ValueError, match=key):
         RemovabilityConfig(density={"kind": "area"}, **{key: value})
 
@@ -74,7 +76,7 @@ def test_config_round_trip():
 
 
 def test_outer_data_affine(area):
-    mesh = build_polar_mesh(0.0, 1.0, 4, 8)
+    mesh = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     vals = circle_data_values(mesh, NodeTag.OUTER,
                               {"kind": "affine", "q": (1.0, 0.0), "c": 0.5},
                               area)
@@ -83,7 +85,7 @@ def test_outer_data_affine(area):
 
 
 def test_outer_data_unknown_kind(area):
-    mesh = build_polar_mesh(0.0, 1.0, 4, 8)
+    mesh = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     with pytest.raises(ValueError):
         circle_data_values(mesh, NodeTag.OUTER, {"kind": "mystery"}, area)
 
@@ -482,7 +484,7 @@ def test_catenoid_reproduction_factors_column_bands_only(monkeypatch, mu3):
 
 
 def test_barrier_seed_matches_per_ring_envelopes(mu2):
-    annulus = build_polar_mesh(0.1, 1.0, 12, 8, inner_layers=3)
+    annulus = build_polar_mesh(_graded_radii(0.1, 1.0, 12, 3), 8)
     seed = _barrier_seed(mu2, annulus, 0.1, 1.0, -0.2)
     want = [-0.2] + [-min(0.2, envelope_bound(mu2, 0.1, r, 1.0, 0.0, 2))
                      for r in annulus.ring_radii[1:-1]] + [0.0]
@@ -525,8 +527,8 @@ def test_barrier_seed_keeps_large_spike_ring_solves_short(density, spike,
     cfg = RemovabilityConfig(density={"kind": "area"})  # default sweep
     for eps in cfg.epsilons:
         column = one_column(build_polar_mesh(
-            eps, cfg.outer_radius, cfg.n_r, cfg.n_theta,
-            inner_layers=cfg.inner_layers))
+            _graded_radii(eps, cfg.outer_radius, cfg.n_r, cfg.inner_layers),
+            cfg.n_theta))
         start = _barrier_seed(d, column, eps, cfg.outer_radius, spike)
         ring = solve_dirichlet(d, column, start, x0=start)
         assert ring.converged and ring.iterations <= 4, (eps, ring.iterations)

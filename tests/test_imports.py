@@ -10,9 +10,10 @@ import lingrowth
 
 # a disk's Dirichlet solve: a banded factor and solve for the start, then
 # one for each Newton step
-SOLVE = ("from lingrowth import build_polar_mesh, make_area_density, "
+SOLVE = ("import numpy as np; "
+         "from lingrowth import build_polar_mesh, make_area_density, "
          "normalize, solve_dirichlet; "
-         "mesh = build_polar_mesh(0.0, 1.0, 4, 8); "
+         "mesh = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8); "
          "assert solve_dirichlet(normalize(make_area_density()), mesh, "
          "mesh.nodes[:, 0] ** 2).iterations > 0; ")
 

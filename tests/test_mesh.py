@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lingrowth.density import flux_tangent
+from lingrowth.experiments import RemovabilityConfig, _graded_radii
 from lingrowth.mesh import (
     NodeTag,
     _triangle_geometry,
@@ -16,6 +17,7 @@ from lingrowth.mesh import (
 )
 from lingrowth.solver import (_nodal_gradient, _triangle_gradients, energy,
                               solve_dirichlet)
+from meshes import case
 from rotation import rotate_columns
 
 
@@ -63,33 +65,34 @@ def column_rows(mesh):
 
 
 def test_annulus_counts():
-    m = build_polar_mesh(0.5, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     assert m.num_nodes == 5 * 8 == 40
     assert m.num_triangles == 2 * 4 * 8 == 64
 
 
 def test_disk_counts():
-    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     assert m.num_nodes == 4 * 8 + 1 == 33
     assert m.num_triangles == 8 + 2 * 3 * 8 == 56
 
 
 def test_boundary_nodes_sit_on_circles():
-    m = build_polar_mesh(0.5, 1.0, 5, 12)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 6), 12)
     r = m.node_radii()
     assert np.max(np.abs(r[m.inner_nodes()] - 0.5)) < 1e-15
     assert np.max(np.abs(r[m.outer_nodes()] - 1.0)) < 1e-15
 
 
 def test_disk_has_no_inner_boundary():
-    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     assert len(m.inner_nodes()) == 0
     assert len(m.outer_nodes()) == 8
     assert m.node_tags[0] == NodeTag.INTERIOR  # center node
 
 
 def test_positive_triangle_areas():
-    for args in ((0.5, 1.0, 4, 8), (0.0, 1.0, 6, 16), (1.5, 3.0, 5, 9)):
+    for args in ((np.linspace(0.5, 1.0, 5), 8), (np.linspace(0.0, 1.0, 7), 16),
+                 (np.linspace(1.5, 3.0, 6), 9)):
         m = build_polar_mesh(*args)
         assert np.all(cartesian_geometry(m)[0] > 0.0)
         _, real = column_rows(m)
@@ -116,11 +119,16 @@ def _row_gather_geometry(nodes, triangles):
     return 0.5 * det, grads
 
 
-# a disk, a plain annulus, a graded annulus and the finest level of the
-# catenoid refinement study
-GEOMETRY_MESHES = [((0.0, 1.0, 5, 7), {}), ((0.5, 1.0, 4, 8), {}),
-                   ((0.05, 1.0, 12, 16), {"inner_layers": 6}),
-                   ((1.5, 3.0, 128, 256), {})]
+# a log-polar annulus from r = 1e-8 to 1, 32 rings per unit of log r
+_LOG_CELLS = round(32 * math.log(1e8))
+LOG_POLAR = case(1e-8 * 1e8 ** (np.arange(_LOG_CELLS + 1) / _LOG_CELLS), 64)
+
+# a disk, a plain annulus, a graded annulus, the finest level of the
+# catenoid refinement study and the log-polar annulus
+GEOMETRY_MESHES = [case(np.linspace(0.0, 1.0, 6), 7),
+                   case(np.linspace(0.5, 1.0, 5), 8),
+                   case(_graded_radii(0.05, 1.0, 12, 6), 16),
+                   case(np.linspace(1.5, 3.0, 129), 256), LOG_POLAR]
 
 
 @pytest.mark.parametrize("args, kw", GEOMETRY_MESHES)
@@ -138,8 +146,9 @@ def test_triangle_geometry_matches_row_gathers_bytewise(args, kw):
 def test_every_column_is_column_0_rotated(args, kw):
     # every column's Cartesian areas are column 0's, and its hat gradients
     # column 0's rotated by 2 pi j / n_theta, to rounding: an edge of
-    # length h is the difference of coordinates up to r_out, so both are
-    # exact to about eps r_out / h (measured: at most 1.6 times that)
+    # length h is the difference of coordinates up to the outer radius
+    # r_out, so both are exact to about eps r_out / h (measured: at most
+    # 1.6 times that)
     m = build_polar_mesh(*args, **kw)
     areas, grads = cartesian_geometry(m)
     rows, real = column_rows(m)
@@ -148,7 +157,7 @@ def test_every_column_is_column_0_rotated(args, kw):
     corners = m.nodes[rows[real]]
     h = np.sqrt(np.min(np.sum((corners - np.roll(corners, 1, axis=1)) ** 2,
                               axis=2), axis=1))
-    rounding = 4.0 * np.finfo(float).eps * m.r_out / h[:, None]
+    rounding = 4.0 * np.finfo(float).eps * m.ring_radii[-1] / h[:, None]
     want = m.areas[real][:, None]
     assert np.all(np.abs(areas - want) <= rounding * want)
     theta = 2.0 * math.pi * np.arange(m.n_theta) / m.n_theta
@@ -175,32 +184,32 @@ def test_triangle_geometry_of_any_triangles_matches_row_gathers(rng):
 
 def test_mesh_holds_no_per_triangle_array():
     # the geometry is column 0's; nodes and triangles are computed on read
-    m = build_polar_mesh(1.5, 3.0, 128, 256)
+    m = build_polar_mesh(np.linspace(1.5, 3.0, 129), 256)
     held = [v for v in vars(m).values() if isinstance(v, np.ndarray)]
     assert held and all(a.size < m.num_triangles for a in held)
 
 
 def test_non_positive_triangle_is_rejected():
-    # the rings of an annulus one ulp wide coincide
+    # the radii ascend, but the triangle areas, of order r^2, underflow to 0
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="non-positive triangle"):
-        build_polar_mesh(1.0, math.nextafter(1.0, 2.0), 3, 8)
+        build_polar_mesh(1e-170 * np.arange(1.0, 5.0), 8)
 
 
 def test_total_area_converges_to_annulus():
     exact = math.pi * (1.0 - 0.25)
-    m = build_polar_mesh(0.5, 1.0, 16, 96)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 17), 96)
     assert abs(area_total(m) - exact) / exact < 1e-3
     # polygonal deficit shrinks at second order in the angular step
-    coarse = build_polar_mesh(0.5, 1.0, 16, 24)
-    fine = build_polar_mesh(0.5, 1.0, 16, 48)
+    coarse = build_polar_mesh(np.linspace(0.5, 1.0, 17), 24)
+    fine = build_polar_mesh(np.linspace(0.5, 1.0, 17), 48)
     assert (exact - area_total(coarse)) / (exact - area_total(fine)) == \
         pytest.approx(4.0, rel=0.05)
 
 
 def test_total_area_converges_to_disk():
     exact = math.pi
-    m = build_polar_mesh(0.0, 1.0, 16, 96)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 17), 96)
     assert abs(area_total(m) - exact) / exact < 1e-3
 
 
@@ -212,7 +221,7 @@ def _loop_triangles(mesh):
     def idx(ring, col):
         return node_index(mesh, ring, col)
     tris = []
-    for i in range(mesh.n_r):
+    for i in range(len(mesh.ring_radii) - 1):
         for j in range(mesh.n_theta):
             tris.append((idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)))
         if i == 0 and mesh.is_disk:
@@ -222,9 +231,10 @@ def _loop_triangles(mesh):
     return np.asarray(tris, dtype=np.int64)
 
 
-# a disk, a plain annulus and a graded annulus
-RING_MESHES = [((0.0, 1.0, 5, 7), {}), ((0.5, 1.0, 4, 8), {}),
-               ((0.2, 1.0, 6, 12), {"inner_layers": 3})]
+# a disk, a plain annulus, a graded annulus and the log-polar annulus
+RING_MESHES = [case(np.linspace(0.0, 1.0, 6), 7),
+               case(np.linspace(0.5, 1.0, 5), 8),
+               case(_graded_radii(0.2, 1.0, 6, 3), 12), LOG_POLAR]
 
 
 @pytest.mark.parametrize("args, kw", RING_MESHES)
@@ -236,11 +246,18 @@ def test_triangles_match_cell_by_cell_construction(args, kw):
 
 
 @pytest.mark.parametrize("bad", [
-    (-0.1, 1.0, 4, 8),
-    (1.0, 1.0, 4, 8),
-    (1.5, 1.0, 4, 8),
-    (0.5, 1.0, 2, 8),
-    (0.5, 1.0, 4, 2),
+    (np.linspace(-0.1, 1.0, 5), 8),     # a negative first radius
+    (np.linspace(1.0, 1.0, 5), 8),      # all radii equal
+    (np.linspace(1.5, 1.0, 5), 8),      # descending
+    (np.linspace(0.5, 1.0, 3), 8),      # 3 radii, 2 cells
+    (np.linspace(0.5, 1.0, 5), 2),      # 2 sectors
+    ([0.5, 0.7, 0.6, 1.0], 8),          # descending once
+    ([0.5, 0.6, 0.6, 1.0], 8),          # a repeated radius
+    ([0.5, 0.6, float("nan"), 1.0], 8),
+    ([0.5, 0.6, 0.7, float("inf")], 8),
+    ([-0.5, 0.6, 0.7, 1.0], 8),         # a negative first radius
+    ([0.5, 0.6, 0.7], 8),               # only 3 radii
+    (np.linspace(0.5, 1.0, 8).reshape(2, 4), 8),
 ])
 def test_degenerate_parameters_rejected(bad):
     with pytest.raises(ValueError):
@@ -248,7 +265,7 @@ def test_degenerate_parameters_rejected(bad):
 
 
 def test_ring_major_indexing():
-    m = build_polar_mesh(0.5, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     assert node_index(m, 0, 0) == 0
     assert node_index(m, 2, 3) == 19
     theta = 2.0 * math.pi * 3 / 8
@@ -258,7 +275,7 @@ def test_ring_major_indexing():
 
 
 def test_disk_center_indexing():
-    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     assert node_index(m, 0, 0) == 0
     assert node_index(m, 1, 0) == 1
     assert node_index(m, 2, 5) == 1 + 8 + 5
@@ -266,7 +283,7 @@ def test_disk_center_indexing():
 
 
 def test_ring_values_broadcasts_center():
-    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     vals = np.arange(m.num_nodes, dtype=float)
     assert np.all(m.rings(vals)[0] == 0.0)
     np.testing.assert_array_equal(m.rings(vals)[2], vals[9:17])
@@ -292,11 +309,11 @@ def test_from_rings_inverts_rings(args, kw, rng):
 
 
 def test_from_rings_broadcasts_one_value_per_ring():
-    m = build_polar_mesh(0.2, 1.0, 6, 12, inner_layers=3)
+    m = build_polar_mesh(_graded_radii(0.2, 1.0, 6, 3), 12)
     c = np.linspace(-1.0, 2.0, len(m.ring_radii))
     np.testing.assert_array_equal(m.from_rings(c[:, None]),
                                   np.repeat(c, m.n_theta))
-    disk = build_polar_mesh(0.0, 1.0, 5, 7)
+    disk = build_polar_mesh(np.linspace(0.0, 1.0, 6), 7)
     c = np.linspace(-1.0, 2.0, len(disk.ring_radii))
     np.testing.assert_array_equal(
         disk.from_rings(c[:, None]),
@@ -304,7 +321,7 @@ def test_from_rings_broadcasts_one_value_per_ring():
 
 
 def test_from_rings_center_takes_first_entry():
-    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     grid = np.arange(len(m.ring_radii) * m.n_theta, dtype=float)
     vals = m.from_rings(grid.reshape(-1, m.n_theta))
     assert vals[0] == 0.0
@@ -312,7 +329,7 @@ def test_from_rings_center_takes_first_entry():
 
 
 def test_rotate_columns_by_full_turn_is_identity_on_disk(rng):
-    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     vals = rng.normal(size=m.num_nodes)
     assert np.array_equal(rotate_columns(m, vals, m.n_theta), vals)
     rot = rotate_columns(m, vals, 3)
@@ -321,7 +338,7 @@ def test_rotate_columns_by_full_turn_is_identity_on_disk(rng):
 
 
 def test_rotate_columns_moves_nodes_one_step():
-    m = build_polar_mesh(0.5, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     vals = m.nodes[:, 0].copy()  # x-coordinate is rotation-covariant
     rot = rotate_columns(m, vals, 1)
     step = 2.0 * math.pi / 8
@@ -332,7 +349,7 @@ def test_rotate_columns_moves_nodes_one_step():
 
 
 def test_radial_values_exact_on_rings():
-    m = build_polar_mesh(0.5, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     vals = np.arange(m.num_nodes, dtype=float)
     for ring, r in enumerate(m.ring_radii):
         np.testing.assert_array_equal(radial_values(m, vals, float(r)),
@@ -340,7 +357,7 @@ def test_radial_values_exact_on_rings():
 
 
 def test_radial_values_linear_between_rings():
-    m = build_polar_mesh(0.5, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     vals = m.node_radii() ** 1  # linear in radius along each radial line
     mid = 0.5 * (m.ring_radii[1] + m.ring_radii[2])
     np.testing.assert_allclose(radial_values(m, vals, float(mid)),
@@ -348,14 +365,14 @@ def test_radial_values_linear_between_rings():
 
 
 def test_radial_values_disk_center():
-    m = build_polar_mesh(0.0, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     vals = np.zeros(m.num_nodes)
     vals[0] = 7.0
     np.testing.assert_array_equal(radial_values(m, vals, 0.0), np.full(8, 7.0))
 
 
 def test_radial_values_out_of_range():
-    m = build_polar_mesh(0.5, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     vals = np.zeros(m.num_nodes)
     with pytest.raises(ValueError):
         radial_values(m, vals, 0.4)
@@ -385,15 +402,15 @@ def test_radial_values_array_matches_scalar_calls(args, kw, rng):
 
 
 def test_same_mesh_detects_differences():
-    a = build_polar_mesh(0.5, 1.0, 4, 8)
-    b = build_polar_mesh(0.5, 1.0, 4, 8)
-    c = build_polar_mesh(0.5, 1.0, 5, 8)
+    a = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
+    b = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
+    c = build_polar_mesh(np.linspace(0.5, 1.0, 6), 8)
     assert same_mesh(a, b)
     assert not same_mesh(a, c)
 
 
 def test_h_radial_uniform():
-    m = build_polar_mesh(0.5, 1.0, 4, 8)
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     assert m.h_radial == pytest.approx(0.125, abs=1e-15)
     assert h_max(m) > m.h_radial  # outer arc dominates at this aspect ratio
 
@@ -402,8 +419,8 @@ def test_h_radial_uniform():
 
 
 def test_inner_layers_geometry():
-    m = build_polar_mesh(0.5, 1.0, 4, 8, inner_layers=3)
-    assert m.n_r == 7
+    m = build_polar_mesh(_graded_radii(0.5, 1.0, 4, 3), 8)
+    assert len(m.ring_radii) - 1 == 7
     d = np.diff(m.ring_radii)
     # geometric halving toward the inner circle, bulk spacing untouched
     np.testing.assert_allclose(
@@ -415,14 +432,16 @@ def test_inner_layers_geometry():
 
 
 def test_inner_layers_rejected_for_disk():
-    with pytest.raises(ValueError):
-        build_polar_mesh(0.0, 1.0, 4, 8, inner_layers=2)
-    with pytest.raises(ValueError):
-        build_polar_mesh(0.5, 1.0, 4, 8, inner_layers=-1)
+    # the removability annuli are graded: an epsilon of 0 would make one a
+    # disk, and a negative count of layers no grading at all
+    with pytest.raises(ValueError, match="positive"):
+        RemovabilityConfig(density={"kind": "area"}, epsilons=(0.2, 0.0))
+    with pytest.raises(ValueError, match="inner_layers"):
+        RemovabilityConfig(density={"kind": "area"}, inner_layers=-1)
 
 
 def test_graded_mesh_interpolation_still_exact():
-    m = build_polar_mesh(0.5, 1.0, 6, 12, inner_layers=4)
+    m = build_polar_mesh(_graded_radii(0.5, 1.0, 6, 4), 12)
     vals = 2.0 * m.node_radii() + 1.0
     r = 0.5 + 0.125 / 3.0  # inside the graded zone, off every ring
     np.testing.assert_allclose(radial_values(m, vals, r),
@@ -432,8 +451,8 @@ def test_graded_mesh_interpolation_still_exact():
 # -- one-column mesh of ring-constant fields ------------------------------------
 
 COLUMN_MESHES = [
-    ((0.1, 1.0, 6, 12), {"inner_layers": 3}),   # graded annulus
-    ((0.0, 1.0, 5, 9), {}),                     # disk: the center is ring 0
+    case(_graded_radii(0.1, 1.0, 6, 3), 12),    # graded annulus
+    case(np.linspace(0.0, 1.0, 6), 9),          # disk: the center is ring 0
 ]
 
 
@@ -463,7 +482,8 @@ def test_one_column_layout(args, kw):
 
 
 @pytest.mark.parametrize("args, kw", COLUMN_MESHES + GEOMETRY_MESHES
-                         + [((0.0, 1.0, 4, 3), {}), ((0.5, 1.0, 4, 3), {})])
+                         + [case(np.linspace(0.0, 1.0, 5), 3),
+                            case(np.linspace(0.5, 1.0, 5), 3)])
 def test_one_column_picks_the_column_triangles_bytewise(args, kw):
     # reference: the triangles with every vertex in column 0 or 1, found
     # by reading the column of all 3M vertices
@@ -513,7 +533,7 @@ def test_one_column_solve_matches_the_full_solve(density, request):
     # ring-constant data have a ring-constant minimizer (it is unique and
     # the mesh is rotation invariant), so the column solves the same problem
     d = request.getfixturevalue(density)
-    mesh = build_polar_mesh(0.05, 1.0, 12, 16, inner_layers=3)
+    mesh = build_polar_mesh(_graded_radii(0.05, 1.0, 12, 3), 16)
     column = one_column(mesh)
     w = np.zeros(len(mesh.ring_radii))
     w[0], w[-1] = 1.0, 0.2

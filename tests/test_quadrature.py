@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from lingrowth import quadrature
 from lingrowth.catenoid import QUAD_ABS_TOL, _radial_integrand
 from lingrowth.density import make_area_density, make_mu_density
-from lingrowth.mesh import build_polar_mesh
+from lingrowth.experiments import _graded_radii
 from lingrowth.quadrature import QuadratureAccuracyError, integrate, qagse
 
 
@@ -101,7 +101,7 @@ def test_envelope_gaps_match_quad():
     the annulus rings, then to R = 1), in one batched call, against one
     quad per gap."""
     f = _radial_integrand(make_area_density(), 0.025, 2)
-    rings = build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6).ring_radii
+    rings = _graded_radii(0.025, 1.0, 48, 6)
     ends = np.append(rings[1:-1], 1.0)
     tol = QUAD_ABS_TOL / (len(ends) - 1)
     got, err = qagse(f, ends[:-1], ends[1:], tol * 1e-2, 1e-12)
@@ -119,14 +119,12 @@ def test_batched_equals_one_interval_at_a_time():
     neck, the 53 gaps of the default removability barrier seed at the
     smallest eps (annulus rings, then R = 1), and the 128 gaps between the
     finest rings of the refinement study."""
-    removability = build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6)
-    refinement = build_polar_mesh(1.5, 3.0, 128, 256)
     cases = [
         (make_mu_density(3.0), 1.0, 10,
          np.array([1.0, 1.01, 1.1, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0])),
         (make_area_density(), 0.025, 53,
-         np.append(removability.ring_radii[1:-1], 1.0)),
-        (make_mu_density(3.0), 1.0, 128, refinement.ring_radii),
+         np.append(_graded_radii(0.025, 1.0, 48, 6)[1:-1], 1.0)),
+        (make_mu_density(3.0), 1.0, 128, np.linspace(1.5, 3.0, 129)),
     ]
     for d, neck, count, ends in cases:
         assert len(ends) - 1 == count

@@ -17,7 +17,7 @@ from scipy.sparse.linalg import spsolve
 from lingrowth import cli, density, solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux_tangent
-from lingrowth.experiments import run_comparison_suite
+from lingrowth.experiments import _graded_radii, run_comparison_suite
 from lingrowth.mesh import _triangle_geometry, build_polar_mesh, one_column
 from lingrowth.solver import (
     _LOWER,
@@ -36,6 +36,7 @@ from lingrowth.solver import (
     energy,
     solve_dirichlet,
 )
+from meshes import case
 from rotation import rotate_columns
 
 
@@ -144,7 +145,7 @@ def coo_hessian(d, mesh, u):
 
 @pytest.fixture(scope="module")
 def annulus():
-    return build_polar_mesh(0.5, 1.0, 16, 32)
+    return build_polar_mesh(np.linspace(0.5, 1.0, 17), 32)
 
 
 # -- energy -------------------------------------------------------------------
@@ -175,7 +176,7 @@ def test_assembly_matches_energy_differences(density, request):
     # gradient and Hessian come from flux_tangent, the energy from g itself:
     # central differences of the energy tie the two together
     d = request.getfixturevalue(density)
-    mesh = build_polar_mesh(0.5, 1.0, 4, 8)
+    mesh = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
     u = (0.8 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] ** 2
          + 0.3 * np.sin(2.0 * mesh.node_angles()))
     u[mesh.node_radii() < 0.7] = 0.2     # constant patch: p = 0 exactly
@@ -208,8 +209,8 @@ def test_assembly_matches_energy_differences(density, request):
 # -- kernels against their oracles --------------------------------------------
 
 KERNEL_MESHES = [
-    ((0.0, 1.0, 5, 9), {}),                    # disk: center node interior
-    ((0.2, 1.0, 6, 12), {"inner_layers": 2}),  # graded annulus
+    case(np.linspace(0.0, 1.0, 6), 9),          # disk: center node interior
+    case(_graded_radii(0.2, 1.0, 6, 2), 12),    # graded annulus
 ]
 
 
@@ -265,7 +266,7 @@ def test_band_matches_matmul_assembly(area, mu3, rng, args, kw):
 
 def test_blocks_of_one_shared_tangent(mu3):
     # the harmonic extension passes one (2, 2) tangent for every triangle
-    mesh = build_polar_mesh(0.2, 1.0, 6, 12, inner_layers=2)
+    mesh = build_polar_mesh(_graded_radii(0.2, 1.0, 6, 2), 12)
     _, flat = flux_tangent(mu3, np.zeros(2))
     stacked = np.broadcast_to(flat, (mesh.num_triangles, 2, 2))
     assert np.array_equal(_blocks(mesh, flat), _blocks(mesh, stacked))
@@ -285,8 +286,8 @@ def _band_and_sparse(d, mesh, rng):
 
 
 @pytest.mark.parametrize("args, kw", [
-    ((0.0, 1.0, 5, 9), {}),                    # disk: center node interior
-    ((0.2, 1.0, 5, 9), {"inner_layers": 2}),   # graded annulus
+    case(np.linspace(0.0, 1.0, 6), 9),          # disk: center node interior
+    case(_graded_radii(0.2, 1.0, 5, 2), 9),     # graded annulus
 ])
 def test_band_matches_sparse_hessian(mu3, rng, args, kw):
     mesh = build_polar_mesh(*args, **kw)
@@ -311,7 +312,7 @@ def test_band_matches_sparse_hessian(mu3, rng, args, kw):
 
 
 def test_band_step_matches_sparse_solve(area, rng):
-    mesh = build_polar_mesh(0.2, 1.0, 6, 12, inner_layers=2)
+    mesh = build_polar_mesh(_graded_radii(0.2, 1.0, 6, 2), 12)
     ab, K, ii = _band_and_sparse(area, mesh, rng)
     rhs = rng.normal(size=len(ii))
     want = spsolve(K.tocsc(), rhs)
@@ -321,7 +322,7 @@ def test_band_step_matches_sparse_solve(area, rng):
 
 
 @pytest.mark.parametrize("args, kw", KERNEL_MESHES + [
-    ((0.025, 1.0, 48, 64), {"inner_layers": 6}),   # a removability annulus
+    case(_graded_radii(0.025, 1.0, 48, 6), 64),    # a removability annulus
 ])
 def test_band_map_of_2d_meshes_is_unchanged(args, kw):
     # no 2D triangle repeats a vertex, so the coincident-vertex rule adds
@@ -339,7 +340,7 @@ def test_one_column_band_is_the_ring_summed_hessian(density, request, rng):
     # P^T K P, with K the full Hessian at a ring-constant field and P the
     # indicator of the interior rings, is the Hessian of the ring problem
     d = request.getfixturevalue(density)
-    mesh = build_polar_mesh(0.1, 1.0, 6, 12, inner_layers=3)
+    mesh = build_polar_mesh(_graded_radii(0.1, 1.0, 6, 3), 12)
     column = one_column(mesh)
     w = 0.7 * np.cos(3.0 * column.ring_radii) + 0.05 * rng.normal(
         size=len(column.ring_radii))
@@ -376,7 +377,7 @@ def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
     # mode solve is the 2D banded solve of the same matrix, with and
     # without a Nyquist mode
     d = request.getfixturevalue(density)
-    mesh = build_polar_mesh(0.1, 1.0, 8, n_theta, inner_layers=2)
+    mesh = build_polar_mesh(_graded_radii(0.1, 1.0, 8, 2), n_theta)
     column = one_column(mesh)
     w = 0.7 * np.cos(3.0 * column.ring_radii) + 0.05 * rng.normal(
         size=len(column.ring_radii))
@@ -398,7 +399,7 @@ def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
 
 
 def test_ring_mode_step_rejects_a_disk(area):
-    disk = build_polar_mesh(0.0, 1.0, 6, 12)
+    disk = build_polar_mesh(np.linspace(0.0, 1.0, 7), 12)
     column = one_column(disk)
     with pytest.raises(ValueError, match="annulus"):
         _ring_mode_step(area, disk, column, np.zeros(len(disk.ring_radii)))
@@ -441,7 +442,7 @@ def test_ring_mode_corrections_follow_the_contraction_rule(monkeypatch, sizes,
 def test_exactly_zero_ring_mode_corrections_end_the_loop(area):
     # at a zero field every correction is exactly zero: the stopping test,
     # a predicted correction of 0 / 0, must end the loop without dividing
-    mesh = build_polar_mesh(0.1, 1.0, 8, 16, inner_layers=2)
+    mesh = build_polar_mesh(_graded_radii(0.1, 1.0, 8, 2), 16)
     column = one_column(mesh)
     start = np.zeros(mesh.num_nodes)
     with np.errstate(all="raise"):
@@ -453,9 +454,9 @@ def test_exactly_zero_ring_mode_corrections_end_the_loop(area):
 def test_band_cache_shares_one_map_per_topology():
     # annuli that differ only in their radii share one map, equal to a
     # fresh one; another topology gets its own
-    a = build_polar_mesh(0.2, 1.0, 12, 16, inner_layers=2)
-    b = build_polar_mesh(0.05, 2.0, 12, 16, inner_layers=2)
-    c = build_polar_mesh(0.2, 1.0, 12, 17, inner_layers=2)
+    a = build_polar_mesh(_graded_radii(0.2, 1.0, 12, 2), 16)
+    b = build_polar_mesh(_graded_radii(0.05, 2.0, 12, 2), 16)
+    c = build_polar_mesh(_graded_radii(0.2, 1.0, 12, 2), 17)
     for mesh in (a, b, c, one_column(a)):
         ii = mesh.interior_nodes()
         got, fresh = _cached_band(mesh, ii), _band(mesh, ii)
@@ -470,7 +471,7 @@ def test_band_cache_shares_one_map_per_topology():
 
 
 def test_band_cache_keeps_the_last_few_topologies():
-    meshes = [build_polar_mesh(0.5, 1.0, 3, n_theta)
+    meshes = [build_polar_mesh(np.linspace(0.5, 1.0, 4), n_theta)
               for n_theta in range(3, 4 + solver._BAND_CACHE_SIZE)]
     bands = [_cached_band(m, m.interior_nodes()) for m in meshes]
     assert len(solver._bands) <= solver._BAND_CACHE_SIZE
@@ -589,7 +590,7 @@ def test_stepping_solve_takes_one_gradient_pass_per_iterate(
     # every iterate serve both its energy and its flux, and the tangent is
     # built only for the Newton steps
     d = request.getfixturevalue(density_name)
-    mesh = build_polar_mesh(0.5, 1.0, 16, 48)
+    mesh = build_polar_mesh(np.linspace(0.5, 1.0, 17), 48)
     data = amplitude * (np.sin(3.0 * mesh.node_angles()) + mesh.nodes[:, 0])
     counts, steps = Counter(), []
 
@@ -637,9 +638,9 @@ def test_seeded_comparison_trials_converge(mu3):
 
 
 @pytest.mark.parametrize("mesh", [
-    build_polar_mesh(0.0, 1.0, 5, 9),
-    build_polar_mesh(0.2, 1.0, 6, 12, inner_layers=2),
-    one_column(build_polar_mesh(0.1, 1.0, 6, 12, inner_layers=3)),
+    build_polar_mesh(np.linspace(0.0, 1.0, 6), 9),
+    build_polar_mesh(_graded_radii(0.2, 1.0, 6, 2), 12),
+    one_column(build_polar_mesh(_graded_radii(0.1, 1.0, 6, 3), 12)),
 ], ids=["disk-center", "graded-annulus", "one-column"])
 def test_band_lapack_matches_scipy_bit_for_bit(mu3, rng, mesh):
     _, tangent = flux_tangent(mu3, _triangle_gradients(
@@ -715,7 +716,7 @@ def test_affine_data_reproduced(area, annulus):
 
 
 def test_affine_data_reproduced_on_disk(mu3):
-    disk = build_polar_mesh(0.0, 1.0, 12, 24)
+    disk = build_polar_mesh(np.linspace(0.0, 1.0, 13), 24)
     target = affine(disk, -0.4, 0.7, 1.0)
     sol = solve_dirichlet(mu3, disk, target)
     assert np.max(np.abs(sol.values - target)) < 1e-9
@@ -724,8 +725,8 @@ def test_affine_data_reproduced_on_disk(mu3):
 @pytest.mark.parametrize("q0, q1, c", [(0.012, 0.009, 0.0),
                                         (0.8, -0.3, 0.25)])
 @pytest.mark.parametrize("mesh", [
-    build_polar_mesh(0.0, 1.0, 48, 64),
-    build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6),
+    build_polar_mesh(np.linspace(0.0, 1.0, 49), 64),
+    build_polar_mesh(_graded_radii(0.025, 1.0, 48, 6), 64),
 ], ids=["disk", "graded-annulus"])
 @pytest.mark.parametrize("density", ["area", "mu2", "mu3"])
 def test_affine_start_is_certified_as_it_is(density, mesh, q0, q1, c,
@@ -819,7 +820,7 @@ def test_catenoid_data_convergence_order(area):
     spec = CatenoidSpec(Sign.MINUS, 0.25, 0.0, 2, Anchor.NECK)
     errors = []
     for n_r, n_theta in ((8, 16), (16, 32), (32, 64)):
-        mesh = build_polar_mesh(0.75, 1.5, n_r, n_theta)
+        mesh = build_polar_mesh(np.linspace(0.75, 1.5, n_r + 1), n_theta)
         exact = np.array([profile_value(area, spec, float(r))
                           for r in mesh.ring_radii])
         target = np.repeat(exact, n_theta)
@@ -874,7 +875,7 @@ def test_last_step_is_tested_at_the_iteration_cap(area, mu3, annulus):
     assert err.value.solution.iterations == cap - 1
     # no step allowed: the start itself is tested, and affine data is
     # solved by its harmonic extension
-    disk = build_polar_mesh(0.0, 1.0, 16, 32)
+    disk = build_polar_mesh(np.linspace(0.0, 1.0, 17), 32)
     start = solve_dirichlet(mu3, disk, affine(disk, 0.5, 0.3, 0.1),
                             max_iter=0)
     assert start.converged
@@ -926,10 +927,10 @@ def residual(d, mesh, u):
 
 
 ROTATION_MESHES = [
-    build_polar_mesh(0.0, 1.0, 16, 32),
-    build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6),
-    build_polar_mesh(1.5, 3.0, 128, 256),
-    one_column(build_polar_mesh(0.025, 1.0, 48, 64, inner_layers=6)),
+    build_polar_mesh(np.linspace(0.0, 1.0, 17), 32),
+    build_polar_mesh(_graded_radii(0.025, 1.0, 48, 6), 64),
+    build_polar_mesh(np.linspace(1.5, 3.0, 129), 256),
+    one_column(build_polar_mesh(_graded_radii(0.025, 1.0, 48, 6), 64)),
 ]
 ROTATION_IDS = ["disk", "graded-annulus", "annulus-128x256", "column"]
 
@@ -1040,7 +1041,7 @@ def test_ring_mode_corrections_run_blas_on_one_thread(mu3, blas_count,
                                                     monkeypatch):
     # the ring solution of data 1 inside and 0 outside plus a small
     # background, a start that keeps several corrections
-    mesh = build_polar_mesh(0.1, 1.0, 8, 16, inner_layers=2)
+    mesh = build_polar_mesh(_graded_radii(0.1, 1.0, 8, 2), 16)
     column = one_column(mesh)
     data = np.zeros(column.num_nodes)
     data[column.inner_nodes()] = 1.0
@@ -1060,7 +1061,7 @@ def test_ring_mode_corrections_run_blas_on_one_thread(mu3, blas_count,
 def test_energy_runs_blas_on_one_thread(mu3, blas_count, monkeypatch, rng):
     # outside the scope, two threads move the area sum of this size by
     # about 1e-14 against the one-thread sum
-    mesh = build_polar_mesh(0.5, 1.0, 128, 256)
+    mesh = build_polar_mesh(np.linspace(0.5, 1.0, 129), 256)
     u = rng.normal(size=mesh.num_nodes)
     with solver._one_blas_thread():
         inside = energy(mu3, mesh, u)
@@ -1263,8 +1264,8 @@ def test_comparison_not_applicable_state(area, annulus):
 
 
 def test_comparison_mesh_mismatch(area):
-    m1 = build_polar_mesh(0.5, 1.0, 8, 16)
-    m2 = build_polar_mesh(0.5, 1.0, 9, 16)
+    m1 = build_polar_mesh(np.linspace(0.5, 1.0, 9), 16)
+    m2 = build_polar_mesh(np.linspace(0.5, 1.0, 10), 16)
     s1 = solve_dirichlet(area, m1, np.zeros(m1.num_nodes))
     s2 = solve_dirichlet(area, m2, np.zeros(m2.num_nodes))
     with pytest.raises(MeshMismatchError):
