@@ -122,19 +122,14 @@ class CatenoidSpec:
         ioutil.check_keys(cfg, {"sign", "alpha", "a", "n", "convention"},
                           "catenoid spec key(s)")
 
-        def real(key):
-            try:
-                return ioutil.real(cfg[key])
-            except ValueError as exc:
-                raise ValueError(f"key {key!r} {exc}") from exc
-
         try:
             return CatenoidSpec(
-                sign=Sign(cfg["sign"]),
-                alpha=real("alpha"),
-                offset_a=real("a"),
-                dim_n=cfg["n"],
-                anchor=Anchor(cfg["convention"]),
+                sign=ioutil.checked(Sign, cfg["sign"], "key 'sign'"),
+                alpha=ioutil.checked(ioutil.real, cfg["alpha"], "key 'alpha'"),
+                offset_a=ioutil.checked(ioutil.real, cfg["a"], "key 'a'"),
+                dim_n=ioutil.checked(ioutil.integer, cfg["n"], "key 'n'"),
+                anchor=ioutil.checked(Anchor, cfg["convention"],
+                                      "key 'convention'"),
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed catenoid config {cfg!r}: {exc}") from exc

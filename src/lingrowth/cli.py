@@ -81,9 +81,7 @@ def _load_config(args) -> dict:
         if not isinstance(cfg[name], dict):
             raise ValueError(f"config section {name!r} must be a JSON object")
     seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    cfg["seed"] = seed
+    cfg["seed"] = ioutil.checked(ioutil.integer, seed, "seed")
     return cfg
 
 
@@ -153,10 +151,8 @@ def _merge(name: str, section: dict, table: dict, flags=None) -> dict:
         value = flag if flag is not None else section.get(key, default)
         if value is None and key not in section:
             continue
-        try:
-            merged[key] = value if cast is None else cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name} config key {key!r}: {exc}") from exc
+        merged[key] = value if cast is None else ioutil.checked(
+            cast, value, f"{name} config key {key!r}")
     return merged
 
 

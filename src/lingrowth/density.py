@@ -192,13 +192,19 @@ def make_mu_density(mu: float) -> Density:
     ------
     ValueError
         If mu <= 1 (the profile would not be strictly convex with
-        bounded slope).
+        bounded slope), if mu is not finite, or if mu is so large (about
+        1e19 or more) that a coefficient of :func:`_mu_g`'s series
+        overflows a float.
     """
-    if not (mu > 1.0):
-        raise ValueError(f"mu must exceed 1, got {mu}")
+    if not (1.0 < mu < math.inf):
+        raise ValueError(f"mu must be a finite number above 1, got {mu}")
     mu = float(mu)
 
-    _g = _mu_g(mu)
+    try:
+        _g = _mu_g(mu)
+    except OverflowError as exc:
+        raise ValueError(f"mu = {mu:g} is too large: a coefficient of "
+                         "g's series overflows a float") from exc
 
     def _gprime(t, _mu=mu):
         # 1 - (1 + t)**(1 - mu) without the cancellation at small t
@@ -328,7 +334,8 @@ def density_from_config(cfg: dict) -> Density:
         return make_area_density()
     if "mu" not in cfg:
         raise ValueError("mu density config needs a 'mu' field")
-    return make_mu_density(float(cfg["mu"]))
+    return make_mu_density(
+        ioutil.checked(ioutil.real, cfg["mu"], "density config key 'mu'"))
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +603,17 @@ def classify_growth(d: Density) -> Growth:
 
 
 def _slope_over_norm(d: Density, p, t=None):
-    """What the flux and the tangent share: the stack p as a float array,
-    its components, t = |p| (computed here unless given), the mask t > 0,
-    t with 1 where t = 0, and g'(t) divided by that, which is g'(t)/t
-    where t > 0."""
+    """What the flux and the tangent share: the stack p of 2-vectors as a
+    float array, its two components, t = |p| (computed here unless
+    given), the mask t > 0, t with 1 where t = 0, and g'(t) divided by
+    that, which is g'(t)/t where t > 0."""
     p = np.asarray(p, dtype=float)
-    comps = [p[..., i] for i in range(p.shape[-1])]
+    if p.shape[-1:] != (2,):
+        raise ValueError(f"p must be a 2-vector or a stack of them, "
+                         f"got shape {p.shape}")
+    comps = (p[..., 0], p[..., 1])
     if t is None:
-        # the fold of hypot from 0, started at the first two components:
-        # hypot(0, x) is |x|, or x itself where x is a quiet nan, and
-        # hypot reads no more of an operand than that, so the bits are
-        # the same with one pass less
-        t = np.hypot(comps[0], comps[1] if len(comps) > 1 else 0.0)
-        for c in comps[2:]:
-            t = np.hypot(t, c)
+        t = np.hypot(*comps)
     gp = np.asarray(d.gprime(t), dtype=float)
     pos = t > 0.0
     safe = np.where(pos, t, 1.0)
@@ -639,25 +643,23 @@ def flux_lazy_tangent(d: Density, p, t=None):
 def _tangent(d: Density, comps, t, pos, safe, slope):
     """The tangent of :func:`flux_tangent` from what
     :func:`_slope_over_norm` returned for p (p itself aside)."""
-    k = len(comps)
     c2 = np.asarray(d.gsecond(t), dtype=float)
     c1 = np.where(pos, slope, c2)               # g'(t)/t, and g''(0) at t = 0
 
-    # entry by entry on whole arrays: (coef ph_i) ph_j for i <= j, c1 added
-    # on the diagonal, the upper entry mirrored below it
-    ph = [c / safe for c in comps]
+    # entry by entry on whole arrays: (coef x_i) x_j for i <= j, c1 added
+    # on the diagonal, the off-diagonal entry rounded once and mirrored
+    x, y = (c / safe for c in comps)
     coef = np.where(pos, c2 - c1, 0.0)
-    tangent = np.empty(np.shape(t) + (k, k))
-    for i in range(k):
-        ci = coef * ph[i]
-        tangent[..., i, i] = ci * ph[i] + c1
-        for j in range(i + 1, k):
-            tangent[..., i, j] = tangent[..., j, i] = ci * ph[j]
+    cx = coef * x
+    tangent = np.empty(np.shape(t) + (2, 2))
+    tangent[..., 0, 0] = cx * x + c1
+    tangent[..., 0, 1] = tangent[..., 1, 0] = cx * y
+    tangent[..., 1, 1] = coef * y * y + c1
     return tangent
 
 
 def flux_tangent(d: Density, p):
-    """Flux and tangent of G(p) = g(|p|) for a stack p of shape (..., k).
+    """Flux and tangent of G(p) = g(|p|) for a stack p of shape (..., 2).
 
     With t = |p| and P = p p^T / t^2 these are
 
@@ -665,8 +667,9 @@ def flux_tangent(d: Density, p):
         tangent  = g''(t) P + (g'(t)/t) (I - P),
 
     extended by 0 and g''(0) I at p = 0.  Returns arrays of shapes
-    (..., k) and (..., k, k); one vector p gives one flux vector and one
-    k x k tangent.  This module is the only place the formulas live: the
+    (..., 2) and (..., 2, 2); one vector p gives one flux vector and one
+    2 x 2 tangent, and a last axis other than 2 raises ValueError.  This
+    module is the only place the formulas live: the
     finite-element gradient and Hessian in :mod:`lingrowth.solver` read
     them through this function and :func:`flux_lazy_tangent`, which share
     one evaluation of t and g'(t)/t.  Strict convexity plus a monotone

@@ -133,30 +133,18 @@ _CIRCLE_KEYS = {"affine": {"q", "c"}, "constant": {"value"},
                 "radial": {"spec"}, "samples": {"values"}}
 
 
-def _real(name: str, key: str, value) -> float:
-    """:func:`lingrowth.ioutil.real` of one value of a circle's data, its
-    error naming the circle and the key."""
-    try:
-        return ioutil.real(value)
-    except ValueError as exc:
-        raise ValueError(f"{name} data key {key!r}: {exc}") from exc
-
-
 def _affine_coefficients(cfg: dict, name: str) -> Optional[tuple]:
     """(q0, q1, c) of a circle's ``affine`` data, (0, 0, value) of its
     ``constant`` data, None for the other kinds.  ``q`` must hold exactly
-    two real numbers and ``c`` and ``value`` must be real (a bool or a
-    string raises ValueError naming the key)."""
+    two real numbers and ``c`` and ``value`` must be real (a bool, a
+    string, NaN or +-inf raises ValueError naming the key)."""
     if cfg["kind"] == "constant":
-        return 0.0, 0.0, _real(name, "value", cfg["value"])
+        return 0.0, 0.0, ioutil.checked(ioutil.real, cfg["value"],
+                                        f"{name} data key 'value'")
     if cfg["kind"] != "affine":
         return None
-    q = cfg["q"]
-    if not isinstance(q, (list, tuple)) or len(q) != 2:
-        raise ValueError(
-            f"{name} data key 'q': must be two real numbers, got {q!r}")
-    return (_real(name, "q", q[0]), _real(name, "q", q[1]),
-            _real(name, "c", cfg["c"]))
+    return (*ioutil.checked(ioutil.reals, cfg["q"], f"{name} data key 'q'", 2),
+            ioutil.checked(ioutil.real, cfg["c"], f"{name} data key 'c'"))
 
 
 def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
@@ -166,7 +154,7 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
     + c), ``constant`` (value), ``radial`` (the barrier profile of a
     :class:`CatenoidSpec` config at the circle's radius) or ``samples``
     (one value per angle).  A key the kind does not take is an error, and
-    so is a value that is not a real number (a bool or a string
+    so is a value that is not a finite real number (a bool or a string
     included)."""
     radius = float(mesh.ring_radii[0 if circle == NodeTag.INNER else -1])
     idx = mesh.nodes_with_tag(circle)
@@ -186,12 +174,8 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
     if kind == "radial":
         spec = CatenoidSpec.from_config(cfg["spec"])
         return np.full(len(idx), profile_value(d, spec, radius))
-    vals = cfg["values"]
-    if (not isinstance(vals, (list, tuple, np.ndarray))
-            or len(vals) != mesh.n_theta):
-        raise ValueError(
-            f"{name} samples must have length n_theta={mesh.n_theta}")
-    return np.array([_real(name, "values", v) for v in vals])
+    return np.array(ioutil.checked(ioutil.reals, cfg["values"],
+                                   f"{name} data key 'values'", mesh.n_theta))
 
 
 def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
@@ -218,8 +202,9 @@ class RemovabilityConfig:
     ``n_r``, ``n_theta`` and ``inner_layers`` must be ints, and
     ``inner_layers`` >= 0 (a bool, a fraction or a negative count raises
     ValueError naming the key); ``outer_radius``, ``probe_radius``,
-    ``spike`` and each epsilon must be real numbers (a bool or a string
-    raises ValueError naming the key), and are kept as floats.
+    ``spike`` and each epsilon must be finite real numbers (a bool, a
+    string, NaN or +-inf raises ValueError naming the key), and are kept
+    as floats.
     ``epsilons`` must be positive, decrease strictly and stay below
     ``probe_radius``, which in turn lies inside the outer radius.
     ``outer_data`` follows the config schema of
@@ -257,26 +242,16 @@ class RemovabilityConfig:
     inner_layers: int = 6
 
     def __post_init__(self):
-        def checked(key, cast, value):
-            try:
-                return cast(value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"removability config key {key!r}: {exc}") from exc
-
+        what = "removability config key {!r}".format
         for key in ("n_r", "n_theta", "inner_layers"):
-            checked(key, ioutil.integer, getattr(self, key))
+            ioutil.checked(ioutil.integer, getattr(self, key), what(key))
         if self.inner_layers < 0:
             raise ValueError(f"removability config key 'inner_layers': must "
                              f"be >= 0, got {self.inner_layers}")
         for key in ("outer_radius", "probe_radius", "spike"):
-            object.__setattr__(self, key,
-                               checked(key, ioutil.real, getattr(self, key)))
-        if not isinstance(self.epsilons, (list, tuple, np.ndarray)):
-            raise ValueError(f"removability config key 'epsilons': must be "
-                             f"a list of real numbers, got {self.epsilons!r}")
-        eps = tuple(checked("epsilons", ioutil.real, e)
-                    for e in self.epsilons)
+            object.__setattr__(self, key, ioutil.checked(
+                ioutil.real, getattr(self, key), what(key)))
+        eps = ioutil.checked(ioutil.reals, self.epsilons, what("epsilons"))
         if not eps:
             raise ValueError("epsilons must be nonempty")
         if any(b >= a for a, b in zip(eps, eps[1:])):

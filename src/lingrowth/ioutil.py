@@ -1,6 +1,7 @@
 """Deterministic serialization helpers shared by reports and the CLI, the
 one check of a config's keys, and the strict casts of its integer and
-real values.
+real values.  :func:`checked` holds the one wording of a bad value's
+error: the key's name, then what its cast rejected.
 
 All floats are quantized to 12 significant digits before writing, JSON
 keys are sorted, and wall-clock values never enter a file unless the
@@ -14,6 +15,7 @@ import csv
 import json
 import math
 import os
+import sys
 from typing import Optional
 
 
@@ -78,6 +80,15 @@ def check_keys(cfg, allowed, what: str) -> None:
         raise ValueError(f"unknown {what}: {unknown}")
 
 
+def checked(cast, value, what: str, *args):
+    """``cast(value, *args)``; a ValueError or TypeError it raises becomes
+    one ValueError that starts with ``what``, the name of the key."""
+    try:
+        return cast(value, *args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def integer(value) -> int:
     """The value of an integer config key, an int as it is; a bool, a
     fraction or a string is an error."""
@@ -88,10 +99,23 @@ def integer(value) -> int:
 
 def real(value) -> float:
     """The value of a real config key as a float, from an int or a float;
-    a bool or a string is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a real number, got {value!r}")
-    return float(value)
+    a bool, a string, NaN or +-inf is an error."""
+    if (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max):  # false for nan
+        return float(value)
+    raise ValueError(f"must be a finite real number, got {value!r}")
+
+
+def reals(value, length: Optional[int] = None) -> tuple:
+    """The value of a list-of-reals config key as a tuple of floats, from a
+    list, a tuple or a 1-D numpy array (of ``length`` entries when given),
+    each entry :func:`real`."""
+    is_list = isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1
+    if not is_list or length is not None and len(value) != length:
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"must be a list of {count}real numbers, "
+                         f"got {value!r}")
+    return tuple(real(v) for v in value)
 
 
 def deterministic_timestamp() -> Optional[int]:
@@ -105,8 +129,4 @@ def thread_budget() -> int:
     """LINGROWTH_THREADS as an integer >= 1 (default 1).  Nothing in the
     package reads it; only the benchmark's environment record does."""
     raw = os.environ.get("LINGROWTH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LINGROWTH_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    return max(1, checked(int, raw, "LINGROWTH_THREADS"))

@@ -494,6 +494,46 @@ def _sweep(**keys):
     return {"density": {"kind": "area"}, "experiment": {**FAST_SWEEP, **keys}}
 
 
+_SPEC = {"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
+         "convention": "neck"}
+
+
+def _non_finite_cases():
+    """(command, config, key) of NaN, then Infinity, in a real key of each
+    section and boundary data kind."""
+    for x in (float("nan"), float("inf")):
+        yield from [
+            ("solve", solve_config(mesh={"r_in": 0.5, "r_out": x, "n_r": 8,
+                                         "n_theta": 24}), "'r_out'"),
+            ("catenoid", {"density": {"kind": "area"},
+                          "catenoid": {"rho_max": x}}, "'rho_max'"),
+            ("catenoid", {"density": {"kind": "area"},
+                          "catenoid": {"alpha": x}}, "'alpha'"),
+            ("solve", solve_config(boundary={
+                "outer": _affine(),
+                "inner": {"kind": "radial", "spec": {**_SPEC, "alpha": x}}}),
+             "'alpha'"),
+            ("experiment", {"density": {"kind": "area"}, "experiment": {
+                "kind": "comparison", "trials": 1, "n_r": 8, "n_theta": 24,
+                "r_in": x}}, "'r_in'"),
+            ("experiment", _sweep(spike=x), "'spike'"),
+            ("experiment", _sweep(epsilons=[0.3, x]), "'epsilons'"),
+            ("solve", solve_config(boundary={"outer": _affine(q=(0.5, x)),
+                                             "inner": _affine()}), "'q'"),
+            ("solve", solve_config(boundary={"outer": _affine(c=x),
+                                             "inner": _affine()}), "'c'"),
+            ("solve", solve_config(boundary={
+                "outer": {"kind": "samples", "values": [0.0] * 23 + [x]},
+                "inner": _affine()}), "'values'"),
+            ("density", {"density": {"kind": "mu", "mu": x}}, "'mu'"),
+        ]
+
+
+_NON_FINITE_IDS = [f"{key}-{x}" for x in ("nan", "inf") for key in (
+    "r_out", "rho_max", "alpha", "radial-alpha", "comparison-r_in", "spike",
+    "epsilon", "q", "c", "values", "mu")]
+
+
 @pytest.mark.parametrize("command, config, key", [
     # each of these solved, or swept, with a bool read as 1
     ("solve", solve_config(boundary={"outer": _affine(q=(True, 0.1)),
@@ -517,15 +557,23 @@ def _sweep(**keys):
     ("experiment", _sweep(outer_data=_affine(q=(True, 0.1))), "'q'"),
     ("experiment", _sweep(outer_data={"kind": "constant", "value": True}),
      "'value'"),
+    # mu was cast by float(): "3" ran as 3, true as 1
+    ("density", {"density": {"kind": "mu", "mu": "3"}}, "'mu'"),
+    ("density", {"density": {"kind": "mu", "mu": True}}, "'mu'"),
+    ("density --kind mu --mu inf", None, "'mu'"),
+    *_non_finite_cases(),
 ], ids=["solve-q-bool", "solve-c-bool", "solve-value-bool", "solve-q-three",
         "solve-values-string", "spike-bool", "spike-string",
         "outer_radius-bool", "probe_radius-string", "epsilon-bool",
-        "epsilons-scalar", "outer_data-q-bool", "outer_data-value-bool"])
+        "epsilons-scalar", "outer_data-q-bool", "outer_data-value-bool",
+        "mu-string", "mu-bool", "mu-flag-inf", *_NON_FINITE_IDS])
 def test_real_config_value_rejects_bool_and_string(tmp_path, capsys, command,
                                                    config, key):
-    code, out = run(tmp_path, command, config=config)
+    code, out = run(tmp_path, *command.split(), config=config)
+    err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

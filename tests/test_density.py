@@ -65,10 +65,17 @@ def test_mu_family_origin(mu):
     assert gpp == pytest.approx(mu - 1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("mu", [1.0, 0.5, 0.0, -3.0])
+@pytest.mark.parametrize("mu", [1.0, 0.5, 0.0, -3.0, np.inf, np.nan, 1e20,
+                                1e308])
 def test_mu_must_exceed_one(mu):
-    with pytest.raises(ValueError):
+    # from about 1e19 on, a coefficient of g's series overflows a float
+    with pytest.raises(ValueError, match="mu"):
         make_mu_density(mu)
+
+
+def test_large_finite_mu_builds():
+    d = make_mu_density(1e18)
+    assert d.g(0.5) == 0.5 and d.gprime(0.5) == 1.0
 
 
 def test_mu_closed_form_consistency(rng):
@@ -456,7 +463,7 @@ def broadcast_flux_tangent(d, p):
     return flux, tangent
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2])
 def test_flux_tangent_matches_broadcast_bitwise(area, mu3, rng, k):
     p = rng.normal(size=(60, k)) * rng.choice([1e-8, 0.1, 1.0, 30.0],
                                                size=(60, 1))
@@ -471,7 +478,7 @@ def test_flux_tangent_matches_broadcast_bitwise(area, mu3, rng, k):
             assert np.array_equal(tangent, want_tangent)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2])
 def test_flux_only_is_the_flux_of_flux_tangent_bitwise(area, mu3, rng, k):
     p = rng.normal(size=(60, k)) * rng.choice([1e-8, 0.1, 1.0, 30.0],
                                                size=(60, 1))
@@ -484,6 +491,14 @@ def test_flux_only_is_the_flux_of_flux_tangent_bitwise(area, mu3, rng, k):
             assert flux.shape == want[0].shape
             assert flux.tobytes() == want[0].tobytes()
             assert tangent().tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (60, 1), (60, 3), (2, 1)])
+def test_flux_tangent_takes_2_vectors_only(area, shape):
+    p = np.ones(shape)
+    for f in (flux_tangent, flux_lazy_tangent):
+        with pytest.raises(ValueError, match="2-vector"):
+            f(area, p)
 
 
 def test_lazy_tangent_evaluates_gsecond_only_when_built(mu3, rng,
@@ -517,7 +532,7 @@ def _slope_over_norm_from_zero(d, p):
     return p, comps, t, pos, safe, gp / safe
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2])
 def test_slope_over_norm_matches_the_hypot_fold_from_zero_bitwise(
         area, mu3, rng, k):
     p = rng.normal(size=(60, k)) * rng.choice([1e-300, 1e-8, 1.0, 1e300],
