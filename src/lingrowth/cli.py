@@ -37,7 +37,7 @@ from .density import (UndeterminedLimitError, density_from_config,
 from .experiments import (RemovabilityConfig, _dirichlet, circle_data_values,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
-from .mesh import NodeTag, build_polar_mesh
+from .mesh import NodeTag, build_polar_mesh, uniform_shape
 from .solver import NonConvergenceError, solve_dirichlet
 
 EXIT_OK = 0
@@ -265,9 +265,9 @@ def cmd_solve(args) -> int:
     d = normalize(density_from_config(dcfg))
 
     mcfg = _merge("mesh", cfg.get("mesh", {}), _MESH_KEYS, args)
-    mesh = build_polar_mesh(
-        np.linspace(mcfg["r_in"], mcfg["r_out"], mcfg["n_r"] + 1),
-        mcfg["n_theta"])
+    mesh = build_polar_mesh(*uniform_shape(
+        mcfg["r_in"], mcfg["r_out"], mcfg["n_r"], mcfg["n_theta"],
+        "mesh config"))
 
     bcfg = cfg.get("boundary", {})
     data = _boundary_from_config(mesh, bcfg, d)

@@ -48,7 +48,7 @@ from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                        uniform_interior_bound)
 from .density import Density, Growth, density_from_config, normalize
 from .mesh import (NodeTag, PolarMesh, build_polar_mesh, one_column,
-                   radial_values)
+                   radial_values, uniform_shape)
 from .quadrature import QuadratureAccuracyError
 from .solver import (NonConvergenceError, _ring_mode_corrected,
                      check_comparison, solve_dirichlet)
@@ -199,12 +199,12 @@ class RemovabilityConfig:
     is a key of the CLI's ``experiment`` section, and every solve runs with
     :func:`solve_dirichlet`'s default step cap.
 
-    ``n_r``, ``n_theta`` and ``inner_layers`` must be ints, and
-    ``inner_layers`` >= 0 (a bool, a fraction or a negative count raises
-    ValueError naming the key); ``outer_radius``, ``probe_radius``,
-    ``spike`` and each epsilon must be finite real numbers (a bool, a
-    string, NaN or +-inf raises ValueError naming the key), and are kept
-    as floats.
+    ``n_r``, ``n_theta`` and ``inner_layers`` must be ints, ``n_r`` and
+    ``n_theta`` >= 3 and ``inner_layers`` >= 0 (a bool, a fraction or a
+    smaller count raises ValueError naming the key); ``outer_radius``,
+    ``probe_radius``, ``spike`` and each epsilon must be finite real
+    numbers (a bool, a string, NaN or +-inf raises ValueError naming the
+    key), and are kept as floats.
     ``epsilons`` must be positive, decrease strictly and stay below
     ``probe_radius``, which in turn lies inside the outer radius.
     ``outer_data`` follows the config schema of
@@ -243,11 +243,8 @@ class RemovabilityConfig:
 
     def __post_init__(self):
         what = "removability config key {!r}".format
-        for key in ("n_r", "n_theta", "inner_layers"):
-            ioutil.checked(ioutil.integer, getattr(self, key), what(key))
-        if self.inner_layers < 0:
-            raise ValueError(f"removability config key 'inner_layers': must "
-                             f"be >= 0, got {self.inner_layers}")
+        for key, low in (("n_r", 3), ("n_theta", 3), ("inner_layers", 0)):
+            ioutil.checked(ioutil.integer, getattr(self, key), what(key), low)
         for key in ("outer_radius", "probe_radius", "spike"):
             object.__setattr__(self, key, ioutil.checked(
                 ioutil.real, getattr(self, key), what(key)))
@@ -573,9 +570,18 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
     offset chosen so the barrier matches the constant outer data, the
     solved field's inner data is pinned strictly below the barrier's neck
     value, and the solution must stay under the barrier nodewise.
+
+    ``trials`` must be an int >= 1 and ``fourier_degree`` an int >= 0;
+    the mesh keys are checked by :func:`lingrowth.mesh.uniform_shape`.
+    A bad value raises ValueError naming its key.
     """
+    what = "comparison config key {!r}".format
+    trials = ioutil.checked(ioutil.integer, trials, what("trials"), 1)
+    fourier_degree = ioutil.checked(ioutil.integer, fourier_degree,
+                                    what("fourier_degree"), 0)
+    mesh = build_polar_mesh(*uniform_shape(r_in, r_out, n_r, n_theta,
+                                           "comparison config"))
     d = normalize(d)
-    mesh = build_polar_mesh(np.linspace(r_in, r_out, n_r + 1), n_theta)
     h = mesh.h_radial
     tol = 1e-8 + 10.0 * h * h
     rng = np.random.default_rng(seed)

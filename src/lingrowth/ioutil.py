@@ -89,11 +89,13 @@ def checked(cast, value, what: str, *args):
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def integer(value) -> int:
+def integer(value, low: Optional[int] = None) -> int:
     """The value of an integer config key, an int as it is; a bool, a
-    fraction or a string is an error."""
-    if type(value) is not int:
-        raise ValueError(f"must be an integer, got {value!r}")
+    fraction, a string or, when ``low`` is given, an int below it is an
+    error."""
+    if type(value) is not int or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"must be an integer{bound}, got {value!r}")
     return value
 
 

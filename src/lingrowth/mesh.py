@@ -35,6 +35,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from . import ioutil
+
 
 class NodeTag(IntEnum):
     INTERIOR = 0
@@ -225,6 +227,26 @@ def build_polar_mesh(ring_radii, n_theta: int) -> PolarMesh:
 
     return PolarMesh(n_theta=int(n_theta), node_tags=tags, ring_radii=radii,
                      areas=areas, grads=grads)
+
+
+def uniform_shape(r_in, r_out, n_r, n_theta, what: str) -> tuple:
+    """The arguments ``(ring_radii, n_theta)`` of :func:`build_polar_mesh`
+    for n_r + 1 equally spaced rings from r_in to r_out, from the config
+    keys of those names in ``what`` (such as "mesh config").  A value
+    that makes no mesh is a ValueError that names its key: n_r or n_theta
+    not an integer >= 3, r_in not a finite real >= 0 (0 gives a disk),
+    or r_out not above r_in."""
+    key = f"{what} key {{!r}}".format
+    n_r = ioutil.checked(ioutil.integer, n_r, key("n_r"), 3)
+    n_theta = ioutil.checked(ioutil.integer, n_theta, key("n_theta"), 3)
+    r_in = ioutil.checked(ioutil.real, r_in, key("r_in"))
+    r_out = ioutil.checked(ioutil.real, r_out, key("r_out"))
+    if r_in < 0.0:
+        raise ValueError(f"{key('r_in')}: must be >= 0, got {r_in!r}")
+    if not r_out > r_in:
+        raise ValueError(f"{key('r_out')}: must exceed r_in = {r_in!r}, "
+                         f"got {r_out!r}")
+    return np.linspace(r_in, r_out, n_r + 1), n_theta
 
 
 def one_column(mesh: PolarMesh) -> PolarMesh:

@@ -43,6 +43,20 @@ column rotates its residual bit for bit (a disk's center, which sums its
 row, aside), and a ring-constant field has a residual that is constant
 on each ring.
 
+Beyond its outputs, no residual kernel builds a product over every
+vertex, every term or both components at once: the triangle gradients
+add their second hat-gradient term one component at a time, the nodal
+gradient forms its contributions for a block of whole cell rings at a
+time (``_NODAL_BLOCK`` cells), the mu family's g sums its series for a
+block of ``_SERIES_BLOCK`` entries at a time
+(:mod:`lingrowth.density`), and the flux's lazy tangent keeps t, g'/t
+and the mask t > 0, not what it can recompute.  Each makes the IEEE
+operations of the whole-mesh form in the same order, so the bits do not
+depend on the blocks.  On the 128 x 256 level of the refinement study
+(M = 65,536 triangles) a start that passes the gradient test peaks at
+8.5 arrays of M doubles above the memory held on entry to the solve,
+against 14.3 with whole-mesh products.
+
 Ring-major node numbering keeps every interior coupling within n_theta + 1
 of the diagonal (n_theta at a disk's center), so the interior Hessian is
 stored in LAPACK's lower band layout and each Newton step is one banded
@@ -223,7 +237,8 @@ def _triangle_gradients(mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
     np.subtract(nxt[:-1], lo, out=diff[:, 2])   # to (k, j + 1)
     G = mesh.grads.reshape(2, 3, -1, 2, 1)      # by cell ring and kind
     p = G[:, 1] * diff[:, :2]
-    p += G[:, 2] * diff[:, 1:]
+    for c in range(2):
+        p[c] += G[c, 2] * diff[:, 1:]
     return p.reshape(2, -1).T
 
 
@@ -243,6 +258,14 @@ def _add_next(grid: np.ndarray, values: np.ndarray):
     grid[:, :1] += values[:, -1:]
 
 
+# (cell ring, column) cells whose contributions :func:`_nodal_gradient`
+# forms at once, rounded down to whole cell rings, one at least: 12 doubles
+# a cell, its six vertex contributions and one product of the same size,
+# so at most 0.4 MB beyond the gradient whatever the mesh (a 48 x 64 or a
+# smaller mesh is one block).
+_NODAL_BLOCK = 4096
+
+
 def _nodal_gradient(mesh: PolarMesh, flux: np.ndarray) -> np.ndarray:
     """Add (M, 2) per-triangle fluxes into the nodal energy gradient.
 
@@ -250,25 +273,45 @@ def _nodal_gradient(mesh: PolarMesh, flux: np.ndarray) -> np.ndarray:
     contributions are added slice by slice, every column in the same
     order: the order of the triangle numbering within each column (lower
     cell ring first, kind 0 first, vertex by vertex), which on a
-    one-column mesh is the numbering itself.  A disk's center sums its
-    row."""
+    one-column mesh is the numbering itself.  They are formed for a block
+    of about ``_NODAL_BLOCK`` cells, whole cell rings, at a time, lower
+    blocks first (:func:`_add_cell_rings`).  A node's terms from the cell
+    ring below it are all added before those from the cell ring above it,
+    so every node sums its terms in the same order whatever the blocks.
+    A disk's center sums its row."""
     rows, n = len(mesh.areas), mesh.n_theta
     aG = (mesh.areas * mesh.grads)[..., None]   # (2, 3, rows, 1)
-    c = aG[0] * flux[:, 0].reshape(rows, n)
-    c += aG[1] * flux[:, 1].reshape(rows, n)
-    c0, c1, c2 = c.reshape(3, -1, 2, n)         # by cell ring and kind
+    f0, f1 = (flux[:, c].reshape(rows, n) for c in range(2))
     grid = np.zeros((len(mesh.ring_radii), n))
+    step = max(1, _NODAL_BLOCK // n)            # cell rings of a block
+    for ring in range(0, rows // 2, step):
+        block = slice(2 * ring, 2 * (ring + step))
+        _add_cell_rings(grid[ring:ring + step + 1], aG[:, :, block],
+                        f0[block], f1[block])
+    if mesh.is_disk:
+        # the center's sum in place of ring 0's last entry, followed by
+        # every other ring: the nodal vector is a view of the grid
+        grid[0, -1] = grid[0].sum()
+        return grid.ravel()[n - 1:]
+    return grid.ravel()
+
+
+def _add_cell_rings(grid, aG, f0, f1):
+    """Add the nodal contributions of whole cell rings into ``grid``, the
+    rings they span: (2, 3, rows, 1) area-weighted hat gradients and
+    (rows, n_theta) flux components of their rows."""
+    c = aG[0] * f0
+    c += aG[1] * f1
+    c0, c1, c2 = c.reshape(3, -1, 2, f0.shape[-1])  # by cell ring and kind
     # from the cell ring below: kind 0's second and third vertices, kind
     # 1's second; from the one above: both first vertices, kind 1's third
-    grid[1:] += c1[:, 0]
-    _add_next(grid[1:], c2[:, 0])
-    _add_next(grid[1:], c1[:, 1])
-    grid[:-1] += c0[:, 0]
-    grid[:-1] += c0[:, 1]
-    _add_next(grid[:-1], c2[:, 1])
-    if mesh.is_disk:
-        return np.concatenate([[grid[0].sum()], grid[1:].ravel()])
-    return grid.ravel()
+    upper, lower = grid[1:], grid[:-1]
+    upper += c1[:, 0]
+    _add_next(upper, c2[:, 0])
+    _add_next(upper, c1[:, 1])
+    lower += c0[:, 0]
+    lower += c0[:, 1]
+    _add_next(lower, c2[:, 1])
 
 
 # the (i, j) vertex pairs, i >= j, of the lower triangle of a 3 x 3 block

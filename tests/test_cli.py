@@ -577,6 +577,47 @@ def test_real_config_value_rejects_bool_and_string(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def _comparison(**keys):
+    return {"density": {"kind": "area"}, "experiment": {
+        "kind": "comparison", "trials": 1, "n_r": 8, "n_theta": 16, **keys}}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    # ran no trial, passed all three checks and exited 0
+    ("experiment", _comparison(trials=-1), "comparison config key 'trials'"),
+    ("experiment", _comparison(trials=0), "comparison config key 'trials'"),
+    # failed in numpy: "negative dimensions are not allowed"
+    ("experiment", _comparison(fourier_degree=-1),
+     "comparison config key 'fourier_degree'"),
+    # each failed in the mesh builder, which names no key
+    ("solve --n-r 0", solve_config(), "mesh config key 'n_r'"),
+    ("solve --n-r 2", solve_config(), "mesh config key 'n_r'"),
+    ("solve --n-theta 2", solve_config(), "mesh config key 'n_theta'"),
+    ("solve --r-in 1 --r-out 0.5", solve_config(), "mesh config key 'r_out'"),
+    ("solve --r-in 0.5 --r-out 0.5", solve_config(),
+     "mesh config key 'r_out'"),
+    ("solve --r-in -0.5", solve_config(), "mesh config key 'r_in'"),
+    ("experiment", _comparison(n_r=0), "comparison config key 'n_r'"),
+    ("experiment", _comparison(n_theta=2), "comparison config key 'n_theta'"),
+    ("experiment", _comparison(r_in=1.0, r_out=0.5),
+     "comparison config key 'r_out'"),
+    ("experiment", _sweep(n_r=2), "removability config key 'n_r'"),
+    ("experiment", _sweep(n_theta=0), "removability config key 'n_theta'"),
+], ids=["trials-negative", "trials-zero", "fourier_degree-negative",
+        "solve-n_r-zero", "solve-n_r-two", "solve-n_theta-two",
+        "solve-r_out-below", "solve-r_out-equal", "solve-r_in-negative",
+        "comparison-n_r-zero", "comparison-n_theta-two",
+        "comparison-r_out-below", "removability-n_r-two",
+        "removability-n_theta-zero"])
+def test_count_or_radius_out_of_range_names_its_key(tmp_path, capsys,
+                                                    command, config, key):
+    code, out = run(tmp_path, *command.split(), config=config)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {key}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_constant_data_on_either_circle(tmp_path):
     cfg = solve_config(boundary={"outer": {"kind": "constant", "value": 0.3},
                                  "inner": {"kind": "constant", "value": 0.3}})

@@ -528,8 +528,7 @@ def _slope_over_norm_from_zero(d, p):
         t = np.hypot(t, c)
     gp = np.asarray(d.gprime(t), dtype=float)
     pos = t > 0.0
-    safe = np.where(pos, t, 1.0)
-    return p, comps, t, pos, safe, gp / safe
+    return p, comps, t, pos, gp / np.where(pos, t, 1.0)
 
 
 @pytest.mark.parametrize("k", [2])

@@ -537,6 +537,24 @@ def test_barrier_seed_keeps_large_spike_ring_solves_short(density, spike,
 # -- comparison suite -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("keys, key", [
+    ({"trials": 0}, "'trials'"), ({"trials": 2.0}, "'trials'"),
+    ({"fourier_degree": -1}, "'fourier_degree'"),
+    ({"n_r": 2}, "'n_r'"), ({"n_theta": 0}, "'n_theta'"),
+    ({"r_in": 1.0}, "'r_out'")])
+def test_comparison_rejects_a_bad_key_before_any_trial(area, keys, key):
+    # trials <= 0 ran no trial and passed every check
+    keys = {"trials": 1, **keys}
+    with pytest.raises(ValueError, match=f"^comparison config key {key}: "):
+        run_comparison_suite(area, seed=0, **keys)
+
+
+def test_comparison_degree_zero_draws_constant_data(area):
+    rep = run_comparison_suite(area, trials=1, seed=0, fourier_degree=0,
+                               n_r=4, n_theta=8)
+    assert rep.checks["complete"] and rep.checks["all_trials_hold"]
+
+
 def test_comparison_single_identical_trial(area):
     rep = run_comparison_suite(area, trials=1, seed=0)
     assert rep.checks["complete"]

@@ -14,6 +14,7 @@ from lingrowth.mesh import (
     one_column,
     radial_values,
     same_mesh,
+    uniform_shape,
 )
 from lingrowth.solver import (_nodal_gradient, _triangle_gradients, energy,
                               solve_dirichlet)
@@ -262,6 +263,29 @@ def test_triangles_match_cell_by_cell_construction(args, kw):
 def test_degenerate_parameters_rejected(bad):
     with pytest.raises(ValueError):
         build_polar_mesh(*bad)
+
+
+@pytest.mark.parametrize("r_in, r_out, n_r, n_theta, key", [
+    (0.5, 1.0, 2, 8, "'n_r'"),
+    (0.5, 1.0, 8.0, 8, "'n_r'"),
+    (0.5, 1.0, 8, 2, "'n_theta'"),
+    (0.5, 1.0, 8, True, "'n_theta'"),
+    (-0.5, 1.0, 8, 8, "'r_in'"),
+    (float("nan"), 1.0, 8, 8, "'r_in'"),
+    (1.0, 0.5, 8, 8, "'r_out'"),
+    (0.5, 0.5, 8, 8, "'r_out'"),
+    (0.5, "1", 8, 8, "'r_out'"),
+])
+def test_uniform_shape_names_the_bad_key(r_in, r_out, n_r, n_theta, key):
+    with pytest.raises(ValueError, match=f"^mesh config key {key}: "):
+        uniform_shape(r_in, r_out, n_r, n_theta, "mesh config")
+
+
+def test_uniform_shape_is_linspace():
+    radii, n_theta = uniform_shape(0, 1.5, 3, 3, "mesh config")
+    assert radii.tobytes() == np.linspace(0.0, 1.5, 4).tobytes()
+    assert n_theta == 3
+    assert build_polar_mesh(radii, n_theta).is_disk
 
 
 def test_ring_major_indexing():
