@@ -189,13 +189,16 @@ def _radial_integrals(d: Density, alpha: float, n: int,
 
 def _check_radii(radii, neck: float) -> np.ndarray:
     """``radii`` as a float array, checked to be nonempty, one-dimensional
-    and strictly ascending from above the neck radius."""
+    and strictly ascending from above the neck radius; one radius is
+    ``[rho]``."""
     radii = np.asarray(radii, dtype=float)
     if not (radii.ndim == 1 and radii.size and radii[0] > neck
             and np.all(np.diff(radii) > 0.0)):
+        shown = np.array2string(radii, threshold=6, separator=", ")
         raise ValueError(
-            "radii must form a nonempty, strictly ascending array above the "
-            f"neck radius {neck:.12g}; the profile is undefined elsewhere")
+            f"every radius must exceed the neck radius {neck:.12g} and the "
+            f"radius before it, got {shown}; the profile is undefined "
+            f"elsewhere")
     return radii
 
 
@@ -260,13 +263,6 @@ def _substituted_integral(d: Density, n: int, s_lo: float,
     return float(np.cumsum(panels)[-1])
 
 
-def _check_radius(spec: CatenoidSpec, rho: float):
-    if not (rho > spec.neck_radius):
-        raise ValueError(
-            f"radius {rho} is not above the neck radius "
-            f"{spec.neck_radius:.12g}; the profile is undefined there")
-
-
 # ---------------------------------------------------------------------------
 # profile evaluation: two independent routes
 
@@ -287,7 +283,7 @@ def profile_value(d: Density, spec: CatenoidSpec, rho: float) -> float:
     """
     _require_normalized(d)
     rho = float(rho)
-    _check_radius(spec, rho)
+    _check_radii([rho], spec.neck_radius)
     neck = spec.neck_radius
 
     if spec.anchor is Anchor.NECK and classify_growth(d) is Growth.INFINITE_INTEGRAL:
@@ -334,7 +330,7 @@ def profile_value_substituted(d: Density, spec: CatenoidSpec,
     """
     _require_normalized(d)
     rho = float(rho)
-    _check_radius(spec, rho)
+    _check_radii([rho], spec.neck_radius)
 
     n = spec.dim_n
     prefactor = spec.alpha ** (1.0 / (n - 1))
@@ -465,8 +461,6 @@ def envelope_bound(d: Density, r: float, rho: float, R: float,
     one radius rho.
     """
     _require_normalized(d)
-    if not (0.0 < r < rho < R):
-        raise ValueError(f"need 0 < r < rho < R, got r={r}, rho={rho}, R={R}")
     return float(envelope_bounds(d, r, [rho], R, outer_value, n)[0])
 
 

@@ -147,6 +147,13 @@ def _affine_coefficients(cfg: dict, name: str) -> Optional[tuple]:
             ioutil.checked(ioutil.real, cfg["c"], f"{name} data key 'c'"))
 
 
+def _affine_values(nodes: np.ndarray, affine: tuple) -> np.ndarray:
+    """q . x + c at (N, 2) ``nodes`` for ``affine`` = (q0, q1, c), taken
+    elementwise, not as a BLAS product, so boundary data and the reference
+    start share their bits at every BLAS thread count."""
+    return nodes[:, 0] * affine[0] + nodes[:, 1] * affine[1] + affine[2]
+
+
 def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
                        d: Density) -> np.ndarray:
     """Values on one boundary circle (``NodeTag.INNER`` or
@@ -168,7 +175,7 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
                       f"{name} data key(s) for kind {kind!r}")
     affine = _affine_coefficients(cfg, name)
     if kind == "affine":
-        return mesh.nodes[idx] @ np.array(affine[:2]) + affine[2]
+        return _affine_values(mesh.nodes[idx], affine)
     if kind == "constant":
         return np.full(len(idx), affine[2])
     if kind == "radial":
@@ -349,12 +356,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     disk = build_polar_mesh(np.linspace(0.0, R, cfg.n_r + 1), cfg.n_theta)
     outer_vals = circle_data_values(disk, NodeTag.OUTER, cfg.outer_data, d)
     affine = _affine_coefficients(cfg.outer_data, "outer")
-    start = None
-    if affine is not None:
-        # x * q0 + y * q1 + c elementwise, not a BLAS product, so the start
-        # has the same bits at every BLAS thread count
-        nodes = disk.nodes
-        start = nodes[:, 0] * affine[0] + nodes[:, 1] * affine[1] + affine[2]
+    start = None if affine is None else _affine_values(disk.nodes, affine)
     reference = solve_dirichlet(d, disk, _dirichlet(disk, outer=outer_vals),
                                 x0=start)
     max_outer = float(np.max(outer_vals))
@@ -379,7 +381,7 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
                                _dirichlet(column, inner=cfg.spike, outer=0.0),
                                x0=start)
         seed, corrections = _ring_mode_corrected(
-            d, annulus, column, ring.values,
+            d, annulus, ring.values,
             ref_on_annulus + annulus.from_rings(column.rings(ring.values)))
         sol = solve_dirichlet(d, annulus, data, x0=seed)
         h = annulus.h_radial
@@ -488,14 +490,22 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     certificate: where the start passes it, the level takes no 2D Newton
     step and factors no 2D band.  Each record carries the column's Newton
     steps as ``column_iterations`` next to the 2D ``iterations``.
+
+    ``refinements`` must be an int >= 1, ``n_r0`` and ``n_theta0`` ints
+    >= 3, and neck < r_in < r_out; a bad value raises ValueError naming it.
     """
+    key = "catenoid config key {!r}".format
+    refinements = ioutil.checked(ioutil.integer, refinements,
+                                 key("refinements"), 1)
+    n_r0 = ioutil.checked(ioutil.integer, n_r0, key("n_r0"), 3)
+    n_theta0 = ioutil.checked(ioutil.integer, n_theta0, key("n_theta0"), 3)
+    if not r_in > spec.neck_radius:
+        raise ValueError(f"{key('r_in')}: must exceed the neck radius "
+                         f"{spec.neck_radius:.12g}, got {r_in!r}")
+    if not r_out > r_in:
+        raise ValueError(f"{key('r_out')}: must exceed r_in = {r_in!r}, "
+                         f"got {r_out!r}")
     d = normalize(d)
-    if not (spec.neck_radius < r_in < r_out):
-        raise ValueError(
-            f"annulus [{r_in}, {r_out}] must sit strictly outside the "
-            f"neck radius {spec.neck_radius:.12g}")
-    if refinements < 1:
-        raise ValueError("need at least one refinement level")
 
     # every level shares the two circles
     inner, outer = profile_value(d, spec, r_in), profile_value(d, spec, r_out)

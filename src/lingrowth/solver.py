@@ -99,12 +99,15 @@ angles opposite the diagonal.  The cell is an isosceles trapezoid, so
 B + D = pi and the coupling vanishes.  What is left couples each node to
 itself (D0), to the next node of its ring (D1) and to the node of the next
 ring in its column (S): diagonal D0 + 2 cos(theta_k) D1, off-diagonal S.
-:func:`_ring_mode_step` sums them from the blocks of the one-column mesh,
-whose rows are the annulus's column-0 triangles, stacks the real and
-imaginary parts of every mode k = 0 .. n_theta // 2 of ``numpy.fft.rfft``
-into one band of depth 2, and factors and solves it with the same
-``dpbtrf``/``dpbtrs``.  A step with it differs from the 2D banded solve of
-K(w) by rounding only, and it needs the flux alone, not the tangent.
+Mode 0 is the band of the one-column mesh over n_theta, D1 landing on
+its diagonal twice by the rule above, so :func:`_ring_mode_step` reads it
+through the cached map the ring solve has just used, bit for bit, sums
+only D1 from the blocks and gives mode k mode 0's diagonal plus
+2 (cos(theta_k) - 1) D1.  It stacks the real and imaginary parts of every
+mode k = 0 .. n_theta // 2 of ``numpy.fft.rfft`` into one band of depth
+2, and factors and solves it with the same ``dpbtrf``/``dpbtrs``.  A step
+with it differs from the 2D banded solve of K(w) by rounding only, and it
+needs the flux alone, not the tangent.
 :func:`_ring_mode_corrected` repeats it on a start for as long as the
 corrections contract, until the next one would fall below the rounding of
 the field; the gradient test of :func:`solve_dirichlet` still decides
@@ -152,7 +155,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .density import Density, flux_lazy_tangent, flux_tangent
-from .mesh import PolarMesh, same_mesh
+from .mesh import PolarMesh, one_column, same_mesh
 
 
 @dataclass(frozen=True, eq=False)
@@ -617,49 +620,35 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
     return out
 
 
-def _ring_mode_step(d: Density, annulus: PolarMesh, column: PolarMesh,
-                    ring_values: np.ndarray):
+def _ring_mode_step(d: Density, annulus: PolarMesh, ring_values: np.ndarray):
     """The map u -> u - K(w)^-1 grad E(u) on the interior of ``annulus``,
     boundary entries kept, where w is the ring-constant field of
-    ``ring_values`` on ``column``, the annulus's one-column mesh
-    (:func:`lingrowth.mesh.one_column`), and K(w) the 2D interior Hessian
+    ``ring_values``, one value per ring, and K(w) the 2D interior Hessian
     at w.  K(w) is factored once, here, for every call of the map.
 
     K(w) is never assembled in 2D: it is block-circulant in theta, and each
-    Fourier mode is one real tridiagonal system in the ring index (see the
-    module docstring).  A disk's center couples every column, so disks
-    raise ValueError.
+    Fourier mode is one real tridiagonal system in the ring index, mode 0
+    the band of the annulus's one-column mesh (see the module docstring).
+    A disk's center couples every column, so disks raise ValueError.
     """
     if annulus.is_disk:
         raise ValueError("the ring-mode step needs an annulus, not a disk")
-    n, n_rings = annulus.n_theta, len(annulus.ring_radii)
-    m = n_rings - 2                             # interior rings
-
-    # the column's rows are the annulus's column-0 triangles, whose blocks
-    # at w are those of every rotated copy; the column scales their areas
-    # by n_theta.  Its rows alternate kind 0 and kind 1, cell ring by cell
-    # ring.
+    n = annulus.n_theta
+    column = one_column(annulus)
     _, tangent = flux_tangent(d, _triangle_gradients(column, ring_values))
     lower = _blocks(column, tangent) / n
-    kind0, kind1 = lower[0::2].T, lower[1::2].T
-    # D0, D1 and S of the module docstring, in _LOWER order of the blocks
-    # of kind 0, (k, j) (k+1, j) (k+1, j+1), and kind 1, (k, j)
-    # (k+1, j+1) (k, j+1); S sums both diagonal couplings of each cell,
-    # which cancel
-    D0 = np.zeros(n_rings)
-    D0[:-1] += kind0[0] + kind1[0] + kind1[5]
-    D0[1:] += kind0[2] + kind0[5] + kind1[2]
-    D1 = np.zeros(n_rings)
-    D1[1:] += kind0[4]
-    D1[:-1] += kind1[3]
-    S = kind0[1] + kind0[3] + kind1[1] + kind1[4]     # by the lower ring
+    base = _cached_band(column, column.interior_nodes()).matrix(lower)
+    # D1: entry (2, 1) of kind 0, (k+1, j) (k+1, j+1), in the cell ring
+    # below, plus entry (2, 0) of kind 1, (k, j) (k, j+1), in the one above
+    D1 = lower[0:-2:2, 4] + lower[3::2, 3]
     cos = np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
     # the real and imaginary parts of every mode, one tridiagonal block
-    # each, in LAPACK's lower band layout
-    ab = np.zeros((2, len(cos), m, 2))
-    ab[..., 0] = D0[1:-1] + 2.0 * cos[:, None] * D1[1:-1]
-    ab[..., :-1, 1] = S[1:-1]
+    # each, in LAPACK's lower band layout, kept apart by base[1][-1] = 0
+    m = base.shape[1]                           # interior rings
+    ab = np.empty((2, len(cos), m, 2))
+    ab[..., 0] = base[0] + 2.0 * (cos[:, None] - 1.0) * D1
+    ab[..., 1] = base[1]
     factor = _factor(ab.reshape(-1, 2).T)
 
     def step(u: np.ndarray) -> np.ndarray:
@@ -689,7 +678,7 @@ _CHORD_CONTRACTION = 0.25
 
 
 @_one_blas_thread()
-def _ring_mode_corrected(d: Density, annulus: PolarMesh, column: PolarMesh,
+def _ring_mode_corrected(d: Density, annulus: PolarMesh,
                          ring_values: np.ndarray, start: np.ndarray) -> tuple:
     """(u, kept): ``start`` corrected by :func:`_ring_mode_step` at the
     ring-constant field ``ring_values`` for as long as the corrections
@@ -707,7 +696,7 @@ def _ring_mode_corrected(d: Density, annulus: PolarMesh, column: PolarMesh,
     end it without 0 / 0.  Whether u is a solution is still for the
     gradient test of :func:`solve_dirichlet` to decide.
     """
-    step = _ring_mode_step(d, annulus, column, ring_values)
+    step = _ring_mode_step(d, annulus, ring_values)
     once = step(start)
     u = step(once)
     if (np.linalg.norm(u - once)

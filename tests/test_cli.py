@@ -470,6 +470,16 @@ def test_section_the_command_does_not_read_is_config_error(
     ("experiment", {"density": {"kind": "area"}, "experiment": {
         "kind": "catenoid", "refinements": 1, "n_theta0": 8.5}},
      "'n_theta0'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "n_r0": 2}}, "'n_r0'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "n_theta0": 2}}, "'n_theta0'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinements": 0}}, "'refinements'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "r_in": 0.1}}, "'r_in'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "r_out": 1.0}}, "'r_out'"),
 ], ids=["experiment", "solver", "catenoid", "seed-string", "seed-float",
         "n-fraction", "samples-fraction", "trials-bool", "max_iter-bool",
         "max_iter-negative", "r_out-bool", "r_in-string", "rho_min-bool",
@@ -478,7 +488,10 @@ def test_section_the_command_does_not_read_is_config_error(
         "comparison-r_out-string", "comparison-n_r-fraction",
         "comparison-n_theta-bool", "comparison-fourier_degree-fraction",
         "catenoid-r_in-string", "catenoid-r_out-bool",
-        "catenoid-n_r0-fraction", "catenoid-n_theta0-fraction"])
+        "catenoid-n_r0-fraction", "catenoid-n_theta0-fraction",
+        "catenoid-n_r0-small", "catenoid-n_theta0-small",
+        "catenoid-refinements-zero", "catenoid-r_in-inside-neck",
+        "catenoid-r_out-below-r_in"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, command,
                                                 config, word):
     code, _ = run(tmp_path, command, config=config)

@@ -420,6 +420,26 @@ def test_affine_reference_is_its_own_start(monkeypatch, outer):
     assert rep.reference["iterations"] == 0 and rep.reference["converged"]
 
 
+def test_affine_data_and_reference_share_one_formula(monkeypatch):
+    # on the default 48 x 64 disk the boundary data and the reference start
+    # are both x * q0 + y * q1 + c, so the certified reference is that
+    # field at every node, its boundary included
+    calls = _record_solves(monkeypatch)
+    cfg = RemovabilityConfig(density={"kind": "area"})
+    rep = run_removability(cfg)
+    (_, disk, _, _, reference), *_ = calls
+    q, c = cfg.outer_data["q"], cfg.outer_data["c"]
+    nodes = disk.nodes
+    want = nodes[:, 0] * q[0] + nodes[:, 1] * q[1] + c
+    outer = disk.outer_nodes()
+    got = circle_data_values(disk, NodeTag.OUTER, cfg.outer_data,
+                             normalize(make_area_density()))
+    assert (cfg.n_r, cfg.n_theta) == (48, 64) and len(outer) == 64
+    assert np.array_equal(got, want[outer])
+    assert np.array_equal(reference.values, want)
+    assert rep.reference["iterations"] == 0
+
+
 def test_sampled_reference_starts_from_the_harmonic_extension(monkeypatch):
     # samples data are not affine: the reference disk starts cold, as before
     calls = _record_solves(monkeypatch)

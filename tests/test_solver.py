@@ -372,10 +372,11 @@ def test_one_column_band_is_the_ring_summed_hessian(density, request, rng):
 @pytest.mark.parametrize("n_theta", [15, 16])
 @pytest.mark.parametrize("density", ["area", "mu3"])
 def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
-                                                  rng):
+                                                  rng, monkeypatch):
     # K(w) at a ring-constant w is block-circulant in theta, so its mode by
     # mode solve is the 2D banded solve of the same matrix, with and
-    # without a Nyquist mode
+    # without a Nyquist mode; mode 0 is the one-column band of the ring
+    # solve over n_theta, bit for bit
     d = request.getfixturevalue(density)
     mesh = build_polar_mesh(_graded_radii(0.1, 1.0, 8, 2), n_theta)
     column = one_column(mesh)
@@ -391,18 +392,34 @@ def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
     want[ii] -= solver._solve_factored(factor,
                                        _nodal_gradient(mesh, flux)[ii])
 
-    got = _ring_mode_step(d, mesh, column, w)(u)
+    factored, factor_band = [], solver._factor
+
+    def spy(ab):
+        factored.append(ab.copy())
+        return factor_band(ab)
+
+    monkeypatch.setattr(solver, "_factor", spy)
+    got = _ring_mode_step(d, mesh, w)(u)
     bnodes = mesh.boundary_nodes()
     assert np.array_equal(got[bnodes], u[bnodes])
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want - u)))
 
+    ci = column.interior_nodes()
+    _, column_tangent = flux_tangent(d, _triangle_gradients(column, w))
+    mode0 = _cached_band(column, ci).matrix(
+        _blocks(column, column_tangent) / n_theta)
+    (ab,) = factored
+    m, modes = len(ci), n_theta // 2 + 1
+    assert ab.shape == (2, 2 * modes * m)
+    for part in (ab[:, :m], ab[:, modes * m:(modes + 1) * m]):
+        assert np.array_equal(part, mode0)
+
 
 def test_ring_mode_step_rejects_a_disk(area):
     disk = build_polar_mesh(np.linspace(0.0, 1.0, 7), 12)
-    column = one_column(disk)
     with pytest.raises(ValueError, match="annulus"):
-        _ring_mode_step(area, disk, column, np.zeros(len(disk.ring_radii)))
+        _ring_mode_step(area, disk, np.zeros(len(disk.ring_radii)))
 
 
 def _scripted_corrections(monkeypatch, sizes):
@@ -434,7 +451,7 @@ def _scripted_corrections(monkeypatch, sizes):
 def test_ring_mode_corrections_follow_the_contraction_rule(monkeypatch, sizes,
                                                            kept, calls):
     used = _scripted_corrections(monkeypatch, iter(sizes))
-    u, got = _ring_mode_corrected(None, None, None, None, np.array([1.0, 0.0]))
+    u, got = _ring_mode_corrected(None, None, None, np.array([1.0, 0.0]))
     assert (got, len(used)) == (kept, calls)
     assert u[1] == pytest.approx(sum(used[:kept]), rel=1e-12)
 
@@ -443,11 +460,10 @@ def test_exactly_zero_ring_mode_corrections_end_the_loop(area):
     # at a zero field every correction is exactly zero: the stopping test,
     # a predicted correction of 0 / 0, must end the loop without dividing
     mesh = build_polar_mesh(_graded_radii(0.1, 1.0, 8, 2), 16)
-    column = one_column(mesh)
     start = np.zeros(mesh.num_nodes)
     with np.errstate(all="raise"):
-        u, kept = _ring_mode_corrected(area, mesh, column,
-                                       np.zeros(len(column.ring_radii)), start)
+        u, kept = _ring_mode_corrected(area, mesh,
+                                       np.zeros(len(mesh.ring_radii)), start)
     assert kept == 2 and np.array_equal(u, start)
 
 
@@ -1049,7 +1065,7 @@ def test_ring_mode_corrections_run_blas_on_one_thread(mu3, blas_count,
     start = (mesh.from_rings(column.rings(ring.values))
              + 0.01 * (mesh.nodes[:, 0] - 0.1 * np.cos(mesh.node_angles())))
     seen = _record_counts_in_band_calls(monkeypatch, blas_count)
-    _, kept = _ring_mode_corrected(mu3, mesh, column, ring.values, start)
+    _, kept = _ring_mode_corrected(mu3, mesh, ring.values, start)
     names = [n for n, _ in seen]
     # one mode band, solved for every correction made
     assert kept > 2
