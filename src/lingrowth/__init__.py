@@ -26,9 +26,9 @@ from .catenoid import (Anchor, CatenoidSpec, RadialProfile, Sign,
                        profile_values, sample_profile, uniform_interior_bound)
 from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
                       ValidationReport, classify_growth, density_from_config,
-                      flux_tangent, invert_gprime, make_area_density,
+                      flux, invert_gprime, make_area_density,
                       make_custom_density, make_mu_density, normalize,
-                      validate)
+                      tangent, validate)
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
@@ -48,13 +48,13 @@ __all__ = [
     "TailEstimate", "UndeterminedLimitError", "ValidationReport",
     "build_polar_mesh", "check_comparison", "classify_growth",
     "density_from_config", "energy", "envelope_bound", "envelope_bounds",
-    "flux_tangent", "invert_gprime", "make_area_density",
+    "flux", "invert_gprime", "make_area_density",
     "make_custom_density", "make_mu_density", "neck_limit", "normalize",
     "ode_residual",
     "profile_value", "profile_value_substituted", "profile_values",
     "radial_values",
     "read_report", "run_catenoid_reproduction",
     "run_comparison_suite", "run_removability", "same_mesh", "sample_profile",
-    "solve_dirichlet", "uniform_interior_bound",
+    "solve_dirichlet", "tangent", "uniform_interior_bound",
     "validate", "write_report",
 ]

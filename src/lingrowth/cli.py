@@ -106,18 +106,18 @@ def _density_config(args, cfg: dict) -> dict:
 # Accepted keys of each config section: key -> (default, cast).  A key
 # whose default is None is left out unless given, so its consumer's own
 # default applies.  A key without a cast is checked by its consumer (the
-# catenoid spec keys by CatenoidSpec.from_config, the removability keys by
-# RemovabilityConfig), and the echoed config repeats it as given.
+# catenoid spec keys by CatenoidSpec.from_config, the mesh keys by
+# uniform_shape, the experiment keys by their study), and the echoed config
+# repeats it as given.
 _AS_GIVEN = (None, None)
-_REAL, _INT = (None, ioutil.real), (None, ioutil.integer)
 _CATENOID_KEYS = {
     "sign": ("plus", None), "alpha": (1.0, None), "a": (0.0, None),
     "n": (2, None), "convention": ("neck", None),
     "rho_min": (None, ioutil.real),     # default 1.01 * neck radius
     "rho_max": (5.0, ioutil.real), "samples": (100, ioutil.integer),
 }
-_MESH_KEYS = {"r_in": (0.5, ioutil.real), "r_out": (1.0, ioutil.real),
-              "n_r": (16, ioutil.integer), "n_theta": (32, ioutil.integer)}
+_MESH_KEYS = {"r_in": (0.5, None), "r_out": (1.0, None), "n_r": (16, None),
+              "n_theta": (32, None)}
 _SOLVER_KEYS = {"max_iter": (None, ioutil.integer)}
 _BOUNDARY_KEYS = {                  # circle data: see circle_data_values
     "outer": ({"kind": "affine", "q": [0.5, 0.3], "c": 0.0}, None),
@@ -129,13 +129,12 @@ _EXPERIMENT_KEYS = {
     "catenoid": {
         "spec": ({"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
                   "convention": "neck"}, CatenoidSpec.from_config),
-        "refinements": (3, ioutil.integer),
-        "r_in": _REAL, "r_out": _REAL, "n_r0": _INT, "n_theta0": _INT,
+        "refinements": (3, None), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "n_r0": _AS_GIVEN, "n_theta0": _AS_GIVEN,
     },
     "comparison": {
-        "trials": (20, ioutil.integer),
-        "r_in": _REAL, "r_out": _REAL, "n_r": _INT, "n_theta": _INT,
-        "fourier_degree": _INT,
+        "trials": (20, None), "r_in": _AS_GIVEN, "r_out": _AS_GIVEN,
+        "n_r": _AS_GIVEN, "n_theta": _AS_GIVEN, "fourier_degree": _AS_GIVEN,
     },
 }
 

@@ -24,7 +24,6 @@ exposed here as :class:`Growth`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -233,6 +232,10 @@ def make_mu_density(mu: float) -> Density:
 # Entries below the crossover whose series :func:`_mu_g` sums at once: the
 # powers of one block take (terms - 1) * _SERIES_BLOCK doubles, 0.4 MB at
 # mu = 3 and 0.8 MB at mu = 1.05, whatever the size of the argument.
+# Summing the series with two running arrays instead has the same bits, but
+# was measured to raise the benchmark's removability pass from 0 to 3,185
+# minor page faults and its median time by 10 ms or more, spent in the
+# solver's kernels after this function returns, not in it.
 _SERIES_BLOCK = 4096
 
 
@@ -617,82 +620,62 @@ def classify_growth(d: Density) -> Growth:
 # vector calculus helpers for the field energy G(p) = g(|p|)
 
 
-def _slope_over_norm(d: Density, p, t=None):
-    """What the flux and the tangent share: the stack p of 2-vectors as a
-    float array, its two components, t = |p| (computed here unless
-    given), the mask t > 0, and g'(t) divided by t where t > 0, by 1
-    where t = 0."""
+def _norms(p, t):
+    """The stack p of 2-vectors as a float array and t = |p|, the hypot of
+    p's two components unless given."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (2,):
         raise ValueError(f"p must be a 2-vector or a stack of them, "
                          f"got shape {p.shape}")
-    comps = (p[..., 0], p[..., 1])
-    if t is None:
-        t = np.hypot(*comps)
+    return p, np.hypot(p[..., 0], p[..., 1]) if t is None else t
+
+
+def flux(d: Density, p, t=None):
+    """Flux (g'(t)/t) p of G(p) = g(|p|) for a stack p of shape (..., 2),
+    0 with the signs of p's zeros at p = 0.
+
+    t = |p| is computed here unless given; a caller that has it, as
+    ``np.hypot`` of p's two components, passes it (the solver's energy
+    reads the same t).  One vector p gives one flux vector, and a last
+    axis other than 2 raises ValueError.
+    """
+    p, t = _norms(p, t)
     gp = np.asarray(d.gprime(t), dtype=float)
     pos = t > 0.0
-    return p, comps, t, pos, gp / np.where(pos, t, 1.0)
+    # g'(t)/t; at t = 0 it is g''(0) > 0, which multiplies zeros, and any
+    # positive coefficient gives the same signed zeros
+    slope = np.where(pos, gp / np.where(pos, t, 1.0), 1.0)
+    return slope[..., None] * p
 
 
-def flux_lazy_tangent(d: Density, p, t=None):
-    """The flux of :func:`flux_tangent` and a callable that builds its
-    tangent.
+def tangent(d: Density, p, t=None):
+    """Tangent of G(p) = g(|p|) for a stack p of shape (..., 2), of shape
+    (..., 2, 2), t = |p| taken as in :func:`flux`.
 
-    t = |p| and g'(t) are evaluated here, once; a caller that has t
-    already, computed as ``np.hypot`` of p's two components, passes it
-    instead (the solver's energy reads the same t).  Calling the second item
-    evaluates g'' and builds the tangent from them.  A caller that needs
-    the tangent only sometimes, like the gradient test of
-    :func:`lingrowth.solver.solve_dirichlet`, pays for it only when it
-    calls, and still evaluates t and g' once.  Until then the callable
-    keeps p's two components (views of p), t, the mask t > 0 and
-    g'(t)/t, and nothing else the size of p: it recomputes t with 1 where
-    t = 0 when called.  At p = 0 the flux is 0, with the signs of p's
-    zeros.
+    With P = p p^T / t^2 it is
+
+        tangent  = g''(t) P + (g'(t)/t) (I - P),
+
+    extended by g''(0) I at p = 0.  Strict convexity plus a monotone slope
+    make it positive definite, and each off-diagonal entry is rounded once
+    and mirrored, so it is exactly symmetric.  This function and
+    :func:`flux` are the only home of the formulas: the finite-element
+    gradient and Hessian in :mod:`lingrowth.solver` read them here.
     """
-    p, comps, t, pos, slope = _slope_over_norm(d, p, t)
-    # the flux's coefficient g'(t)/t is g''(0) > 0 where t = 0, which
-    # multiplies zeros; any positive one gives the same signed zeros
-    flux = np.where(pos, slope, 1.0)[..., None] * p
-    return flux, functools.partial(_tangent, d, comps, t, pos, slope)
-
-
-def _tangent(d: Density, comps, t, pos, slope):
-    """The tangent of :func:`flux_tangent` from what
-    :func:`_slope_over_norm` returned for p (p itself aside)."""
+    p, t = _norms(p, t)
+    gp = np.asarray(d.gprime(t), dtype=float)
     c2 = np.asarray(d.gsecond(t), dtype=float)
-    c1 = np.where(pos, slope, c2)               # g'(t)/t, and g''(0) at t = 0
+    pos = t > 0.0
+    safe = np.where(pos, t, 1.0)
+    c1 = np.where(pos, gp / safe, c2)           # g'(t)/t, and g''(0) at t = 0
 
     # entry by entry on whole arrays: (coef x_i) x_j for i <= j, c1 added
     # on the diagonal, the off-diagonal entry rounded once and mirrored
-    safe = np.where(pos, t, 1.0)
-    x, y = (c / safe for c in comps)
+    x, y = p[..., 0] / safe, p[..., 1] / safe
     coef = np.where(pos, c2 - c1, 0.0)
     cx = coef * x
-    tangent = np.empty(np.shape(t) + (2, 2))
-    tangent[..., 0, 0] = cx * x + c1
-    tangent[..., 0, 1] = tangent[..., 1, 0] = cx * y
-    tangent[..., 1, 1] = coef * y * y + c1
-    return tangent
-
-
-def flux_tangent(d: Density, p):
-    """Flux and tangent of G(p) = g(|p|) for a stack p of shape (..., 2).
-
-    With t = |p| and P = p p^T / t^2 these are
-
-        flux     = (g'(t)/t) p,
-        tangent  = g''(t) P + (g'(t)/t) (I - P),
-
-    extended by 0 and g''(0) I at p = 0.  Returns arrays of shapes
-    (..., 2) and (..., 2, 2); one vector p gives one flux vector and one
-    2 x 2 tangent, and a last axis other than 2 raises ValueError.  This
-    module is the only place the formulas live: the
-    finite-element gradient and Hessian in :mod:`lingrowth.solver` read
-    them through this function and :func:`flux_lazy_tangent`, which share
-    one evaluation of t and g'(t)/t.  Strict convexity plus a monotone
-    slope make the tangent positive definite, and each off-diagonal entry
-    is rounded once and mirrored, so it is exactly symmetric.
-    """
-    flux, tangent = flux_lazy_tangent(d, p)
-    return flux, tangent()
+    out = np.empty(np.shape(t) + (2, 2))
+    out[..., 0, 0] = cx * x + c1
+    out[..., 0, 1] = out[..., 1, 0] = cx * y
+    out[..., 1, 1] = coef * y * y + c1
+    return out

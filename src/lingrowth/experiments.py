@@ -492,13 +492,16 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     steps as ``column_iterations`` next to the 2D ``iterations``.
 
     ``refinements`` must be an int >= 1, ``n_r0`` and ``n_theta0`` ints
-    >= 3, and neck < r_in < r_out; a bad value raises ValueError naming it.
+    >= 3, and r_in and r_out finite reals with neck < r_in < r_out; a bad
+    value raises ValueError naming it.
     """
     key = "catenoid config key {!r}".format
     refinements = ioutil.checked(ioutil.integer, refinements,
                                  key("refinements"), 1)
     n_r0 = ioutil.checked(ioutil.integer, n_r0, key("n_r0"), 3)
     n_theta0 = ioutil.checked(ioutil.integer, n_theta0, key("n_theta0"), 3)
+    r_in = ioutil.checked(ioutil.real, r_in, key("r_in"))
+    r_out = ioutil.checked(ioutil.real, r_out, key("r_out"))
     if not r_in > spec.neck_radius:
         raise ValueError(f"{key('r_in')}: must exceed the neck radius "
                          f"{spec.neck_radius:.12g}, got {r_in!r}")
@@ -643,7 +646,8 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
         metadata={
             "density_label": d.label,
             "trials": trials, "seed": seed,
-            "r_in": r_in, "r_out": r_out,
+            # the radii as floats, whether given as ints or floats
+            "r_in": float(r_in), "r_out": float(r_out),
             "n_r": n_r, "n_theta": n_theta,
             "tolerance": tol,
             "timestamp": ioutil.deterministic_timestamp(),

@@ -16,15 +16,14 @@ gradient and t = |p|,
 
 the tangent being symmetric positive definite thanks to g'' > 0 and g'
 increasing.  The triangle gradients of each iterate, and their norms t,
-are computed once and serve both its energy and its flux.  The gradient
-test reads g' only: the flux of :func:`lingrowth.density.flux_lazy_tangent`,
-added into the nodal gradient.  g'' is evaluated, and the tangent built
-from the same evaluation of t and g', only when the test fails and a
-Newton step is taken; the step scatters the lower entries of the triangle
-blocks areas * G^T T G (G the hat gradients, T the tangent) straight into
-a banded interior matrix.  So a start that passes the test costs one
-residual: one pass of triangle gradients, one norm, one energy and one
-flux.
+are computed once and serve its energy, its flux and its tangent.  The
+gradient test reads g' only: :func:`lingrowth.density.flux`, added into
+the nodal gradient.  The tangent, which evaluates g' again and g'', is
+built only when the test fails and a Newton step is taken; the step
+scatters the lower entries of the triangle blocks areas * G^T T G (G the
+hat gradients, T the tangent) straight into a banded interior matrix.
+So a start that passes the test costs one residual: one pass of triangle
+gradients, one norm, one energy and one flux.
 
 The mesh stores the geometry of angular column 0 only, one area and one
 set of hat gradients per row of triangles (cell ring and kind, see
@@ -47,15 +46,13 @@ Beyond its outputs, no residual kernel builds a product over every
 vertex, every term or both components at once: the triangle gradients
 add their second hat-gradient term one component at a time, the nodal
 gradient forms its contributions for a block of whole cell rings at a
-time (``_NODAL_BLOCK`` cells), the mu family's g sums its series for a
-block of ``_SERIES_BLOCK`` entries at a time
-(:mod:`lingrowth.density`), and the flux's lazy tangent keeps t, g'/t
-and the mask t > 0, not what it can recompute.  Each makes the IEEE
-operations of the whole-mesh form in the same order, so the bits do not
-depend on the blocks.  On the 128 x 256 level of the refinement study
-(M = 65,536 triangles) a start that passes the gradient test peaks at
-8.5 arrays of M doubles above the memory held on entry to the solve,
-against 14.3 with whole-mesh products.
+time (``_NODAL_BLOCK`` cells), and the mu family's g sums its series for
+a block of ``_SERIES_BLOCK`` entries at a time (:mod:`lingrowth.density`).
+Each makes the IEEE operations of the whole-mesh form in the same order,
+so the bits do not depend on the blocks.  On the 128 x 256 level of the
+refinement study (M = 65,536 triangles) a start that passes the gradient
+test peaks at 8.1 arrays of M doubles above the memory held on entry to
+the solve, against 14.3 with whole-mesh products.
 
 Ring-major node numbering keeps every interior coupling within n_theta + 1
 of the diagonal (n_theta at a disk's center), so the interior Hessian is
@@ -119,9 +116,12 @@ exact discrete minimizer.
 Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
 energy sum, and the Armijo test can no longer see it.  In that rounding
-regime the full Newton step is taken without the energy test; whether the
-result counts as converged is decided by the gradient test alone, which is
-made at the start and after every step.
+regime the line search takes the full Newton step without the energy
+test; whether the result counts as converged is decided by the gradient
+test alone, which is made at the start and after every step.  Each step
+tries the Newton direction, then, where that is unusable or its line
+search fails, the gradient direction; where both fail, the solve has
+stalled.
 
 Each solve, each run of the ring-mode corrections and each call of the
 public :func:`energy` runs BLAS on one thread.  :func:`_band_lapack` takes
@@ -154,7 +154,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .density import Density, flux_lazy_tangent, flux_tangent
+from .density import Density, flux, tangent
 from .mesh import PolarMesh, one_column, same_mesh
 
 
@@ -247,9 +247,9 @@ def _triangle_gradients(mesh: PolarMesh, u: np.ndarray) -> np.ndarray:
 
 def _energy(d: Density, mesh: PolarMesh, p: np.ndarray) -> tuple:
     """(E, t): :func:`energy` of the field whose triangle gradients are p,
-    and t = |p|, which the flux of the same field reads
-    (:func:`lingrowth.density.flux_lazy_tangent`).  The energy sums each
-    row's n_theta values of g, then weighs the row sums by the areas."""
+    and t = |p|, which the flux and tangent of the same field read
+    (:func:`lingrowth.density.flux`).  The energy sums each row's n_theta
+    values of g, then weighs the row sums by the areas."""
     t = np.hypot(p[:, 0], p[:, 1])
     rows = d.g(t).reshape(len(mesh.areas), mesh.n_theta).sum(axis=1)
     return float(np.dot(mesh.areas, rows)), t
@@ -612,7 +612,7 @@ def _harmonic_extension(d: Density, mesh: PolarMesh, u: np.ndarray,
     harmonic extension weighted by the flat tangent g''(0) * Id (one
     banded linear solve).  K u is the nodal gradient of the flux
     g''(0) * grad u of that quadratic energy."""
-    _, flat = flux_tangent(d, np.zeros(2))
+    flat = tangent(d, np.zeros(2))
     Ku = _nodal_gradient(mesh, flat[0, 0] * _triangle_gradients(mesh, u))
     factor = _factor(band.matrix(_blocks(mesh, flat)))
     out = u.copy()
@@ -635,8 +635,8 @@ def _ring_mode_step(d: Density, annulus: PolarMesh, ring_values: np.ndarray):
         raise ValueError("the ring-mode step needs an annulus, not a disk")
     n = annulus.n_theta
     column = one_column(annulus)
-    _, tangent = flux_tangent(d, _triangle_gradients(column, ring_values))
-    lower = _blocks(column, tangent) / n
+    lower = _blocks(column, tangent(
+        d, _triangle_gradients(column, ring_values))) / n
     base = _cached_band(column, column.interior_nodes()).matrix(lower)
     # D1: entry (2, 1) of kind 0, (k+1, j) (k+1, j+1), in the cell ring
     # below, plus entry (2, 0) of kind 1, (k, j) (k, j+1), in the one above
@@ -652,8 +652,9 @@ def _ring_mode_step(d: Density, annulus: PolarMesh, ring_values: np.ndarray):
     factor = _factor(ab.reshape(-1, 2).T)
 
     def step(u: np.ndarray) -> np.ndarray:
-        flux = flux_lazy_tangent(d, _triangle_gradients(annulus, u))[0]
-        rhs = np.fft.rfft(annulus.rings(_nodal_gradient(annulus, flux))[1:-1])
+        grad = _nodal_gradient(annulus,
+                               flux(d, _triangle_gradients(annulus, u)))
+        rhs = np.fft.rfft(annulus.rings(grad)[1:-1])
         x = _solve_factored(factor,
                             np.stack([rhs.real.T, rhs.imag.T]).ravel())
         x = x.reshape(2, len(cos), m)
@@ -786,7 +787,7 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
     only way a solve ends well: it is made at the start and after every
     step, the last allowed one included.  A Newton step whose decrement
     lies below the rounding of the energy is taken in full without the
-    line search; the gradient test after it still decides convergence.
+    energy test; the gradient test after it still decides convergence.
 
     Raises
     ------
@@ -829,33 +830,26 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
                                 energy_history=tuple(history))
 
     for it in range(max_iter + 1):
-        flux, tangent = flux_lazy_tangent(d, p, t)
-        g_i = _nodal_gradient(mesh, flux)[interior]
+        g_i = _nodal_gradient(mesh, flux(d, p, t))[interior]
         grad_norm = float(np.linalg.norm(g_i))
         if grad_norm <= _GRAD_TOL * (1.0 + abs(E)):
             return solution(it, True)
         if it == max_iter:
             break
 
-        rounding = _ROUNDING_DECREMENT * (1.0 + abs(E))
-        step = _newton_step(band(), _blocks(mesh, tangent()), g_i)
-        if step is None:
-            # Newton direction unusable; fall back downhill
+        step = _newton_step(band(), _blocks(mesh, tangent(d, p, t)), g_i)
+        ok = False
+        if step is not None:
+            # in the rounding regime the energy test cannot see the decrease
+            rounding = (-float(np.dot(step, g_i))
+                        <= _ROUNDING_DECREMENT * (1.0 + abs(E)))
+            u_new, E_new, ok, p_new, t_new = _armijo(
+                d, mesh, u, interior, step, g_i, E, full=rounding)
+        if not ok:
+            # Newton direction unusable or exhausted the line search; one
+            # gradient try
             u_new, E_new, ok, p_new, t_new = _armijo(d, mesh, u, interior,
                                                      -g_i, g_i, E)
-        elif -float(np.dot(step, g_i)) <= rounding:
-            # rounding regime: the energy test cannot see the decrease
-            u_new = u.copy()
-            u_new[interior] = u[interior] + step
-            p_new = _triangle_gradients(mesh, u_new)
-            (E_new, t_new), ok = _energy(d, mesh, p_new), True
-        else:
-            u_new, E_new, ok, p_new, t_new = _armijo(d, mesh, u, interior,
-                                                     step, g_i, E)
-            if not ok:
-                # Newton direction exhausted the line search; one gradient try
-                u_new, E_new, ok, p_new, t_new = _armijo(
-                    d, mesh, u, interior, -g_i, g_i, E)
         if not ok:
             # neither direction made progress at a gradient that missed the
             # tolerance: we are numerically stationary
@@ -871,10 +865,11 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
         solution(max_iter, False))
 
 
-def _armijo(d, mesh, u, interior, direction, g_i, E):
+def _armijo(d, mesh, u, interior, direction, g_i, E, full=False):
     """Backtracking line search; returns (u_new, E_new, accepted, p_new,
     t_new), p_new the triangle gradients of u_new and t_new their norms,
-    both None where no trial was accepted."""
+    both None where no trial was accepted.  With ``full`` the first trial,
+    the whole step, is accepted without the energy test."""
     slope = float(np.dot(direction, g_i))
     step = 1.0
     trial = u.copy()
@@ -882,7 +877,7 @@ def _armijo(d, mesh, u, interior, direction, g_i, E):
         trial[interior] = u[interior] + step * direction
         p = _triangle_gradients(mesh, trial)
         E_trial, t = _energy(d, mesh, p)
-        if E_trial <= E + _ARMIJO_C * step * slope:
+        if full or E_trial <= E + _ARMIJO_C * step * slope:
             return trial, E_trial, True, p, t
         step *= _ARMIJO_FACTOR
     return u, E, False, None, None

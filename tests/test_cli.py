@@ -599,6 +599,14 @@ def _comparison(**keys):
     # ran no trial, passed all three checks and exited 0
     ("experiment", _comparison(trials=-1), "comparison config key 'trials'"),
     ("experiment", _comparison(trials=0), "comparison config key 'trials'"),
+    # each failed as "experiment config key", in another wording than the
+    # study's own check of the same key
+    ("experiment", _comparison(trials=True),
+     "comparison config key 'trials'"),
+    ("experiment", _comparison(n_r=2.5), "comparison config key 'n_r'"),
+    ("experiment", {"density": {"kind": "area"}, "experiment": {
+        "kind": "catenoid", "refinements": 1, "r_in": "1.5"}},
+     "catenoid config key 'r_in'"),
     # failed in numpy: "negative dimensions are not allowed"
     ("experiment", _comparison(fourier_degree=-1),
      "comparison config key 'fourier_degree'"),
@@ -616,7 +624,8 @@ def _comparison(**keys):
      "comparison config key 'r_out'"),
     ("experiment", _sweep(n_r=2), "removability config key 'n_r'"),
     ("experiment", _sweep(n_theta=0), "removability config key 'n_theta'"),
-], ids=["trials-negative", "trials-zero", "fourier_degree-negative",
+], ids=["trials-negative", "trials-zero", "trials-bool", "n_r-fraction",
+        "catenoid-r_in-string", "fourier_degree-negative",
         "solve-n_r-zero", "solve-n_r-two", "solve-n_theta-two",
         "solve-r_out-below", "solve-r_out-equal", "solve-r_in-negative",
         "comparison-n_r-zero", "comparison-n_theta-two",

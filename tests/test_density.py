@@ -10,14 +10,14 @@ from lingrowth import density
 from lingrowth.density import (
     Growth,
     TailEstimate,
-    flux_lazy_tangent,
-    flux_tangent,
     classify_growth,
+    flux,
     invert_gprime,
     make_area_density,
     make_custom_density,
     make_mu_density,
     normalize,
+    tangent,
     validate,
 )
 
@@ -398,21 +398,21 @@ def test_classify_numeric_custom_infinite():
 
 
 def test_flux_vanishes_at_zero(area):
-    assert np.array_equal(flux_tangent(area, (0.0, 0.0))[0], np.zeros(2))
+    assert np.array_equal(flux(area, (0.0, 0.0)), np.zeros(2))
 
 
 def test_flux_unit_direction(area):
-    np.testing.assert_allclose(flux_tangent(area, (1.0, 0.0))[0],
+    np.testing.assert_allclose(flux(area, (1.0, 0.0)),
                                [1.0 / math.sqrt(2.0), 0.0], atol=1e-15)
 
 
 def test_hessian_at_zero_is_gsecond_identity(area):
-    np.testing.assert_allclose(flux_tangent(area, (0.0, 0.0))[1], np.eye(2),
+    np.testing.assert_allclose(tangent(area, (0.0, 0.0)), np.eye(2),
                                atol=1e-15)
 
 
 def test_hessian_unit_direction_eigenstructure(area):
-    H = flux_tangent(area, (1.0, 0.0))[1]
+    H = tangent(area, (1.0, 0.0))
     np.testing.assert_allclose(H, np.diag([2.0 ** -1.5, 1.0 / math.sqrt(2.0)]),
                                atol=1e-15)
 
@@ -421,7 +421,7 @@ def test_hessian_positive_definite_random(area, mu2, rng):
     for d in (area, mu2):
         for _ in range(30):
             p = rng.normal(size=2) * rng.choice([1e-8, 0.1, 1.0, 30.0])
-            H = flux_tangent(d, p)[1]
+            H = tangent(d, p)
             eigs = np.linalg.eigvalsh(H)
             assert np.all(eigs > 0.0)
             np.testing.assert_allclose(H, H.T, atol=1e-15)
@@ -432,12 +432,11 @@ def test_flux_tangent_stack_matches_rows(area, mu3, rng):
                                                size=(40, 1))
     p[::7] = 0.0
     for d in (area, mu3):
-        flux, tangent = flux_tangent(d, p)
-        rows = [flux_tangent(d, row) for row in p]
-        assert np.array_equal(flux, np.array([f for f, _ in rows]))
-        assert np.array_equal(tangent, np.array([t for _, t in rows]))
-        assert np.array_equal(tangent, tangent.swapaxes(-1, -2))
-        assert np.array_equal(tangent[::7], np.broadcast_to(
+        F, T = flux(d, p), tangent(d, p)
+        assert np.array_equal(F, np.array([flux(d, row) for row in p]))
+        assert np.array_equal(T, np.array([tangent(d, row) for row in p]))
+        assert np.array_equal(T, T.swapaxes(-1, -2))
+        assert np.array_equal(T[::7], np.broadcast_to(
             d.gsecond(0.0) * np.eye(2), (6, 2, 2)))
 
 
@@ -470,39 +469,42 @@ def test_flux_tangent_matches_broadcast_bitwise(area, mu3, rng, k):
     p[::5] = 0.0
     for d in (area, mu3):
         for stack in (p, p.reshape(3, 4, 5, k), p.T.copy().T, p[7]):
-            flux, tangent = flux_tangent(d, stack)
+            F, T = flux(d, stack), tangent(d, stack)
             want_flux, want_tangent = broadcast_flux_tangent(d, stack)
-            assert flux.shape == want_flux.shape
-            assert tangent.shape == want_tangent.shape
-            assert np.array_equal(flux, want_flux)
-            assert np.array_equal(tangent, want_tangent)
+            assert F.shape == want_flux.shape
+            assert T.shape == want_tangent.shape
+            assert np.array_equal(F, want_flux)
+            assert np.array_equal(T, want_tangent)
 
 
 @pytest.mark.parametrize("k", [2])
 def test_flux_only_is_the_flux_of_flux_tangent_bitwise(area, mu3, rng, k):
+    # the flux, evaluated without the tangent, has the bytes of the joint
+    # oracle's, signed zeros included, with t passed or computed
     p = rng.normal(size=(60, k)) * rng.choice([1e-8, 0.1, 1.0, 30.0],
                                                size=(60, 1))
     p[::5] = 0.0
     p[1::10] = -0.0
     for d in (area, mu3):
         for stack in (p, p.reshape(3, 4, 5, k), p.T.copy().T, p[7], p[1]):
-            want = flux_tangent(d, stack)
-            flux, tangent = flux_lazy_tangent(d, stack)
-            assert flux.shape == want[0].shape
-            assert flux.tobytes() == want[0].tobytes()
-            assert tangent().tobytes() == want[1].tobytes()
+            want = broadcast_flux_tangent(d, stack)
+            t = np.hypot(stack[..., 0], stack[..., 1])
+            for F, T in ((flux(d, stack), tangent(d, stack)),
+                         (flux(d, stack, t), tangent(d, stack, t))):
+                assert F.shape == want[0].shape
+                assert F.tobytes() == want[0].tobytes()
+                assert T.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (60, 1), (60, 3), (2, 1)])
 def test_flux_tangent_takes_2_vectors_only(area, shape):
     p = np.ones(shape)
-    for f in (flux_tangent, flux_lazy_tangent):
+    for f in (flux, tangent):
         with pytest.raises(ValueError, match="2-vector"):
             f(area, p)
 
 
-def test_lazy_tangent_evaluates_gsecond_only_when_built(mu3, rng,
-                                                        monkeypatch):
+def test_only_the_tangent_evaluates_gsecond(mu3, rng, monkeypatch):
     calls = []
     gsecond = density.Density.gsecond
 
@@ -512,28 +514,23 @@ def test_lazy_tangent_evaluates_gsecond_only_when_built(mu3, rng,
 
     monkeypatch.setattr(density.Density, "gsecond", spy)
     p = rng.normal(size=(40, 2))
-    flux, tangent = flux_lazy_tangent(mu3, p)
+    flux(mu3, p)
     assert calls == []
-    tangent()
+    tangent(mu3, p)
     assert calls == [(40,)]
 
 
-def _slope_over_norm_from_zero(d, p):
-    """Reference for density._slope_over_norm: |p| folded by hypot from 0,
-    one component at a time."""
-    p = np.asarray(p, dtype=float)
-    comps = [p[..., i] for i in range(p.shape[-1])]
+def _hypot_fold_from_zero(p):
+    """|p| folded by hypot from 0, one component at a time."""
     t = np.zeros(p.shape[:-1])
-    for c in comps:
-        t = np.hypot(t, c)
-    gp = np.asarray(d.gprime(t), dtype=float)
-    pos = t > 0.0
-    return p, comps, t, pos, gp / np.where(pos, t, 1.0)
+    for i in range(p.shape[-1]):
+        t = np.hypot(t, p[..., i])
+    return t
 
 
 @pytest.mark.parametrize("k", [2])
-def test_slope_over_norm_matches_the_hypot_fold_from_zero_bitwise(
-        area, mu3, rng, k):
+def test_flux_and_tangent_read_the_hypot_fold_from_zero_bitwise(
+        area, mu3, rng, k, monkeypatch):
     p = rng.normal(size=(60, k)) * rng.choice([1e-300, 1e-8, 1.0, 1e300],
                                                size=(60, 1))
     p[::5] = 0.0
@@ -543,22 +540,30 @@ def test_slope_over_norm_matches_the_hypot_fold_from_zero_bitwise(
     specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 2.5])
     p[2::5] = rng.choice(specials, size=p[2::5].shape)
     p[3::15] = specials[:4, None]
+    read = []                   # the t that each g' evaluation reads
+    gprime = density.Density.gprime
+    monkeypatch.setattr(density.Density, "gprime",
+                        lambda self, t: read.append(t) or gprime(self, t))
     for d in (area, mu3):
         for stack in (p, p.reshape(3, 4, 5, k), p.T.copy().T, p[2], p[3]):
+            t = _hypot_fold_from_zero(stack)
+            del read[:]
             with np.errstate(invalid="ignore", over="ignore"):
-                got = density._slope_over_norm(d, stack)
-                want = _slope_over_norm_from_zero(d, stack)
-            assert len(got[1]) == len(want[1]) == k
-            for a, b in zip((got[0], *got[1], *got[2:]),
-                            (want[0], *want[1], *want[2:])):
+                got = flux(d, stack), tangent(d, stack)
+                want = flux(d, stack, t), tangent(d, stack, t)
+            assert len(read) == 4
+            for seen in read:
+                assert np.shape(seen) == t.shape
+                assert np.asarray(seen).tobytes() == t.tobytes()
+            for a, b in zip(got, want):
                 assert np.shape(a) == np.shape(b)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                assert a.tobytes() == b.tobytes()
 
 
 def test_hessian_continuous_at_origin(area):
     # radial and tangential eigenvalues both converge to g''(0)
     for norm in (1e-3, 1e-5, 1e-7):
-        H = flux_tangent(area, (norm, 0.0))[1]
+        H = tangent(area, (norm, 0.0))
         np.testing.assert_allclose(H, np.eye(2), atol=1e-5)
 
 

@@ -12,9 +12,9 @@ import pytest
 from lingrowth import density, experiments, solver
 from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                                 profile_value)
-from lingrowth.density import (TailEstimate, flux_tangent, make_area_density,
+from lingrowth.density import (TailEstimate, flux, make_area_density,
                                make_custom_density, make_mu_density,
-                               normalize)
+                               normalize, tangent)
 from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
@@ -302,10 +302,7 @@ def _tangent_work_in_seeded_solves(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver, "flux_tangent",
-                        counted("flux_tangent", solver.flux_tangent))
-    monkeypatch.setattr(density, "_tangent",
-                        counted("_tangent", density._tangent))
+    monkeypatch.setattr(solver, "tangent", counted("tangent", solver.tangent))
     monkeypatch.setattr(density.Density, "gsecond",
                         counted("gsecond", density.Density.gsecond))
     monkeypatch.setattr(solver, "_blocks", counted("_blocks", solver._blocks))
@@ -355,12 +352,11 @@ def test_removability_annuli_are_solved_to_rounding(monkeypatch, dcfg):
     run_removability(RemovabilityConfig(density=dcfg))
     for d, mesh, sol in _annulus_solves(calls):
         ii = mesh.interior_nodes()
-        flux, tangent = flux_tangent(
-            d, solver._triangle_gradients(mesh, sol.values))
+        p = solver._triangle_gradients(mesh, sol.values)
         factor = solver._factor(solver._band(mesh, ii).matrix(
-            solver._blocks(mesh, tangent)))
+            solver._blocks(mesh, tangent(d, p))))
         step = solver._solve_factored(
-            factor, solver._nodal_gradient(mesh, flux)[ii])
+            factor, solver._nodal_gradient(mesh, flux(d, p))[ii])
         assert np.max(np.abs(step)) <= 1e-13
 
 

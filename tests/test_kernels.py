@@ -3,8 +3,11 @@ memory a residual takes on a large mesh.
 
 The kernels form their terms a slice or a block at a time; the oracles
 below are the same arithmetic on whole-mesh temporaries, so every result
-must match them byte for byte."""
+must match them byte for byte.  The flux and the tangent are checked the
+same way against an earlier form that built the tangent later from what
+the flux had computed."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 
 from lingrowth import density, solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
-from lingrowth.density import flux_lazy_tangent, flux_tangent, make_mu_density
+from lingrowth.density import flux, make_mu_density, tangent
 from lingrowth.experiments import _dirichlet, _graded_radii
 from lingrowth.mesh import build_polar_mesh, one_column
 from lingrowth.solver import (_add_next, _nodal_gradient, _triangle_gradients,
@@ -83,6 +86,43 @@ def one_block_mu_g(mu, t):
     return out
 
 
+def shared_slope_over_norm(d, p, t=None):
+    """What the flux and the tangent share: p as a float array, its two
+    components, t = |p| unless given, the mask t > 0, and g'(t) divided
+    by t where t > 0, by 1 where t = 0."""
+    p = np.asarray(p, dtype=float)
+    comps = (p[..., 0], p[..., 1])
+    if t is None:
+        t = np.hypot(*comps)
+    gp = np.asarray(d.gprime(t), dtype=float)
+    pos = t > 0.0
+    return p, comps, t, pos, gp / np.where(pos, t, 1.0)
+
+
+def flux_and_later_tangent(d, p, t=None):
+    """The flux, and a callable that builds the tangent from the flux's
+    evaluation of t and g'(t)/t."""
+    p, comps, t, pos, slope = shared_slope_over_norm(d, p, t)
+    flux = np.where(pos, slope, 1.0)[..., None] * p
+    return flux, functools.partial(tangent_from_slope, d, comps, t, pos,
+                                   slope)
+
+
+def tangent_from_slope(d, comps, t, pos, slope):
+    """The tangent from what :func:`shared_slope_over_norm` returned."""
+    c2 = np.asarray(d.gsecond(t), dtype=float)
+    c1 = np.where(pos, slope, c2)
+    safe = np.where(pos, t, 1.0)
+    x, y = (c / safe for c in comps)
+    coef = np.where(pos, c2 - c1, 0.0)
+    cx = coef * x
+    out = np.empty(np.shape(t) + (2, 2))
+    out[..., 0, 0] = cx * x + c1
+    out[..., 0, 1] = out[..., 1, 0] = cx * y
+    out[..., 1, 1] = coef * y * y + c1
+    return out
+
+
 # -- kernels against the oracles ---------------------------------------------
 
 _BASES = [(np.linspace(0.0, 1.0, 9), 12),            # disk
@@ -129,11 +169,9 @@ def test_nodal_gradient_matches_the_whole_mesh_form_bytewise(
         monkeypatch.setattr(solver, "_NODAL_BLOCK", cell_rings * mesh.n_theta)
     for u in _fields(mesh, rng):
         p = _triangle_gradients(mesh, u)
-        for flux in (flux_tangent(mu3, p)[0],
-                     flux_lazy_tangent(mu3, p)[0],
-                     rng.normal(size=p.shape)):
-            got, want = _nodal_gradient(mesh, flux), whole_nodal_gradient(
-                mesh, flux)
+        for f in (flux(mu3, p), rng.normal(size=p.shape)):
+            got, want = _nodal_gradient(mesh, f), whole_nodal_gradient(
+                mesh, f)
             assert got.shape == want.shape == (mesh.num_nodes,)
             assert got.tobytes() == want.tobytes()
 
@@ -159,15 +197,31 @@ def test_mu_g_series_in_blocks_matches_one_block_bytewise(rng, mu, blocks):
         assert got.tobytes() == want.tobytes()
 
 
-def test_lazy_tangent_matches_flux_tangent_bytewise(area, mu3, rng):
+def _rows(rng):
+    """Rows of p with p = 0, signed zeros and NaN among sizes 1e-8 to 1e3."""
     p = rng.normal(size=(200, 2)) * rng.choice([1e-8, 1.0, 1e3],
                                                size=(200, 1))
     p[::7] = 0.0
     p[3::11] = -0.0
+    p[5::13, 0] = -0.0
+    p[9::17, 1] = np.nan
+    p[11::19] = np.nan
+    return p
+
+
+@pytest.mark.parametrize("radii, n_theta, column", ORACLE_MESHES)
+def test_flux_and_tangent_match_the_later_tangent_bytewise(
+        area, mu3, rng, radii, n_theta, column):
+    mesh = _mesh(radii, n_theta, column)
+    stacks = [_triangle_gradients(mesh, u) for u in _fields(mesh, rng)]
     for d in (area, mu3):
-        want = flux_tangent(d, p)[1]
-        for t in (None, np.hypot(p[:, 0], p[:, 1])):
-            assert flux_lazy_tangent(d, p, t)[1]().tobytes() == want.tobytes()
+        for p in (*stacks, _rows(rng)):
+            want_flux, later = flux_and_later_tangent(d, p)
+            want_tangent = later()
+            for t in (None, np.hypot(p[:, 0], p[:, 1])):
+                got = flux(d, p, t), tangent(d, p, t)
+                assert got[0].tobytes() == want_flux.tobytes()
+                assert got[1].tobytes() == want_tangent.tobytes()
 
 
 # -- memory ------------------------------------------------------------------
@@ -206,7 +260,7 @@ def test_certificate_of_a_large_level_holds_ten_triangle_arrays(
     # a certified start costs one residual: triangle gradients, energy,
     # flux and nodal gradient.  With whole-mesh temporaries that pass
     # peaked at 14.3 arrays of M doubles above the solve's entry; formed a
-    # component or a block at a time it takes 8.5
+    # component or a block at a time it takes 8.1
     mesh, data, seed = finest_certificate
     M = len(mesh.areas) * mesh.n_theta
     sol, peak = _traced_peak(lambda: solve_dirichlet(mu3, mesh, data,
@@ -218,9 +272,26 @@ def test_certificate_of_a_large_level_holds_ten_triangle_arrays(
 def test_nodal_gradient_holds_two_slices_beyond_its_grid(
         mu3, finest_certificate):
     mesh, _, seed = finest_certificate
-    flux = flux_lazy_tangent(mu3, _triangle_gradients(mesh, seed))[0]
+    f = flux(mu3, _triangle_gradients(mesh, seed))
     grid = len(mesh.ring_radii) * mesh.n_theta
     piece = len(mesh.areas) // 2 * mesh.n_theta     # one (vertex, kind)
-    _, peak = _traced_peak(lambda: _nodal_gradient(mesh, flux))
+    _, peak = _traced_peak(lambda: _nodal_gradient(mesh, f))
     # and the (2, 3, rows) area-weighted hat gradients
     assert peak <= 8 * (grid + 2 * piece + mesh.grads.size) + 4096
+
+
+def test_flux_holds_no_memory_beyond_its_result(mu3, finest_certificate):
+    # the flux keeps nothing of its evaluation once it returns; a form that
+    # kept what a later tangent would need held 1.13 arrays of M doubles
+    mesh, _, seed = finest_certificate
+    p = _triangle_gradients(mesh, seed)
+    t = np.hypot(p[:, 0], p[:, 1])
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        f = flux(mu3, p, t)
+        held = tracemalloc.get_traced_memory()[0] - entry
+    finally:
+        tracemalloc.stop()
+    assert f.nbytes == 8 * p.size
+    assert held <= f.nbytes + 4096

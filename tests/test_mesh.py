@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lingrowth.density import flux_tangent
+from lingrowth.density import flux
 from lingrowth.experiments import RemovabilityConfig, _graded_radii
 from lingrowth.mesh import (
     NodeTag,
@@ -543,11 +543,10 @@ def test_one_column_energy_and_gradient_of_ring_constant_fields(
         u = mesh.from_rings(w[:, None])
         assert energy(d, column, w) == pytest.approx(energy(d, mesh, u),
                                                      rel=1.5e-15)
-        full = _nodal_gradient(
-            mesh, flux_tangent(d, _triangle_gradients(mesh, u))[0])
+        full = _nodal_gradient(mesh, flux(d, _triangle_gradients(mesh, u)))
         want = np.bincount(ring, weights=full, minlength=n_rings)
-        got = _nodal_gradient(
-            column, flux_tangent(d, _triangle_gradients(column, w))[0])
+        got = _nodal_gradient(column,
+                              flux(d, _triangle_gradients(column, w)))
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=2.5e-15 * np.max(np.abs(want)))
 

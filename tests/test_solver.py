@@ -16,7 +16,7 @@ from scipy.sparse.linalg import spsolve
 
 from lingrowth import cli, density, solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
-from lingrowth.density import flux_tangent
+from lingrowth.density import flux, tangent
 from lingrowth.experiments import _graded_radii, run_comparison_suite
 from lingrowth.mesh import _triangle_geometry, build_polar_mesh, one_column
 from lingrowth.solver import (
@@ -135,11 +135,11 @@ def coo_hessian(d, mesh, u):
     """Full-node energy Hessian summed from the oracle's triangle blocks by
     sparse COO assembly: the reference the banded interior matrix is
     checked against."""
-    _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
+    T = tangent(d, _triangle_gradients(mesh, u))
     tri = layout(mesh)[0]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix((matmul_blocks(mesh, tangent).ravel(), (rows, cols)),
+    return sp.coo_matrix((matmul_blocks(mesh, T).ravel(), (rows, cols)),
                          shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
 
 
@@ -173,7 +173,7 @@ def test_energy_unit_gradient_mu3(mu3, annulus):
 
 @pytest.mark.parametrize("density", ["area", "mu3"])
 def test_assembly_matches_energy_differences(density, request):
-    # gradient and Hessian come from flux_tangent, the energy from g itself:
+    # gradient and Hessian come from flux and tangent, the energy from g:
     # central differences of the energy tie the two together
     d = request.getfixturevalue(density)
     mesh = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
@@ -192,7 +192,7 @@ def test_assembly_matches_energy_differences(density, request):
             v[i] += s
         return energy(d, mesh, v)
 
-    grad = _nodal_gradient(mesh, flux_tangent(d, p)[0])[ii]
+    grad = _nodal_gradient(mesh, flux(d, p))[ii]
     grad_fd = np.array([(E((i, h)) - E((i, -h))) / (2.0 * h) for i in ii])
     np.testing.assert_allclose(grad, grad_fd, rtol=0.0, atol=1e-7)
 
@@ -238,10 +238,9 @@ def test_nodal_gradient_matches_einsum_to_rounding(mu3, rng, args, kw):
     # sum of the terms' magnitudes from the exact sum
     mesh = build_polar_mesh(*args, **kw)
     p = _triangle_gradients(mesh, _rough_field(mesh, rng))
-    flux, _ = flux_tangent(mu3, p)
     tri = layout(mesh)[0]
     terms = np.bincount(tri.ravel(), minlength=mesh.num_nodes)
-    for f in (flux, rng.normal(size=p.shape)):
+    for f in (flux(mu3, p), rng.normal(size=p.shape)):
         terms_size = np.abs(einsum_contributions(mesh, f)).ravel()
         size = np.bincount(tri.ravel(), weights=terms_size,
                            minlength=mesh.num_nodes)
@@ -256,9 +255,9 @@ def test_band_matches_matmul_assembly(area, mu3, rng, args, kw):
     ii = mesh.interior_nodes()
     for d in (area, mu3):
         p = _triangle_gradients(mesh, _rough_field(mesh, rng))
-        _, tangent = flux_tangent(d, p)
-        got = _band(mesh, ii).matrix(_blocks(mesh, tangent))
-        want = bincount_band(mesh, ii, matmul_blocks(mesh, tangent))
+        T = tangent(d, p)
+        got = _band(mesh, ii).matrix(_blocks(mesh, T))
+        want = bincount_band(mesh, ii, matmul_blocks(mesh, T))
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=4e-16 * np.max(np.abs(want)))
@@ -267,7 +266,7 @@ def test_band_matches_matmul_assembly(area, mu3, rng, args, kw):
 def test_blocks_of_one_shared_tangent(mu3):
     # the harmonic extension passes one (2, 2) tangent for every triangle
     mesh = build_polar_mesh(_graded_radii(0.2, 1.0, 6, 2), 12)
-    _, flat = flux_tangent(mu3, np.zeros(2))
+    flat = tangent(mu3, np.zeros(2))
     stacked = np.broadcast_to(flat, (mesh.num_triangles, 2, 2))
     assert np.array_equal(_blocks(mesh, flat), _blocks(mesh, stacked))
 
@@ -279,8 +278,8 @@ def _band_and_sparse(d, mesh, rng):
     u = _rough_field(mesh, rng)
     ii = mesh.interior_nodes()
     band = _band(mesh, ii)
-    _, tangent = flux_tangent(d, _triangle_gradients(mesh, u))
-    ab = band.matrix(_blocks(mesh, tangent))
+    T = tangent(d, _triangle_gradients(mesh, u))
+    ab = band.matrix(_blocks(mesh, T))
     K = coo_hessian(d, mesh, u)[ii][:, ii]
     return ab, K, ii
 
@@ -353,8 +352,7 @@ def test_one_column_band_is_the_ring_summed_hessian(density, request, rng):
     K = coo_hessian(d, mesh, u)[ii][:, ii]
     want = (P.T @ K @ P).toarray()
 
-    _, tangent = flux_tangent(d, _triangle_gradients(column, w))
-    blocks = _blocks(column, tangent)
+    blocks = _blocks(column, tangent(d, _triangle_gradients(column, w)))
     ci = column.interior_nodes()
     assert np.array_equal(ci, np.arange(1, len(w) - 1))
     ab = _band(column, ci).matrix(blocks)
@@ -385,12 +383,11 @@ def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
     ring_field = mesh.from_rings(w[:, None])
     u = ring_field + 0.3 * rng.normal(size=mesh.num_nodes)
     ii = mesh.interior_nodes()
-    _, tangent = flux_tangent(d, _triangle_gradients(mesh, ring_field))
-    factor = solver._factor(_band(mesh, ii).matrix(_blocks(mesh, tangent)))
-    flux, _ = flux_tangent(d, _triangle_gradients(mesh, u))
+    T = tangent(d, _triangle_gradients(mesh, ring_field))
+    factor = solver._factor(_band(mesh, ii).matrix(_blocks(mesh, T)))
+    grad = _nodal_gradient(mesh, flux(d, _triangle_gradients(mesh, u)))
     want = u.copy()
-    want[ii] -= solver._solve_factored(factor,
-                                       _nodal_gradient(mesh, flux)[ii])
+    want[ii] -= solver._solve_factored(factor, grad[ii])
 
     factored, factor_band = [], solver._factor
 
@@ -406,7 +403,7 @@ def test_ring_mode_step_matches_the_2d_band_solve(density, n_theta, request,
                                atol=1e-13 * np.max(np.abs(want - u)))
 
     ci = column.interior_nodes()
-    _, column_tangent = flux_tangent(d, _triangle_gradients(column, w))
+    column_tangent = tangent(d, _triangle_gradients(column, w))
     mode0 = _cached_band(column, ci).matrix(
         _blocks(column, column_tangent) / n_theta)
     (ab,) = factored
@@ -542,30 +539,38 @@ def test_unusable_newton_step_falls_back_to_gradient(area, annulus,
 def test_rounding_regime_takes_full_newton_steps(mu3, annulus, monkeypatch):
     data = 0.4 * np.cos(2.0 * annulus.node_angles())
     sol = solve_dirichlet(mu3, annulus, data)
-    calls = []
-    armijo = solver._armijo
+    calls, energies = [], []
+    armijo, energy_of = solver._armijo, solver._energy
 
-    def spy(*args):
-        calls.append(args)
-        return armijo(*args)
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("full", False))
+        return armijo(*args, **kwargs)
+
+    def counted(*args):
+        energies.append(calls[:])
+        return energy_of(*args)
 
     monkeypatch.setattr(solver, "_armijo", spy)
+    monkeypatch.setattr(solver, "_energy", counted)
     # at the minimizer every Newton decrement is rounding noise: no line
-    # search can see a decrease, so each step is taken in full
+    # search can see a decrease, so each step is taken in full, with one
+    # energy each and none of them tested
     with monkeypatch.context() as m, \
             pytest.raises(NonConvergenceError) as err:
         m.setattr(solver, "_GRAD_TOL", 0.0)
         solve_dirichlet(mu3, annulus, data, max_iter=3,
                         x0=sol.values)
-    assert calls == []
+    assert calls == [True] * 3
+    assert energies == [[], [True], [True] * 2, [True] * 3]
     hist = np.array(err.value.solution.energy_history)
     assert len(hist) == 4
     np.testing.assert_allclose(hist, sol.energy, rtol=1e-14)
     # a decrement of about 1e-12, a hundred times the rounding of the
     # energy, still goes through the line search
+    del calls[:]
     x0 = sol.values + 1e-7 * np.sin(5.0 * annulus.node_angles())
     assert solve_dirichlet(mu3, annulus, data, x0=x0).converged
-    assert len(calls) >= 1
+    assert calls[0] is False
 
 
 def _band_call_log(monkeypatch):
@@ -617,12 +622,13 @@ def test_stepping_solve_takes_one_gradient_pass_per_iterate(
         return wrapper
 
     for owner, name in ((solver, "_triangle_gradients"), (solver, "_blocks"),
-                        (density, "_tangent"), (density.Density, "gsecond")):
+                        (solver, "tangent"), (density.Density, "gprime"),
+                        (density.Density, "gsecond")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     armijo = solver._armijo
 
-    def line_search(d, mesh, u, interior, direction, g_i, E):
-        result = armijo(d, mesh, u, interior, direction, g_i, E)
+    def line_search(d, mesh, u, interior, direction, g_i, E, **kwargs):
+        result = armijo(d, mesh, u, interior, direction, g_i, E, **kwargs)
         assert result[2]
         k = np.argmax(np.abs(direction))
         steps.append((result[0][interior] - u[interior])[k] / direction[k])
@@ -637,8 +643,10 @@ def test_stepping_solve_takes_one_gradient_pass_per_iterate(
     # plus one pass, one tangent and one set of blocks for the harmonic
     # extension that starts the solve
     assert counts["_triangle_gradients"] == 1 + (sol.iterations + 1) + rejected
-    for name in ("_tangent", "gsecond", "_blocks"):
+    for name in ("tangent", "gsecond", "_blocks"):
         assert counts[name] == 1 + sol.iterations
+    # g' once for the flux of each gradient test and once in each tangent
+    assert counts["gprime"] == (sol.iterations + 1) + (1 + sol.iterations)
 
 
 def test_seeded_comparison_trials_converge(mu3):
@@ -659,9 +667,8 @@ def test_seeded_comparison_trials_converge(mu3):
     one_column(build_polar_mesh(_graded_radii(0.1, 1.0, 6, 3), 12)),
 ], ids=["disk-center", "graded-annulus", "one-column"])
 def test_band_lapack_matches_scipy_bit_for_bit(mu3, rng, mesh):
-    _, tangent = flux_tangent(mu3, _triangle_gradients(
-        mesh, _rough_field(mesh, rng)))
-    ab = _band(mesh, mesh.interior_nodes()).matrix(_blocks(mesh, tangent))
+    T = tangent(mu3, _triangle_gradients(mesh, _rough_field(mesh, rng)))
+    ab = _band(mesh, mesh.interior_nodes()).matrix(_blocks(mesh, T))
     rhs = rng.normal(size=ab.shape[1])
     want = cholesky_banded(ab, lower=True)
     pbtrf, pbtrs, _ = solver._band_lapack()
@@ -804,7 +811,7 @@ def residual_EL(d, mesh, values):
     """Euclidean norm of the interior-restricted energy gradient: the
     discrete Euler-Lagrange residual of a nodal field."""
     p = _triangle_gradients(mesh, np.asarray(values, dtype=float))
-    grad = _nodal_gradient(mesh, flux_tangent(d, p)[0])
+    grad = _nodal_gradient(mesh, flux(d, p))
     return float(np.linalg.norm(grad[mesh.interior_nodes()]))
 
 
@@ -939,7 +946,7 @@ def test_rotation_equivariance(area, annulus):
 def residual(d, mesh, u):
     """The nodal energy gradient of u, every node."""
     p = _triangle_gradients(mesh, np.asarray(u, dtype=float))
-    return _nodal_gradient(mesh, flux_tangent(d, p)[0])
+    return _nodal_gradient(mesh, flux(d, p))
 
 
 ROTATION_MESHES = [
