@@ -114,7 +114,8 @@ _CATENOID_KEYS = {
     "sign": ("plus", None), "alpha": (1.0, None), "a": (0.0, None),
     "n": (2, None), "convention": ("neck", None),
     "rho_min": (None, ioutil.real),     # default 1.01 * neck radius
-    "rho_max": (5.0, ioutil.real), "samples": (100, ioutil.integer),
+    "rho_max": (5.0, ioutil.real),
+    "samples": (100, lambda value: ioutil.integer(value, 2)),
 }
 _MESH_KEYS = {"r_in": (0.5, None), "r_out": (1.0, None), "n_r": (16, None),
               "n_theta": (32, None)}
@@ -209,6 +210,9 @@ def cmd_catenoid(args) -> int:
         _say(args, f"requested range starts at {rho_min}, at or below the "
                    f"neck radius {spec.neck_radius:.12g}: profile undefined")
         return EXIT_HYPOTHESIS
+    if not rho_max > rho_min:
+        raise ValueError(f"catenoid config key 'rho_max': must exceed "
+                         f"rho_min = {rho_min!r}, got {rho_max!r}")
 
     profile = sample_profile(d, spec, rho_min, rho_max, num)
     residual = ode_residual(d, profile)
@@ -355,15 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (default: the config's seed, else 0)")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand reads a density
+    dens = argparse.ArgumentParser(add_help=False)
+    dens.add_argument("--kind", choices=["area", "mu"])
+    dens.add_argument("--mu", type=float)
 
-    p = sub.add_parser("density", help="validate a density")
-    p.add_argument("--kind", choices=["area", "mu"])
-    p.add_argument("--mu", type=float)
+    p = sub.add_parser("density", parents=[dens], help="validate a density")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("catenoid", help="sample a barrier profile")
-    p.add_argument("--kind", choices=["area", "mu"])
-    p.add_argument("--mu", type=float)
+    p = sub.add_parser("catenoid", parents=[dens],
+                       help="sample a barrier profile")
     p.add_argument("--sign", choices=[s.value for s in Sign])
     p.add_argument("--alpha", type=float)
     p.add_argument("--a", type=float)
@@ -374,18 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.set_defaults(func=cmd_catenoid)
 
-    p = sub.add_parser("solve", help="one Dirichlet solve")
-    p.add_argument("--kind", choices=["area", "mu"])
-    p.add_argument("--mu", type=float)
+    p = sub.add_parser("solve", parents=[dens], help="one Dirichlet solve")
     p.add_argument("--r-in", type=float, dest="r_in")
     p.add_argument("--r-out", type=float, dest="r_out")
     p.add_argument("--n-r", type=int, dest="n_r")
     p.add_argument("--n-theta", type=int, dest="n_theta")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("experiment", help="run an experiment study")
-    p.add_argument("--kind", choices=["area", "mu"])
-    p.add_argument("--mu", type=float)
+    p = sub.add_parser("experiment", parents=[dens],
+                       help="run an experiment study")
     p.add_argument("--experiment-kind", dest="experiment_kind",
                    choices=["removability", "catenoid", "comparison"])
     p.set_defaults(func=cmd_experiment)

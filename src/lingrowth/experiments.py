@@ -10,19 +10,14 @@ Three studies are provided:
   The deviation at a probe radius is compared against the barrier
   envelope E(eps), demonstrating that the influence of the corrupted
   circle dies out with its radius -- the discrete shadow of
-  removable-singularity behaviour.  Each annulus solve
-  starts from the reference plus the exact discrete solution of the
-  spike's ring-constant problem, solved on a one-column mesh from the
-  spike's capped barrier envelope, and corrected mode by mode in theta,
-  with the Hessian at that ring solution, down to the rounding of the
-  field; in the default sweeps no 2D Newton step is then left.
+  removable-singularity behaviour.
 
 * **Catenoid reproduction** (:func:`run_catenoid_reproduction`): impose
   exact radial barrier values on both circles of an annulus and measure
   the nodal error of the solve under mesh refinement, estimating the
-  empirical convergence order.  The data are radial, so each level's
-  solve starts from the exact solution of its ring-constant problem,
-  solved on the level's one-column mesh.
+  empirical convergence order.  Both radial studies start each annulus
+  solve from the exact solution of its ring-constant problem
+  (:func:`lingrowth.solver._ring_started_solve`).
 
 * **Comparison suite** (:func:`run_comparison_suite`): random ordered
   boundary-data pairs must produce ordered solutions (discrete comparison
@@ -47,10 +42,10 @@ from .catenoid import (Anchor, CatenoidSpec, Sign, envelope_bound,
                        envelope_bounds, profile_value, profile_values,
                        uniform_interior_bound)
 from .density import Density, Growth, density_from_config, normalize
-from .mesh import (NodeTag, PolarMesh, build_polar_mesh, one_column,
-                   radial_values, uniform_shape)
+from .mesh import (NodeTag, PolarMesh, build_polar_mesh, radial_values,
+                   uniform_shape)
 from .quadrature import QuadratureAccuracyError
-from .solver import (NonConvergenceError, _ring_mode_corrected,
+from .solver import (NonConvergenceError, _ring_started_solve,
                      check_comparison, solve_dirichlet)
 
 
@@ -284,11 +279,10 @@ def _graded_radii(eps: float, R: float, n_r: int, layers: int) -> np.ndarray:
     return np.concatenate([[eps], splits, radii[1:]])
 
 
-def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
+def _barrier_seed(d: Density, ring_radii: np.ndarray, eps: float, R: float,
                   spike: float) -> np.ndarray:
     """Start of the ring-constant problem of the spike: the excess over the
-    reference, one value per ring of ``annulus`` (which may be its
-    one-column mesh, see :func:`lingrowth.mesh.one_column`).
+    reference, one value per ring of an annulus with ``ring_radii``.
 
     The barrier of neck eps that vanishes on the outer circle bounds the
     spike's influence at every radius.  Capped by the spike it is the
@@ -299,10 +293,9 @@ def _barrier_seed(d: Density, annulus: PolarMesh, eps: float, R: float,
     it the ring solves of the default sweeps take 3 to 10 Newton steps;
     from the harmonic extension they took 7 to 25, and for spikes of 10 to
     1000 at the default epsilons 14 to 119 against at most 4."""
-    env = envelope_bounds(d, eps, annulus.ring_radii[1:-1], R, 0.0, 2)
-    excess = np.concatenate(
+    env = envelope_bounds(d, eps, ring_radii[1:-1], R, 0.0, 2)
+    return np.concatenate(
         ([spike], np.copysign(np.minimum(abs(spike), env), spike), [0.0]))
-    return annulus.from_rings(excess[:, None])
 
 
 def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
@@ -324,30 +317,17 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     Newton step and no band.  ``samples`` and ``radial`` outer data start
     the reference from the harmonic extension of their data.
 
-    Each annulus solve starts from the reference plus the exact discrete
-    solution of the spike's ring-constant problem: spike on the inner
-    circle, 0 on the outer, one unknown per ring.  A ring-constant
-    field on the annulus has n_theta times the energy of its one-column
-    mesh (:func:`lingrowth.mesh.one_column`), so that problem is a
-    :func:`solve_dirichlet` on the column, started from the capped barrier
-    envelope of :func:`_barrier_seed`.
-    Where that envelope cannot be certified (mu = 1.2, on the first graded
-    rings), the ring solve starts from the harmonic extension instead.
-    That start is left with the reference's angular part.  Chord
-    corrections take it out: each is a step with the 2D Hessian at the
-    ring solution, which is rotation-invariant, so it is solved mode by
-    mode in theta, and they go on while they contract, until the next one
-    would fall below the rounding of the field
-    (:func:`lingrowth.solver._ring_mode_corrected`).  In the default
-    sweeps that takes six to eight corrections, and the corrected start
-    passes the annulus solve's gradient test as it is: no annulus takes a
-    Newton step or factors a 2D band, and the gradient test is still the
-    only certificate.  Where the second correction is more than a quarter
-    of the first (a steep background), the corrections are dropped and the
-    annulus starts from the uncorrected field.  Each record carries the
-    annulus's Newton steps as ``iterations``, the ring solve's as
-    ``column_iterations`` and the number of corrections kept, 0 where they
-    were dropped, as ``corrections``.
+    Each annulus is solved by :func:`lingrowth.solver._ring_started_solve`
+    with the reference as its base and the spike's ring problem (spike
+    inside, 0 outside) started from the capped barrier envelope of
+    :func:`_barrier_seed`, or from the harmonic extension where that
+    envelope cannot be certified (mu = 1.2, on the first graded rings).
+    In the default sweeps six to eight corrections are kept and no
+    annulus takes a Newton step or factors a 2D band.  Each record
+    carries the annulus's Newton steps as ``iterations``, the ring
+    solve's as ``column_iterations`` and the corrections kept as
+    ``corrections``, 0 both where they were dropped and where the start
+    was already at rounding (see the helper).
     """
     d = normalize(density_from_config(cfg.density))
     growth = d.growth
@@ -370,20 +350,12 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
         # radius where the P1 reference interpolates exactly
         ref_on_annulus = annulus.from_rings(
             radial_values(disk, reference.values, annulus.ring_radii))
-        inner_vals = annulus.rings(ref_on_annulus)[0] + cfg.spike
-        data = _dirichlet(annulus, inner=inner_vals, outer=outer_vals)
-        column = one_column(annulus)
         try:
-            start = _barrier_seed(d, column, eps, R, cfg.spike)
+            seed = _barrier_seed(d, annulus.ring_radii, eps, R, cfg.spike)
         except QuadratureAccuracyError:
-            start = None
-        ring = solve_dirichlet(d, column,
-                               _dirichlet(column, inner=cfg.spike, outer=0.0),
-                               x0=start)
-        seed, corrections = _ring_mode_corrected(
-            d, annulus, ring.values,
-            ref_on_annulus + annulus.from_rings(column.rings(ring.values)))
-        sol = solve_dirichlet(d, annulus, data, x0=seed)
+            seed = None
+        sol, ring, corrections = _ring_started_solve(
+            d, annulus, cfg.spike, 0.0, base=ref_on_annulus, ring_start=seed)
         h = annulus.h_radial
         allow = 10.0 * h * h
         env = envelope_bound(d, eps, cfg.probe_radius, R, 0.0, 2)
@@ -480,16 +452,10 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     calls, made once for all levels, so the per-radius and the cumulative
     routes cross-check each other there.
 
-    The data are constant on each circle and every level maps onto itself
-    under rotation by one column, so its discrete minimizer, which is
-    unique, is constant on each ring.  Each level therefore first solves
-    its ring-constant problem, a :func:`solve_dirichlet` on the level's
-    one-column mesh (:func:`lingrowth.mesh.one_column`) with one unknown
-    per ring, started from the harmonic extension.  The 2D solve starts
-    from that ring solution, and its gradient test is still the only
-    certificate: where the start passes it, the level takes no 2D Newton
-    step and factors no 2D band.  Each record carries the column's Newton
-    steps as ``column_iterations`` next to the 2D ``iterations``.
+    The data are constant on each circle, so each level is solved by
+    :func:`lingrowth.solver._ring_started_solve` without a base, from the
+    level's ring solution.  Each record carries the column's Newton steps
+    as ``column_iterations`` next to the 2D ``iterations``.
 
     ``refinements`` must be an int >= 1, ``n_r0`` and ``n_theta0`` ints
     >= 3, and r_in and r_out finite reals with neck < r_in < r_out; a bad
@@ -524,12 +490,7 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
         stride = 2 ** (top - level)
         mesh = (finest if level == top
                 else build_polar_mesh(finest.ring_radii[::stride], n_theta))
-        column = one_column(mesh)
-        ring = solve_dirichlet(d, column,
-                               _dirichlet(column, inner=inner, outer=outer))
-        seed = mesh.from_rings(column.rings(ring.values))
-        data = _dirichlet(mesh, inner=inner, outer=outer)
-        sol = solve_dirichlet(d, mesh, data, x0=seed)
+        sol, ring, _ = _ring_started_solve(d, mesh, inner, outer)
         exact = mesh.from_rings(finest_exact[::stride, None])
         err = float(np.max(np.abs(sol.values - exact)))
         errors.append(err)
@@ -584,8 +545,9 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
     solved field's inner data is pinned strictly below the barrier's neck
     value, and the solution must stay under the barrier nodewise.
 
-    ``trials`` must be an int >= 1 and ``fourier_degree`` an int >= 0;
-    the mesh keys are checked by :func:`lingrowth.mesh.uniform_shape`.
+    ``trials`` must be an int >= 1, ``fourier_degree`` an int >= 0 and
+    ``r_in`` > 0; the mesh keys are checked by
+    :func:`lingrowth.mesh.uniform_shape`.
     A bad value raises ValueError naming its key.
     """
     what = "comparison config key {!r}".format
@@ -594,6 +556,8 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
                                     what("fourier_degree"), 0)
     mesh = build_polar_mesh(*uniform_shape(r_in, r_out, n_r, n_theta,
                                            "comparison config"))
+    if mesh.is_disk:  # the suite needs an inner circle
+        raise ValueError(f"{what('r_in')}: must be > 0, got {r_in!r}")
     d = normalize(d)
     h = mesh.h_radial
     tol = 1e-8 + 10.0 * h * h

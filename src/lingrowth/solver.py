@@ -108,10 +108,10 @@ needs the flux alone, not the tangent.
 :func:`_ring_mode_corrected` repeats it on a start for as long as the
 corrections contract, until the next one would fall below the rounding of
 the field; the gradient test of :func:`solve_dirichlet` still decides
-convergence.  On the default removability annuli the corrected start passes
-that test as it is, so no annulus factors a 2D band; nor does the
-reference disk of affine data, which starts from the affine field, the
-exact discrete minimizer.
+convergence.  Its one caller is :func:`_ring_started_solve`, the solve of
+an annulus from its ring solution, where a base field is added.  On the
+default removability annuli the corrected start passes that test as it
+is, so no annulus factors a 2D band.
 
 Near the minimizer the energy decrease of a Newton step, about half the
 Newton decrement lambda^2 = -step . grad, sinks below the rounding of the
@@ -713,6 +713,38 @@ def _ring_mode_corrected(d: Density, annulus: PolarMesh,
             break
         u, before, last, kept = nxt, last, size, kept + 1
     return u, kept
+
+
+def _ring_started_solve(d: Density, annulus: PolarMesh, inner: float,
+                        outer: float, base: Optional[np.ndarray] = None,
+                        ring_start: Optional[np.ndarray] = None) -> tuple:
+    """(solution, ring, corrections): :func:`solve_dirichlet` on
+    ``annulus`` started from ``ring``, the exact solution of its
+    ring-constant problem, and the number of start corrections kept.
+
+    The ring problem, ``inner`` on the inner circle and ``outer`` on the
+    outer one, is solved on :func:`lingrowth.mesh.one_column`, one unknown
+    per ring, from ``ring_start`` (one value per ring) or, where that is
+    None, from the harmonic extension.  Without ``base`` the annulus maps
+    onto itself under rotation by one column, so its unique discrete
+    minimizer is constant on each ring: the lifted ring solution is the
+    start.  With ``base``, a nodal field, the start is the base plus the
+    lift, corrected mode by mode in theta while the corrections contract
+    (:func:`_ring_mode_corrected`).  ``corrections`` counts those kept: 0
+    without a base, and 0 both where they grow (a steep background) and
+    where the start is already at rounding, its first two rounding noise.
+    The 2D solve reads its boundary data from the start, and its gradient
+    test is the only certificate: where the start passes it, the annulus
+    takes no Newton step and factors no 2D band.
+    """
+    column = one_column(annulus)
+    data = np.zeros(len(annulus.ring_radii))
+    data[[0, -1]] = inner, outer
+    ring = solve_dirichlet(d, column, data, x0=ring_start)
+    lift = annulus.from_rings(column.rings(ring.values))
+    start, corrections = ((lift, 0) if base is None else _ring_mode_corrected(
+        d, annulus, ring.values, base + lift))
+    return solve_dirichlet(d, annulus, start, x0=start), ring, corrections
 
 
 def _newton_step(band: _Band, blocks: np.ndarray,

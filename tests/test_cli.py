@@ -624,13 +624,24 @@ def _comparison(**keys):
      "comparison config key 'r_out'"),
     ("experiment", _sweep(n_r=2), "removability config key 'n_r'"),
     ("experiment", _sweep(n_theta=0), "removability config key 'n_theta'"),
+    # failed in numpy: "zero-size array to reduction operation maximum"
+    ("experiment", _comparison(r_in=0), "comparison config key 'r_in'"),
+    # each failed in sample_profile, which names no key
+    ("catenoid --kind area --samples 1", None,
+     "catenoid config key 'samples'"),
+    ("catenoid --kind area --rho-max 0.5", None,
+     "catenoid config key 'rho_max'"),
+    ("catenoid --kind area --rho-min 2 --rho-max 2", None,
+     "catenoid config key 'rho_max'"),
 ], ids=["trials-negative", "trials-zero", "trials-bool", "n_r-fraction",
         "catenoid-r_in-string", "fourier_degree-negative",
         "solve-n_r-zero", "solve-n_r-two", "solve-n_theta-two",
         "solve-r_out-below", "solve-r_out-equal", "solve-r_in-negative",
         "comparison-n_r-zero", "comparison-n_theta-two",
         "comparison-r_out-below", "removability-n_r-two",
-        "removability-n_theta-zero"])
+        "removability-n_theta-zero", "comparison-r_in-zero",
+        "catenoid-samples-one", "catenoid-rho_max-below",
+        "catenoid-rho_max-equal"])
 def test_count_or_radius_out_of_range_names_its_key(tmp_path, capsys,
                                                     command, config, key):
     code, out = run(tmp_path, *command.split(), config=config)

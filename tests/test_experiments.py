@@ -212,14 +212,16 @@ def test_refinement_catches_wrong_boundary_profile(monkeypatch, mu3):
 
 
 def _record_solves(monkeypatch):
-    """Capture every solve a study makes: its arguments and its solution."""
+    """Capture every solve a study makes, itself or through
+    ``solver._ring_started_solve``: its arguments and its solution."""
     calls = []
 
     def recording(d, mesh, data, *, x0=None):
         sol = solve_dirichlet(d, mesh, data, x0=x0)
         calls.append((d, mesh, data, x0, sol))
         return sol
-    monkeypatch.setattr(experiments, "solve_dirichlet", recording)
+    for module in (experiments, solver):
+        monkeypatch.setattr(module, "solve_dirichlet", recording)
     return calls
 
 
@@ -317,7 +319,8 @@ def _tangent_work_in_seeded_solves(monkeypatch):
             inside.pop()
         seeded.append(sol)
         return sol
-    monkeypatch.setattr(experiments, "solve_dirichlet", solve)
+    for module in (experiments, solver):
+        monkeypatch.setattr(module, "solve_dirichlet", solve)
     return seeded, counts
 
 
@@ -501,14 +504,12 @@ def test_catenoid_reproduction_factors_column_bands_only(monkeypatch, mu3):
 
 def test_barrier_seed_matches_per_ring_envelopes(mu2):
     annulus = build_polar_mesh(_graded_radii(0.1, 1.0, 12, 3), 8)
-    seed = _barrier_seed(mu2, annulus, 0.1, 1.0, -0.2)
+    seed = _barrier_seed(mu2, annulus.ring_radii, 0.1, 1.0, -0.2)
     want = [-0.2] + [-min(0.2, envelope_bound(mu2, 0.1, r, 1.0, 0.0, 2))
                      for r in annulus.ring_radii[1:-1]] + [0.0]
-    rings = seed.reshape(-1, 8)
-    np.testing.assert_allclose(rings, np.tile(want, (8, 1)).T, rtol=0,
-                               atol=1e-9)
+    np.testing.assert_allclose(seed, want, rtol=0, atol=1e-9)
     # the spike caps the rings next to the inner circle, not the far ones
-    assert rings[1, 0] == -0.2 and -0.2 < rings[-2, 0] < 0.0
+    assert seed[1] == -0.2 and -0.2 < seed[-2] < 0.0
 
 
 def test_uncertified_barrier_seed_starts_the_ring_solve_cold(monkeypatch):
@@ -524,7 +525,8 @@ def test_uncertified_barrier_seed_starts_the_ring_solve_cold(monkeypatch):
     assert len(rings) == len(cfg.epsilons)
     for eps, (column, data, x0) in zip(cfg.epsilons, rings):
         with pytest.raises(QuadratureAccuracyError):
-            _barrier_seed(d, column, eps, cfg.outer_radius, cfg.spike)
+            _barrier_seed(d, column.ring_radii, eps, cfg.outer_radius,
+                          cfg.spike)
         assert x0 is None
         assert list(column.rings(data)[[0, -1], 0]) == [cfg.spike, 0.0]
     assert [r["iterations"] for r in rep.records] == [0, 0, 0, 0]
@@ -545,7 +547,8 @@ def test_barrier_seed_keeps_large_spike_ring_solves_short(density, spike,
         column = one_column(build_polar_mesh(
             _graded_radii(eps, cfg.outer_radius, cfg.n_r, cfg.inner_layers),
             cfg.n_theta))
-        start = _barrier_seed(d, column, eps, cfg.outer_radius, spike)
+        start = _barrier_seed(d, column.ring_radii, eps, cfg.outer_radius,
+                              spike)
         ring = solve_dirichlet(d, column, start, x0=start)
         assert ring.converged and ring.iterations <= 4, (eps, ring.iterations)
 
@@ -557,7 +560,9 @@ def test_barrier_seed_keeps_large_spike_ring_solves_short(density, spike,
     ({"trials": 0}, "'trials'"), ({"trials": 2.0}, "'trials'"),
     ({"fourier_degree": -1}, "'fourier_degree'"),
     ({"n_r": 2}, "'n_r'"), ({"n_theta": 0}, "'n_theta'"),
-    ({"r_in": 1.0}, "'r_out'")])
+    ({"r_in": 1.0}, "'r_out'"),
+    # a disk has no inner circle: numpy failed on an empty maximum
+    ({"r_in": 0}, "'r_in'"), ({"r_in": 0.0}, "'r_in'")])
 def test_comparison_rejects_a_bad_key_before_any_trial(area, keys, key):
     # trials <= 0 ran no trial and passed every check
     keys = {"trials": 1, **keys}
@@ -679,7 +684,8 @@ def test_removability_solves_on_the_calling_thread(monkeypatch):
         threads.append(threading.get_ident())
         return solve_dirichlet(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "solve_dirichlet", spy)
+    for module in (experiments, solver):
+        monkeypatch.setattr(module, "solve_dirichlet", spy)
     cfg = RemovabilityConfig(density={"kind": "area"},
                              **{**FAST, "epsilons": (0.3, 0.2, 0.15, 0.1)})
     assert run_removability(cfg).all_checks_pass()

@@ -17,8 +17,10 @@ from scipy.sparse.linalg import spsolve
 from lingrowth import cli, density, solver
 from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 from lingrowth.density import flux, tangent
-from lingrowth.experiments import _graded_radii, run_comparison_suite
-from lingrowth.mesh import _triangle_geometry, build_polar_mesh, one_column
+from lingrowth.experiments import (_barrier_seed, _dirichlet, _graded_radii,
+                                   run_comparison_suite)
+from lingrowth.mesh import (_triangle_geometry, build_polar_mesh, one_column,
+                            radial_values)
 from lingrowth.solver import (
     _LOWER,
     ComparisonResult,
@@ -31,6 +33,7 @@ from lingrowth.solver import (
     _nodal_gradient,
     _ring_mode_corrected,
     _ring_mode_step,
+    _ring_started_solve,
     _triangle_gradients,
     check_comparison,
     energy,
@@ -462,6 +465,94 @@ def test_exactly_zero_ring_mode_corrections_end_the_loop(area):
         u, kept = _ring_mode_corrected(area, mesh,
                                        np.zeros(len(mesh.ring_radii)), start)
     assert kept == 2 and np.array_equal(u, start)
+
+
+def hand_written_ring_started_solve(d, annulus, ring_data, ring_start, base,
+                                    data):
+    """The sequence each radial study wrote out before
+    ``_ring_started_solve``: the ring solve on one column from NaN-padded
+    ring data, the lift, the corrections where a base is given, and the 2D
+    solve with a boundary vector of its own, ``data``."""
+    column = one_column(annulus)
+    x0 = None if ring_start is None else column.from_rings(ring_start[:, None])
+    ring = solve_dirichlet(d, column, _dirichlet(column, *ring_data), x0=x0)
+    seed, corrections = annulus.from_rings(column.rings(ring.values)), 0
+    if base is not None:
+        seed, corrections = _ring_mode_corrected(d, annulus, ring.values,
+                                                 base + seed)
+    return solve_dirichlet(d, annulus, data, x0=seed), ring, corrections
+
+
+def _removability_case(d, barrier):
+    """A graded removability annulus with the affine reference of its disk
+    as the base, the spike's ring data and the boundary vector the study
+    built by hand: the reference plus the spike inside, the disk's data
+    outside."""
+    eps, spike = 0.1, 1.0
+    disk = build_polar_mesh(np.linspace(0.0, 1.0, 13), 16)
+    reference = affine(disk, 0.012, 0.009, 0.0)
+    annulus = build_polar_mesh(_graded_radii(eps, 1.0, 12, 3), 16)
+    base = annulus.from_rings(
+        radial_values(disk, reference, annulus.ring_radii))
+    start = (_barrier_seed(d, annulus.ring_radii, eps, 1.0, spike)
+             if barrier else None)
+    data = _dirichlet(annulus, annulus.rings(base)[0] + spike,
+                      reference[disk.outer_nodes()])
+    return annulus, (spike, 0.0), start, base, data
+
+
+def _catenoid_case(d):
+    """A catenoid level: exact profile values on both circles, no base."""
+    spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
+    mesh = build_polar_mesh(np.linspace(1.5, 3.0, 9), 16)
+    inner, outer = profile_value(d, spec, 1.5), profile_value(d, spec, 3.0)
+    return mesh, (inner, outer), None, None, _dirichlet(mesh, inner, outer)
+
+
+@pytest.mark.parametrize("case", ["barrier start", "cold ring", "catenoid"])
+def test_ring_started_solve_matches_the_hand_written_sequence(case, mu2, mu3):
+    # the one helper of both radial studies makes the solves they made by
+    # hand, bit for bit, though its 2D solve reads its data from its start
+    if case == "catenoid":
+        d = mu3
+        annulus, ring_data, start, base, data = _catenoid_case(d)
+    else:
+        d = mu2
+        annulus, ring_data, start, base, data = _removability_case(
+            d, barrier=case == "barrier start")
+    want_sol, want_ring, want_kept = hand_written_ring_started_solve(
+        d, annulus, ring_data, start, base, data)
+    sol, ring, kept = _ring_started_solve(d, annulus, *ring_data, base=base,
+                                          ring_start=start)
+    assert np.array_equal(ring.values, want_ring.values)
+    assert ring.iterations == want_ring.iterations
+    assert np.array_equal(sol.values, want_sol.values)
+    assert (sol.energy, sol.grad_norm, sol.iterations, sol.converged) == (
+        want_sol.energy, want_sol.grad_norm, want_sol.iterations,
+        want_sol.converged)
+    assert kept == want_kept
+    assert (kept > 2) == (base is not None)
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+def test_ring_started_solve_builds_a_mode_band_only_for_a_base(
+        monkeypatch, mu2, with_base):
+    # without a base the lifted ring solution is the start as it is: no
+    # ring-mode step, so no mode band, is made
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return ring_mode_step(*args)
+
+    ring_mode_step = solver._ring_mode_step
+    monkeypatch.setattr(solver, "_ring_mode_step", spy)
+    annulus, ring_data, start, base, _ = _removability_case(mu2, True)
+    sol, _, kept = _ring_started_solve(
+        mu2, annulus, *ring_data, base=base if with_base else None,
+        ring_start=start)
+    assert sol.converged
+    assert len(built) == with_base and (kept > 0) == with_base
 
 
 def test_band_cache_shares_one_map_per_topology():
