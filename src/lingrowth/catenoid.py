@@ -38,7 +38,8 @@ from enum import Enum
 import numpy as np
 
 from . import ioutil
-from .density import Density, Growth, classify_growth, invert_gprime
+from .density import (Density, Growth, _require_normalized, classify_growth,
+                      invert_gprime)
 from .quadrature import QuadratureAccuracyError, integrate
 
 # Certified absolute accuracy demanded from every profile quadrature.
@@ -137,13 +138,6 @@ class CatenoidSpec:
 
 # ---------------------------------------------------------------------------
 # quadrature plumbing
-
-
-def _require_normalized(d: Density):
-    if d.gprime_inf != 1.0:
-        raise ValueError(
-            f"density {d.label!r} must be normalized (gprime_inf == 1); "
-            "call normalize() first")
 
 
 def _decade_points(lo: float, hi: float) -> list:
@@ -410,15 +404,18 @@ def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
     the flat wings.  The values come from :func:`profile_values`: one
     :func:`profile_value` at ``rho_min`` plus one radial panel per gap,
     certified to QUAD_ABS_TOL / (num - 1).
+
+    ``d`` must be normalized and ``num`` an integer >= 2 (an int or a numpy
+    integer; a bool, a fraction or a string is a ValueError naming
+    ``num``), and the radii must satisfy neck < rho_min < rho_max.
     """
     _require_normalized(d)
+    num = ioutil.checked(ioutil.integer, num, "num", 2)
     neck = spec.neck_radius
     if not (neck < rho_min < rho_max):
         raise ValueError(
             f"need neck < rho_min < rho_max, got neck={neck:.12g}, "
             f"rho_min={rho_min}, rho_max={rho_max}")
-    if num < 2:
-        raise ValueError("need at least two samples")
     offsets = np.geomspace(rho_min - neck, rho_max - neck, num)
     rho = neck + offsets
     values = profile_values(d, spec, rho)

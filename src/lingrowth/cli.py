@@ -107,8 +107,8 @@ def _density_config(args, cfg: dict) -> dict:
 # whose default is None is left out unless given, so its consumer's own
 # default applies.  A key without a cast is checked by its consumer (the
 # catenoid spec keys by CatenoidSpec.from_config, the mesh keys by
-# uniform_shape, the experiment keys by their study), and the echoed config
-# repeats it as given.
+# uniform_shape, max_iter by solve_dirichlet, the experiment keys by their
+# study), and the echoed config repeats it as given.
 _AS_GIVEN = (None, None)
 _CATENOID_KEYS = {
     "sign": ("plus", None), "alpha": (1.0, None), "a": (0.0, None),
@@ -119,7 +119,7 @@ _CATENOID_KEYS = {
 }
 _MESH_KEYS = {"r_in": (0.5, None), "r_out": (1.0, None), "n_r": (16, None),
               "n_theta": (32, None)}
-_SOLVER_KEYS = {"max_iter": (None, ioutil.integer)}
+_SOLVER_KEYS = {"max_iter": _AS_GIVEN}
 _BOUNDARY_KEYS = {                  # circle data: see circle_data_values
     "outer": ({"kind": "affine", "q": [0.5, 0.3], "c": 0.0}, None),
     "inner": _AS_GIVEN,             # required on an annulus

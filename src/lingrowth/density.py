@@ -296,20 +296,19 @@ def _mu_g(mu: float) -> Callable:
         # P(x) from the powers x, x^2, ..., one product each, its terms
         # summed from the largest, the constant one, for a block of x at a
         # time.  einsum sums the terms of a block of one entry in another
-        # order than those of a longer block, so a last block of one entry
-        # joins the block before it, and every entry has the bits of one
-        # block of all of x.
-        edges = [*range(0, len(x), _SERIES_BLOCK), len(x)]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]
-        for lo, hi in zip(edges, edges[1:]):
-            block, xb = below[lo:hi], x[lo:hi]
+        # order than those of a longer block, so a block of one is summed
+        # as two copies of its entry, and every entry has the bits of one
+        # block of all of x, a scalar t included.
+        for lo in range(0, len(x), _SERIES_BLOCK):
+            block, xb = below[lo:lo + _SERIES_BLOCK], x[lo:lo + _SERIES_BLOCK]
+            if len(xb) == 1:
+                xb = np.repeat(xb, 2)
             powers = np.empty((len(_coef) - 1, len(xb)))
             powers[0] = xb
             for k in range(1, len(powers)):
                 np.multiply(powers[k - 1], xb, out=powers[k])
             series = _coef[0] + np.einsum("k,km->m", _coef[1:], powers)
-            out[block] = xb * xb * series
+            out[block] = (xb * xb * series)[:len(block)]
         return out.reshape(shape)[()]
 
     return _g
@@ -483,6 +482,14 @@ def _rescaled(d: Density) -> Density:
         tail=new_tail,
         label=d.label + "/normalized",
     )
+
+
+def _require_normalized(d: Density):
+    """The one test that ``d`` is normalized, as the solver and the barrier
+    profiles assume: a ValueError unless its slope limit is 1."""
+    if d.gprime_inf != 1.0:
+        raise ValueError(f"density {d.label!r} must be normalized "
+                         "(gprime_inf == 1); call normalize() first")
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,24 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
         return np.full(len(idx), affine[2])
     if kind == "radial":
         spec = CatenoidSpec.from_config(cfg["spec"])
-        return np.full(len(idx), profile_value(d, spec, radius))
+        return np.full(len(idx), _finite_profile_value(
+            d, spec, radius, f"{name} data key 'spec'"))
     return np.array(ioutil.checked(ioutil.reals, cfg["values"],
                                    f"{name} data key 'values'", mesh.n_theta))
+
+
+def _finite_profile_value(d: Density, spec: CatenoidSpec, radius: float,
+                          what: str) -> float:
+    """:func:`profile_value` at ``radius``, which must be finite: the
+    neck-anchored profile of a density whose neck integral diverges is
+    +-inf at every radius, a ValueError naming ``what``, the key of the
+    spec."""
+    value = profile_value(d, spec, radius)
+    if not np.isfinite(value):
+        raise ValueError(f"{what}: the neck-anchored profile of {d.label} is "
+                         "infinite at every radius, as its neck integral "
+                         'diverges; "convention": "unit" gives finite values')
+    return value
 
 
 def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
@@ -201,12 +216,12 @@ class RemovabilityConfig:
     is a key of the CLI's ``experiment`` section, and every solve runs with
     :func:`solve_dirichlet`'s default step cap.
 
-    ``n_r``, ``n_theta`` and ``inner_layers`` must be ints, ``n_r`` and
-    ``n_theta`` >= 3 and ``inner_layers`` >= 0 (a bool, a fraction or a
-    smaller count raises ValueError naming the key); ``outer_radius``,
-    ``probe_radius``, ``spike`` and each epsilon must be finite real
-    numbers (a bool, a string, NaN or +-inf raises ValueError naming the
-    key), and are kept as floats.
+    ``n_r``, ``n_theta`` and ``inner_layers`` must be integers, kept as
+    ints, ``n_r`` and ``n_theta`` >= 3 and ``inner_layers`` >= 0 (a bool,
+    a fraction or a smaller count raises ValueError naming the key);
+    ``outer_radius``, ``probe_radius``, ``spike`` and each epsilon must be
+    finite real numbers (a bool, a string, NaN or +-inf raises ValueError
+    naming the key), and are kept as floats.
     ``epsilons`` must be positive, decrease strictly and stay below
     ``probe_radius``, which in turn lies inside the outer radius.
     ``outer_data`` follows the config schema of
@@ -246,7 +261,8 @@ class RemovabilityConfig:
     def __post_init__(self):
         what = "removability config key {!r}".format
         for key, low in (("n_r", 3), ("n_theta", 3), ("inner_layers", 0)):
-            ioutil.checked(ioutil.integer, getattr(self, key), what(key), low)
+            object.__setattr__(self, key, ioutil.checked(
+                ioutil.integer, getattr(self, key), what(key), low))
         for key in ("outer_radius", "probe_radius", "spike"):
             object.__setattr__(self, key, ioutil.checked(
                 ioutil.real, getattr(self, key), what(key)))
@@ -449,8 +465,9 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     level's ring radii (:func:`profile_values`).  Each coarser level is
     built on every 2**(top - level)-th of them, so the levels nest.  The
     data on the two circles come from two separate :func:`profile_value`
-    calls, made once for all levels, so the per-radius and the cumulative
-    routes cross-check each other there.
+    calls, made once for all levels; nothing compares them with the
+    cumulative values, and their difference (about 1e-9 at most) enters
+    ``max_error`` only at the outer circle.
 
     The data are constant on each circle, so each level is solved by
     :func:`lingrowth.solver._ring_started_solve` without a base, from the
@@ -458,8 +475,9 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     as ``column_iterations`` next to the 2D ``iterations``.
 
     ``refinements`` must be an int >= 1, ``n_r0`` and ``n_theta0`` ints
-    >= 3, and r_in and r_out finite reals with neck < r_in < r_out; a bad
-    value raises ValueError naming it.
+    >= 3, and r_in and r_out finite reals with neck < r_in < r_out, and
+    the profile must be finite (not neck-anchored on a density whose neck
+    integral diverges); a bad value raises ValueError naming its key.
     """
     key = "catenoid config key {!r}".format
     refinements = ioutil.checked(ioutil.integer, refinements,
@@ -477,7 +495,8 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     d = normalize(d)
 
     # every level shares the two circles
-    inner, outer = profile_value(d, spec, r_in), profile_value(d, spec, r_out)
+    inner, outer = (_finite_profile_value(d, spec, r, key("spec"))
+                    for r in (r_in, r_out))
     top = refinements - 1
     finest = build_polar_mesh(np.linspace(r_in, r_out, n_r0 * 2 ** top + 1),
                               n_theta0 * 2 ** top)
@@ -612,7 +631,7 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
             "trials": trials, "seed": seed,
             # the radii as floats, whether given as ints or floats
             "r_in": float(r_in), "r_out": float(r_out),
-            "n_r": n_r, "n_theta": n_theta,
+            "n_r": len(mesh.ring_radii) - 1, "n_theta": mesh.n_theta,
             "tolerance": tol,
             "timestamp": ioutil.deterministic_timestamp(),
         },

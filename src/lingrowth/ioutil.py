@@ -1,7 +1,8 @@
 """Deterministic serialization helpers shared by reports and the CLI, the
 one check of a config's keys, and the strict casts of its integer and
-real values.  :func:`checked` holds the one wording of a bad value's
-error: the key's name, then what its cast rejected.
+real values, which the library's entry points also apply to their count
+and real arguments.  :func:`checked` holds the one wording of a bad
+value's error: the key's or argument's name, then what its cast rejected.
 
 All floats are quantized to 12 significant digits before writing, JSON
 keys are sorted, and wall-clock values never enter a file unless the
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from typing import Optional
@@ -90,13 +92,14 @@ def checked(cast, value, what: str, *args):
 
 
 def integer(value, low: Optional[int] = None) -> int:
-    """The value of an integer config key, an int as it is; a bool, a
-    fraction, a string or, when ``low`` is given, an int below it is an
-    error."""
-    if type(value) is not int or low is not None and value < low:
+    """The value of an integer config key or count argument as an int, from
+    an int or a numpy integer; a bool, a fraction, a string or, when
+    ``low`` is given, an integer below it is an error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or low is not None and value < low):
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"must be an integer{bound}, got {value!r}")
-    return value
+    return int(value)
 
 
 def real(value) -> float:

@@ -190,7 +190,9 @@ def build_polar_mesh(ring_radii, n_theta: int) -> PolarMesh:
         the first >= 0, strictly ascending.  The spacing is the caller's:
         equal (``np.linspace``), graded toward the inner circle, or
         log-polar.
-    n_theta : number of angular sectors, >= 3.
+    n_theta : number of angular sectors, an integer >= 3 (an int or a
+        numpy integer; a bool, a fraction or a string is a ValueError
+        naming ``n_theta``).
 
     Returns
     -------
@@ -205,8 +207,7 @@ def build_polar_mesh(ring_radii, n_theta: int) -> PolarMesh:
         raise ValueError(
             f"ring radii must be at least 4 finite numbers, the first >= 0, "
             f"strictly ascending; got {ring_radii!r}")
-    if n_theta < 3:
-        raise ValueError(f"need n_theta >= 3, got {n_theta}")
+    n_theta = ioutil.checked(ioutil.integer, n_theta, "n_theta", 3)
     is_disk = bool(radii[0] == 0.0)
 
     # the nodes of columns 0 and 1 of every ring, numbered 2 k + j
@@ -225,7 +226,7 @@ def build_polar_mesh(ring_radii, n_theta: int) -> PolarMesh:
         tags[:n_theta] = NodeTag.INNER
     tags[-n_theta:] = NodeTag.OUTER
 
-    return PolarMesh(n_theta=int(n_theta), node_tags=tags, ring_radii=radii,
+    return PolarMesh(n_theta=n_theta, node_tags=tags, ring_radii=radii,
                      areas=areas, grads=grads)
 
 

@@ -154,7 +154,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .density import Density, flux, tangent
+from . import ioutil
+from .density import Density, _require_normalized, flux, tangent
 from .mesh import PolarMesh, one_column, same_mesh
 
 
@@ -516,23 +517,20 @@ def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
 # Dirichlet solve
 
 
-def _boundary_vector(mesh: PolarMesh, boundary_data) -> np.ndarray:
-    """Full nodal vector: boundary entries from the data, zero elsewhere."""
-    expected = f"a full nodal vector of length {mesh.num_nodes}"
-    # np.asarray would raise a TypeError on a dict; name the expected form
-    if isinstance(boundary_data, dict):
-        raise ValueError(f"boundary data must be {expected}, not a dict")
-    arr = np.asarray(boundary_data, dtype=float)
-    if arr.shape != (mesh.num_nodes,):
-        raise ValueError(
-            f"boundary data must be {expected}, got shape {arr.shape}")
-    bnodes = mesh.boundary_nodes()
-    values = arr[bnodes]
+def _nodal_entries(vector, num_nodes: int, nodes: np.ndarray) -> np.ndarray:
+    """The entries at ``nodes`` of ``vector``, which must be a full nodal
+    vector of ``num_nodes`` entries, finite at ``nodes``: a dict, any other
+    shape or a non-finite entry there is a ValueError."""
+    # np.asarray raises a TypeError on a dict, naming no expected form
+    arr = None if isinstance(vector, dict) else np.asarray(vector, dtype=float)
+    if arr is None or arr.shape != (num_nodes,):
+        got = "a dict" if arr is None else f"shape {arr.shape}"
+        raise ValueError(f"must be a full nodal vector of length {num_nodes}, "
+                         f"got {got}")
+    values = arr[nodes]
     if not np.all(np.isfinite(values)):
-        raise ValueError("boundary data contains non-finite values")
-    u = np.zeros(mesh.num_nodes)
-    u[bnodes] = values
-    return u
+        raise ValueError("has non-finite entries where the solve reads it")
+    return values
 
 
 @dataclass(frozen=True)
@@ -780,19 +778,6 @@ _ARMIJO_C = 1e-4
 _ARMIJO_FACTOR = 0.5
 
 
-def _start_interior(mesh: PolarMesh, x0, interior: np.ndarray) -> np.ndarray:
-    """Interior entries of a caller-supplied start vector, validated."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (mesh.num_nodes,):
-        raise ValueError(
-            f"x0 must be a full nodal vector of length {mesh.num_nodes}, "
-            f"got shape {x0.shape}")
-    start = x0[interior]
-    if not np.all(np.isfinite(start)):
-        raise ValueError("x0 contains non-finite interior values")
-    return start
-
-
 @_one_blas_thread()
 def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
                     x0=None, max_iter: int = 200) -> DiscreteSolution:
@@ -805,12 +790,13 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
     boundary_data : full nodal vector of length ``mesh.num_nodes``; only
         its boundary entries are read, and they must be finite.
     x0 : full nodal vector, optional.  Its interior entries are the Newton
-        start in place of the harmonic extension of the boundary data; its
-        boundary entries are ignored (the data always wins).  The minimizer
-        is unique, so the start changes only the iteration count and
-        rounding within the stopping tolerance.
-    max_iter : int >= 0, the Newton steps allowed.  The gradient test is
-        made before each and after the last, so 0 tests the start only.
+        start in place of the harmonic extension of the boundary data, and
+        they must be finite; its boundary entries are ignored (the data
+        always wins).  The minimizer is unique, so the start changes only
+        the iteration count and rounding within the stopping tolerance.
+    max_iter : integer >= 0 (an int or a numpy integer, not a bool), the
+        Newton steps allowed.  The gradient test is made before each and
+        after the last, so 0 tests the start only.
 
     Returns
     -------
@@ -828,25 +814,27 @@ def solve_dirichlet(d: Density, mesh: PolarMesh, boundary_data, *,
         line search stalls; the partial solution rides along on the
         exception.
     ValueError
-        For boundary data that is not a full nodal vector (a dict
-        included) or has non-finite boundary entries, a non-normalized
-        density, an ``x0`` of the wrong shape or with non-finite interior
-        entries, a negative ``max_iter``, or non-finite initial energy.
+        For a density that is not normalized; a ``boundary_data`` or
+        ``x0`` that is not a full nodal vector (a dict included) or is not
+        finite where it is read, each error naming its argument; a
+        ``max_iter`` that is not an integer >= 0, named likewise; or a
+        non-finite initial energy.
     """
-    if d.gprime_inf != 1.0:
-        raise ValueError("solver requires a normalized density")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    _require_normalized(d)
+    max_iter = ioutil.checked(ioutil.integer, max_iter, "max_iter", 0)
 
-    interior = mesh.interior_nodes()
+    interior, bnodes = mesh.interior_nodes(), mesh.boundary_nodes()
     # the band map is looked up for the first factorization, so a start
     # that passes the gradient test looks up none
     band = functools.cache(lambda: _cached_band(mesh, interior))
-    u = _boundary_vector(mesh, boundary_data)
+    u = np.zeros(mesh.num_nodes)
+    u[bnodes] = ioutil.checked(_nodal_entries, boundary_data, "boundary_data",
+                               mesh.num_nodes, bnodes)
     if x0 is None:
         u = _harmonic_extension(d, mesh, u, interior, band())
     else:
-        u[interior] = _start_interior(mesh, x0, interior)
+        u[interior] = ioutil.checked(_nodal_entries, x0, "x0",
+                                     mesh.num_nodes, interior)
 
     p = _triangle_gradients(mesh, u)
     E, t = _energy(d, mesh, p)
@@ -927,12 +915,14 @@ def check_comparison(u: DiscreteSolution, v: DiscreteSolution, shift: float,
     interior excess max(u - v - shift) and whether it stays below the
     tolerance (default 1e-8 * (1 + |shift|)).  When the boundary
     hypothesis itself fails the result is marked not applicable instead
-    of violated.
+    of violated.  ``shift`` and ``tol`` must be finite real numbers (a
+    bool, a string, NaN or +-inf is a ValueError naming it).
     """
     if not same_mesh(u.mesh, v.mesh):
         raise MeshMismatchError("comparison requires a shared mesh")
-    if tol is None:
-        tol = 1e-8 * (1.0 + abs(shift))
+    shift = ioutil.checked(ioutil.real, shift, "shift")
+    tol = (1e-8 * (1.0 + abs(shift)) if tol is None
+           else ioutil.checked(ioutil.real, tol, "tol"))
 
     mesh = u.mesh
     bnodes = mesh.boundary_nodes()

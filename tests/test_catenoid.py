@@ -219,6 +219,20 @@ def test_sample_profile_dimension_sweep(area):
         assert ode_residual(area, prof) <= 1e-9
 
 
+@pytest.mark.parametrize("num", [2.5, True, 1, "8"])
+def test_sample_profile_num_must_be_an_integer_of_at_least_2(area, num):
+    # 2.5 ended in "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match="^num: "):
+        sample_profile(area, spec2(), 1.1, 2.0, num)
+
+
+def test_sample_profile_takes_a_numpy_integer_num(area):
+    prof = sample_profile(area, spec2(), 1.1, 2.0, np.int64(5))
+    want = sample_profile(area, spec2(), 1.1, 2.0, 5)
+    assert prof.rho.tobytes() == want.rho.tobytes()
+    assert prof.values.tobytes() == want.values.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_sample_profile_matches_per_radius_values(area, mu3, n):
     """The accumulated panels stay within the 1e-9 contract of profile_value

@@ -222,6 +222,41 @@ def test_experiment_kind_flag_wins_over_config(tmp_path):
     assert echoed["experiment"]["kind"] == "removability"
 
 
+_NECK_SPEC = {"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
+              "convention": "neck"}
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    *[(("experiment", "--kind", "mu", "--mu", mu, "--experiment-kind",
+        "catenoid"), None, "catenoid config key 'spec': ")
+      for mu in ("2", "1.5", "1.2")],
+    (("solve",), solve_config(density={"kind": "mu", "mu": 2.0}, boundary={
+        "outer": {"kind": "affine", "q": [0.5, 0.3], "c": 0.0},
+        "inner": {"kind": "radial", "spec": _NECK_SPEC}}),
+     "inner data key 'spec': "),
+], ids=["catenoid-mu2", "catenoid-mu1.5", "catenoid-mu1.2", "solve-mu2"])
+def test_neck_anchored_data_of_a_divergent_density_is_config_error(
+        tmp_path, capsys, argv, config, key):
+    # the profile is +-inf at every radius; it once reached the solver and
+    # failed as "boundary data contains non-finite values", naming no key
+    code, out = run(tmp_path, *argv, config=config)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert key in err and '"convention": "unit"' in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_unit_anchored_data_of_a_divergent_density_solves(tmp_path):
+    spec = {**_NECK_SPEC, "convention": "unit"}
+    config = solve_config(density={"kind": "mu", "mu": 2.0}, boundary={
+        "outer": {"kind": "radial", "spec": spec},
+        "inner": {"kind": "radial", "spec": spec}})
+    code, out = run(tmp_path, "solve", config=config)
+    assert code == EXIT_OK
+    assert (out / "solution.csv").exists()
+
+
 # -- config plumbing ----------------------------------------------------------
 
 

@@ -64,6 +64,14 @@ def test_config_integer_fields_are_integers(key, value):
         RemovabilityConfig(density={"kind": "area"}, **{key: value})
 
 
+def test_config_keeps_numpy_integer_fields_as_ints():
+    cfg = RemovabilityConfig(density={"kind": "area"}, n_r=np.int64(48),
+                             inner_layers=np.int32(6))
+    assert type(cfg.n_r) is int and type(cfg.inner_layers) is int
+    default = RemovabilityConfig(density={"kind": "area"})
+    assert json.dumps(cfg.to_dict()) == json.dumps(default.to_dict())
+
+
 def test_config_round_trip():
     # the CLI echoes to_dict() as JSON and builds the config back from it
     cfg = RemovabilityConfig(density={"kind": "mu", "mu": 2.0}, **FAST)

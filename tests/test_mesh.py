@@ -265,6 +265,21 @@ def test_degenerate_parameters_rejected(bad):
         build_polar_mesh(*bad)
 
 
+@pytest.mark.parametrize("n_theta", [3.7, 3.0, "8", True, np.bool_(True), 2,
+                                     None])
+def test_n_theta_that_is_no_integer_of_at_least_3_is_named(n_theta):
+    # 3.7, 3.0 and "8" ended in numpy's "expected a sequence of integers"
+    with pytest.raises(ValueError, match="^n_theta: "):
+        build_polar_mesh(np.linspace(0.5, 1.0, 5), n_theta)
+
+
+def test_numpy_integer_n_theta_makes_the_same_mesh():
+    radii = np.linspace(0.5, 1.0, 5)
+    mesh = build_polar_mesh(radii, np.int64(8))
+    assert type(mesh.n_theta) is int
+    assert same_mesh(mesh, build_polar_mesh(radii, 8))
+
+
 @pytest.mark.parametrize("r_in, r_out, n_r, n_theta, key", [
     (0.5, 1.0, 2, 8, "'n_r'"),
     (0.5, 1.0, 8.0, 8, "'n_r'"),

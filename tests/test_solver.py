@@ -1289,6 +1289,33 @@ def test_x0_nonfinite_interior_rejected(area, annulus, bad):
         solve_dirichlet(area, annulus, data, x0=x0)
 
 
+@pytest.mark.parametrize("name, kwargs", [
+    ("x0", dict(x0={})),
+    ("boundary_data", dict(boundary_data={})),
+    ("boundary_data", dict(boundary_data=np.zeros(7))),
+    ("max_iter", dict(max_iter=2.5)),
+    ("max_iter", dict(max_iter=True)),
+    ("max_iter", dict(max_iter=-1)),
+    ("max_iter", dict(max_iter="3")),
+], ids=["x0-dict", "data-dict", "data-shape", "max_iter-fraction",
+        "max_iter-bool", "max_iter-negative", "max_iter-string"])
+def test_malformed_argument_is_a_value_error_naming_it(area, annulus, name,
+                                                       kwargs):
+    # x0={} and max_iter=2.5 ended in a TypeError, and max_iter=True ran
+    # one step
+    kwargs = {"boundary_data": affine(annulus, 0.3, 0.1, 0.0), **kwargs}
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        solve_dirichlet(area, annulus, **kwargs)
+
+
+def test_numpy_integer_max_iter_is_accepted(area, annulus):
+    data = np.cos(2.0 * annulus.node_angles())
+    with pytest.raises(NonConvergenceError, match="in 1 iterations"):
+        solve_dirichlet(area, annulus, data, max_iter=np.int64(1))
+    assert solve_dirichlet(area, annulus, data,
+                           max_iter=np.int64(50)).converged
+
+
 def test_x0_boundary_entries_ignored(area, annulus):
     data = affine(annulus, 0.3, -0.2, 0.1)
     cold = solve_dirichlet(area, annulus, data)
@@ -1333,6 +1360,20 @@ def test_unnormalized_density_rejected(annulus):
 
 
 # -- comparison principle ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, shift, tol", [
+    ("shift", math.nan, None), ("shift", math.inf, None),
+    ("shift", True, None), ("shift", "0", None),
+    ("tol", 0.0, math.nan), ("tol", 0.0, -math.inf)],
+    ids=["shift-nan", "shift-inf", "shift-bool", "shift-string", "tol-nan",
+         "tol-inf"])
+def test_comparison_rejects_non_finite_shift_and_tol(area, annulus, name,
+                                                     shift, tol):
+    # a NaN shift or tol reported a violation, an infinite shift a pass
+    sol = solve_dirichlet(area, annulus, np.cos(annulus.node_angles()))
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        check_comparison(sol, sol, shift, tol=tol)
 
 
 def test_comparison_reflexive(area, annulus):
