@@ -24,9 +24,10 @@ Every profile obeys the first-order flux identity
 
     r^(n-1) * g'(|k'(r)|) = alpha,
 
-which :func:`ode_residual` checks a posteriori, and the same integrals give
-sharp interior envelopes for solutions with an excised inner disk
-(:func:`envelope_bound`, :func:`uniform_interior_bound`).
+which :func:`ode_residual` measures on the slopes of a sampled profile
+(not on its values), and the same integrals give sharp interior envelopes
+for solutions with an excised inner disk (:func:`envelope_bound`,
+:func:`uniform_interior_bound`).
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ class CatenoidSpec:
     dim_n : int
         Ambient dimension, >= 2.
     anchor : Anchor
+
+    ``alpha`` and ``offset_a`` are stored as floats cast by
+    :func:`ioutil.real` (an int, a float or a numpy number, finite), and
+    ``dim_n`` as an int cast by :func:`ioutil.integer` (an int or a numpy
+    integer, >= 2); a bool, a string or a value the cast rejects is a
+    ValueError that starts with the field's name.
     """
 
     sign: Sign
@@ -95,13 +102,14 @@ class CatenoidSpec:
     anchor: Anchor = Anchor.NECK
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (isinstance(self.dim_n, int) and self.dim_n >= 2):
-            raise ValueError(f"dim_n must be an integer >= 2, got {self.dim_n}")
-        if not math.isfinite(self.offset_a):
-            raise ValueError(f"offset_a must be finite, got {self.offset_a}")
-        if self.anchor is Anchor.UNIT and not (self.alpha < 1.0):
+        for field, cast, *args in (("alpha", ioutil.real),
+                                   ("offset_a", ioutil.real),
+                                   ("dim_n", ioutil.integer, 2)):
+            object.__setattr__(self, field, ioutil.checked(
+                cast, getattr(self, field), field, *args))
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha: must be positive, got {self.alpha!r}")
+        if self.anchor is Anchor.UNIT and not self.alpha < 1.0:
             raise ValueError(
                 f"unit anchoring requires 0 < alpha < 1, got {self.alpha}")
 
@@ -128,7 +136,7 @@ class CatenoidSpec:
                 sign=ioutil.checked(Sign, cfg["sign"], "key 'sign'"),
                 alpha=ioutil.checked(ioutil.real, cfg["alpha"], "key 'alpha'"),
                 offset_a=ioutil.checked(ioutil.real, cfg["a"], "key 'a'"),
-                dim_n=ioutil.checked(ioutil.integer, cfg["n"], "key 'n'"),
+                dim_n=ioutil.checked(ioutil.integer, cfg["n"], "key 'n'", 2),
                 anchor=ioutil.checked(Anchor, cfg["convention"],
                                       "key 'convention'"),
             )
@@ -181,23 +189,39 @@ def _radial_integrals(d: Density, alpha: float, n: int,
     return np.cumsum(np.concatenate(([0.0], gaps)))
 
 
-def _check_radii(radii, neck: float) -> np.ndarray:
-    """``radii`` as a float array, checked to be nonempty, one-dimensional
-    and strictly ascending from above the neck radius; one radius is
-    ``[rho]``."""
-    radii = np.asarray(radii, dtype=float)
-    if not (radii.ndim == 1 and radii.size and radii[0] > neck
-            and np.all(np.diff(radii) > 0.0)):
+def _check_radii(radii, neck: float, *outer) -> np.ndarray:
+    """The one radius rule: ``radii`` (a list, a tuple or a 1-D array; one
+    radius is ``[rho]``) followed by the ``outer`` radii, as one float
+    array.  Every radius must be a finite real number: an int, a float or
+    a numpy number, and a bool, a string, NaN or +-inf is none.  A 1-D
+    array of ints or floats is taken whole, any other value entry by entry
+    by :func:`ioutil.reals`.  Together the radii must be nonempty and
+    strictly ascending from above the neck radius; anything else is a
+    ValueError stating this rule."""
+    rule = (f"every radius must be a finite real number above the neck "
+            f"radius {neck:.12g} and the radius before it")
+    if not (isinstance(radii, np.ndarray) and radii.dtype.kind in "iuf"
+            and radii.ndim == 1):
+        radii = ioutil.checked(ioutil.reals, radii, rule)
+    radii = np.append(radii, ioutil.checked(ioutil.reals, outer, rule))
+    if not (radii.size and radii[0] > neck and np.all(np.diff(radii) > 0.0)
+            and radii[-1] < math.inf):  # false for nan as well
         shown = np.array2string(radii, threshold=6, separator=", ")
-        raise ValueError(
-            f"every radius must exceed the neck radius {neck:.12g} and the "
-            f"radius before it, got {shown}; the profile is undefined "
-            f"elsewhere")
+        raise ValueError(f"{rule}, got {shown}; the profile is undefined "
+                         "elsewhere")
     return radii
 
 
-def _slope_parameter(d: Density, alpha: float, n: int, rho: float) -> float:
-    """s*(rho): the slope the profile attains at radius rho."""
+def _infinite_everywhere(d: Density, spec: CatenoidSpec) -> bool:
+    """Whether the profile is the signed inf sentinel at every radius: it
+    is neck-anchored and the neck integral of ``d`` diverges."""
+    return (spec.anchor is Anchor.NECK
+            and classify_growth(d) is Growth.INFINITE_INTEGRAL)
+
+
+def _slope_parameter(d: Density, alpha: float, n: int, rho):
+    """s*(rho): the slope the profile attains at radius rho, one radius or
+    an array of them."""
     return invert_gprime(d, alpha / rho ** (n - 1))
 
 
@@ -276,11 +300,10 @@ def profile_value(d: Density, spec: CatenoidSpec, rho: float) -> float:
     signed inf sentinel rather than a finite number.
     """
     _require_normalized(d)
-    rho = float(rho)
-    _check_radii([rho], spec.neck_radius)
     neck = spec.neck_radius
+    (rho,) = _check_radii([rho], neck)
 
-    if spec.anchor is Anchor.NECK and classify_growth(d) is Growth.INFINITE_INTEGRAL:
+    if _infinite_everywhere(d, spec):
         return spec.offset_a + spec.sign.factor * math.inf
 
     if rho - neck < _NEAR_NECK_FRACTION * neck:
@@ -300,10 +323,12 @@ def profile_values(d: Density, spec: CatenoidSpec, radii) -> np.ndarray:
     The first value is :func:`profile_value` at ``radii[0]``; each later
     one adds the signed radial integral over the gap to its predecessor
     (:func:`_radial_integrals`), so the gaps add at most QUAD_ABS_TOL of
-    certified error to the first value's.  Raises ``ValueError`` unless
-    the radii ascend strictly from above the neck.
+    certified error to the first value's.  The radius rule, the one of
+    every function here: the radii are a list, a tuple or a 1-D array of
+    finite real numbers (ints, floats or numpy numbers; a bool, a string,
+    NaN or +-inf is none), nonempty and strictly ascending from above the neck radius,
+    else a ValueError stating the rule.
     """
-    _require_normalized(d)
     radii = _check_radii(radii, spec.neck_radius)
     return profile_value(d, spec, radii[0]) + spec.sign.factor * (
         _radial_integrals(d, spec.alpha, spec.dim_n, radii))
@@ -323,16 +348,14 @@ def profile_value_substituted(d: Density, spec: CatenoidSpec,
     anchor, so it cross-checks the inverse-based radial route.
     """
     _require_normalized(d)
-    rho = float(rho)
-    _check_radii([rho], spec.neck_radius)
+    (rho,) = _check_radii([rho], spec.neck_radius)
+    if _infinite_everywhere(d, spec):
+        return spec.offset_a + spec.sign.factor * math.inf
 
     n = spec.dim_n
     prefactor = spec.alpha ** (1.0 / (n - 1))
     s_rho = _slope_parameter(d, spec.alpha, n, rho)
-
     if spec.anchor is Anchor.NECK:
-        if classify_growth(d) is Growth.INFINITE_INTEGRAL:
-            return spec.offset_a + spec.sign.factor * math.inf
         span = prefactor * _substituted_integral(d, n, s_rho, math.inf)
     else:
         s_one = _slope_parameter(d, spec.alpha, n, 1.0)
@@ -356,9 +379,9 @@ def neck_limit(d: Density, spec: CatenoidSpec) -> float:
     if growth is Growth.UNDETERMINED:
         raise ValueError(
             "cannot form the neck limit: growth class is undetermined")
+    if _infinite_everywhere(d, spec):
+        return spec.offset_a + spec.sign.factor * math.inf
     if spec.anchor is Anchor.NECK:
-        if growth is Growth.INFINITE_INTEGRAL:
-            return spec.offset_a + spec.sign.factor * math.inf
         return spec.offset_a
     if growth is Growth.INFINITE_INTEGRAL:
         return spec.offset_a - spec.sign.factor * math.inf
@@ -375,7 +398,9 @@ def neck_limit(d: Density, spec: CatenoidSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """A sampled radial profile: radii, values, and slopes.
+    """A sampled radial profile, in five fields: the flux constant
+    ``alpha`` and dimension ``dim_n`` of its spec, and the equally long
+    arrays ``rho`` (the radii), ``values`` and ``slopes``.
 
     ``slopes[i]`` is the signed derivative of the profile at ``rho[i]``;
     for a profile generated from a spec it equals
@@ -387,8 +412,6 @@ class RadialProfile:
     rho: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
-    neck_radius: float
-    neck_finite: bool
 
     def __post_init__(self):
         if not (len(self.rho) == len(self.values) == len(self.slopes)):
@@ -403,37 +426,36 @@ def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
     endpoints, which resolves the steep region without wasting points on
     the flat wings.  The values come from :func:`profile_values`: one
     :func:`profile_value` at ``rho_min`` plus one radial panel per gap,
-    certified to QUAD_ABS_TOL / (num - 1).
+    certified to QUAD_ABS_TOL / (num - 1).  The slopes are
+    sign * (g')^{-1}(alpha / rho^{n-1}) at every radius.
 
     ``d`` must be normalized and ``num`` an integer >= 2 (an int or a numpy
     integer; a bool, a fraction or a string is a ValueError naming
-    ``num``), and the radii must satisfy neck < rho_min < rho_max.
+    ``num``), and ``[rho_min, rho_max]`` must obey the radius rule of
+    :func:`profile_values`: finite real numbers (a bool or a string is
+    none), neck < rho_min < rho_max, else a ValueError stating the rule.
     """
-    _require_normalized(d)
     num = ioutil.checked(ioutil.integer, num, "num", 2)
     neck = spec.neck_radius
-    if not (neck < rho_min < rho_max):
-        raise ValueError(
-            f"need neck < rho_min < rho_max, got neck={neck:.12g}, "
-            f"rho_min={rho_min}, rho_max={rho_max}")
+    rho_min, rho_max = _check_radii([rho_min, rho_max], neck)
     offsets = np.geomspace(rho_min - neck, rho_max - neck, num)
     rho = neck + offsets
-    values = profile_values(d, spec, rho)
-    slopes = spec.sign.factor * invert_gprime(
-        d, spec.alpha / rho ** (spec.dim_n - 1))
     return RadialProfile(
-        alpha=spec.alpha, dim_n=spec.dim_n,
-        rho=rho, values=values, slopes=slopes,
-        neck_radius=neck,
-        neck_finite=classify_growth(d) is Growth.FINITE_INTEGRAL,
-    )
+        alpha=spec.alpha, dim_n=spec.dim_n, rho=rho,
+        values=profile_values(d, spec, rho),
+        slopes=spec.sign.factor * _slope_parameter(d, spec.alpha,
+                                                   spec.dim_n, rho))
 
 
 def ode_residual(d: Density, profile: RadialProfile) -> float:
     """Max violation of the flux identity r^{n-1} g'(|k'|) = alpha.
 
-    A correct profile keeps this below 1e-9; a constant profile (zero
-    slope) scores exactly alpha because g'(0) = 0.
+    It reads ``rho`` and ``slopes`` only, never ``values``: for a profile
+    from :func:`sample_profile`, whose slopes are (g')^{-1} of the flux
+    itself, it measures the round trip of :func:`invert_gprime` and says
+    nothing of the quadrature behind the values.  Such a profile keeps
+    this below 1e-9; a constant profile (zero slope) scores exactly alpha
+    because g'(0) = 0.
     """
     _require_normalized(d)
     r = np.asarray(profile.rho, dtype=float)
@@ -453,11 +475,11 @@ def envelope_bound(d: Density, r: float, rho: float, R: float,
     Returns  outer_value + integral( (g')^{-1}(r^{n-1}/t^{n-1}),
     t = rho..R ), the value at radius rho of the decreasing barrier that
     equals outer_value on the sphere of radius R.  Requires
-    0 < r < rho < R.  As r -> 0 the integral vanishes and the envelope
-    collapses to the outer bound.  This is :func:`envelope_bounds` at the
-    one radius rho.
+    0 < r < rho < R, with rho and R finite real numbers, and ``n`` an
+    integer >= 2 (see :func:`envelope_bounds`).  As r -> 0 the integral
+    vanishes and the envelope collapses to the outer bound.  This is
+    :func:`envelope_bounds` at the one radius rho.
     """
-    _require_normalized(d)
     return float(envelope_bounds(d, r, [rho], R, outer_value, n)[0])
 
 
@@ -471,11 +493,19 @@ def envelope_bounds(d: Density, r: float, radii, R: float,
     outer_value + (I(R) - I(radii[i])) for the cumulative integral I of
     :func:`_radial_integrals`, certified to QUAD_ABS_TOL like a single
     :func:`envelope_bound`.
+
+    ``d`` must be normalized.  The dimension ``n`` must be an integer >= 2
+    (an int or a numpy integer; a bool, a fraction or a string is a
+    ValueError that starts ``n: ``).  ``radii`` followed by R must obey the
+    radius rule of :func:`profile_values` with r as the neck radius:
+    finite real numbers ascending strictly from above r, else a ValueError
+    stating the rule.
     """
     _require_normalized(d)
+    n = ioutil.checked(ioutil.integer, n, "n", 2)
     if not r > 0.0:
         raise ValueError(f"need r > 0, got r={r}")
-    ends = _check_radii(np.append(radii, R), r)
+    ends = _check_radii(radii, r, R)
     cumulative = _radial_integrals(d, r ** (n - 1), n, ends)
     return outer_value + (cumulative[-1] - cumulative[:-1])
 

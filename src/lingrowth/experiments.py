@@ -68,14 +68,7 @@ class ExperimentReport:
     metadata: dict
 
     def to_dict(self) -> dict:
-        return ioutil.quantize({
-            "kind": self.kind,
-            "records": self.records,
-            "reference": self.reference,
-            "orders": self.orders,
-            "checks": self.checks,
-            "metadata": self.metadata,
-        })
+        return ioutil.quantize(vars(self))  # asdict would copy every leaf
 
     def all_checks_pass(self) -> bool:
         return all(bool(v) for v in self.checks.values())
@@ -90,17 +83,12 @@ def write_report(report: ExperimentReport, path) -> Path:
     """Write the JSON report plus a CSV companion of the records table."""
     path = Path(path)
     ioutil.write_json(path, report.to_dict())
-    ioutil.write_csv_records(path.with_suffix(".csv"),
-                             ioutil.quantize(report.records))
+    ioutil.write_csv_records(path.with_suffix(".csv"), report.records)
     return path
 
 
 def read_report(path) -> ExperimentReport:
-    raw = ioutil.read_json(path)
-    return ExperimentReport(
-        kind=raw["kind"], records=raw["records"], reference=raw["reference"],
-        orders=raw["orders"], checks=raw["checks"], metadata=raw["metadata"],
-    )
+    return ExperimentReport(**ioutil.read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +171,12 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
 
 def _finite_profile_value(d: Density, spec: CatenoidSpec, radius: float,
                           what: str) -> float:
-    """:func:`profile_value` at ``radius``, which must be finite: the
-    neck-anchored profile of a density whose neck integral diverges is
-    +-inf at every radius, a ValueError naming ``what``, the key of the
-    spec."""
-    value = profile_value(d, spec, radius)
+    """:func:`profile_value` at ``radius``, which must be finite and above
+    the spec's neck radius: the neck-anchored profile of a density whose
+    neck integral diverges is +-inf at every radius, and a radius at or
+    below the neck breaks the radius rule; either is a ValueError that
+    starts with ``what``, the key of the spec."""
+    value = ioutil.checked(profile_value, d, what, spec, radius)
     if not np.isfinite(value):
         raise ValueError(f"{what}: the neck-anchored profile of {d.label} is "
                          "infinite at every radius, as its neck integral "

@@ -103,9 +103,10 @@ def integer(value, low: Optional[int] = None) -> int:
 
 
 def real(value) -> float:
-    """The value of a real config key as a float, from an int or a float;
-    a bool, a string, NaN or +-inf is an error."""
-    if (not isinstance(value, bool) and isinstance(value, (int, float))
+    """The value of a real config key or argument as a float, from an int,
+    a float or a numpy integer or float; a bool, a string, NaN or +-inf is
+    an error."""
+    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
             and abs(value) <= sys.float_info.max):  # false for nan
         return float(value)
     raise ValueError(f"must be a finite real number, got {value!r}")

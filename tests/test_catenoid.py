@@ -1,5 +1,6 @@
 """Radial barrier profiles: quadrature routes, flux identity, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,27 @@ def test_spec_config_round_trip():
 def test_spec_config_rejects_garbage():
     with pytest.raises(ValueError):
         CatenoidSpec.from_config({"sign": "plus", "alpha": 1.0})
+
+
+def test_spec_stores_its_fields_cast():
+    # np.int64(2) was rejected as "dim_n must be an integer >= 2, got 2"
+    s = CatenoidSpec(Sign.PLUS, 1, 0, np.int64(2))
+    assert (s.alpha, s.offset_a, s.dim_n) == (1.0, 0.0, 2)
+    assert [type(v) for v in (s.alpha, s.offset_a, s.dim_n)] == [
+        float, float, int]
+    assert s == spec2()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", True), ("alpha", "1"), ("offset_a", False), ("offset_a", "0"),
+    ("dim_n", True), ("dim_n", "2"), ("dim_n", 2.5),
+])
+def test_spec_field_that_its_cast_rejects_is_named(field, value):
+    # "1" as alpha was a TypeError; True as offset_a or dim_n was accepted
+    fields = dict(sign=Sign.PLUS, alpha=1.0, offset_a=0.0, dim_n=2)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        CatenoidSpec(**fields)
 
 
 # -- golden profile values --------------------------------------------------
@@ -325,20 +347,56 @@ def test_vector_form_radii_bounds(area):
     assert envelope_bounds(area, 0.1, [], 1.0, 0.0, 2).shape == (0,)
 
 
+_RADIUS_RULE = "^every radius must be a finite real number above the neck"
+
+
+@pytest.mark.parametrize("radius", ["2.0", True, np.True_, math.inf,
+                                    math.nan],
+                         ids=["string", "bool", "numpy-bool", "inf", "nan"])
+def test_radius_that_is_no_finite_real_number_states_the_rule(area, radius):
+    # "2.0" gave the value at 2 and True the one at 1
+    s = spec2(alpha=0.5)
+    calls = [
+        lambda: profile_value(area, s, radius),
+        lambda: profile_value_substituted(area, s, radius),
+        lambda: profile_values(area, s, [radius]),
+        lambda: profile_values(area, s, [0.75, radius]),
+        lambda: profile_values(area, s, np.array([radius])),
+        lambda: sample_profile(area, s, radius, 5.0, 8),
+        lambda: sample_profile(area, s, 0.75, radius, 8),
+        lambda: envelope_bound(area, 0.1, radius, 3.0, 0.0, 2),
+        lambda: envelope_bound(area, 0.1, 0.5, radius, 0.0, 2),
+        lambda: envelope_bounds(area, 0.1, np.array([radius]), 3.0, 0.0, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=_RADIUS_RULE):
+            call()
+
+
+def test_radii_of_numpy_integers_are_real(area):
+    want = profile_values(area, spec2(), [2.0, 3.0, 4.0])
+    got = profile_values(area, spec2(), np.arange(2, 5))
+    assert got.tobytes() == want.tobytes()
+    assert profile_value(area, spec2(), np.int64(2)) == want[0]
+
+
+def test_radial_profile_has_five_fields(area):
+    prof = sample_profile(area, spec2(), 1.1, 2.0, 5)
+    assert [f.name for f in dataclasses.fields(prof)] == [
+        "alpha", "dim_n", "rho", "values", "slopes"]
+
+
 def test_perturbed_slopes_break_flux_identity(area):
     s = spec2()
     prof = sample_profile(area, s, 1.1, 5.0, 30)
     bad = RadialProfile(alpha=prof.alpha, dim_n=prof.dim_n, rho=prof.rho,
-                        values=prof.values, slopes=prof.slopes + 0.01,
-                        neck_radius=prof.neck_radius,
-                        neck_finite=prof.neck_finite)
+                        values=prof.values, slopes=prof.slopes + 0.01)
     assert ode_residual(area, bad) > 1e-4
 
 
 def test_zero_slope_profile_residual_equals_flux(area):
     flat = RadialProfile(alpha=0.3, dim_n=2, rho=np.linspace(1.0, 2.0, 10),
-                         values=np.zeros(10), slopes=np.zeros(10),
-                         neck_radius=0.3, neck_finite=True)
+                         values=np.zeros(10), slopes=np.zeros(10))
     assert ode_residual(area, flat) == pytest.approx(0.3, abs=1e-15)
 
 
@@ -397,6 +455,15 @@ def test_envelope_argument_ordering(area):
         envelope_bound(area, 0.6, 0.5, 1.0, 0.0, 2)
     with pytest.raises(ValueError):
         envelope_bound(area, 0.1, 1.5, 1.0, 0.0, 2)
+
+
+@pytest.mark.parametrize("n", [1, True, 2.5, "2"])
+def test_envelope_dimension_must_be_an_integer_of_at_least_2(area, n):
+    # n = 1 or True ended in QuadratureAccuracyError, a hypothesis violation
+    with pytest.raises(ValueError, match="^n: "):
+        envelope_bound(area, 0.1, 0.5, 1.0, 0.0, n)
+    with pytest.raises(ValueError, match="^n: "):
+        envelope_bounds(area, 0.1, [0.5], 1.0, 0.0, n)
 
 
 def test_envelope_matches_profile_construction(area, mu3):

@@ -668,6 +668,11 @@ def _comparison(**keys):
      "catenoid config key 'rho_max'"),
     ("catenoid --kind area --rho-min 2 --rho-max 2", None,
      "catenoid config key 'rho_max'"),
+    # failed in catenoid.profile_value, which names no key
+    ("solve", solve_config(boundary={
+        "outer": {"kind": "constant", "value": 0},
+        "inner": {"kind": "radial", "spec": {**_NECK_SPEC, "alpha": 0.6}}}),
+     "inner data key 'spec'"),
 ], ids=["trials-negative", "trials-zero", "trials-bool", "n_r-fraction",
         "catenoid-r_in-string", "fourier_degree-negative",
         "solve-n_r-zero", "solve-n_r-two", "solve-n_theta-two",
@@ -676,7 +681,7 @@ def _comparison(**keys):
         "comparison-r_out-below", "removability-n_r-two",
         "removability-n_theta-zero", "comparison-r_in-zero",
         "catenoid-samples-one", "catenoid-rho_max-below",
-        "catenoid-rho_max-equal"])
+        "catenoid-rho_max-equal", "solve-radial-neck-above-r_in"])
 def test_count_or_radius_out_of_range_names_its_key(tmp_path, capsys,
                                                     command, config, key):
     code, out = run(tmp_path, *command.split(), config=config)
@@ -684,6 +689,15 @@ def test_count_or_radius_out_of_range_names_its_key(tmp_path, capsys,
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: {key}: ") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_catenoid_dimension_below_2_names_key_n(tmp_path, capsys):
+    # named the field: "dim_n must be an integer >= 2, got 1"
+    code, out = run(tmp_path, "catenoid", "--kind", "area", "--n", "1")
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "key 'n': must be an integer >= 2, got 1" in err
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 def test_constant_data_on_either_circle(tmp_path):
