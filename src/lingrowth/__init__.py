@@ -24,11 +24,10 @@ from .catenoid import (Anchor, CatenoidSpec, RadialProfile, Sign,
                        envelope_bound, envelope_bounds, neck_limit,
                        ode_residual, profile_value, profile_value_substituted,
                        profile_values, sample_profile, uniform_interior_bound)
-from .density import (Density, Growth, TailEstimate, UndeterminedLimitError,
-                      ValidationReport, classify_growth, density_from_config,
-                      flux, invert_gprime, make_area_density,
-                      make_custom_density, make_mu_density, normalize,
-                      tangent, validate)
+from .density import (Density, Growth, TailEstimate, ValidationReport,
+                      classify_growth, density_from_config, flux,
+                      invert_gprime, make_area_density, make_custom_density,
+                      make_mu_density, normalize, tangent, validate)
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
@@ -45,7 +44,7 @@ __all__ = [
     "DiscreteSolution", "ExperimentReport", "Growth", "MeshMismatchError",
     "NodeTag", "NonConvergenceError", "PolarMesh", "QuadratureAccuracyError",
     "RadialProfile", "RemovabilityConfig", "Sign",
-    "TailEstimate", "UndeterminedLimitError", "ValidationReport",
+    "TailEstimate", "ValidationReport",
     "build_polar_mesh", "check_comparison", "classify_growth",
     "density_from_config", "energy", "envelope_bound", "envelope_bounds",
     "flux", "invert_gprime", "make_area_density",

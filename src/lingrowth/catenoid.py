@@ -189,21 +189,29 @@ def _radial_integrals(d: Density, alpha: float, n: int,
     return np.cumsum(np.concatenate(([0.0], gaps)))
 
 
+def _reals(value, what: str) -> np.ndarray:
+    """``value``, a list, a tuple or a 1-D array of reals, as a float
+    array.  A 1-D array of ints or floats is taken whole, its range left
+    to the caller's test; any other value is cast entry by entry by
+    :func:`ioutil.reals`, and what it rejects is a ValueError that starts
+    with ``what``."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+            and value.ndim == 1):
+        value = ioutil.checked(ioutil.reals, value, what)
+    return np.asarray(value, dtype=float)
+
+
 def _check_radii(radii, neck: float, *outer) -> np.ndarray:
     """The one radius rule: ``radii`` (a list, a tuple or a 1-D array; one
     radius is ``[rho]``) followed by the ``outer`` radii, as one float
     array.  Every radius must be a finite real number: an int, a float or
-    a numpy number, and a bool, a string, NaN or +-inf is none.  A 1-D
-    array of ints or floats is taken whole, any other value entry by entry
-    by :func:`ioutil.reals`.  Together the radii must be nonempty and
-    strictly ascending from above the neck radius; anything else is a
-    ValueError stating this rule."""
+    a numpy number, and a bool, a string, NaN or +-inf is none (cast by
+    :func:`_reals`).  Together the radii must be nonempty and strictly
+    ascending from above the neck radius; anything else is a ValueError
+    stating this rule."""
     rule = (f"every radius must be a finite real number above the neck "
             f"radius {neck:.12g} and the radius before it")
-    if not (isinstance(radii, np.ndarray) and radii.dtype.kind in "iuf"
-            and radii.ndim == 1):
-        radii = ioutil.checked(ioutil.reals, radii, rule)
-    radii = np.append(radii, ioutil.checked(ioutil.reals, outer, rule))
+    radii = np.append(_reals(radii, rule), _reals(outer, rule))
     if not (radii.size and radii[0] > neck and np.all(np.diff(radii) > 0.0)
             and radii[-1] < math.inf):  # false for nan as well
         shown = np.array2string(radii, threshold=6, separator=", ")
@@ -475,10 +483,10 @@ def envelope_bound(d: Density, r: float, rho: float, R: float,
     Returns  outer_value + integral( (g')^{-1}(r^{n-1}/t^{n-1}),
     t = rho..R ), the value at radius rho of the decreasing barrier that
     equals outer_value on the sphere of radius R.  Requires
-    0 < r < rho < R, with rho and R finite real numbers, and ``n`` an
-    integer >= 2 (see :func:`envelope_bounds`).  As r -> 0 the integral
-    vanishes and the envelope collapses to the outer bound.  This is
-    :func:`envelope_bounds` at the one radius rho.
+    0 < r < rho < R, with r, rho, R and ``outer_value`` finite real
+    numbers, and ``n`` an integer >= 2 (see :func:`envelope_bounds`).  As
+    r -> 0 the integral vanishes and the envelope collapses to the outer
+    bound.  This is :func:`envelope_bounds` at the one radius rho.
     """
     return float(envelope_bounds(d, r, [rho], R, outer_value, n)[0])
 
@@ -496,15 +504,19 @@ def envelope_bounds(d: Density, r: float, radii, R: float,
 
     ``d`` must be normalized.  The dimension ``n`` must be an integer >= 2
     (an int or a numpy integer; a bool, a fraction or a string is a
-    ValueError that starts ``n: ``).  ``radii`` followed by R must obey the
-    radius rule of :func:`profile_values` with r as the neck radius:
-    finite real numbers ascending strictly from above r, else a ValueError
-    stating the rule.
+    ValueError that starts ``n: ``), and ``r`` (positive) and
+    ``outer_value`` finite real numbers by :func:`ioutil.real`, else a
+    ValueError that starts with the argument's name.  ``radii`` followed
+    by R must obey the radius rule of :func:`profile_values` with r as the
+    neck radius: finite real numbers ascending strictly from above r, else
+    a ValueError stating the rule.
     """
     _require_normalized(d)
     n = ioutil.checked(ioutil.integer, n, "n", 2)
+    r = ioutil.checked(ioutil.real, r, "r")
+    outer_value = ioutil.checked(ioutil.real, outer_value, "outer_value")
     if not r > 0.0:
-        raise ValueError(f"need r > 0, got r={r}")
+        raise ValueError(f"r: must be positive, got {r!r}")
     ends = _check_radii(radii, r, R)
     cumulative = _radial_integrals(d, r ** (n - 1), n, ends)
     return outer_value + (cumulative[-1] - cumulative[:-1])
@@ -517,13 +529,22 @@ def uniform_interior_bound(d: Density, a: float, x_norm, R: float = 1.0):
     blow up at their necks: choosing the flux so the neck passes through
     radius |x|/2^{1/(n-1)} caps the barrier slope at (g')^{-1}(1/2) on
     the whole segment from |x| to R, independent of the dimension.  ``a``
-    is the largest boundary value; ``x_norm`` is one radius or an array of
-    them, each in (0, R), and the bound has its shape.
+    is the largest boundary value; ``x_norm`` is one radius or a list, a
+    tuple or a 1-D array of them (cast as the radii of
+    :func:`_check_radii`), each in (0, R), and the bound has its shape.
+    ``a``, ``R`` and a single ``x_norm`` are finite real numbers by
+    :func:`ioutil.real`; a value a cast rejects is a ValueError that
+    starts with the argument's name.
     """
     _require_normalized(d)
-    x = np.asarray(x_norm, dtype=float)
+    a = ioutil.checked(ioutil.real, a, "a")
+    R = ioutil.checked(ioutil.real, R, "R")
+    if isinstance(x_norm, (list, tuple, np.ndarray)):
+        x = _reals(x_norm, "x_norm")
+    else:
+        x = ioutil.checked(ioutil.real, x_norm, "x_norm")
     if not np.all((0.0 < x) & (x < R)):
-        raise ValueError(f"x_norm must lie in (0, {R}), got {x_norm}")
+        raise ValueError(f"x_norm: must lie in (0, {R}), got {x_norm}")
     if classify_growth(d) is not Growth.INFINITE_INTEGRAL:
         raise ValueError(
             "the uniform interior bound applies to densities with "

@@ -44,10 +44,6 @@ class Growth(Enum):
     UNDETERMINED = "undetermined"
 
 
-class UndeterminedLimitError(RuntimeError):
-    """The asymptotic slope of a density could not be estimated reliably."""
-
-
 @dataclass(frozen=True)
 class TailEstimate:
     """Certified power bound g''(t) <= coeff * (1 + t)**(-exponent).
@@ -71,9 +67,12 @@ class Density:
 
     Attributes
     ----------
-    gprime_inf : float or None
-        Asymptotic slope when known analytically; None means "estimate it
-        during :func:`normalize`".
+    gprime_inf : float
+        The slope limit lim g'(t) as t -> inf, declared by the builder: a
+        finite positive real (an int, a float or a numpy number), stored
+        as a float; a bool, a string, zero, a negative value, NaN or +-inf
+        is a ValueError that starts ``gprime_inf: ``.  :func:`normalize`
+        divides by it.
     analytic_inverse : callable or None
         Closed-form inverse of g' on [0, gprime_inf), when available.
     growth : Growth
@@ -87,11 +86,17 @@ class Density:
     _g: Callable
     _gprime: Callable
     _gsecond: Callable
-    gprime_inf: Optional[float]
+    gprime_inf: float
     analytic_inverse: Optional[Callable]
     growth: Growth
     tail: Optional[TailEstimate] = None
     label: str = "density"
+
+    def __post_init__(self):
+        c = ioutil.checked(ioutil.real, self.gprime_inf, "gprime_inf")
+        if not c > 0.0:
+            raise ValueError(f"gprime_inf: must be positive, got {c!r}")
+        object.__setattr__(self, "gprime_inf", c)
 
     def eval(self, t):
         """Return the triple (g(t), g'(t), g''(t))."""
@@ -314,16 +319,16 @@ def _mu_g(mu: float) -> Callable:
     return _g
 
 
-def make_custom_density(g, gprime, gsecond, *, gprime_inf=None,
+def make_custom_density(g, gprime, gsecond, *, gprime_inf,
                         analytic_inverse=None,
                         growth: Growth = Growth.UNDETERMINED,
                         tail: Optional[TailEstimate] = None,
                         label: str = "custom") -> Density:
     """Wrap user-supplied callables as a density.
 
-    The callables must be vectorized (accept numpy arrays).  Pass
-    ``gprime_inf`` when the slope limit is known; otherwise
-    :func:`normalize` estimates it from large-argument samples.
+    The callables must be vectorized (accept numpy arrays).  The slope
+    limit ``gprime_inf`` = lim g'(t) is required: a finite positive real
+    (see :class:`Density`), which :func:`normalize` divides by.
     """
     return Density(
         _g=g, _gprime=gprime, _gsecond=gsecond,
@@ -419,33 +424,14 @@ def validate(d: Density, samples) -> ValidationReport:
 # normalization
 
 
-_LIMIT_PROBES = (1.0e3, 1.0e4, 1.0e5)
-_LIMIT_AGREEMENT = 1e-6
-
-
-def _aitken(p0: float, p1: float, p2: float) -> float:
-    """Aitken delta-squared limit of three successive estimates; the last
-    estimate when the differences do not shrink."""
-    d1, d2 = p1 - p0, p2 - p1
-    if abs(d2) >= abs(d1):
-        return p2
-    return p2 - d2 * d2 / (d2 - d1)
-
-
 def normalize(d: Density) -> Density:
-    """Rescale a density so that its asymptotic slope equals 1, and pin
-    its growth class.
+    """Rescale a density so that its slope limit equals 1, and pin its
+    growth class.
 
-    Densities that already carry gprime_inf == 1 keep their scale.  When
-    the limit is not declared it is estimated by evaluating g' at
-    t = 1e3, 1e4, 1e5; successive estimates must agree to 1e-6 or an
-    :class:`UndeterminedLimitError` is raised.  The estimate is the Aitken
-    delta-squared extrapolation of the three probes, not the last probe:
-    g' increases, so the last probe undershoots the limit, and dividing by
-    it would push the normalized slope above 1 further out.
-
-    The result's ``growth`` is its :func:`classify_growth`, so readers of
-    ``d.growth`` see the classified class and no probe runs again.
+    ``d`` is divided by its declared ``gprime_inf``; a density that
+    declares 1 keeps its scale.  The result's ``growth`` is its
+    :func:`classify_growth`, so readers of ``d.growth`` see the classified
+    class and no probe runs again.
     """
     if d.gprime_inf != 1.0:
         d = _rescaled(d)
@@ -454,21 +440,8 @@ def normalize(d: Density) -> Density:
 
 
 def _rescaled(d: Density) -> Density:
-    """``d`` divided by its declared or estimated slope limit."""
-    if d.gprime_inf is not None:
-        c = float(d.gprime_inf)
-    else:
-        probes = [float(d.gprime(T)) for T in _LIMIT_PROBES]
-        gaps = [abs(b - a) for a, b in zip(probes, probes[1:])]
-        if any(gap > _LIMIT_AGREEMENT for gap in gaps):
-            raise UndeterminedLimitError(
-                "slope limit estimates at t=1e3,1e4,1e5 disagree: "
-                f"{probes} (gaps {gaps}, tolerance {_LIMIT_AGREEMENT})")
-        c = _aitken(*probes)
-
-    if not (c > 0.0 and math.isfinite(c)):
-        raise UndeterminedLimitError(f"invalid slope limit {c}")
-
+    """``d`` divided by its declared slope limit."""
+    c = d.gprime_inf
     old_inv = d.analytic_inverse
     new_inv = None if old_inv is None else (lambda y, _c=c: old_inv(y * _c))
     new_tail = None if d.tail is None else replace(d.tail, coeff=d.tail.coeff / c)

@@ -466,6 +466,23 @@ def test_envelope_dimension_must_be_an_integer_of_at_least_2(area, n):
         envelope_bounds(area, 0.1, [0.5], 1.0, 0.0, n)
 
 
+@pytest.mark.parametrize("value", ["0.1", True, math.nan, math.inf],
+                         ids=["string", "bool", "nan", "inf"])
+def test_envelope_real_arguments_are_cast_by_name(area, value):
+    # r = "0.1" ended in a TypeError, outer_value = True ran as 1
+    for name, call in (
+            ("r", lambda: envelope_bound(area, value, 0.5, 1.0, 0.0, 2)),
+            ("r", lambda: envelope_bounds(area, value, [0.5], 1.0, 0.0, 2)),
+            ("outer_value",
+             lambda: envelope_bound(area, 0.1, 0.5, 1.0, value, 2)),
+            ("outer_value",
+             lambda: envelope_bounds(area, 0.1, [0.5], 1.0, value, 2))):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            call()
+    with pytest.raises(ValueError, match="^r: must be positive"):
+        envelope_bound(area, 0.0, 0.5, 1.0, 0.0, 2)
+
+
 def test_envelope_matches_profile_construction(area, mu3):
     # the bound is the MINUS profile with alpha = r^{n-1}, offset chosen so
     # the curve passes through the outer value at radius R
@@ -496,6 +513,31 @@ def test_uniform_bound_outer_radius_and_radius_array(mu2):
     for bad in (np.array([0.5, 2.0]), np.array([0.0, 1.0]), 2.5):
         with pytest.raises(ValueError):
             uniform_interior_bound(mu2, 0.0, bad, 2.0)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, math.nan],
+                         ids=["string", "bool", "nan"])
+def test_uniform_bound_real_arguments_are_cast_by_name(mu2, value):
+    # x_norm = "0.5" returned 0.5, a and R were taken as given
+    for name, call in (
+            ("a", lambda: uniform_interior_bound(mu2, value, 0.5)),
+            ("x_norm", lambda: uniform_interior_bound(mu2, 0.0, value)),
+            ("x_norm", lambda: uniform_interior_bound(mu2, 0.0, [0.2, value])),
+            ("R", lambda: uniform_interior_bound(mu2, 0.0, 0.5, value))):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            call()
+
+
+def test_uniform_bound_takes_a_numeric_array_whole(mu2, monkeypatch):
+    r = np.linspace(0.1, 0.9, 1536)
+    want = uniform_interior_bound(mu2, 0.25, r)
+    assert np.array_equal(uniform_interior_bound(mu2, 0.25, list(r)), want)
+
+    def no_entry_casts(*args, **kwargs):
+        raise AssertionError("an array was cast entry by entry")
+
+    monkeypatch.setattr(catenoid.ioutil, "reals", no_entry_casts)
+    assert np.array_equal(uniform_interior_bound(mu2, 0.25, r), want)
 
 
 def test_uniform_bound_needs_divergent_tail(area):

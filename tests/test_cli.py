@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from lingrowth import cli
+from lingrowth import catenoid, cli
 from lingrowth.catenoid import CatenoidSpec
 from lingrowth.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS,
                            EXIT_NONCONVERGENCE, EXIT_OK, main)
@@ -65,7 +65,7 @@ def test_quiet_suppresses_chatter(tmp_path, capsys):
 # -- catenoid -----------------------------------------------------------------
 
 
-def test_catenoid_profile_csv_and_flux_residual(tmp_path):
+def test_catenoid_profile_csv_and_route_disagreement(tmp_path):
     code, out = run(tmp_path, "catenoid", "--kind", "area", "--alpha", "1",
                     "--n", "2", "--rho-min", "1.01", "--rho-max", "5",
                     "--samples", "100")
@@ -75,11 +75,30 @@ def test_catenoid_profile_csv_and_flux_residual(tmp_path):
     assert len(lines) == 101
     meta = json.loads((out / "profile_meta.json").read_text())
     assert meta["rows"] == 100
-    assert meta["ode_residual"] <= 1e-9
+    # three certified quadratures of QUAD_ABS_TOL each: the first value,
+    # the cumulative gaps and the slope route
+    assert meta["route_disagreement"] <= 3e-9
+    assert "ode_residual" not in meta
     assert meta["neck_radius"] == pytest.approx(1.0)
     # spot-check the first row against arcosh
     rho, value, _ = (float(x) for x in lines[1].split(","))
     assert value == pytest.approx(math.acosh(rho), abs=1e-10)
+
+
+def test_catenoid_route_disagreement_sees_wrong_values(tmp_path, capsys,
+                                                      monkeypatch):
+    # values 0.1% off along the radial route; the flux identity of the
+    # slopes, which the command reported before, still read 2.2e-16
+    radial = catenoid._radial_integrals
+    monkeypatch.setattr(catenoid, "_radial_integrals",
+                        lambda *args: 1.001 * radial(*args))
+    code, out = run(tmp_path, "catenoid", "--kind", "area", "--alpha", "1",
+                    "--n", "2", "--rho-min", "1.01", "--rho-max", "5",
+                    "--samples", "100")
+    assert code == EXIT_OK
+    meta = json.loads((out / "profile_meta.json").read_text())
+    assert meta["route_disagreement"] > 1e-4
+    assert "slope route" in capsys.readouterr().out
 
 
 def test_catenoid_range_below_neck_is_hypothesis_violation(tmp_path, capsys):
@@ -234,7 +253,11 @@ _NECK_SPEC = {"sign": "minus", "alpha": 0.25, "a": 0.0, "n": 2,
         "outer": {"kind": "affine", "q": [0.5, 0.3], "c": 0.0},
         "inner": {"kind": "radial", "spec": _NECK_SPEC}}),
      "inner data key 'spec': "),
-], ids=["catenoid-mu2", "catenoid-mu1.5", "catenoid-mu1.2", "solve-mu2"])
+    # wrote 100 rows of inf and exited 0
+    (("catenoid", "--kind", "mu", "--mu", "2"), None,
+     "catenoid config key 'convention': "),
+], ids=["catenoid-mu2", "catenoid-mu1.5", "catenoid-mu1.2", "solve-mu2",
+        "catenoid-command-mu2"])
 def test_neck_anchored_data_of_a_divergent_density_is_config_error(
         tmp_path, capsys, argv, config, key):
     # the profile is +-inf at every radius; it once reached the solver and

@@ -1,5 +1,6 @@
 """Density constructors, hypothesis validation, inversion, classification."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -156,9 +157,10 @@ def test_normalize_rescales_doubled_area():
         g=lambda t: 2.0 * np.sqrt(1.0 + t * t),
         gprime=lambda t: 2.0 * t / np.sqrt(1.0 + t * t),
         gsecond=lambda t: 2.0 * (1.0 + t * t) ** (-1.5),
+        gprime_inf=2.0,
     )
     n = normalize(doubled)
-    assert n.gprime_inf == pytest.approx(1.0, abs=1e-9)
+    assert n.gprime_inf == 1.0
     assert n.growth is Growth.FINITE_INTEGRAL
     ref = make_area_density()
     for t in (0.0, 0.7, 3.0, 50.0):
@@ -171,18 +173,19 @@ def test_normalize_mu_family_already_unit():
     assert normalize(d) is d
 
 
-def test_normalize_estimated_limit_keeps_slope_below_one():
-    """mu=3 written out without a declared slope limit: the estimated limit
-    must not undershoot, or the normalized slope exceeds 1 far out.  The
-    certified tail bound of mu=3 is declared so that profile quadrature
-    near the neck truncates with a proven remainder."""
+def test_normalize_declared_limit_keeps_slope_below_one():
+    """mu=3 written out by hand with its declared slope limit 1: the
+    normalized slope stays below 1 far out, and its neck profiles, found
+    by the numerical slope inverse and growth probe, match the built-in's.
+    The certified tail bound of mu=3 is declared so that profile
+    quadrature near the neck truncates with a proven remainder."""
     from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 
     custom = normalize(make_custom_density(
         g=lambda t: t + 1.0 / (1.0 + t) - 1.0,
         gprime=lambda t: 1.0 - (1.0 + t) ** -2.0,
         gsecond=lambda t: 2.0 * (1.0 + t) ** -3.0,
-        tail=TailEstimate(exponent=3.0, coeff=2.0)))
+        gprime_inf=1.0, tail=TailEstimate(exponent=3.0, coeff=2.0)))
     assert np.all(custom.gprime(np.geomspace(1e5, 1e9, 41)) <= 1.0)
 
     builtin = make_mu_density(3.0)
@@ -191,6 +194,42 @@ def test_normalize_estimated_limit_keeps_slope_below_one():
         for r in (1.0 + 1e-6, 1.001, 1.1, 2.0, 5.0):
             assert profile_value(custom, spec, r) == pytest.approx(
                 profile_value(builtin, spec, r), rel=0, abs=1e-8)
+
+
+def _area_times(c, **kwargs):
+    return make_custom_density(
+        g=lambda t: c * np.sqrt(1.0 + t * t),
+        gprime=lambda t: c * t / np.sqrt(1.0 + t * t),
+        gsecond=lambda t: c * (1.0 + t * t) ** (-1.5), **kwargs)
+
+
+def test_slope_limit_must_be_declared():
+    with pytest.raises(TypeError, match="gprime_inf"):
+        _area_times(2.0)
+
+
+@pytest.mark.parametrize("limit", [True, np.True_, "2", 0, 0.0, -1, math.nan,
+                                   math.inf, -math.inf, None],
+                         ids=["bool", "numpy-bool", "string", "zero",
+                              "zero-float", "negative", "nan", "inf",
+                              "minus-inf", "none"])
+def test_slope_limit_that_is_no_finite_positive_real_is_refused(limit):
+    # True passed normalize unscaled as 1, so the doubled area went on as
+    # if normalized; "2" was taken as declared; None was estimated
+    with pytest.raises(ValueError, match="^gprime_inf: "):
+        _area_times(2.0, gprime_inf=limit)
+    # every way a Density is built passes the same check
+    with pytest.raises(ValueError, match="^gprime_inf: "):
+        dataclasses.replace(make_area_density(), gprime_inf=limit)
+
+
+def test_slope_limit_is_stored_as_a_float_and_divides():
+    for limit in (2, np.int64(2), np.float64(2.0)):
+        doubled = _area_times(2.0, gprime_inf=limit)
+        assert type(doubled.gprime_inf) is float and doubled.gprime_inf == 2.0
+        n = normalize(doubled)
+        assert n.gprime_inf == 1.0
+        assert float(n.gprime(1e6)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_pins_the_classified_growth(monkeypatch):
