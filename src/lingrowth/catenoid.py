@@ -39,8 +39,7 @@ from enum import Enum
 import numpy as np
 
 from . import ioutil
-from .density import (Density, Growth, _require_normalized, classify_growth,
-                      invert_gprime)
+from .density import Density, Growth, _require_normalized, invert_gprime
 from .quadrature import QuadratureAccuracyError, integrate
 
 # Certified absolute accuracy demanded from every profile quadrature.
@@ -224,7 +223,7 @@ def _infinite_everywhere(d: Density, spec: CatenoidSpec) -> bool:
     """Whether the profile is the signed inf sentinel at every radius: it
     is neck-anchored and the neck integral of ``d`` diverges."""
     return (spec.anchor is Anchor.NECK
-            and classify_growth(d) is Growth.INFINITE_INTEGRAL)
+            and d.growth is Growth.INFINITE_INTEGRAL)
 
 
 def _slope_parameter(d: Density, alpha: float, n: int, rho):
@@ -380,18 +379,19 @@ def neck_limit(d: Density, spec: CatenoidSpec) -> float:
     Finite exactly when integral(t * g'') converges: neck-anchored
     profiles then tend to their offset, unit-anchored ones to the offset
     minus the signed full span between neck and radius 1.  In the
-    divergent case the limit is the signed inf sentinel.
+    divergent case the limit is the signed inf sentinel.  The case is
+    ``d.growth``, declared or proved by the tail bound (:class:`Density`);
+    an undetermined class is a ValueError.
     """
     _require_normalized(d)
-    growth = classify_growth(d)
-    if growth is Growth.UNDETERMINED:
+    if d.growth is Growth.UNDETERMINED:
         raise ValueError(
             "cannot form the neck limit: growth class is undetermined")
     if _infinite_everywhere(d, spec):
         return spec.offset_a + spec.sign.factor * math.inf
     if spec.anchor is Anchor.NECK:
         return spec.offset_a
-    if growth is Growth.INFINITE_INTEGRAL:
+    if d.growth is Growth.INFINITE_INTEGRAL:
         return spec.offset_a - spec.sign.factor * math.inf
     n = spec.dim_n
     s_one = _slope_parameter(d, spec.alpha, n, 1.0)
@@ -545,7 +545,7 @@ def uniform_interior_bound(d: Density, a: float, x_norm, R: float = 1.0):
         x = ioutil.checked(ioutil.real, x_norm, "x_norm")
     if not np.all((0.0 < x) & (x < R)):
         raise ValueError(f"x_norm: must lie in (0, {R}), got {x_norm}")
-    if classify_growth(d) is not Growth.INFINITE_INTEGRAL:
+    if d.growth is not Growth.INFINITE_INTEGRAL:
         raise ValueError(
             "the uniform interior bound applies to densities with "
             "divergent neck integral (infinite growth class)")

@@ -19,7 +19,9 @@ Two built-in families are provided:
 The long-run behaviour of a density is summarized by whether the integral
 of t * g''(t) over [0, inf) converges; that dichotomy decides whether the
 associated radial barriers stay bounded at their neck or blow up, and is
-exposed here as :class:`Growth`.
+exposed here as :class:`Growth`.  The class is a fact of construction,
+never estimated: a density declares it, or a certified tail bound
+g'' <= c (1 + t)^(-m) with m > 2 proves it finite (:class:`Density`).
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ioutil
-from .quadrature import qagse
 
 
 class Growth(Enum):
-    """Convergence class of integral(t * g''(t), t=0..inf)."""
+    """Convergence class of integral(t * g''(t), t=0..inf): declared by a
+    density, proved finite by its tail bound, or else undetermined."""
 
     FINITE_INTEGRAL = "finite"
     INFINITE_INTEGRAL = "infinite"
@@ -76,9 +78,16 @@ class Density:
     analytic_inverse : callable or None
         Closed-form inverse of g' on [0, gprime_inf), when available.
     growth : Growth
-        Declared convergence class of integral(t * g'').
+        Convergence class of integral(t * g''), by one rule: a declared
+        ``FINITE_INTEGRAL`` or ``INFINITE_INTEGRAL`` is the class; an
+        ``UNDETERMINED`` one with a ``tail`` of exponent > 2 is
+        ``FINITE_INTEGRAL``, since g'' <= c (1 + t)^(-m) with m > 2 makes
+        the integral finite; anything else stays ``UNDETERMINED``.  A
+        value that is no :class:`Growth`, or ``INFINITE_INTEGRAL`` with
+        such a tail, is a ValueError that starts ``growth: ``.
     tail : TailEstimate or None
-        Optional certified power bound on g'' for tail truncation.
+        Optional certified power bound on g'', which proves the class
+        finite and truncates the barrier profiles' tail integrals.
     label : str
         Name in reports, such as "area" or "mu(3)".
     """
@@ -97,6 +106,14 @@ class Density:
         if not c > 0.0:
             raise ValueError(f"gprime_inf: must be positive, got {c!r}")
         object.__setattr__(self, "gprime_inf", c)
+        if not isinstance(self.growth, Growth):
+            raise ValueError(f"growth: must be a Growth, got {self.growth!r}")
+        bounded = self.tail is not None and self.tail.exponent > 2.0
+        if bounded and self.growth is Growth.INFINITE_INTEGRAL:
+            raise ValueError("growth: INFINITE_INTEGRAL contradicts a tail "
+                             f"bound of exponent {self.tail.exponent} > 2")
+        if bounded:
+            object.__setattr__(self, "growth", Growth.FINITE_INTEGRAL)
 
     def eval(self, t):
         """Return the triple (g(t), g'(t), g''(t))."""
@@ -178,7 +195,7 @@ def make_area_density() -> Density:
     )
 
 
-def make_mu_density(mu: float) -> Density:
+def make_mu_density(mu) -> Density:
     """Density with g''(t) = (mu - 1) * (1 + t)**(-mu), g(0) = g'(0) = 0.
 
     Integrating twice:
@@ -195,20 +212,26 @@ def make_mu_density(mu: float) -> Density:
     Raises
     ------
     ValueError
-        If mu <= 1 (the profile would not be strictly convex with
-        bounded slope), if mu is not finite, or if mu is so large (about
-        1e19 or more) that a coefficient of :func:`_mu_g`'s series
+        Starting ``mu: ``, if mu is no real number by :func:`ioutil.real`
+        (a bool, a string, NaN or +-inf), if mu <= 1 (the profile would
+        not be strictly convex with bounded slope), or if mu is so large
+        (about 1e19 or more) that a coefficient of :func:`_mu_g`'s series
         overflows a float.
     """
-    if not (1.0 < mu < math.inf):
-        raise ValueError(f"mu must be a finite number above 1, got {mu}")
-    mu = float(mu)
+    return ioutil.checked(_mu_density, mu, "mu")
 
+
+def _mu_density(mu) -> Density:
+    """:func:`make_mu_density` with its errors unnamed, so that a config
+    names them by its key."""
+    mu = ioutil.real(mu)
+    if not mu > 1.0:
+        raise ValueError(f"must be a finite real number above 1, got {mu!r}")
     try:
         _g = _mu_g(mu)
     except OverflowError as exc:
-        raise ValueError(f"mu = {mu:g} is too large: a coefficient of "
-                         "g's series overflows a float") from exc
+        raise ValueError(f"{mu:g} is too large: a coefficient of g's series "
+                         "overflows a float") from exc
 
     def _gprime(t, _mu=mu):
         # 1 - (1 + t)**(1 - mu) without the cancellation at small t
@@ -328,7 +351,10 @@ def make_custom_density(g, gprime, gsecond, *, gprime_inf,
 
     The callables must be vectorized (accept numpy arrays).  The slope
     limit ``gprime_inf`` = lim g'(t) is required: a finite positive real
-    (see :class:`Density`), which :func:`normalize` divides by.
+    (see :class:`Density`), which :func:`normalize` divides by.  The
+    growth class is ``growth`` when declared, ``FINITE_INTEGRAL`` when
+    ``tail`` has an exponent > 2, and ``UNDETERMINED`` otherwise; the
+    barrier profiles refuse an undetermined density's neck limit.
     """
     return Density(
         _g=g, _gprime=gprime, _gsecond=gsecond,
@@ -356,8 +382,7 @@ def density_from_config(cfg: dict) -> Density:
         return make_area_density()
     if "mu" not in cfg:
         raise ValueError("mu density config needs a 'mu' field")
-    return make_mu_density(
-        ioutil.checked(ioutil.real, cfg["mu"], "density config key 'mu'"))
+    return ioutil.checked(_mu_density, cfg["mu"], "density config key 'mu'")
 
 
 # ---------------------------------------------------------------------------
@@ -425,36 +450,22 @@ def validate(d: Density, samples) -> ValidationReport:
 
 
 def normalize(d: Density) -> Density:
-    """Rescale a density so that its slope limit equals 1, and pin its
-    growth class.
+    """Rescale a density so that its slope limit equals 1.
 
-    ``d`` is divided by its declared ``gprime_inf``; a density that
-    declares 1 keeps its scale.  The result's ``growth`` is its
-    :func:`classify_growth`, so readers of ``d.growth`` see the classified
-    class and no probe runs again.
+    ``d``, its tail coefficient and its inverse's argument are divided by
+    its declared ``gprime_inf``; its growth class is unchanged, and a
+    density that declares 1 is returned as it is.
     """
-    if d.gprime_inf != 1.0:
-        d = _rescaled(d)
-    growth = classify_growth(d)
-    return d if growth is d.growth else replace(d, growth=growth)
-
-
-def _rescaled(d: Density) -> Density:
-    """``d`` divided by its declared slope limit."""
-    c = d.gprime_inf
-    old_inv = d.analytic_inverse
-    new_inv = None if old_inv is None else (lambda y, _c=c: old_inv(y * _c))
-    new_tail = None if d.tail is None else replace(d.tail, coeff=d.tail.coeff / c)
-    return Density(
-        _g=lambda t, _c=c, _f=d._g: _f(t) / _c,
-        _gprime=lambda t, _c=c, _f=d._gprime: _f(t) / _c,
-        _gsecond=lambda t, _c=c, _f=d._gsecond: _f(t) / _c,
+    c, inv, tail = d.gprime_inf, d.analytic_inverse, d.tail
+    return d if c == 1.0 else replace(
+        d,
+        _g=lambda t, _f=d._g: _f(t) / c,
+        _gprime=lambda t, _f=d._gprime: _f(t) / c,
+        _gsecond=lambda t, _f=d._gsecond: _f(t) / c,
         gprime_inf=1.0,
-        analytic_inverse=new_inv,
-        growth=d.growth,
-        tail=new_tail,
-        label=d.label + "/normalized",
-    )
+        analytic_inverse=None if inv is None else lambda y: inv(y * c),
+        tail=None if tail is None else replace(tail, coeff=tail.coeff / c),
+        label=d.label + "/normalized")
 
 
 def _require_normalized(d: Density):
@@ -558,42 +569,11 @@ def _newton_inverse(d: Density, y: np.ndarray) -> np.ndarray:
 # growth classification
 
 
-_CLASSIFY_EDGES = (0.0, 1.0e2, 1.0e3, 1.0e4, 1.0e5)
-_RATIO_FINITE = 0.5     # increments shrinking at least this fast => finite
-_RATIO_STEADY = 0.8     # increments at least this steady => infinite
-_INCREMENT_FLOOR = 1e-3
-
-
 def classify_growth(d: Density) -> Growth:
-    """Decide whether integral(t * g''(t), t=0..inf) converges.
-
-    A declared class (every built-in declares one, and :func:`normalize`
-    stores the classified one) is the answer.  An undeclared one is
-    probed numerically: the integral is accumulated decade by decade up
-    to 1e5 and the pattern of increments decides.  Shrinking increments
-    (successive ratio < 0.5) indicate convergence; steady or growing
-    increments of appreciable size indicate divergence; anything in
-    between is honestly Undetermined.
-    """
-    if d.growth is not Growth.UNDETERMINED:
-        return d.growth
-
-    increments, _ = qagse(lambda t: t * d.gsecond(t), _CLASSIFY_EDGES[:-1],
-                          _CLASSIFY_EDGES[1:], 1e-10, 1e-8)
-    deltas = increments[1:].tolist()  # growth of I(T) over the last decades
-
-    if all(dlt <= 1e-12 for dlt in deltas):
-        return Growth.FINITE_INTEGRAL
-    ratios = []
-    for prev, nxt in zip(deltas[:-1], deltas[1:]):
-        if prev <= 0.0:
-            return Growth.UNDETERMINED
-        ratios.append(nxt / prev)
-    if all(r < _RATIO_FINITE for r in ratios):
-        return Growth.FINITE_INTEGRAL
-    if min(deltas) >= _INCREMENT_FLOOR and all(r >= _RATIO_STEADY for r in ratios):
-        return Growth.INFINITE_INTEGRAL
-    return Growth.UNDETERMINED
+    """Whether integral(t * g''(t), t=0..inf) converges: ``d.growth``, the
+    class that :class:`Density` fixes at construction from the declared
+    class and the tail bound.  No g'' is evaluated."""
+    return d.growth
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 import os
-import sys
 from typing import Optional
 
 
@@ -104,11 +103,15 @@ def integer(value, low: Optional[int] = None) -> int:
 
 def real(value) -> float:
     """The value of a real config key or argument as a float, from an int,
-    a float or a numpy integer or float; a bool, a string, NaN or +-inf is
-    an error."""
-    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and abs(value) <= sys.float_info.max):  # false for nan
-        return float(value)
+    a float or a numpy integer or float of any width; a bool, a string,
+    NaN, +-inf or an int beyond the floats is an error."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:   # an int beyond the largest float
+            x = math.inf
+        if math.isfinite(x):
+            return x
     raise ValueError(f"must be a finite real number, got {value!r}")
 
 

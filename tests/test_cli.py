@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from lingrowth import catenoid, cli
+from lingrowth import catenoid, cli, ioutil
 from lingrowth.catenoid import CatenoidSpec
 from lingrowth.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS,
                            EXIT_NONCONVERGENCE, EXIT_OK, main)
@@ -696,6 +696,12 @@ def _comparison(**keys):
         "outer": {"kind": "constant", "value": 0},
         "inner": {"kind": "radial", "spec": {**_NECK_SPEC, "alpha": 0.6}}}),
      "inner data key 'spec'"),
+    # a mu at most 1 or too large for g's series failed without the key
+    ("density --kind mu --mu 0.5", None, "density config key 'mu'"),
+    ("density --kind mu --mu 1", None, "density config key 'mu'"),
+    ("density --kind mu --mu 1e308", None, "density config key 'mu'"),
+    ("density", {"density": {"kind": "mu", "mu": 1}},
+     "density config key 'mu'"),
 ], ids=["trials-negative", "trials-zero", "trials-bool", "n_r-fraction",
         "catenoid-r_in-string", "fourier_degree-negative",
         "solve-n_r-zero", "solve-n_r-two", "solve-n_theta-two",
@@ -704,7 +710,8 @@ def _comparison(**keys):
         "comparison-r_out-below", "removability-n_r-two",
         "removability-n_theta-zero", "comparison-r_in-zero",
         "catenoid-samples-one", "catenoid-rho_max-below",
-        "catenoid-rho_max-equal", "solve-radial-neck-above-r_in"])
+        "catenoid-rho_max-equal", "solve-radial-neck-above-r_in",
+        "mu-flag-half", "mu-flag-one", "mu-flag-huge", "mu-one"])
 def test_count_or_radius_out_of_range_names_its_key(tmp_path, capsys,
                                                     command, config, key):
     code, out = run(tmp_path, *command.split(), config=config)
@@ -712,6 +719,28 @@ def test_count_or_radius_out_of_range_names_its_key(tmp_path, capsys,
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: {key}: ") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.float32(2.5), np.float16(2.5),
+                                   np.int8(2), np.float64(2.5), 2, 2.5],
+                         ids=["float32", "float16", "int8", "float64", "int",
+                              "float"])
+def test_real_cast_takes_every_numpy_width(value):
+    # float32 and float16 warned "overflow encountered in cast", an error
+    # under the test configuration, when compared with the largest float
+    got = ioutil.real(value)
+    assert type(got) is float and got == float(value)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), np.float32("inf"),
+                                   np.float16("nan")],
+                         ids=["huge-int", "huge-negative-int", "float32-inf",
+                              "float16-nan"])
+def test_real_cast_refuses_what_is_no_finite_float(value):
+    # float() of an int beyond the floats raises OverflowError, which the
+    # cast reports as a ValueError like any other value it refuses
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        ioutil.real(value)
 
 
 def test_catenoid_dimension_below_2_names_key_n(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Density constructors, hypothesis validation, inversion, classification."""
+"""Density constructors, hypothesis validation, inversion, growth class."""
 
 import dataclasses
 import math
@@ -67,11 +67,25 @@ def test_mu_family_origin(mu):
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.5, 0.0, -3.0, np.inf, np.nan, 1e20,
-                                1e308])
+                                1e308, pytest.param("3", id="string"),
+                                pytest.param(True, id="bool"),
+                                pytest.param(10 ** 400, id="huge-int")])
 def test_mu_must_exceed_one(mu):
-    # from about 1e19 on, a coefficient of g's series overflows a float
-    with pytest.raises(ValueError, match="mu"):
+    # from about 1e19 on, a coefficient of g's series overflows a float;
+    # "3" ended in a bare TypeError from comparing it with 1.0
+    with pytest.raises(ValueError, match="^mu: "):
         make_mu_density(mu)
+
+
+@pytest.mark.parametrize("mu", [np.float32(3.0), np.float16(3.0),
+                                np.int64(3), 3],
+                         ids=["float32", "float16", "int64", "int"])
+def test_mu_of_any_real_type_builds_the_float_mu(mu):
+    d, ref = make_mu_density(mu), make_mu_density(3.0)
+    assert d.label == ref.label == "mu(3)"
+    t = np.array([0.0, 0.3, 7.0])
+    for a, b in zip(d.eval(t), ref.eval(t)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_large_finite_mu_builds():
@@ -158,11 +172,13 @@ def test_normalize_rescales_doubled_area():
         gprime=lambda t: 2.0 * t / np.sqrt(1.0 + t * t),
         gsecond=lambda t: 2.0 * (1.0 + t * t) ** (-1.5),
         gprime_inf=2.0,
+        tail=TailEstimate(exponent=3.0, coeff=4.0 * math.sqrt(2.0)),
     )
     n = normalize(doubled)
     assert n.gprime_inf == 1.0
     assert n.growth is Growth.FINITE_INTEGRAL
     ref = make_area_density()
+    assert n.tail == ref.tail
     for t in (0.0, 0.7, 3.0, 50.0):
         assert n.g(t) == pytest.approx(ref.g(t), rel=1e-9)
         assert n.gprime(t) == pytest.approx(ref.gprime(t), rel=1e-9)
@@ -176,9 +192,9 @@ def test_normalize_mu_family_already_unit():
 def test_normalize_declared_limit_keeps_slope_below_one():
     """mu=3 written out by hand with its declared slope limit 1: the
     normalized slope stays below 1 far out, and its neck profiles, found
-    by the numerical slope inverse and growth probe, match the built-in's.
-    The certified tail bound of mu=3 is declared so that profile
-    quadrature near the neck truncates with a proven remainder."""
+    by the numerical slope inverse, match the built-in's.  The certified
+    tail bound of mu=3 is declared: it proves the growth class finite, and
+    profile quadrature near the neck truncates with a proven remainder."""
     from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 
     custom = normalize(make_custom_density(
@@ -232,40 +248,94 @@ def test_slope_limit_is_stored_as_a_float_and_divides():
         assert float(n.gprime(1e6)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_normalize_pins_the_classified_growth(monkeypatch):
-    """mu=3 written out by hand with a declared slope limit and no
-    declared growth class."""
+def _hand_written_mu(mu, **kwargs):
+    """The mu family of :func:`make_mu_density` written out by hand, for
+    mu != 2, with no closed-form inverse and no declared growth class."""
+    return make_custom_density(
+        g=lambda t: t + ((1.0 + t) ** (2.0 - mu) - 1.0) / (mu - 2.0),
+        gprime=lambda t: 1.0 - (1.0 + t) ** (1.0 - mu),
+        gsecond=lambda t: (mu - 1.0) * (1.0 + t) ** -mu,
+        gprime_inf=1.0, **kwargs)
+
+
+def test_normalize_keeps_the_class_the_tail_proves():
+    """mu=3 written out by hand with a declared slope limit and tail bound
+    and no declared growth class: the tail proves it finite when it is
+    built, and normalize keeps it."""
     from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, profile_value
 
-    raw = make_custom_density(
-        g=lambda t: t + 1.0 / (1.0 + t) - 1.0,
-        gprime=lambda t: 1.0 - (1.0 + t) ** -2.0,
-        gsecond=lambda t: 2.0 * (1.0 + t) ** -3.0,
-        gprime_inf=1.0, tail=TailEstimate(exponent=3.0, coeff=2.0))
-    assert raw.growth is Growth.UNDETERMINED
-    d = normalize(raw)
-    assert d.growth is Growth.FINITE_INTEGRAL
-    assert normalize(d) is d
-
-    # once pinned, neither classification nor profiles probe again
-    def no_probe(*args, **kwargs):
-        raise AssertionError("growth probe ran after normalize")
-
-    monkeypatch.setattr(density, "qagse", no_probe)
-    assert classify_growth(d) is Growth.FINITE_INTEGRAL
+    raw = _hand_written_mu(3.0, tail=TailEstimate(exponent=3.0, coeff=2.0))
+    assert raw.growth is Growth.FINITE_INTEGRAL
+    assert normalize(raw) is raw
+    assert classify_growth(raw) is Growth.FINITE_INTEGRAL
     spec = CatenoidSpec(Sign.MINUS, 1.0, 0.0, 2, Anchor.NECK)
     for r in np.linspace(1.1, 3.0, 20):
-        assert math.isfinite(profile_value(d, spec, float(r)))
+        assert math.isfinite(profile_value(raw, spec, float(r)))
 
 
-def test_declared_growth_is_the_answer(monkeypatch):
-    monkeypatch.setattr(density, "qagse", None)     # any probe would fail
+def test_declared_growth_is_the_answer():
     base = make_area_density()
     declared = make_custom_density(base.g, base.gprime, base.gsecond,
                                    gprime_inf=1.0,
                                    growth=Growth.INFINITE_INTEGRAL)
     assert classify_growth(declared) is Growth.INFINITE_INTEGRAL
     assert normalize(declared) is declared
+
+
+def test_mu_2_2_with_its_tail_has_a_neck_limit():
+    """mu=2.2 written out by hand read "undetermined" by a numerical probe
+    of the neck integral, and neck_limit refused it, though its neck
+    profiles match the built-in's.  Its tail bound proves it finite."""
+    from lingrowth.catenoid import (Anchor, CatenoidSpec, Sign, neck_limit,
+                                    profile_value)
+
+    custom = _hand_written_mu(2.2, tail=TailEstimate(exponent=2.2, coeff=1.2))
+    assert custom.growth is Growth.FINITE_INTEGRAL
+    builtin = make_mu_density(2.2)
+    spec = CatenoidSpec(Sign.PLUS, 1.0, 0.7, 2, Anchor.NECK)
+    assert neck_limit(custom, spec) == neck_limit(builtin, spec) == 0.7
+    for r in (1.0 + 1e-6, 1.001, 2.0):
+        assert profile_value(custom, spec, r) == pytest.approx(
+            profile_value(builtin, spec, r), rel=0, abs=1e-8)
+
+
+def test_undeclared_density_without_tail_is_undetermined():
+    from lingrowth.catenoid import Anchor, CatenoidSpec, Sign, neck_limit
+
+    for d in (_hand_written_mu(2.2), _hand_written_mu(3.0),
+              _hand_written_mu(3.0, tail=TailEstimate(exponent=2.0,
+                                                      coeff=2.0))):
+        assert d.growth is Growth.UNDETERMINED
+        with pytest.raises(ValueError, match="undetermined"):
+            neck_limit(d, CatenoidSpec(Sign.PLUS, 1.0, 0.7, 2, Anchor.NECK))
+
+
+@pytest.mark.parametrize("growth", ["infinite", "finite", None, 0])
+def test_growth_that_is_no_growth_class_is_refused(growth):
+    # the string "infinite" was stored as it was: the profiles of a
+    # divergent mu=2 then raised a quadrature error where the built-in
+    # gives the inf sentinel, and its neck limit read 0.0
+    base = make_mu_density(2.0)
+    with pytest.raises(ValueError, match="^growth: "):
+        make_custom_density(base.g, base.gprime, base.gsecond,
+                            gprime_inf=1.0, growth=growth)
+    with pytest.raises(ValueError, match="^growth: "):
+        dataclasses.replace(base, growth=growth)
+
+
+def test_divergent_class_with_a_convergent_tail_is_refused():
+    base = make_area_density()
+    with pytest.raises(ValueError, match="^growth: .*exponent 3.0"):
+        make_custom_density(base.g, base.gprime, base.gsecond,
+                            gprime_inf=1.0, growth=Growth.INFINITE_INTEGRAL,
+                            tail=base.tail)
+    with pytest.raises(ValueError, match="^growth: "):
+        dataclasses.replace(make_mu_density(3.0),
+                            growth=Growth.INFINITE_INTEGRAL)
+    # a bound of exponent 2 proves nothing, so the declaration stands
+    mu2 = make_mu_density(2.0)
+    assert mu2.tail.exponent == 2.0
+    assert mu2.growth is Growth.INFINITE_INTEGRAL
 
 
 # -- slope inversion --------------------------------------------------------
@@ -419,18 +489,26 @@ def test_classify_area(area):
     assert classify_growth(area) is Growth.FINITE_INTEGRAL
 
 
+def _no_gsecond(t):
+    raise AssertionError("g'' evaluated to classify growth")
+
+
 def test_classify_numeric_custom_finite():
     base = make_area_density()
-    anon = make_custom_density(base.g, base.gprime, base.gsecond,
-                               gprime_inf=1.0)
+    anon = make_custom_density(base.g, base.gprime, _no_gsecond,
+                               gprime_inf=1.0, tail=base.tail)
     assert classify_growth(anon) is Growth.FINITE_INTEGRAL
+    assert classify_growth(normalize(dataclasses.replace(
+        anon, gprime_inf=2.0))) is Growth.FINITE_INTEGRAL
 
 
 def test_classify_numeric_custom_infinite():
     base = make_mu_density(2.0)
-    anon = make_custom_density(base.g, base.gprime, base.gsecond,
+    anon = make_custom_density(base.g, base.gprime, _no_gsecond,
                                gprime_inf=1.0)
-    assert classify_growth(anon) is Growth.INFINITE_INTEGRAL
+    assert classify_growth(anon) is Growth.UNDETERMINED
+    declared = dataclasses.replace(anon, growth=Growth.INFINITE_INTEGRAL)
+    assert classify_growth(declared) is Growth.INFINITE_INTEGRAL
 
 
 # -- energy integrand derivatives -------------------------------------------

@@ -623,8 +623,9 @@ def test_barrier_scenario_fields(area):
 
 
 def test_barrier_scenario_runs_for_classified_custom_density(mu3):
-    """mu=3 written out by hand declares no growth class; classified as
-    finite, it gets the barrier scenario just like the built-in."""
+    """mu=3 written out by hand declares no growth class; its tail bound of
+    exponent 3 proves the class finite, so it gets the barrier scenario
+    just like the built-in."""
     custom = make_custom_density(
         lambda t: t + 1.0 / (1.0 + t) - 1.0,
         lambda t: 1.0 - (1.0 + t) ** -2.0,
