@@ -13,7 +13,7 @@ convex, linearly growing g:
   envelope bounds;
 * :mod:`lingrowth.mesh` / :mod:`lingrowth.solver` -- structured polar
   triangulations and a damped-Newton minimizer for the discrete Dirichlet
-  problem, plus discrete comparison-principle checks;
+  problem;
 * :mod:`lingrowth.experiments` -- removability sweeps, barrier
   reproduction under refinement, and randomized comparison suites with
   deterministic reports;
@@ -31,29 +31,26 @@ from .density import (Density, Growth, TailEstimate, ValidationReport,
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
                           run_removability, write_report)
-from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values, same_mesh
+from .mesh import NodeTag, PolarMesh, build_polar_mesh, radial_values
 from .quadrature import QuadratureAccuracyError
-from .solver import (ComparisonResult, DiscreteSolution, MeshMismatchError,
-                     NonConvergenceError, check_comparison, energy,
+from .solver import (DiscreteSolution, NonConvergenceError, energy,
                      solve_dirichlet)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Anchor", "CatenoidSpec", "ComparisonResult", "Density",
-    "DiscreteSolution", "ExperimentReport", "Growth", "MeshMismatchError",
-    "NodeTag", "NonConvergenceError", "PolarMesh", "QuadratureAccuracyError",
-    "RadialProfile", "RemovabilityConfig", "Sign",
-    "TailEstimate", "ValidationReport",
-    "build_polar_mesh", "check_comparison", "classify_growth",
-    "density_from_config", "energy", "envelope_bound", "envelope_bounds",
-    "flux", "invert_gprime", "make_area_density",
-    "make_custom_density", "make_mu_density", "neck_limit", "normalize",
-    "ode_residual",
+    "Anchor", "CatenoidSpec", "Density", "DiscreteSolution",
+    "ExperimentReport", "Growth", "NodeTag", "NonConvergenceError",
+    "PolarMesh", "QuadratureAccuracyError", "RadialProfile",
+    "RemovabilityConfig", "Sign", "TailEstimate", "ValidationReport",
+    "build_polar_mesh", "classify_growth", "density_from_config", "energy",
+    "envelope_bound", "envelope_bounds", "flux", "invert_gprime",
+    "make_area_density", "make_custom_density", "make_mu_density",
+    "neck_limit", "normalize", "ode_residual",
     "profile_value", "profile_value_substituted", "profile_values",
     "radial_values",
     "read_report", "run_catenoid_reproduction",
-    "run_comparison_suite", "run_removability", "same_mesh", "sample_profile",
+    "run_comparison_suite", "run_removability", "sample_profile",
     "solve_dirichlet", "tangent", "uniform_interior_bound",
     "validate", "write_report",
 ]

@@ -188,29 +188,18 @@ def _radial_integrals(d: Density, alpha: float, n: int,
     return np.cumsum(np.concatenate(([0.0], gaps)))
 
 
-def _reals(value, what: str) -> np.ndarray:
-    """``value``, a list, a tuple or a 1-D array of reals, as a float
-    array.  A 1-D array of ints or floats is taken whole, its range left
-    to the caller's test; any other value is cast entry by entry by
-    :func:`ioutil.reals`, and what it rejects is a ValueError that starts
-    with ``what``."""
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
-            and value.ndim == 1):
-        value = ioutil.checked(ioutil.reals, value, what)
-    return np.asarray(value, dtype=float)
-
-
 def _check_radii(radii, neck: float, *outer) -> np.ndarray:
     """The one radius rule: ``radii`` (a list, a tuple or a 1-D array; one
     radius is ``[rho]``) followed by the ``outer`` radii, as one float
     array.  Every radius must be a finite real number: an int, a float or
     a numpy number, and a bool, a string, NaN or +-inf is none (cast by
-    :func:`_reals`).  Together the radii must be nonempty and strictly
-    ascending from above the neck radius; anything else is a ValueError
-    stating this rule."""
+    :func:`ioutil.real_array`).  Together the radii must be nonempty and
+    strictly ascending from above the neck radius; anything else is a
+    ValueError stating this rule."""
     rule = (f"every radius must be a finite real number above the neck "
             f"radius {neck:.12g} and the radius before it")
-    radii = np.append(_reals(radii, rule), _reals(outer, rule))
+    radii = np.append(ioutil.checked(ioutil.real_array, radii, rule),
+                      ioutil.checked(ioutil.real_array, outer, rule))
     if not (radii.size and radii[0] > neck and np.all(np.diff(radii) > 0.0)
             and radii[-1] < math.inf):  # false for nan as well
         shown = np.array2string(radii, threshold=6, separator=", ")
@@ -530,8 +519,8 @@ def uniform_interior_bound(d: Density, a: float, x_norm, R: float = 1.0):
     radius |x|/2^{1/(n-1)} caps the barrier slope at (g')^{-1}(1/2) on
     the whole segment from |x| to R, independent of the dimension.  ``a``
     is the largest boundary value; ``x_norm`` is one radius or a list, a
-    tuple or a 1-D array of them (cast as the radii of
-    :func:`_check_radii`), each in (0, R), and the bound has its shape.
+    tuple or a 1-D array of them (cast by :func:`ioutil.real_array`),
+    each in (0, R), and the bound has its shape.
     ``a``, ``R`` and a single ``x_norm`` are finite real numbers by
     :func:`ioutil.real`; a value a cast rejects is a ValueError that
     starts with the argument's name.
@@ -540,7 +529,7 @@ def uniform_interior_bound(d: Density, a: float, x_norm, R: float = 1.0):
     a = ioutil.checked(ioutil.real, a, "a")
     R = ioutil.checked(ioutil.real, R, "R")
     if isinstance(x_norm, (list, tuple, np.ndarray)):
-        x = _reals(x_norm, "x_norm")
+        x = ioutil.checked(ioutil.real_array, x_norm, "x_norm")
     else:
         x = ioutil.checked(ioutil.real, x_norm, "x_norm")
     if not np.all((0.0 < x) & (x < R)):

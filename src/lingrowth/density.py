@@ -52,11 +52,21 @@ class TailEstimate:
 
     Used to truncate improper integrals of g''-weighted quantities with a
     computable remainder.  ``exponent`` must exceed 2 for the bound to give
-    a convergent tail.
+    a convergent tail.  Both fields are finite real numbers by
+    :func:`ioutil.real`, stored as floats, and ``coeff`` is positive, as
+    a bound on g'' > 0 must be; anything else is a ValueError that starts
+    ``exponent: `` or ``coeff: ``.
     """
 
     exponent: float
     coeff: float
+
+    def __post_init__(self):
+        for name in ("exponent", "coeff"):
+            object.__setattr__(self, name, ioutil.checked(
+                ioutil.real, getattr(self, name), name))
+        if not self.coeff > 0.0:
+            raise ValueError(f"coeff: must be positive, got {self.coeff!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,8 +45,7 @@ from .density import Density, Growth, density_from_config, normalize
 from .mesh import (NodeTag, PolarMesh, build_polar_mesh, radial_values,
                    uniform_shape)
 from .quadrature import QuadratureAccuracyError
-from .solver import (NonConvergenceError, _ring_started_solve,
-                     check_comparison, solve_dirichlet)
+from .solver import NonConvergenceError, _ring_started_solve, solve_dirichlet
 
 
 @dataclass(eq=False)
@@ -543,9 +542,11 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
     """Randomized discrete comparison-principle checks on an annulus.
 
     Each trial draws truncated Fourier data (degree <= fourier_degree,
-    coefficients uniform in [-1, 1]) for both circles of both fields,
-    shifts by the tight constant (the max boundary gap), and verifies the
-    interior ordering within 1e-8 + 10 h^2.
+    coefficients uniform in [-1, 1]) for both circles of both fields u
+    and v, both solved on one mesh.  The shift is the largest boundary
+    gap u - v, so u <= v + shift holds exactly at every boundary node;
+    the record's ``max_violation`` is the largest interior u - v - shift,
+    and the trial holds when it is at most 1e-8 + 10 h^2.
 
     For densities with convergent neck integral one structured scenario
     follows: a catenoid barrier is anchored at the inner circle with its
@@ -573,6 +574,7 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
 
     inner_angles = mesh.node_angles()[mesh.inner_nodes()]
     outer_angles = mesh.node_angles()[mesh.outer_nodes()]
+    interior = mesh.interior_nodes()
 
     records = []
     complete = True
@@ -592,10 +594,10 @@ def run_comparison_suite(d: Density, trials: int, seed: int, *,
             records.append({"trial": trial, "shift": shift, "holds": False,
                             "max_violation": None, "converged": False})
             continue
-        res = check_comparison(u, v, shift, tol=tol)
+        worst = float(np.max(u.values[interior] - v.values[interior] - shift))
         records.append({
-            "trial": trial, "shift": shift, "holds": bool(res.holds),
-            "max_violation": res.max_violation, "converged": True,
+            "trial": trial, "shift": shift, "holds": worst <= tol,
+            "max_violation": worst, "converged": True,
         })
 
     scenario = None

@@ -19,6 +19,8 @@ import numbers
 import os
 from typing import Optional
 
+import numpy as np
+
 
 def fmt12(x: float) -> str:
     """Fixed 12-significant-digit rendering of a float."""
@@ -125,6 +127,17 @@ def reals(value, length: Optional[int] = None) -> tuple:
         raise ValueError(f"must be a list of {count}real numbers, "
                          f"got {value!r}")
     return tuple(real(v) for v in value)
+
+
+def real_array(value) -> np.ndarray:
+    """The value of a list-of-reals argument as a new 1-D float array: a
+    1-D numpy array of ints or floats is taken whole, its range left to
+    the caller's test; any other value is cast entry by entry by
+    :func:`reals`."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+            and value.ndim == 1):
+        value = reals(value)
+    return np.array(value, dtype=float)
 
 
 def deterministic_timestamp() -> Optional[int]:

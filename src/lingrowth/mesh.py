@@ -186,10 +186,12 @@ def build_polar_mesh(ring_radii, n_theta: int) -> PolarMesh:
 
     Parameters
     ----------
-    ring_radii : radii of the node circles: at least 4 finite numbers,
-        the first >= 0, strictly ascending.  The spacing is the caller's:
-        equal (``np.linspace``), graded toward the inner circle, or
-        log-polar.
+    ring_radii : radii of the node circles: a list, a tuple or a 1-D
+        array of at least 4 finite real numbers (cast by
+        :func:`ioutil.real_array`, so a bool or a string is none), the
+        first >= 0, strictly ascending; anything else is a ValueError that
+        starts ``ring_radii: ``.  The spacing is the caller's: equal
+        (``np.linspace``), graded toward the inner circle, or log-polar.
     n_theta : number of angular sectors, an integer >= 3 (an int or a
         numpy integer; a bool, a fraction or a string is a ValueError
         naming ``n_theta``).
@@ -201,11 +203,11 @@ def build_polar_mesh(ring_radii, n_theta: int) -> PolarMesh:
     is that of column 0's triangles, computed from the nodes of columns 0
     and 1 alone, which are the same floats as in ``nodes``.
     """
-    radii = np.array(ring_radii, dtype=float)
-    if (radii.ndim != 1 or len(radii) < 4 or not np.all(np.isfinite(radii))
-            or radii[0] < 0.0 or np.any(np.diff(radii) <= 0.0)):
+    radii = ioutil.checked(ioutil.real_array, ring_radii, "ring_radii")
+    if (len(radii) < 4 or not np.all(np.isfinite(radii)) or radii[0] < 0.0
+            or np.any(np.diff(radii) <= 0.0)):
         raise ValueError(
-            f"ring radii must be at least 4 finite numbers, the first >= 0, "
+            f"ring_radii: must be at least 4 finite numbers, the first >= 0, "
             f"strictly ascending; got {ring_radii!r}")
     n_theta = ioutil.checked(ioutil.integer, n_theta, "n_theta", 3)
     is_disk = bool(radii[0] == 0.0)
@@ -296,21 +298,12 @@ def _triangle_geometry(nodes, triangles):
     return areas, grads
 
 
-def same_mesh(m1: PolarMesh, m2: PolarMesh) -> bool:
-    """True when two meshes triangulate the same nodes identically: the
-    same layout (center or inner circle, rings, columns) and tags, and
-    ring radii that agree to 1e-14."""
-    if m1 is m2:
-        return True
-    return (m1.is_disk == m2.is_disk and m1.n_theta == m2.n_theta
-            and m1.ring_radii.shape == m2.ring_radii.shape
-            and np.array_equal(m1.node_tags, m2.node_tags)
-            and bool(np.all(np.abs(m1.ring_radii - m2.ring_radii) <= 1e-14)))
-
-
 def radial_values(mesh: PolarMesh, values: np.ndarray, r) -> np.ndarray:
     """Evaluate a nodal field at radius r for every angular column: an
     (n_theta,) row for a scalar r, one such row per radius for an array.
+    ``r`` is one finite real number (:func:`ioutil.real`) or a list, a
+    tuple or a 1-D array of them (:func:`ioutil.real_array`), each within
+    the mesh's radii; anything else is a ValueError that starts ``r: ``.
 
     Along each ray of constant angle the mesh edges are radial segments,
     so the piecewise-affine field restricted to a ray is piecewise linear
@@ -318,9 +311,13 @@ def radial_values(mesh: PolarMesh, values: np.ndarray, r) -> np.ndarray:
     therefore exact for P1 fields.
     """
     radii = mesh.ring_radii
-    r = np.asarray(r, dtype=float)
+    if isinstance(r, (list, tuple, np.ndarray)):
+        r = ioutil.checked(ioutil.real_array, r, "r")
+    else:
+        r = ioutil.checked(ioutil.real, r, "r")
     if not np.all((radii[0] - 1e-12 <= r) & (r <= radii[-1] + 1e-12)):
-        raise ValueError(f"radius {r} outside mesh range [{radii[0]}, {radii[-1]}]")
+        raise ValueError(f"r: must lie in [{radii[0]}, {radii[-1]}], "
+                         f"got {r}")
     r = np.clip(r, radii[0], radii[-1])
     hi = np.clip(np.searchsorted(radii, r), 1, len(radii) - 1)
     lo = hi - 1

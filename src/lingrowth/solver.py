@@ -156,7 +156,7 @@ from numpy.linalg import LinAlgError
 
 from . import ioutil
 from .density import Density, _require_normalized, flux, tangent
-from .mesh import PolarMesh, one_column, same_mesh
+from .mesh import PolarMesh, one_column
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,25 +192,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, solution: DiscreteSolution):
         super().__init__(message)
         self.solution = solution
-
-
-class MeshMismatchError(ValueError):
-    """Two fields that must share a mesh do not."""
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Outcome of a discrete comparison-principle check.
-
-    ``applicable`` is False when the boundary ordering hypothesis fails,
-    which is a different outcome from an interior violation.
-    ``max_violation`` is the largest interior excess u - v - shift
-    (negative when the ordering holds strictly).
-    """
-
-    holds: bool
-    max_violation: float
-    applicable: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -901,38 +882,3 @@ def _armijo(d, mesh, u, interior, direction, g_i, E, full=False):
             return trial, E_trial, True, p, t
         step *= _ARMIJO_FACTOR
     return u, E, False, None, None
-
-
-# ---------------------------------------------------------------------------
-# comparison principle checking
-
-
-def check_comparison(u: DiscreteSolution, v: DiscreteSolution, shift: float,
-                     tol: Optional[float] = None) -> ComparisonResult:
-    """Check the discrete comparison principle between two solved fields.
-
-    If u <= v + shift at every boundary node, reports the maximal
-    interior excess max(u - v - shift) and whether it stays below the
-    tolerance (default 1e-8 * (1 + |shift|)).  When the boundary
-    hypothesis itself fails the result is marked not applicable instead
-    of violated.  ``shift`` and ``tol`` must be finite real numbers (a
-    bool, a string, NaN or +-inf is a ValueError naming it).
-    """
-    if not same_mesh(u.mesh, v.mesh):
-        raise MeshMismatchError("comparison requires a shared mesh")
-    shift = ioutil.checked(ioutil.real, shift, "shift")
-    tol = (1e-8 * (1.0 + abs(shift)) if tol is None
-           else ioutil.checked(ioutil.real, tol, "tol"))
-
-    mesh = u.mesh
-    bnodes = mesh.boundary_nodes()
-    gap_b = u.values[bnodes] - v.values[bnodes] - shift
-    if np.any(gap_b > 0.0):
-        return ComparisonResult(holds=False, max_violation=math.nan,
-                                applicable=False)
-
-    inodes = mesh.interior_nodes()
-    gap_i = u.values[inodes] - v.values[inodes] - shift
-    max_violation = float(np.max(gap_i))
-    return ComparisonResult(holds=bool(max_violation <= tol),
-                            max_violation=max_violation)

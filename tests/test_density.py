@@ -338,6 +338,28 @@ def test_divergent_class_with_a_convergent_tail_is_refused():
     assert mu2.growth is Growth.INFINITE_INTEGRAL
 
 
+@pytest.mark.parametrize("exponent, coeff, name", [
+    ("3", 2.0, "exponent"), (True, 2.0, "exponent"),
+    (math.nan, 2.0, "exponent"), (math.inf, 2.0, "exponent"),
+    (3.0, "2", "coeff"), (3.0, None, "coeff"), (3.0, math.nan, "coeff"),
+    (3.0, 0.0, "coeff"), (3.0, -2.0, "coeff")],
+    ids=["exponent-string", "exponent-bool", "exponent-nan", "exponent-inf",
+         "coeff-string", "coeff-none", "coeff-nan", "coeff-zero",
+         "coeff-negative"])
+def test_tail_estimate_field_that_is_no_bound_is_named(exponent, coeff, name):
+    # "3" ended in a bare TypeError; a negative coeff proved the class
+    # finite, a NaN exponent was ignored and a string coeff was taken
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        TailEstimate(exponent, coeff)
+
+
+def test_tail_estimate_stores_numpy_and_int_fields_as_floats():
+    for tail in (TailEstimate(np.float32(3.0), np.float64(2.0)),
+                 TailEstimate(3, 2)):
+        assert (tail.exponent, tail.coeff) == (3.0, 2.0)
+        assert type(tail.exponent) is float and type(tail.coeff) is float
+
+
 # -- slope inversion --------------------------------------------------------
 
 

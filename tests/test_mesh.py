@@ -13,7 +13,6 @@ from lingrowth.mesh import (
     build_polar_mesh,
     one_column,
     radial_values,
-    same_mesh,
     uniform_shape,
 )
 from lingrowth.solver import (_nodal_gradient, _triangle_gradients, energy,
@@ -265,6 +264,35 @@ def test_degenerate_parameters_rejected(bad):
         build_polar_mesh(*bad)
 
 
+@pytest.mark.parametrize("radii", [
+    ["0", "1", "2", "3"], [0, True, 2, 3], (0.5, np.bool_(True), 2.0, 3.0),
+    [0.5, 0.7, [0.8], 1.0], np.array(["0.5", "0.6", "0.7", "1.0"]),
+    [0.5, 0.7, 0.6, 1.0], "0.5 0.6 0.7 1.0"],
+    ids=["strings", "bool", "numpy-bool", "nested", "string-array",
+         "descending", "string"])
+def test_ring_radii_that_break_the_rule_are_named(radii):
+    # the strings and the bools were cast by numpy and built a mesh
+    with pytest.raises(ValueError, match="^ring_radii: "):
+        build_polar_mesh(radii, 8)
+
+
+def test_ring_radii_of_ints_floats_and_numpy_numbers_make_one_mesh():
+    want = build_polar_mesh(np.array([0.0, 1.0, 2.0, 3.0]), 8)
+    for radii in ([0, 1, 2, 3], (0.0, 1, np.float32(2.0), np.int64(3)),
+                  np.arange(4), np.arange(4, dtype=np.float32)):
+        mesh = build_polar_mesh(radii, 8)
+        assert mesh.ring_radii.dtype == np.float64
+        for name in ("ring_radii", "areas", "grads"):
+            assert np.array_equal(getattr(mesh, name), getattr(want, name))
+
+
+def test_mesh_keeps_its_own_copy_of_the_radii():
+    radii = np.linspace(0.5, 1.0, 5)
+    mesh = build_polar_mesh(radii, 8)
+    radii[:] = 0.0
+    assert np.array_equal(mesh.ring_radii, np.linspace(0.5, 1.0, 5))
+
+
 @pytest.mark.parametrize("n_theta", [3.7, 3.0, "8", True, np.bool_(True), 2,
                                      None])
 def test_n_theta_that_is_no_integer_of_at_least_3_is_named(n_theta):
@@ -276,8 +304,10 @@ def test_n_theta_that_is_no_integer_of_at_least_3_is_named(n_theta):
 def test_numpy_integer_n_theta_makes_the_same_mesh():
     radii = np.linspace(0.5, 1.0, 5)
     mesh = build_polar_mesh(radii, np.int64(8))
-    assert type(mesh.n_theta) is int
-    assert same_mesh(mesh, build_polar_mesh(radii, 8))
+    want = build_polar_mesh(radii, 8)
+    assert type(mesh.n_theta) is int and mesh.n_theta == want.n_theta
+    for name in ("node_tags", "ring_radii", "areas", "grads"):
+        assert np.array_equal(getattr(mesh, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("r_in, r_out, n_r, n_theta, key", [
@@ -424,6 +454,28 @@ def test_radial_values_out_of_range():
             radial_values(m, vals, np.array(bad))
 
 
+@pytest.mark.parametrize("r", [
+    "0.7", True, np.bool_(True), None, [0.6, "0.8"], (0.6, True),
+    [[0.6, 0.8]], np.array([[0.6, 0.8]]), 0.4, [0.6, 1.1]],
+    ids=["string", "bool", "numpy-bool", "none", "list-string", "tuple-bool",
+         "nested", "2d-array", "below", "list-above"])
+def test_radius_that_is_no_real_in_range_is_named(r):
+    # the strings and the bools were cast by numpy and evaluated
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
+    with pytest.raises(ValueError, match="^r: "):
+        radial_values(m, np.zeros(m.num_nodes), r)
+
+
+def test_radius_list_tuple_and_numpy_scalar_match_the_array():
+    m = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
+    vals = np.arange(m.num_nodes, dtype=float)
+    want = radial_values(m, vals, np.array([0.6, 0.8]))
+    assert np.array_equal(radial_values(m, vals, [0.6, 0.8]), want)
+    assert np.array_equal(radial_values(m, vals, (0.6, 0.8)), want)
+    assert np.array_equal(radial_values(m, vals, np.float32(0.75)),
+                          radial_values(m, vals, float(np.float32(0.75))))
+
+
 @pytest.mark.parametrize("args, kw", RING_MESHES)
 def test_radial_values_array_matches_scalar_calls(args, kw, rng):
     m = build_polar_mesh(*args, **kw)
@@ -438,14 +490,6 @@ def test_radial_values_array_matches_scalar_calls(args, kw, rng):
     want = np.stack([radial_values(m, vals, float(x)) for x in r])
     assert np.array_equal(rows, want)
     np.testing.assert_array_equal(rows[:len(radii)], m.rings(vals))
-
-
-def test_same_mesh_detects_differences():
-    a = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
-    b = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
-    c = build_polar_mesh(np.linspace(0.5, 1.0, 6), 8)
-    assert same_mesh(a, b)
-    assert not same_mesh(a, c)
 
 
 def test_h_radial_uniform():
