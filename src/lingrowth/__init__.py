@@ -9,8 +9,8 @@ convex, linearly growing g:
 * :mod:`lingrowth.quadrature` -- adaptive Gauss-Kronrod quadrature, a
   port of QUADPACK's QAGS for integrands that take arrays;
 * :mod:`lingrowth.catenoid` -- radial catenoid-type barrier profiles via
-  two independent quadrature routes, flux-identity checking, and interior
-  envelope bounds;
+  two independent quadrature routes, values checked against the slope
+  route, and interior envelope bounds;
 * :mod:`lingrowth.mesh` / :mod:`lingrowth.solver` -- structured polar
   triangulations and a damped-Newton minimizer for the discrete Dirichlet
   problem;

@@ -15,9 +15,16 @@ non-convergence.
 A JSON config file supplies defaults; explicit flags win.  Its top-level
 keys are checked against the sections the command reads, and each section
 against a table of accepted keys, so a misspelled or misplaced key is a
-configuration error, not a silent default.  The effective configuration,
-seed included, is echoed into the output directory so a run can be
-reproduced from its artifacts alone.
+configuration error, not a silent default.
+
+Every command runs one path through :func:`main`: it loads the config,
+builds the density section (``--kind`` replaces the file's, ``--mu``
+overrides its ``mu``) and the normalized density, and hands the three to
+the command, which does its work and returns its exit code with the
+effective sections it ran under.  ``main`` then echoes the effective
+configuration, seed included, to ``<out>/config.json`` so a run can be
+reproduced from its artifacts alone; a command that wrote nothing returns
+``None`` for its sections and leaves no output directory.
 """
 
 from __future__ import annotations
@@ -93,15 +100,17 @@ def _out_dir(args) -> Path:
 
 
 def _density_config(args, cfg: dict) -> dict:
-    """Density spec from flags, falling back to the config file."""
+    """Density spec: ``--kind`` replaces the config's section, and ``--mu``
+    overrides the ``mu`` of whichever section applies."""
     if args.kind is not None:
         dcfg = {"kind": args.kind}
-        if args.mu is not None:
-            dcfg["mu"] = args.mu
-        return dcfg
-    if "density" in cfg:
-        return cfg["density"]
-    raise ValueError("no density specified (use --kind or a config file)")
+    elif "density" in cfg:
+        dcfg = dict(cfg["density"])
+    else:
+        raise ValueError("no density specified (use --kind or a config file)")
+    if args.mu is not None:
+        dcfg["mu"] = args.mu
+    return dcfg
 
 
 # Accepted keys of each config section: key -> (default, cast).  A key
@@ -157,49 +166,31 @@ def _merge(name: str, section: dict, table: dict, flags=None) -> dict:
     return merged
 
 
-def _echo_config(args, out: Path, effective: dict):
-    ioutil.write_json(out / "config.json", effective)
-    _say(args, f"effective config written to {out / 'config.json'}")
-
-
 # ---------------------------------------------------------------------------
 # density
 
 
-def cmd_density(args) -> int:
-    cfg = _load_config(args)
-    dcfg = _density_config(args, cfg)
-    d = normalize(density_from_config(dcfg))
-
+def cmd_density(args, cfg, dcfg, d):
     samples = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 200)])
     report = validate(d, samples)
-    growth = d.growth
-
-    out = _out_dir(args)
     payload = report.to_dict()
-    payload["growth"] = growth.value
-    ioutil.write_json(out / "density_report.json", payload)
-    _echo_config(args, out, {"command": "density", "density": dcfg,
-                             "seed": cfg["seed"]})
+    payload["growth"] = d.growth.value
+    ioutil.write_json(_out_dir(args) / "density_report.json", payload)
 
-    _say(args, f"density {d.label}: growth={growth.value}")
+    _say(args, f"density {d.label}: growth={d.growth.value}")
     for key, val in payload.items():
         _say(args, f"  {key}: {val}")
     if not report.hypotheses_ok:
         _say(args, "hypothesis violation detected")
-        return EXIT_HYPOTHESIS
-    return EXIT_OK
+        return EXIT_HYPOTHESIS, {}
+    return EXIT_OK, {}
 
 
 # ---------------------------------------------------------------------------
 # catenoid
 
 
-def cmd_catenoid(args) -> int:
-    cfg = _load_config(args)
-    dcfg = _density_config(args, cfg)
-    d = normalize(density_from_config(dcfg))
-
+def cmd_catenoid(args, cfg, dcfg, d):
     ccfg = _merge("catenoid", cfg.get("catenoid", {}), _CATENOID_KEYS, args)
     rho_min = ccfg.pop("rho_min", None)
     rho_max, num = ccfg.pop("rho_max"), ccfg.pop("samples")
@@ -210,7 +201,7 @@ def cmd_catenoid(args) -> int:
     if rho_min <= spec.neck_radius:
         _say(args, f"requested range starts at {rho_min}, at or below the "
                    f"neck radius {spec.neck_radius:.12g}: profile undefined")
-        return EXIT_HYPOTHESIS
+        return EXIT_HYPOTHESIS, None
     if not rho_max > rho_min:
         raise ValueError(f"catenoid config key 'rho_max': must exceed "
                          f"rho_min = {rho_min!r}, got {rho_max!r}")
@@ -233,12 +224,6 @@ def cmd_catenoid(args) -> int:
         "route_disagreement": disagreement,
         "rows": num,
     })
-    _echo_config(args, out, {
-        "command": "catenoid", "density": dcfg,
-        "catenoid": {**spec.to_config(), "rho_min": rho_min,
-                     "rho_max": rho_max, "samples": num},
-        "seed": cfg["seed"],
-    })
 
     _say(args, f"profile written to {out / 'profile.csv'} ({num} rows)")
     _say(args, "largest disagreement of the values with the slope route: "
@@ -249,7 +234,8 @@ def cmd_catenoid(args) -> int:
                    "values grow without bound approaching the neck")
     else:
         _say(args, f"neck limit: {ioutil.fmt12(limit)}")
-    return EXIT_OK
+    return EXIT_OK, {"catenoid": {**spec.to_config(), "rho_min": rho_min,
+                                  "rho_max": rho_max, "samples": num}}
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +243,7 @@ def cmd_catenoid(args) -> int:
 
 
 def _boundary_from_config(mesh, bcfg, d) -> np.ndarray:
-    """Nodal boundary vector from the config's ``outer``/``inner`` entries."""
-    bcfg = _merge("boundary", bcfg, _BOUNDARY_KEYS)
+    """Nodal boundary vector from the merged ``outer``/``inner`` entries."""
     outer = circle_data_values(mesh, NodeTag.OUTER, bcfg["outer"], d)
     inner = None
     if not mesh.is_disk:
@@ -268,17 +253,13 @@ def _boundary_from_config(mesh, bcfg, d) -> np.ndarray:
     return _dirichlet(mesh, inner=inner, outer=outer)
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    dcfg = _density_config(args, cfg)
-    d = normalize(density_from_config(dcfg))
-
+def cmd_solve(args, cfg, dcfg, d):
     mcfg = _merge("mesh", cfg.get("mesh", {}), _MESH_KEYS, args)
     mesh = build_polar_mesh(*uniform_shape(
         mcfg["r_in"], mcfg["r_out"], mcfg["n_r"], mcfg["n_theta"],
         "mesh config"))
 
-    bcfg = cfg.get("boundary", {})
+    bcfg = _merge("boundary", cfg.get("boundary", {}), _BOUNDARY_KEYS)
     data = _boundary_from_config(mesh, bcfg, d)
     scfg = _merge("solver", cfg.get("solver", {}), _SOLVER_KEYS)
 
@@ -290,32 +271,27 @@ def cmd_solve(args) -> int:
         sol = exc.solution
 
     out = _out_dir(args)
-    effective = {"command": "solve", "density": dcfg, "mesh": mcfg,
-                 "boundary": bcfg, "solver": scfg, "seed": cfg["seed"]}
-    _echo_config(args, out, effective)
     ioutil.write_csv_records(out / "solution.csv", [
         {"node": i, "x": x, "y": y, "value": v}
         for i, ((x, y), v) in enumerate(zip(mesh.nodes, sol.values))])
     ioutil.write_json(out / "diagnostics.json", sol.diagnostics())
+    sections = {"mesh": mcfg, "boundary": bcfg, "solver": scfg}
     if not sol.converged:
-        return EXIT_NONCONVERGENCE
+        return EXIT_NONCONVERGENCE, sections
     _say(args, f"solved: energy={ioutil.fmt12(sol.energy)} "
                f"grad_norm={sol.grad_norm:.3e} iterations={sol.iterations}")
-    return EXIT_OK
+    return EXIT_OK, sections
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
 
-def cmd_experiment(args) -> int:
-    cfg = _load_config(args)
+def cmd_experiment(args, cfg, dcfg, d):
     ecfg = dict(cfg.get("experiment", {}))
     kind = args.experiment_kind or ecfg.get("kind")
     if kind not in ("removability", "catenoid", "comparison"):
         raise ValueError(f"unknown experiment kind {kind!r}")
-
-    dcfg = _density_config(args, cfg)
     ecfg.pop("kind", None)
     kwargs = _merge("experiment", ecfg, _EXPERIMENT_KEYS[kind])
 
@@ -324,30 +300,24 @@ def cmd_experiment(args) -> int:
         report = run_removability(rcfg)
         effective_exp = {"kind": kind, **rcfg.to_dict()}
         effective_exp.pop("density")
+    elif kind == "catenoid":
+        spec, refinements = kwargs.pop("spec"), kwargs.pop("refinements")
+        report = run_catenoid_reproduction(d, spec, refinements, **kwargs)
+        effective_exp = {"kind": kind, "spec": spec.to_config(),
+                         "refinements": refinements, **kwargs}
     else:
-        d = normalize(density_from_config(dcfg))
-        if kind == "catenoid":
-            spec, refinements = kwargs.pop("spec"), kwargs.pop("refinements")
-            report = run_catenoid_reproduction(d, spec, refinements, **kwargs)
-            effective_exp = {"kind": kind, "spec": spec.to_config(),
-                             "refinements": refinements, **kwargs}
-        else:
-            trials = kwargs.pop("trials")
-            report = run_comparison_suite(d, trials, cfg["seed"], **kwargs)
-            effective_exp = {"kind": kind, "trials": trials, **kwargs}
+        trials = kwargs.pop("trials")
+        report = run_comparison_suite(d, trials, cfg["seed"], **kwargs)
+        effective_exp = {"kind": kind, "trials": trials, **kwargs}
 
     # the study checks its own config, so a bad value leaves no output
     out = _out_dir(args)
     write_report(report, out / "report.json")
-    _echo_config(args, out, {"command": "experiment", "density": dcfg,
-                             "experiment": effective_exp,
-                             "seed": cfg["seed"]})
-
-    ok = report.all_checks_pass()
     for name, passed in report.checks.items():
         _say(args, f"[{'PASS' if passed else 'FAIL'}] {name}")
     _say(args, f"report written to {out / 'report.json'}")
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    code = EXIT_OK if report.all_checks_pass() else EXIT_HYPOTHESIS
+    return code, {"experiment": effective_exp}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +378,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        dcfg = _density_config(args, cfg)
+        code, sections = args.func(args, cfg, dcfg,
+                                   normalize(density_from_config(dcfg)))
+        if sections is not None:    # the command wrote its outputs
+            path = _out_dir(args) / "config.json"
+            ioutil.write_json(path, {"command": args.command, "density": dcfg,
+                                     **sections, "seed": cfg["seed"]})
+            _say(args, f"effective config written to {path}")
+        return code
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

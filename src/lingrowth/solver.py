@@ -325,13 +325,16 @@ def _blocks(mesh: PolarMesh, tangent: np.ndarray) -> np.ndarray:
 # banded LAPACK
 
 # Symbol patterns of dpbtrf/dpbtrs in numpy's LAPACK, tried in order, each
-# with its Fortran integer and the pattern of the OpenBLAS thread-count
-# functions that come with it: numpy >= 2 wheels (scipy-openblas, 64-bit
-# ints), numpy 1.x wheels (64-bit ints), LP64 builds (32-bit ints).
-_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64,
-                    "scipy_openblas_{}_num_threads64_"),
-                   ("{}_64_", ctypes.c_int64, "openblas_{}_num_threads64_"),
-                   ("{}_", ctypes.c_int32, "openblas_{}_num_threads"))
+# with its Fortran integer: numpy >= 2 wheels (scipy-openblas, 64-bit ints),
+# numpy 1.x wheels (64-bit ints), LP64 builds (32-bit ints).
+_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64),
+                   ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32))
+# Patterns of OpenBLAS's thread-count functions ("{}" standing for get and
+# set), tried in order on the library that supplies dpbtrf/dpbtrs: the
+# 64-bit-integer builds of scipy-openblas and OpenBLAS, then their LP64 ones.
+_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads64_",
+                   "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
 
 
 @functools.cache
@@ -349,20 +352,18 @@ def _band_lapack() -> tuple:
     numpy has mapped already; scipy's wrappers of the same routines are
     imported only where none of ``_LAPACK_SYMBOLS`` resolves there."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for pattern, fint, threads in _LAPACK_SYMBOLS:
+    for pattern, fint in _LAPACK_SYMBOLS:
         trf = getattr(lib, pattern.format("dpbtrf"), None)
         trs = getattr(lib, pattern.format("dpbtrs"), None)
         if trf is not None and trs is not None:
-            return (*_ctypes_band(trf, trs, fint),
-                    _thread_count(lib, (threads,)))
+            return (*_ctypes_band(trf, trs, fint), _thread_count(lib))
     return _scipy_band()
 
 
-def _thread_count(lib, patterns) -> Optional[tuple]:
+def _thread_count(lib) -> Optional[tuple]:
     """(get, set) of the OpenBLAS thread count in ``lib``, under the first
-    of ``patterns`` ("{}" standing for get and set) that names both, or
-    None."""
-    for pattern in patterns:
+    of ``_THREAD_SYMBOLS`` that names both, or None."""
+    for pattern in _THREAD_SYMBOLS:
         get = getattr(lib, pattern.format("get"), None)
         put = getattr(lib, pattern.format("set"), None)
         if get is not None and put is not None:
@@ -424,10 +425,7 @@ def _scipy_band() -> tuple:
         _check_info("dpbtrs", info)
         return x
 
-    threads = _thread_count(ctypes.CDLL(_flapack.__file__),
-                            ("scipy_openblas_{}_num_threads",
-                             "openblas_{}_num_threads"))
-    return pbtrf, pbtrs, threads
+    return pbtrf, pbtrs, _thread_count(ctypes.CDLL(_flapack.__file__))
 
 
 def _check_info(routine: str, info: int):

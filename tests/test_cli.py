@@ -51,9 +51,13 @@ def test_density_rejects_mu_at_most_one(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_density_requires_a_spec(tmp_path):
-    code, _ = run(tmp_path, "density")
-    assert code == EXIT_CONFIG
+def test_density_requires_a_spec(tmp_path, capsys):
+    # --mu alone overrides no section
+    for name, argv in [("bare", []), ("mu", ["--mu", "3"])]:
+        code, out = run(tmp_path, "density", *argv, name=name)
+        assert code == EXIT_CONFIG
+        assert "no density specified" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_quiet_suppresses_chatter(tmp_path, capsys):
@@ -102,10 +106,12 @@ def test_catenoid_route_disagreement_sees_wrong_values(tmp_path, capsys,
 
 
 def test_catenoid_range_below_neck_is_hypothesis_violation(tmp_path, capsys):
-    code, _ = run(tmp_path, "catenoid", "--kind", "area", "--alpha", "1",
-                  "--rho-min", "0.5", "--rho-max", "5")
+    code, out = run(tmp_path, "catenoid", "--kind", "area", "--alpha", "1",
+                    "--rho-min", "0.5", "--rho-max", "5")
     assert code == EXIT_HYPOTHESIS
     assert "neck" in capsys.readouterr().out
+    # nothing was sampled, so no config is echoed either
+    assert not out.exists()
 
 
 def test_catenoid_reports_unbounded_neck_limit(tmp_path, capsys):
@@ -270,6 +276,23 @@ def test_neck_anchored_data_of_a_divergent_density_is_config_error(
     assert not out.exists()
 
 
+def test_solve_echoes_the_boundary_data_it_solved_on(tmp_path, monkeypatch):
+    # the default outer data was solved on while "boundary": {} was echoed
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    config = {"density": {"kind": "area"},
+              "mesh": {"r_in": 0.0, "n_r": 4, "n_theta": 8}}
+    code, first = run(tmp_path, "solve", config=config, name="first")
+    assert code == EXIT_OK
+    echoed = json.loads((first / "config.json").read_text())
+    assert echoed["boundary"] == {
+        "outer": {"kind": "affine", "q": [0.5, 0.3], "c": 0.0}}
+    second = tmp_path / "second"
+    assert main(["--config", str(first / "config.json"), "--out", str(second),
+                 "solve"]) == EXIT_OK
+    for name in ("solution.csv", "diagnostics.json", "config.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_unit_anchored_data_of_a_divergent_density_solves(tmp_path):
     spec = {**_NECK_SPEC, "convention": "unit"}
     config = solve_config(density={"kind": "mu", "mu": 2.0}, boundary={
@@ -291,6 +314,18 @@ def test_density_flags_win_over_config_file(tmp_path):
     assert echoed["density"] == {"kind": "area"}
     assert echoed["command"] == "density"
     assert echoed["seed"] == 0
+
+
+def test_mu_flag_overrides_the_config_mu(tmp_path, capsys):
+    # ran mu=2 and echoed "mu": 2.0 without --kind
+    cfg = {"density": {"kind": "mu", "mu": 2.0}}
+    code, out = run(tmp_path, "density", "--mu", "3", config=cfg)
+    assert code == EXIT_OK
+    assert "mu(3)" in capsys.readouterr().out
+    echoed = json.loads((out / "config.json").read_text())
+    assert echoed["density"] == {"kind": "mu", "mu": 3.0}
+    report = json.loads((out / "density_report.json").read_text())
+    assert report["growth"] == "finite"
 
 
 def test_unreadable_config_is_config_error(tmp_path):
@@ -831,6 +866,10 @@ def test_echoed_config_reproduces_every_output(tmp_path, monkeypatch, argv,
     code, first = run(tmp_path, "--seed", "3", *argv, config=config,
                       name="first")
     assert code == EXIT_OK
+    # the command, the density, every section the command reads, the seed
+    echoed = json.loads((first / "config.json").read_text())
+    assert set(echoed) == cli._SECTIONS[argv[0]] | {"command", "seed"}
+    assert echoed["command"] == argv[0] and echoed["seed"] == 3
     second = tmp_path / "second"
     assert main(["--seed", "3", "--config", str(first / "config.json"),
                  "--out", str(second), argv[0]]) == EXIT_OK

@@ -1244,9 +1244,7 @@ def test_scipy_fallback_runs_blas_on_one_thread(area, annulus, monkeypatch):
     # with no numpy LAPACK symbol to find, the scope sets the count of the
     # library that scipy's wrappers run in, read here from that library
     from scipy.linalg.lapack import _flapack
-    threads = solver._thread_count(ctypes.CDLL(_flapack.__file__),
-                                   ("scipy_openblas_{}_num_threads",
-                                    "openblas_{}_num_threads"))
+    threads = solver._thread_count(ctypes.CDLL(_flapack.__file__))
     if threads is None:
         pytest.skip("scipy's LAPACK exports no OpenBLAS thread count")
     monkeypatch.setattr(solver, "_LAPACK_SYMBOLS", ())
