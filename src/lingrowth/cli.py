@@ -41,11 +41,11 @@ from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError, Sign,
                        neck_limit, profile_value_substituted, sample_profile)
 from .density import density_from_config, normalize, validate
-from .experiments import (RemovabilityConfig, _dirichlet,
-                          _finite_profile_value, circle_data_values,
-                          run_catenoid_reproduction, run_comparison_suite,
-                          run_removability, write_report)
-from .mesh import NodeTag, build_polar_mesh, uniform_shape
+from .experiments import (RemovabilityConfig, _finite_profile_value,
+                          boundary_data, run_catenoid_reproduction,
+                          run_comparison_suite, run_removability,
+                          write_report)
+from .mesh import build_polar_mesh, uniform_shape
 from .solver import NonConvergenceError, solve_dirichlet
 
 EXIT_OK = 0
@@ -117,8 +117,9 @@ def _density_config(args, cfg: dict) -> dict:
 # whose default is None is left out unless given, so its consumer's own
 # default applies.  A key without a cast is checked by its consumer (the
 # catenoid spec keys by CatenoidSpec.from_config, the mesh keys by
-# uniform_shape, max_iter by solve_dirichlet, the experiment keys by their
-# study), and the echoed config repeats it as given.
+# uniform_shape, the boundary keys by boundary_data, max_iter by
+# solve_dirichlet, the experiment keys by their study), and the echoed
+# config repeats it as given.
 _AS_GIVEN = (None, None)
 _CATENOID_KEYS = {
     "sign": ("plus", None), "alpha": (1.0, None), "a": (0.0, None),
@@ -130,9 +131,9 @@ _CATENOID_KEYS = {
 _MESH_KEYS = {"r_in": (0.5, None), "r_out": (1.0, None), "n_r": (16, None),
               "n_theta": (32, None)}
 _SOLVER_KEYS = {"max_iter": _AS_GIVEN}
-_BOUNDARY_KEYS = {                  # circle data: see circle_data_values
+_BOUNDARY_KEYS = {
     "outer": ({"kind": "affine", "q": [0.5, 0.3], "c": 0.0}, None),
-    "inner": _AS_GIVEN,             # required on an annulus
+    "inner": _AS_GIVEN,
 }
 _EXPERIMENT_KEYS = {
     "removability": {f.name: _AS_GIVEN for f in fields(RemovabilityConfig)
@@ -242,17 +243,6 @@ def cmd_catenoid(args, cfg, dcfg, d):
 # solve
 
 
-def _boundary_from_config(mesh, bcfg, d) -> np.ndarray:
-    """Nodal boundary vector from the merged ``outer``/``inner`` entries."""
-    outer = circle_data_values(mesh, NodeTag.OUTER, bcfg["outer"], d)
-    inner = None
-    if not mesh.is_disk:
-        if "inner" not in bcfg:
-            raise ValueError("annulus solve needs boundary.inner in config")
-        inner = circle_data_values(mesh, NodeTag.INNER, bcfg["inner"], d)
-    return _dirichlet(mesh, inner=inner, outer=outer)
-
-
 def cmd_solve(args, cfg, dcfg, d):
     mcfg = _merge("mesh", cfg.get("mesh", {}), _MESH_KEYS, args)
     mesh = build_polar_mesh(*uniform_shape(
@@ -260,7 +250,7 @@ def cmd_solve(args, cfg, dcfg, d):
         "mesh config"))
 
     bcfg = _merge("boundary", cfg.get("boundary", {}), _BOUNDARY_KEYS)
-    data = _boundary_from_config(mesh, bcfg, d)
+    data = boundary_data(mesh, bcfg, d)
     scfg = _merge("solver", cfg.get("solver", {}), _SOLVER_KEYS)
 
     # solve_dirichlet checks max_iter, so a bad one leaves no output
@@ -298,17 +288,13 @@ def cmd_experiment(args, cfg, dcfg, d):
     if kind == "removability":
         rcfg = RemovabilityConfig(density=dcfg, **kwargs)
         report = run_removability(rcfg)
-        effective_exp = {"kind": kind, **rcfg.to_dict()}
-        effective_exp.pop("density")
+        kwargs = rcfg.to_dict()
+        del kwargs["density"]
     elif kind == "catenoid":
-        spec, refinements = kwargs.pop("spec"), kwargs.pop("refinements")
-        report = run_catenoid_reproduction(d, spec, refinements, **kwargs)
-        effective_exp = {"kind": kind, "spec": spec.to_config(),
-                         "refinements": refinements, **kwargs}
+        report = run_catenoid_reproduction(d, **kwargs)
+        kwargs["spec"] = kwargs["spec"].to_config()
     else:
-        trials = kwargs.pop("trials")
-        report = run_comparison_suite(d, trials, cfg["seed"], **kwargs)
-        effective_exp = {"kind": kind, "trials": trials, **kwargs}
+        report = run_comparison_suite(d, seed=cfg["seed"], **kwargs)
 
     # the study checks its own config, so a bad value leaves no output
     out = _out_dir(args)
@@ -317,7 +303,7 @@ def cmd_experiment(args, cfg, dcfg, d):
         _say(args, f"[{'PASS' if passed else 'FAIL'}] {name}")
     _say(args, f"report written to {out / 'report.json'}")
     code = EXIT_OK if report.all_checks_pass() else EXIT_HYPOTHESIS
-    return code, {"experiment": effective_exp}
+    return code, {"experiment": {"kind": kind, **kwargs}}
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,11 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
                        d: Density) -> np.ndarray:
     """Values on one boundary circle (``NodeTag.INNER`` or
     ``NodeTag.OUTER``) for the configured data choice: ``affine`` (q . x
-    + c), ``constant`` (value), ``radial`` (the barrier profile of a
-    :class:`CatenoidSpec` config at the circle's radius) or ``samples``
-    (one value per angle).  A key the kind does not take is an error, and
-    so is a value that is not a finite real number (a bool or a string
-    included)."""
+    + c), ``constant`` (value, the affine formula with q = 0), ``radial``
+    (the barrier profile of a :class:`CatenoidSpec` config at the circle's
+    radius) or ``samples`` (one value per angle).  A key the kind does not
+    take is an error, and so is a value that is not a finite real number
+    (a bool or a string included)."""
     radius = float(mesh.ring_radii[0 if circle == NodeTag.INNER else -1])
     idx = mesh.nodes_with_tag(circle)
     name = circle.name.lower()
@@ -156,10 +156,8 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
     ioutil.check_keys(cfg, _CIRCLE_KEYS[kind] | {"kind"},
                       f"{name} data key(s) for kind {kind!r}")
     affine = _affine_coefficients(cfg, name)
-    if kind == "affine":
+    if affine is not None:
         return _affine_values(mesh.nodes[idx], affine)
-    if kind == "constant":
-        return np.full(len(idx), affine[2])
     if kind == "radial":
         spec = CatenoidSpec.from_config(cfg["spec"])
         return np.full(len(idx), _finite_profile_value(
@@ -194,6 +192,23 @@ def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
     return u
 
 
+def boundary_data(mesh: PolarMesh, section: dict, d: Density) -> np.ndarray:
+    """Nodal boundary vector of a ``boundary`` config section: each
+    circle's values from :func:`circle_data_values`, NaN on every other
+    node.  ``outer`` is required; ``inner`` is required on an annulus and
+    refused on a disk, which has no inner circle, whatever its value
+    (``None`` included).  Either breach is a ValueError that starts with
+    ``boundary.inner``."""
+    if ("inner" in section) == mesh.is_disk:
+        raise ValueError("boundary.inner: " + (
+            "a disk has no inner circle to take data" if mesh.is_disk
+            else "an annulus needs data on its inner circle"))
+    outer = circle_data_values(mesh, NodeTag.OUTER, section["outer"], d)
+    inner = None if mesh.is_disk else circle_data_values(
+        mesh, NodeTag.INNER, section["inner"], d)
+    return _dirichlet(mesh, inner=inner, outer=outer)
+
+
 # ---------------------------------------------------------------------------
 # removability sweep
 
@@ -212,10 +227,10 @@ class RemovabilityConfig:
     naming the key), and are kept as floats.
     ``epsilons`` must be positive, decrease strictly and stay below
     ``probe_radius``, which in turn lies inside the outer radius.
-    ``outer_data`` follows the config schema of
-    :func:`circle_data_values`.  One radial/angular resolution is shared
-    by the reference disk and every annulus so their angular columns
-    align.
+    ``outer_data`` is the ``outer`` entry of a ``boundary`` section (see
+    :func:`boundary_data`), in the schema of :func:`circle_data_values`.
+    One radial/angular resolution is shared by the reference disk and
+    every annulus so their angular columns align.
 
     ``inner_layers`` grades the annulus meshes toward the spiked inner
     circle (see :func:`_graded_radii`).  Without grading, the first
@@ -338,13 +353,12 @@ def run_removability(cfg: RemovabilityConfig) -> ExperimentReport:
     R = cfg.outer_radius
 
     disk = build_polar_mesh(np.linspace(0.0, R, cfg.n_r + 1), cfg.n_theta)
-    outer_vals = circle_data_values(disk, NodeTag.OUTER, cfg.outer_data, d)
+    data = boundary_data(disk, {"outer": cfg.outer_data}, d)
     affine = _affine_coefficients(cfg.outer_data, "outer")
     start = None if affine is None else _affine_values(disk.nodes, affine)
-    reference = solve_dirichlet(d, disk, _dirichlet(disk, outer=outer_vals),
-                                x0=start)
-    max_outer = float(np.max(outer_vals))
-    min_outer = float(np.min(outer_vals))
+    reference = solve_dirichlet(d, disk, data, x0=start)
+    outer = data[disk.outer_nodes()]
+    max_outer, min_outer = float(np.max(outer)), float(np.min(outer))
 
     records = []
     for eps in cfg.epsilons:

@@ -433,15 +433,15 @@ def test_experiment_config_wins_over_default(tmp_path, monkeypatch, kind,
         assert code == EXIT_OK
         echoed = json.loads((out / "config.json").read_text())["experiment"]
         assert echoed == {"kind": kind, **want}, name
-        # keys the config leaves out fall to the study's own defaults
-        passed = {key: value for key, value in want.items()
-                  if key not in ("spec", "refinements", "trials")}
-        assert fake.kwargs == passed
+        # keys the config leaves out fall to the study's own defaults;
+        # every merged key is passed by keyword
+        passed = dict(want)
         if kind == "catenoid":
-            assert fake.args[1:] == (CatenoidSpec.from_config(want["spec"]),
-                                     want["refinements"])
+            passed["spec"] = CatenoidSpec.from_config(want["spec"])
         else:
-            assert fake.args[1:] == (want["trials"], 0)
+            passed["seed"] = 0
+        assert fake.kwargs == passed
+        assert fake.args[1:] == ()
 
 
 @pytest.mark.parametrize("command, config, key", [
@@ -573,6 +573,12 @@ def test_section_the_command_does_not_read_is_config_error(
         "kind": "catenoid", "r_in": 0.1}}, "'r_in'"),
     ("experiment", {"density": {"kind": "area"}, "experiment": {
         "kind": "catenoid", "r_out": 1.0}}, "'r_out'"),
+    # a disk has no inner circle: each of these solved and echoed the
+    # inner data unread
+    *[("solve", solve_config(mesh={"r_in": 0.0, "n_r": 4, "n_theta": 8},
+                             boundary={"inner": inner}), "boundary.inner")
+      for inner in ({"kind": "banana"}, {"kind": "constant", "value": 99},
+                    None)],
 ], ids=["experiment", "solver", "catenoid", "seed-string", "seed-float",
         "n-fraction", "samples-fraction", "trials-bool", "max_iter-bool",
         "max_iter-negative", "r_out-bool", "r_in-string", "rho_min-bool",
@@ -584,12 +590,14 @@ def test_section_the_command_does_not_read_is_config_error(
         "catenoid-n_r0-fraction", "catenoid-n_theta0-fraction",
         "catenoid-n_r0-small", "catenoid-n_theta0-small",
         "catenoid-refinements-zero", "catenoid-r_in-inside-neck",
-        "catenoid-r_out-below-r_in"])
+        "catenoid-r_out-below-r_in", "disk-inner-banana",
+        "disk-inner-constant", "disk-inner-null"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, command,
                                                 config, word):
-    code, _ = run(tmp_path, command, config=config)
+    code, out = run(tmp_path, command, config=config)
     assert code == EXIT_CONFIG
     assert word in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _affine(q=(0.5, 0.3), c=0.1):

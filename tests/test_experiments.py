@@ -19,7 +19,9 @@ from lingrowth.experiments import (
     ExperimentReport,
     RemovabilityConfig,
     _barrier_seed,
+    _dirichlet,
     _graded_radii,
+    boundary_data,
     circle_data_values,
     fourier_values,
     read_report,
@@ -96,6 +98,69 @@ def test_outer_data_unknown_kind(area):
     mesh = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
     with pytest.raises(ValueError):
         circle_data_values(mesh, NodeTag.OUTER, {"kind": "mystery"}, area)
+
+
+_CIRCLE_DATA = {
+    "affine": {"kind": "affine", "q": [0.5, -0.3], "c": 0.1},
+    "constant": {"kind": "constant", "value": -3.5},
+    "radial": {"kind": "radial", "spec": {"sign": "minus", "alpha": 0.25,
+                                          "a": 0.0, "n": 2,
+                                          "convention": "neck"}},
+    "samples": {"kind": "samples", "values": [0.1 * k - 0.3 for k in range(8)]},
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_CIRCLE_DATA))
+@pytest.mark.parametrize("circle", ["inner", "outer"])
+def test_boundary_data_puts_each_circles_values_on_its_nodes(area, kind,
+                                                             circle):
+    annulus = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
+    section = {"inner": {"kind": "constant", "value": 0.2},
+               "outer": {"kind": "constant", "value": 0.7},
+               circle: _CIRCLE_DATA[kind]}
+    want = _dirichlet(annulus, **{
+        key: circle_data_values(annulus, NodeTag[key.upper()], cfg, area)
+        for key, cfg in section.items()})
+    # bit for bit, the NaN of every interior node included
+    assert _bits(boundary_data(annulus, section, area)) == _bits(want)
+
+
+@pytest.mark.parametrize("kind", sorted(_CIRCLE_DATA))
+def test_boundary_data_of_a_disk_is_its_outer_values(area, kind):
+    disk = build_polar_mesh(np.linspace(0.0, 1.0, 5), 8)
+    cfg = _CIRCLE_DATA[kind]
+    want = _dirichlet(disk, outer=circle_data_values(disk, NodeTag.OUTER,
+                                                     cfg, area))
+    assert _bits(boundary_data(disk, {"outer": cfg}, area)) == _bits(want)
+
+
+@pytest.mark.parametrize("r_in, inner", [
+    (0.0, {"kind": "banana"}), (0.0, {"kind": "constant", "value": 99}),
+    (0.0, None), (0.5, "missing")],
+    ids=["disk-banana", "disk-constant", "disk-null", "annulus-missing"])
+def test_inner_data_on_a_disk_or_none_on_an_annulus_is_named(area, r_in,
+                                                             inner):
+    mesh = build_polar_mesh(np.linspace(r_in, 1.0, 5), 8)
+    section = {"outer": _CIRCLE_DATA["affine"]}
+    if inner != "missing":
+        section["inner"] = inner
+    with pytest.raises(ValueError, match=r"^boundary\.inner: "):
+        boundary_data(mesh, section, area)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.2, -3.5])
+def test_constant_data_are_the_value_bit_for_bit(area, value):
+    # constant data take the affine formula with q = 0
+    for r_in in (0.0, 0.5):
+        mesh = build_polar_mesh(np.linspace(r_in, 1.0, 5), 8)
+        for circle in (NodeTag.OUTER, NodeTag.INNER)[:2 - mesh.is_disk]:
+            got = circle_data_values(mesh, circle,
+                                     {"kind": "constant", "value": value}, area)
+            assert _bits(got) == _bits(np.full(8, value))
 
 
 def test_fourier_values_shape():
