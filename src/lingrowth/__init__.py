@@ -24,9 +24,9 @@ from .catenoid import (Anchor, CatenoidSpec, RadialProfile, Sign,
                        envelope_bound, envelope_bounds, neck_limit,
                        ode_residual, profile_value, profile_value_substituted,
                        profile_values, sample_profile, uniform_interior_bound)
-from .density import (Density, Growth, TailEstimate, ValidationReport,
-                      classify_growth, density_from_config, flux,
-                      invert_gprime, make_area_density, make_custom_density,
+from .density import (Density, Growth, TailEstimate, classify_growth,
+                      density_from_config, flux, invert_gprime,
+                      make_area_density, make_custom_density,
                       make_mu_density, normalize, tangent, validate)
 from .experiments import (ExperimentReport, RemovabilityConfig, read_report,
                           run_catenoid_reproduction, run_comparison_suite,
@@ -42,7 +42,7 @@ __all__ = [
     "Anchor", "CatenoidSpec", "Density", "DiscreteSolution",
     "ExperimentReport", "Growth", "NodeTag", "NonConvergenceError",
     "PolarMesh", "QuadratureAccuracyError", "RadialProfile",
-    "RemovabilityConfig", "Sign", "TailEstimate", "ValidationReport",
+    "RemovabilityConfig", "Sign", "TailEstimate",
     "build_polar_mesh", "classify_growth", "density_from_config", "energy",
     "envelope_bound", "envelope_bounds", "flux", "invert_gprime",
     "make_area_density", "make_custom_density", "make_mu_density",

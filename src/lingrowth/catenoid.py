@@ -13,8 +13,9 @@ slope becomes vertical.
 Two anchoring conventions are supported:
 
 * ``Anchor.NECK``  -- integrate from the neck itself.  The profile tends to
-  the offset ``a`` at the neck when integral(t * g'') converges, and the
-  defining integral is +inf otherwise (reported as an inf sentinel).
+  the offset ``a`` at the neck when integral(t * g'') converges; otherwise
+  the defining integral is +inf at every radius, and the profile routes
+  refuse it with a ValueError (only :func:`neck_limit` returns the inf).
 * ``Anchor.UNIT``  -- integrate from radius 1, which requires the flux to
   satisfy 0 < alpha < 1 so the neck sits strictly inside radius 1.  The
   profile is finite at every radius above the neck even for densities whose
@@ -208,11 +209,14 @@ def _check_radii(radii, neck: float, *outer) -> np.ndarray:
     return radii
 
 
-def _infinite_everywhere(d: Density, spec: CatenoidSpec) -> bool:
-    """Whether the profile is the signed inf sentinel at every radius: it
-    is neck-anchored and the neck integral of ``d`` diverges."""
-    return (spec.anchor is Anchor.NECK
-            and d.growth is Growth.INFINITE_INTEGRAL)
+def _refuse_infinite(d: Density, spec: CatenoidSpec) -> None:
+    """Refuse a profile that is infinite at every radius: a neck-anchored
+    one of a density whose neck integral diverges, a ValueError."""
+    if spec.anchor is Anchor.NECK and d.growth is Growth.INFINITE_INTEGRAL:
+        raise ValueError(
+            f"the neck-anchored profile of {d.label} is infinite at every "
+            'radius, as its neck integral diverges; "convention": "unit" '
+            "gives finite values")
 
 
 def _slope_parameter(d: Density, alpha: float, n: int, rho):
@@ -292,15 +296,13 @@ def profile_value(d: Density, spec: CatenoidSpec, rho: float) -> float:
     parametrization (:func:`profile_value_substituted`).
 
     For neck-anchored profiles of a density with divergent neck integral
-    the defining integral is infinite at every radius; the result is the
-    signed inf sentinel rather than a finite number.
+    the defining integral is infinite at every radius, and that is a
+    ValueError saying so, as it is for every profile route here.
     """
     _require_normalized(d)
     neck = spec.neck_radius
     (rho,) = _check_radii([rho], neck)
-
-    if _infinite_everywhere(d, spec):
-        return spec.offset_a + spec.sign.factor * math.inf
+    _refuse_infinite(d, spec)
 
     if rho - neck < _NEAR_NECK_FRACTION * neck:
         return profile_value_substituted(d, spec, rho)
@@ -323,7 +325,8 @@ def profile_values(d: Density, spec: CatenoidSpec, radii) -> np.ndarray:
     every function here: the radii are a list, a tuple or a 1-D array of
     finite real numbers (ints, floats or numpy numbers; a bool, a string,
     NaN or +-inf is none), nonempty and strictly ascending from above the neck radius,
-    else a ValueError stating the rule.
+    else a ValueError stating the rule.  A profile that is infinite at
+    every radius is a ValueError as in :func:`profile_value`.
     """
     radii = _check_radii(radii, spec.neck_radius)
     return profile_value(d, spec, radii[0]) + spec.sign.factor * (
@@ -341,12 +344,13 @@ def profile_value_substituted(d: Density, spec: CatenoidSpec,
 
     between the slopes attained at the endpoints; the neck corresponds to
     s = inf.  Needs only forward evaluations of g', g'' away from the
-    anchor, so it cross-checks the inverse-based radial route.
+    anchor, so it cross-checks the inverse-based radial route.  A profile
+    that is infinite at every radius is a ValueError as in
+    :func:`profile_value`.
     """
     _require_normalized(d)
     (rho,) = _check_radii([rho], spec.neck_radius)
-    if _infinite_everywhere(d, spec):
-        return spec.offset_a + spec.sign.factor * math.inf
+    _refuse_infinite(d, spec)
 
     n = spec.dim_n
     prefactor = spec.alpha ** (1.0 / (n - 1))
@@ -368,7 +372,8 @@ def neck_limit(d: Density, spec: CatenoidSpec) -> float:
     Finite exactly when integral(t * g'') converges: neck-anchored
     profiles then tend to their offset, unit-anchored ones to the offset
     minus the signed full span between neck and radius 1.  In the
-    divergent case the limit is the signed inf sentinel.  The case is
+    divergent case the limit is a signed inf, the one place a profile's
+    infinity is returned rather than refused.  The case is
     ``d.growth``, declared or proved by the tail bound (:class:`Density`);
     an undetermined class is a ValueError.
     """
@@ -376,12 +381,11 @@ def neck_limit(d: Density, spec: CatenoidSpec) -> float:
     if d.growth is Growth.UNDETERMINED:
         raise ValueError(
             "cannot form the neck limit: growth class is undetermined")
-    if _infinite_everywhere(d, spec):
-        return spec.offset_a + spec.sign.factor * math.inf
+    if d.growth is Growth.INFINITE_INTEGRAL:  # the neck integral diverges
+        toward = 1.0 if spec.anchor is Anchor.NECK else -1.0
+        return spec.offset_a + toward * spec.sign.factor * math.inf
     if spec.anchor is Anchor.NECK:
         return spec.offset_a
-    if d.growth is Growth.INFINITE_INTEGRAL:
-        return spec.offset_a - spec.sign.factor * math.inf
     n = spec.dim_n
     s_one = _slope_parameter(d, spec.alpha, n, 1.0)
     span = spec.alpha ** (1.0 / (n - 1)) * _substituted_integral(
@@ -431,6 +435,8 @@ def sample_profile(d: Density, spec: CatenoidSpec, rho_min: float,
     ``num``), and ``[rho_min, rho_max]`` must obey the radius rule of
     :func:`profile_values`: finite real numbers (a bool or a string is
     none), neck < rho_min < rho_max, else a ValueError stating the rule.
+    A profile that is infinite at every radius is a ValueError as in
+    :func:`profile_value`.
     """
     num = ioutil.checked(ioutil.integer, num, "num", 2)
     neck = spec.neck_radius

@@ -41,10 +41,9 @@ from . import ioutil
 from .catenoid import (Anchor, CatenoidSpec, QuadratureAccuracyError, Sign,
                        neck_limit, profile_value_substituted, sample_profile)
 from .density import density_from_config, normalize, validate
-from .experiments import (RemovabilityConfig, _finite_profile_value,
-                          boundary_data, run_catenoid_reproduction,
-                          run_comparison_suite, run_removability,
-                          write_report)
+from .experiments import (RemovabilityConfig, boundary_data,
+                          run_catenoid_reproduction, run_comparison_suite,
+                          run_removability, write_report)
 from .mesh import build_polar_mesh, uniform_shape
 from .solver import NonConvergenceError, solve_dirichlet
 
@@ -173,15 +172,13 @@ def _merge(name: str, section: dict, table: dict, flags=None) -> dict:
 
 def cmd_density(args, cfg, dcfg, d):
     samples = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 200)])
-    report = validate(d, samples)
-    payload = report.to_dict()
-    payload["growth"] = d.growth.value
-    ioutil.write_json(_out_dir(args) / "density_report.json", payload)
+    report = {**validate(d, samples), "growth": d.growth.value}
+    ioutil.write_json(_out_dir(args) / "density_report.json", report)
 
     _say(args, f"density {d.label}: growth={d.growth.value}")
-    for key, val in payload.items():
+    for key, val in report.items():
         _say(args, f"  {key}: {val}")
-    if not report.hypotheses_ok:
+    if not report["hypotheses_ok"]:
         _say(args, "hypothesis violation detected")
         return EXIT_HYPOTHESIS, {}
     return EXIT_OK, {}
@@ -206,10 +203,11 @@ def cmd_catenoid(args, cfg, dcfg, d):
     if not rho_max > rho_min:
         raise ValueError(f"catenoid config key 'rho_max': must exceed "
                          f"rho_min = {rho_min!r}, got {rho_max!r}")
-    # a neck-anchored profile of a divergent density is inf at every radius
-    _finite_profile_value(d, spec, rho_min, "catenoid config key 'convention'")
-
-    profile = sample_profile(d, spec, rho_min, rho_max, num)
+    # the range and count are checked: what the sampling can still refuse
+    # is a neck-anchored profile that is infinite at every radius
+    profile = ioutil.checked(sample_profile, d,
+                             "catenoid config key 'convention'", spec,
+                             rho_min, rho_max, num)
     # the cumulative radial route against the slope route, radius by radius
     disagreement = max(abs(v - profile_value_substituted(d, spec, r))
                        for r, v in zip(profile.rho, profile.values))

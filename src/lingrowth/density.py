@@ -143,44 +143,6 @@ class Density:
         return f"Density({self.label})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of sampling-based hypothesis checks on a density.
-
-    ``linear_growth_bounds`` holds witnesses (a_est, b_est, A_est, B_est)
-    such that a_est*t - b_est <= g(t) <= A_est*t + B_est at every sample.
-    ``derivative_consistency`` is the pair of maximal relative mismatches
-    (g' vs. central difference of g, g'' vs. central difference of g').
-    """
-
-    linear_growth_bounds: tuple
-    derivative_consistency: tuple
-    convexity_ok: bool
-    origin_ok: bool
-
-    @property
-    def hypotheses_ok(self) -> bool:
-        a_est, _, A_est, _ = self.linear_growth_bounds
-        return bool(self.convexity_ok and self.origin_ok
-                    and a_est > 0 and A_est > 0)
-
-    def to_dict(self) -> dict:
-        a_est, b_est, A_est, B_est = self.linear_growth_bounds
-        dg, dgg = self.derivative_consistency
-        return {
-            "linear_growth_bounds": {
-                "a_est": a_est, "b_est": b_est,
-                "A_est": A_est, "B_est": B_est,
-            },
-            "derivative_consistency": {
-                "gprime_vs_g": dg, "gsecond_vs_gprime": dgg,
-            },
-            "convexity_ok": self.convexity_ok,
-            "origin_ok": self.origin_ok,
-            "hypotheses_ok": self.hypotheses_ok,
-        }
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -403,38 +365,42 @@ _FD_STEP = 1e-5
 _ORIGIN_TOL = 1e-8
 
 
-def validate(d: Density, samples) -> ValidationReport:
+def validate(d: Density, samples) -> dict:
     """Check the structural hypotheses of a density on a sample grid.
 
-    Violations are flagged in the report, never raised; only malformed
-    sample grids raise.
+    Returns the report that ``lingrowth density`` writes, without its
+    growth class: ``linear_growth_bounds`` holds witnesses ``a_est``,
+    ``b_est``, ``A_est`` and ``B_est`` such that
+    a_est*t - b_est <= g(t) <= A_est*t + B_est at every sample (the two
+    slopes are the largest sampled g', as g is convex);
+    ``derivative_consistency`` holds the largest relative mismatches
+    ``gprime_vs_g`` (g' against a central difference of g) and
+    ``gsecond_vs_gprime`` (g'' against one of g'); ``convexity_ok`` says
+    g'' > 0 at every sample, ``origin_ok`` that g'(0) vanishes, and
+    ``hypotheses_ok`` that both hold and the sampled slope is positive.
 
-    Parameters
-    ----------
-    d : Density
-    samples : array_like
-        Nonempty increasing grid of nonnegative reals containing 0.
+    Violations are flagged in the report, never raised.  ``samples`` must
+    be a list, a tuple or a 1-D array of finite real numbers (cast by
+    :func:`ioutil.real_array`), nonnegative, with 0 among them and one at
+    least the difference step 1e-5; anything else is a ValueError that
+    starts ``samples: ``.
     """
-    t = np.asarray(samples, dtype=float)
-    if t.size == 0:
-        raise ValueError("sample grid is empty")
-    if np.any(t < 0):
-        raise ValueError("sample grid contains negative points")
-    if not np.any(t == 0.0):
-        raise ValueError("sample grid must contain 0")
-    t = np.sort(t)
+    t = ioutil.checked(ioutil.real_array, samples, "samples")
+    if not (t.size and np.all(np.isfinite(t)) and np.min(t) == 0.0
+            and np.max(t) >= _FD_STEP):  # false for nan as well
+        shown = np.array2string(t, threshold=6, separator=", ")
+        raise ValueError(f"samples: must be finite reals >= 0, 0 among them "
+                         f"and one >= {_FD_STEP:g}, got {shown}")
 
     g, gp, gpp = d.eval(t)
-
     convexity_ok = bool(np.all(gpp > 0.0))
     origin_ok = bool(abs(float(d.gprime(0.0))) <= _ORIGIN_TOL)
 
     # Linear-growth witnesses.  g is convex, so its largest sampled slope
     # bounds every chord; the intercepts are then read off the samples.
     slope = float(np.max(gp))
-    a_est = A_est = slope
-    B_est = float(max(0.0, np.max(g - A_est * t)))
-    b_est = float(max(0.0, np.max(a_est * t - g)))
+    B_est = float(max(0.0, np.max(g - slope * t)))
+    b_est = float(max(0.0, np.max(slope * t - g)))
 
     # Derivative consistency by central differences (skip points whose
     # stencil would leave the domain).
@@ -447,12 +413,15 @@ def validate(d: Density, samples) -> ValidationReport:
     rel1 = float(np.max(np.abs(cd_g - gp_i) / np.maximum(1.0, np.abs(gp_i))))
     rel2 = float(np.max(np.abs(cd_gp - gpp_i) / np.maximum(1.0, np.abs(gpp_i))))
 
-    return ValidationReport(
-        linear_growth_bounds=(a_est, b_est, A_est, B_est),
-        derivative_consistency=(rel1, rel2),
-        convexity_ok=convexity_ok,
-        origin_ok=origin_ok,
-    )
+    return {
+        "linear_growth_bounds": {"a_est": slope, "b_est": b_est,
+                                 "A_est": slope, "B_est": B_est},
+        "derivative_consistency": {"gprime_vs_g": rel1,
+                                   "gsecond_vs_gprime": rel2},
+        "convexity_ok": convexity_ok,
+        "origin_ok": origin_ok,
+        "hypotheses_ok": convexity_ok and origin_ok and slope > 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,10 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
     (the barrier profile of a :class:`CatenoidSpec` config at the circle's
     radius) or ``samples`` (one value per angle).  A key the kind does not
     take is an error, and so is a value that is not a finite real number
-    (a bool or a string included)."""
+    (a bool or a string included).  A ``radial`` profile that
+    :func:`profile_value` refuses at the radius (the neck lies outside the
+    circle, or the profile is infinite at every radius) is a ValueError
+    naming the data key ``spec``."""
     radius = float(mesh.ring_radii[0 if circle == NodeTag.INNER else -1])
     idx = mesh.nodes_with_tag(circle)
     name = circle.name.lower()
@@ -160,25 +163,10 @@ def circle_data_values(mesh: PolarMesh, circle: NodeTag, cfg: dict,
         return _affine_values(mesh.nodes[idx], affine)
     if kind == "radial":
         spec = CatenoidSpec.from_config(cfg["spec"])
-        return np.full(len(idx), _finite_profile_value(
-            d, spec, radius, f"{name} data key 'spec'"))
+        return np.full(len(idx), ioutil.checked(
+            profile_value, d, f"{name} data key 'spec'", spec, radius))
     return np.array(ioutil.checked(ioutil.reals, cfg["values"],
                                    f"{name} data key 'values'", mesh.n_theta))
-
-
-def _finite_profile_value(d: Density, spec: CatenoidSpec, radius: float,
-                          what: str) -> float:
-    """:func:`profile_value` at ``radius``, which must be finite and above
-    the spec's neck radius: the neck-anchored profile of a density whose
-    neck integral diverges is +-inf at every radius, and a radius at or
-    below the neck breaks the radius rule; either is a ValueError that
-    starts with ``what``, the key of the spec."""
-    value = ioutil.checked(profile_value, d, what, spec, radius)
-    if not np.isfinite(value):
-        raise ValueError(f"{what}: the neck-anchored profile of {d.label} is "
-                         "infinite at every radius, as its neck integral "
-                         'diverges; "convention": "unit" gives finite values')
-    return value
 
 
 def _dirichlet(mesh: PolarMesh, inner=None, outer=None) -> np.ndarray:
@@ -247,7 +235,11 @@ class RemovabilityConfig:
     that contribution over epsilon * |q| is not constant at large
     epsilon, but below epsilon of about 3e-3 both growth classes level
     off at B * epsilon * |q|, with B about 0.013 for area and about 1.24
-    for mu = 2.
+    for mu = 2.  The default |q| = 0.015 is small only relative to
+    1/g''(0): for a normalized density the background acts as
+    |q| g''(0), and g''(0) is 1 for area and mu - 1 for mu, but a
+    normalized scaled area with g''(0) of about 11 fails ``envelope_all``
+    with the default data and passes with flat data.
     """
 
     density: dict
@@ -497,7 +489,7 @@ def run_catenoid_reproduction(d: Density, spec: CatenoidSpec,
     d = normalize(d)
 
     # every level shares the two circles
-    inner, outer = (_finite_profile_value(d, spec, r, key("spec"))
+    inner, outer = (ioutil.checked(profile_value, d, key("spec"), spec, r)
                     for r in (r_in, r_out))
     top = refinements - 1
     finest = build_polar_mesh(np.linspace(r_in, r_out, n_r0 * 2 ** top + 1),

@@ -487,19 +487,22 @@ def _one_blas_thread():
 @_one_blas_thread()
 def energy(d: Density, mesh: PolarMesh, u: np.ndarray) -> float:
     """Total energy sum(area * g(|grad u|)) of a nodal field, its area sum
-    taken on one BLAS thread, as in a solve."""
-    return _energy(d, mesh,
-                   _triangle_gradients(mesh, np.asarray(u, dtype=float)))[0]
+    taken on one BLAS thread, as in a solve.  ``u`` must be a full nodal
+    vector of finite entries, by :func:`solve_dirichlet`'s rule for its
+    nodal vectors; anything else is a ValueError that starts ``u: ``."""
+    u = ioutil.checked(_nodal_entries, u, "u", mesh.num_nodes, slice(None))
+    return _energy(d, mesh, _triangle_gradients(mesh, u))[0]
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet solve
 
 
-def _nodal_entries(vector, num_nodes: int, nodes: np.ndarray) -> np.ndarray:
-    """The entries at ``nodes`` of ``vector``, which must be a full nodal
-    vector of ``num_nodes`` entries, finite at ``nodes``: a dict, any other
-    shape or a non-finite entry there is a ValueError."""
+def _nodal_entries(vector, num_nodes: int, nodes) -> np.ndarray:
+    """The entries at ``nodes`` (an index array, or ``slice(None)`` for
+    all) of ``vector``, which must be a full nodal vector of ``num_nodes``
+    entries, finite at ``nodes``: a dict, any other shape or a non-finite
+    entry there is a ValueError."""
     # np.asarray raises a TypeError on a dict, naming no expected form
     arr = None if isinstance(vector, dict) else np.asarray(vector, dtype=float)
     if arr is None or arr.shape != (num_nodes,):

@@ -288,10 +288,23 @@ def test_profile_values_match_per_radius_values(request, which, anchor,
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
-def test_profile_values_divergent_neck_anchor_is_inf(mu2):
-    for sign in Sign:
-        got = profile_values(mu2, spec2(sign=sign, alpha=0.5), _FAR_RADII)
-        assert np.all(got == sign.factor * math.inf)
+def test_divergent_neck_anchored_profile_is_refused_by_every_route():
+    # each route once returned the +-inf sentinel, which every caller then
+    # had to turn into an error; the unit-anchored profiles stay finite
+    routes = (lambda d, spec: profile_value(d, spec, 0.9),
+              lambda d, spec: profile_value_substituted(d, spec, 0.9),
+              lambda d, spec: profile_values(d, spec, _FAR_RADII),
+              lambda d, spec: sample_profile(d, spec, 0.6, 3.0, 20).values)
+    for mu in (1.5, 2.0):
+        d = make_mu_density(mu)
+        for sign in Sign:
+            for route in routes:
+                with pytest.raises(ValueError, match=(
+                        rf"^the neck-anchored profile of mu\({mu:g}\) is "
+                        "infinite at every radius")):
+                    route(d, spec2(sign=sign, alpha=0.5))
+                unit = spec2(sign=sign, alpha=0.5, anchor=Anchor.UNIT)
+                assert np.all(np.isfinite(route(d, unit)))
 
 
 def test_envelope_bounds_match_scalar_and_closed_form(area, mu3):

@@ -1,7 +1,9 @@
 """Density constructors, hypothesis validation, inversion, growth class."""
 
 import dataclasses
+import json
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -111,9 +113,9 @@ def test_mu_closed_form_consistency(rng):
 
 def test_validate_area_hypotheses(area):
     rep = validate(area, SAMPLES)
-    assert rep.convexity_ok
-    assert rep.origin_ok
-    assert rep.hypotheses_ok
+    assert rep["convexity_ok"] is True
+    assert rep["origin_ok"] is True
+    assert rep["hypotheses_ok"] is True
 
 
 def test_validate_flags_nonzero_origin_slope():
@@ -124,13 +126,14 @@ def test_validate_flags_nonzero_origin_slope():
         gprime_inf=1.1,
     )
     rep = validate(bad, SAMPLES)
-    assert not rep.origin_ok
-    assert not rep.hypotheses_ok
+    assert rep["origin_ok"] is False
+    assert rep["hypotheses_ok"] is False
 
 
 def test_validate_mu3_linear_growth_witnesses():
-    rep = validate(make_mu_density(3.0), SAMPLES)
-    a_est, b_est, A_est, B_est = rep.linear_growth_bounds
+    bounds = validate(make_mu_density(3.0), SAMPLES)["linear_growth_bounds"]
+    a_est, b_est = bounds["a_est"], bounds["b_est"]
+    A_est, B_est = bounds["A_est"], bounds["B_est"]
     assert 0.0 < a_est <= 1.0
     assert 0.0 < A_est <= 1.0
     assert b_est >= 0.0 and B_est >= 0.0
@@ -141,22 +144,50 @@ def test_validate_mu3_linear_growth_witnesses():
 
 
 def test_validate_derivative_consistency_small(area):
-    rep = validate(area, SAMPLES)
-    rel_gp, rel_gpp = rep.derivative_consistency
-    assert rel_gp < 1e-7
-    assert rel_gpp < 1e-6
+    rep = validate(area, SAMPLES)["derivative_consistency"]
+    assert rep["gprime_vs_g"] < 1e-7
+    assert rep["gsecond_vs_gprime"] < 1e-6
 
 
 def test_validate_needs_origin_sample(area):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^samples: "):
         validate(area, np.geomspace(0.1, 10.0, 5))
 
 
+@pytest.mark.parametrize("samples", [
+    [0.0, 1.0, math.nan], [0.0, 1.0, math.inf], np.array([0.0, math.nan]),
+    np.array([0.0, 1.0, math.inf]), [0.0], [0.0, 1e-6], [], [-1.0, 0.0, 1.0],
+    ["0", "1"], [0.0, True], np.array([[0.0, 1.0], [2.0, 3.0]]), "0 1",
+    None, 0.0,
+], ids=["nan", "inf", "nan-array", "inf-array", "origin-only",
+        "below-step", "empty", "negative", "strings", "bool", "grid",
+        "string", "none", "scalar"])
+def test_validate_refuses_samples_that_break_the_rule(area, samples):
+    # a NaN sample once gave a_est nan, an inf one a numpy warning, [0.0]
+    # a numpy reduction error, and strings and a 2-D grid were accepted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^samples: "):
+            validate(area, samples)
+
+
+def test_validate_takes_lists_tuples_and_arrays_alike(area):
+    want = validate(area, SAMPLES)
+    for samples in (SAMPLES.tolist(), tuple(SAMPLES), SAMPLES[::-1],
+                    [int(0), *SAMPLES[1:]]):
+        assert validate(area, samples) == want
+
+
 def test_validation_report_serializes(area):
-    d = rep = validate(area, SAMPLES).to_dict()
-    assert set(d) == {"linear_growth_bounds", "derivative_consistency",
-                      "convexity_ok", "origin_ok", "hypotheses_ok"}
+    rep = validate(area, SAMPLES)
+    assert set(rep) == {"linear_growth_bounds", "derivative_consistency",
+                        "convexity_ok", "origin_ok", "hypotheses_ok"}
+    assert set(rep["linear_growth_bounds"]) == {"a_est", "b_est", "A_est",
+                                                "B_est"}
+    assert set(rep["derivative_consistency"]) == {"gprime_vs_g",
+                                                  "gsecond_vs_gprime"}
     assert isinstance(rep["convexity_ok"], bool)
+    assert json.loads(json.dumps(rep)) == rep
 
 
 # -- normalization ----------------------------------------------------------
@@ -314,7 +345,7 @@ def test_undeclared_density_without_tail_is_undetermined():
 def test_growth_that_is_no_growth_class_is_refused(growth):
     # the string "infinite" was stored as it was: the profiles of a
     # divergent mu=2 then raised a quadrature error where the built-in
-    # gives the inf sentinel, and its neck limit read 0.0
+    # refuses its infinite profile, and its neck limit read 0.0
     base = make_mu_density(2.0)
     with pytest.raises(ValueError, match="^growth: "):
         make_custom_density(base.g, base.gprime, base.gsecond,

@@ -171,14 +171,42 @@ def test_energy_unit_gradient_mu3(mu3, annulus):
         mu3.g(1.0) * area_total(annulus), rel=1e-14)
 
 
+def _smooth_field(mesh):
+    return (0.8 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] ** 2
+            + 0.3 * np.sin(2.0 * mesh.node_angles()))
+
+
+def test_energy_of_a_field_keeps_its_bits(area, mu3, annulus):
+    # the values before the nodal-vector check, from an array or a list
+    u = _smooth_field(annulus)
+    for d, want in ((area, "0x1.bf2234e9f8c7ep+1"),
+                    (mu3, "0x1.5999634538e4bp+0")):
+        assert energy(d, annulus, u).hex() == want
+        assert energy(d, annulus, u.tolist()).hex() == want
+
+
+@pytest.mark.parametrize("u, message", [
+    (np.zeros(8), "got shape \\(8,\\)"), ({}, "got a dict"),
+    (np.zeros((544, 1)), "got shape \\(544, 1\\)"),
+    (np.zeros(545), "got shape \\(545,\\)"),
+    (np.append(np.zeros(543), np.nan), "non-finite"),
+    (np.append(np.zeros(543), np.inf), "non-finite"),
+], ids=["short", "dict", "column", "long", "nan", "inf"])
+def test_energy_names_a_field_that_is_no_nodal_vector(area, annulus, u,
+                                                      message):
+    # a wrong length failed as a reshape error, a dict as a bare TypeError
+    assert annulus.num_nodes == 544
+    with pytest.raises(ValueError, match="^u: .*" + message):
+        energy(area, annulus, u)
+
+
 @pytest.mark.parametrize("density", ["area", "mu3"])
 def test_assembly_matches_energy_differences(density, request):
     # gradient and Hessian come from flux and tangent, the energy from g:
     # central differences of the energy tie the two together
     d = request.getfixturevalue(density)
     mesh = build_polar_mesh(np.linspace(0.5, 1.0, 5), 8)
-    u = (0.8 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] ** 2
-         + 0.3 * np.sin(2.0 * mesh.node_angles()))
+    u = _smooth_field(mesh)
     u[mesh.node_radii() < 0.7] = 0.2     # constant patch: p = 0 exactly
     p = _triangle_gradients(mesh, u)
     assert np.count_nonzero(np.all(p == 0.0, axis=1)) >= 8
